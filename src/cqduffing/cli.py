@@ -21,13 +21,13 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
 from . import chaos, exact, kbm, melnikov, pyragas, sde
-from .core import OscillatorParams, State, energy_report
+from .core import OscillatorParams, State, acceleration, energy_report
 from .odeint import IntegrationError, StepControl, integrate
-from .core import acceleration
 
 _OUTDIR_ENV = "CQDUFFING_OUTDIR"
 
@@ -78,6 +78,14 @@ def _out_path(args, default_name: str) -> str:
 def _summary(**kv) -> int:
     print(json.dumps(kv, sort_keys=True, default=_fmt))
     return 0
+
+
+def _map_jobs(fn, items, jobs: int) -> list:
+    """fn over items in order, across `jobs` worker processes when jobs > 1."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def _params_from(args) -> OscillatorParams:
@@ -184,10 +192,9 @@ def cmd_simulate(parser, args) -> int:
         parser.error("--method rk4 needs --dt")
     p = _params_from(args)
     ctrl = StepControl(dt=args.dt, abs_tol=args.abs_tol, rel_tol=args.rel_tol, method=args.method)
-    traj = integrate(lambda t, x, v: acceleration(p, t, x, v),
-                     State(0.0, args.x0, args.v0), args.t_end, ctrl)
+    traj = integrate(partial(acceleration, p), State(0.0, args.x0, args.v0), args.t_end, ctrl)
     ts = np.linspace(0.0, args.t_end, args.samples)
-    rows = [(t, *traj.eval(float(t))) for t in ts]
+    rows = list(zip(ts.tolist(), *(col.tolist() for col in traj.eval(ts))))
     out = _out_path(args, "simulate.csv")
     _write_csv(out, "simulate", cfg, ["t", "x", "v"], rows)
     if args.gnuplot:
@@ -235,9 +242,8 @@ def cmd_kbm(parser, args) -> int:
     ts = np.linspace(0.0, args.t_end, args.samples)
     if args.compare:
         ctrl = StepControl(abs_tol=1e-11, rel_tol=1e-11)
-        ref = integrate(lambda t, x, v: acceleration(p, t, x, v),
-                        State(0.0, args.x0, args.v0), args.t_end, ctrl)
-        rows = [(float(t), sol.eval(float(t)), ref.eval_x(float(t))) for t in ts]
+        ref = integrate(partial(acceleration, p), State(0.0, args.x0, args.v0), args.t_end, ctrl)
+        rows = [(t, sol.eval(t), xr) for t, xr in zip(ts.tolist(), ref.eval_x(ts).tolist())]
         header = ["t", "x_approx", "x_reference"]
         max_err = max(abs(r[1] - r[2]) for r in rows)
     else:
@@ -303,15 +309,12 @@ def _scan_row(job) -> tuple:
 
 
 def cmd_scan(parser, args) -> int:
+    a, b, c, delta = (default if val is None else val for val, default in
+                      ((args.a, 1.0), (args.b, 1.0), (args.c, 0.0), (args.delta, 0.1)))
     if args.preset == "table1":
         row_defs = _TABLE1_ROWS[: args.rows] if args.rows else _TABLE1_ROWS
-        for key in ("omega",):
-            if getattr(args, key):
-                parser.error(f"--{key} conflicts with preset 'table1'")
-        a = args.a if args.a is not None else 1.0
-        b = args.b if args.b is not None else 1.0
-        c = args.c if args.c is not None else 0.0
-        delta = args.delta if args.delta is not None else 0.1
+        if args.omega:
+            parser.error("--omega conflicts with preset 'table1'")
         jobs = [(om, max(0.02, g - 0.08), g + 0.12, a, b, c, delta,
                  args.resolution, args.coarse_step) for om, g in row_defs]
     elif args.preset:
@@ -319,20 +322,12 @@ def cmd_scan(parser, args) -> int:
     else:
         if not args.omega:
             parser.error("--omega is required (repeatable), or use --preset table1")
-        a = args.a if args.a is not None else 1.0
-        b = args.b if args.b is not None else 1.0
-        c = args.c if args.c is not None else 0.0
-        delta = args.delta if args.delta is not None else 0.1
         jobs = [(om, args.gamma_min, args.gamma_max, a, b, c, delta,
                  args.resolution, args.coarse_step) for om in args.omega]
     cfg = {"a": a, "b": b, "c": c, "delta": delta, "resolution": args.resolution,
            "coarse_step": args.coarse_step, "jobs": args.jobs,
            "rows": [list(j[:3]) for j in jobs], "preset": args.preset}
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_scan_row, jobs))
-    else:
-        results = [_scan_row(j) for j in jobs]
+    results = _map_jobs(_scan_row, jobs, args.jobs)
     out = _out_path(args, "scan.csv")
     _write_csv(out, "scan", cfg, ["omega", "gamma_c", "lyapunov"], results)
     if args.gnuplot:
@@ -368,16 +363,10 @@ def cmd_control(parser, args) -> int:
     if args.search:
         cfg.update(mu_min=args.mu_min, mu_max=args.mu_max, tau_min=args.tau_min,
                    tau_max=args.tau_max, grid=args.grid, jobs=args.jobs)
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                cells = pyragas.search_mu_tau(
-                    p, (args.mu_min, args.mu_max), (args.tau_min, args.tau_max),
-                    (args.grid, args.grid), State(0.0, args.x0, args.v0),
-                    map_fn=lambda f, it: pool.map(f, it))
-        else:
-            cells = pyragas.search_mu_tau(
-                p, (args.mu_min, args.mu_max), (args.tau_min, args.tau_max),
-                (args.grid, args.grid), State(0.0, args.x0, args.v0))
+        cells = pyragas.search_mu_tau(
+            p, (args.mu_min, args.mu_max), (args.tau_min, args.tau_max),
+            (args.grid, args.grid), State(0.0, args.x0, args.v0),
+            map_fn=lambda fn, items: _map_jobs(fn, items, args.jobs))
         out = _out_path(args, "control_search.csv")
         _write_csv(out, "control", cfg, ["mu", "tau", "controller_norm", "is_periodic"], cells)
         best = cells[0]
@@ -390,7 +379,7 @@ def cmd_control(parser, args) -> int:
     w0 = max(traj.t[0], w1 - args.tau)
     coeffs, fit_resid = pyragas.chebyshev_fit_orbit(traj, (w0, w1), args.fit_degree)
     ts = np.linspace(0.0, traj.t[-1], args.samples)
-    rows = [(float(t), traj.eval_x(float(t)), traj.eval_v(float(t))) for t in ts]
+    rows = list(zip(ts.tolist(), *(col.tolist() for col in traj.eval(ts))))
     out = _out_path(args, "control.csv")
     _write_csv(out, "control", cfg, ["t", "x", "v"], rows)
     payload = {
@@ -441,6 +430,24 @@ def cmd_sde(parser, args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+def _checked(kind: type, ok, need: str):
+    """argparse type= that parses `kind` and rejects values failing ok(),
+    so that a bad value exits 2 with a message naming the flag."""
+    def parse(text: str):
+        val = kind(text)
+        if not ok(val):
+            raise argparse.ArgumentTypeError(f"{need}, got {text!r}")
+        return val
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_positive_int = _checked(int, lambda n: n >= 1, "must be an integer >= 1")
+_count = _checked(int, lambda n: n >= 0, "must be an integer >= 0")
+_positive = _checked(float, lambda x: 0.0 < x < math.inf, "must be a finite number > 0")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cqduffing",
@@ -457,14 +464,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--abs-tol", type=float, default=1e-10)
     sp.add_argument("--rel-tol", type=float, default=1e-10)
     sp.add_argument("--dt", type=float, default=None)
-    sp.add_argument("--samples", type=int, default=1000)
+    sp.add_argument("--samples", type=_positive_int, default=1000)
     _add_common_out(sp)
     sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("exact", help="elliptic closed-form solution of the unforced equation")
     _add_param_flags(sp, forcing=False)
     sp.add_argument("--x0", type=float, required=True)
-    sp.add_argument("--samples", type=int, default=0, help="also sample x(t) to CSV")
+    sp.add_argument("--samples", type=_count, default=0, help="also sample x(t) to CSV")
     _add_common_out(sp)
     sp.set_defaults(fn=cmd_exact)
 
@@ -474,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--v0", type=float, default=None)
     sp.add_argument("--t-end", type=float, required=True, dest="t_end")
     sp.add_argument("--order", type=int, choices=[1, 2], default=2)
-    sp.add_argument("--samples", type=int, default=1000)
+    sp.add_argument("--samples", type=_positive_int, default=1000)
     sp.add_argument("--compare", action="store_true", help="add a reference-integration column")
     _add_common_out(sp)
     sp.set_defaults(fn=cmd_kbm)
@@ -490,8 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(sp)
     sp.add_argument("--x0", type=float, default=None)
     sp.add_argument("--v0", type=float, default=None)
-    sp.add_argument("--points", type=int, default=500)
-    sp.add_argument("--transient", type=int, default=100)
+    sp.add_argument("--points", type=_positive_int, default=500)
+    sp.add_argument("--transient", type=_count, default=100)
     sp.add_argument("--preset", default=None, help="fig6 | fig9")
     _add_common_out(sp)
     sp.set_defaults(fn=cmd_poincare)
@@ -502,11 +509,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="forcing frequency (repeatable)")
     sp.add_argument("--gamma-min", type=float, default=0.05, dest="gamma_min")
     sp.add_argument("--gamma-max", type=float, default=1.0, dest="gamma_max")
-    sp.add_argument("--resolution", type=float, default=0.005)
-    sp.add_argument("--coarse-step", type=float, default=0.01, dest="coarse_step")
+    sp.add_argument("--resolution", type=_positive, default=0.005)
+    sp.add_argument("--coarse-step", type=_positive, default=0.01, dest="coarse_step")
     sp.add_argument("--preset", default=None, help="table1")
-    sp.add_argument("--rows", type=int, default=0, help="limit preset rows")
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--rows", type=_count, default=0, help="limit preset rows (0: all)")
+    sp.add_argument("--jobs", type=_positive_int, default=1)
     _add_common_out(sp)
     sp.set_defaults(fn=cmd_scan)
 
@@ -516,9 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--v0", type=float, default=None)
     sp.add_argument("--gamma-min", type=float, default=None, dest="gamma_min")
     sp.add_argument("--gamma-max", type=float, default=None, dest="gamma_max")
-    sp.add_argument("--gamma-steps", type=int, default=None, dest="gamma_steps")
-    sp.add_argument("--points", type=int, default=120)
-    sp.add_argument("--transient", type=int, default=100)
+    sp.add_argument("--gamma-steps", type=_positive_int, default=None, dest="gamma_steps")
+    sp.add_argument("--points", type=_positive_int, default=120)
+    sp.add_argument("--transient", type=_count, default=100)
     sp.add_argument("--preset", default=None, help="fig7")
     _add_common_out(sp)
     sp.set_defaults(fn=cmd_bifurcate)
@@ -531,15 +538,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tau", type=float, default=None)
     sp.add_argument("--t-end", type=float, default=None, dest="t_end")
     sp.add_argument("--history", choices=["zero", "constant"], default="zero")
-    sp.add_argument("--fit-degree", type=int, default=5, dest="fit_degree")
-    sp.add_argument("--samples", type=int, default=2000)
+    sp.add_argument("--fit-degree", type=_positive_int, default=5, dest="fit_degree")
+    sp.add_argument("--samples", type=_positive_int, default=2000)
     sp.add_argument("--search", action="store_true", help="grid search instead of one run")
     sp.add_argument("--mu-min", type=float, default=0.5, dest="mu_min")
     sp.add_argument("--mu-max", type=float, default=3.0, dest="mu_max")
     sp.add_argument("--tau-min", type=float, default=2.0, dest="tau_min")
     sp.add_argument("--tau-max", type=float, default=6.0, dest="tau_max")
-    sp.add_argument("--grid", type=int, default=20)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--grid", type=_positive_int, default=20)
+    sp.add_argument("--jobs", type=_positive_int, default=1)
     sp.add_argument("--preset", default=None, help="fig10")
     _add_common_out(sp)
     sp.set_defaults(fn=cmd_control)
@@ -549,11 +556,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x0", type=float, default=None)
     sp.add_argument("--v0", type=float, default=None)
     sp.add_argument("--dt", type=float, required=True)
-    sp.add_argument("--n-steps", type=int, required=True, dest="n_steps")
+    sp.add_argument("--n-steps", type=_positive_int, required=True, dest="n_steps")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--sigma", type=float, default=0.1)
-    sp.add_argument("--ensemble", type=int, default=1)
-    sp.add_argument("--save-paths", type=int, default=10, dest="save_paths")
+    sp.add_argument("--ensemble", type=_positive_int, default=1)
+    sp.add_argument("--save-paths", type=_count, default=10, dest="save_paths")
     _add_common_out(sp)
     sp.set_defaults(fn=cmd_sde)
 

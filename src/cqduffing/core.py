@@ -6,11 +6,14 @@ cubic-quintic oscillator
 The unperturbed (eps = 0) system is Hamiltonian with energy
 E = v^2/2 - a x^2/2 + b x^4/4 + c x^6/6; its equilibria and separatrix
 geometry live here.
+
+The force kernel :func:`acceleration` works on floats and on numpy arrays;
+:meth:`Trajectory.eval` takes one time or an array of times.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -122,37 +125,39 @@ class Trajectory:
     def final_state(self) -> State:
         return State(float(self.t[-1]), float(self.x[-1]), float(self.v[-1]))
 
-    def _interval(self, t: float) -> int:
-        t0, t1 = self.t[0], self.t[-1]
-        if not (t0 - 1e-12 <= t <= t1 + 1e-12):
-            raise ValueError(f"t={t} outside trajectory span [{t0}, {t1}]")
-        i = int(np.searchsorted(self.t, t, side="right")) - 1
-        return min(max(i, 0), self.t.size - 2)
-
-    def eval(self, t: float) -> tuple[float, float]:
-        """Densely interpolated (x, v) at time t inside the span."""
+    def eval(self, t):
+        """Densely interpolated (x, v) at time t inside the span: floats for a
+        float t, arrays equal to the float results for an array t."""
         if self.accel is None:
             raise ValueError("trajectory has no acceleration knots; dense output unavailable")
-        if self.t.size == 1:
-            return float(self.x[0]), float(self.v[0])
-        i = self._interval(t)
-        h = self.t[i + 1] - self.t[i]
-        s = (t - self.t[i]) / h
-        return _hermite5(
-            s,
-            h,
-            self.x[i],
-            self.v[i],
-            self.accel[i],
-            self.x[i + 1],
-            self.v[i + 1],
-            self.accel[i + 1],
-        )
+        kt = self.t
+        lo, hi = kt[0] - 1e-12, kt[-1] + 1e-12
+        if isinstance(t, np.ndarray):
+            t = np.asarray(t, dtype=float)
+            outside = ~((lo <= t) & (t <= hi))  # NaN counts as outside
+            if outside.any():
+                raise ValueError(f"t={t[outside][0]} outside trajectory span [{kt[0]}, {kt[-1]}]")
+            if kt.size == 1:
+                return np.full(t.shape, self.x[0]), np.full(t.shape, self.v[0])
+            i = np.clip(np.searchsorted(kt, t, side="right") - 1, 0, kt.size - 2)
+            pick = np.ndarray.__getitem__
+        else:
+            if not (lo <= t <= hi):
+                raise ValueError(f"t={t} outside trajectory span [{kt[0]}, {kt[-1]}]")
+            if kt.size == 1:
+                return float(self.x[0]), float(self.v[0])
+            i = min(max(int(np.searchsorted(kt, t, side="right")) - 1, 0), kt.size - 2)
+            # Python floats: their arithmetic is faster than numpy scalars' and rounds the same
+            t, pick = float(t), np.ndarray.item
+        t0 = pick(kt, i)
+        h = pick(kt, i + 1) - t0
+        return _hermite5((t - t0) / h, h, pick(self.x, i), pick(self.v, i), pick(self.accel, i),
+                         pick(self.x, i + 1), pick(self.v, i + 1), pick(self.accel, i + 1))
 
-    def eval_x(self, t: float) -> float:
+    def eval_x(self, t):
         return self.eval(t)[0]
 
-    def eval_v(self, t: float) -> float:
+    def eval_v(self, t):
         return self.eval(t)[1]
 
 
@@ -161,6 +166,7 @@ def _hermite5(s, h, x0, v0, a0, x1, v1, a1):
 
     Matches value, first and second derivative at both endpoints; returns
     (x(s), x'(s)/h), i.e. the interpolated displacement and velocity.
+    Works elementwise on numpy arrays of s and of the knot values.
     """
     # basis in the monomial form p(s) = x0 + h v0 s + h^2 a0 s^2/2 + c3 s^3 + c4 s^4 + c5 s^5
     r = x1 - x0 - h * v0 - 0.5 * h * h * a0
@@ -172,7 +178,7 @@ def _hermite5(s, h, x0, v0, a0, x1, v1, a1):
     s2 = s * s
     x = x0 + h * v0 * s + 0.5 * h * h * a0 * s2 + s2 * s * (c3 + s * (c4 + s * c5))
     dx = h * v0 + h * h * a0 * s + s2 * (3.0 * c3 + s * (4.0 * c4 + 5.0 * s * c5))
-    return float(x), float(dx / h)
+    return x, dx / h
 
 
 @dataclass(frozen=True)
@@ -195,14 +201,13 @@ class Equilibrium:
     kind: str  # "center" | "saddle" | "degenerate"
 
 
-def acceleration(p: OscillatorParams, t: float, x: float, v: float) -> float:
-    """Right-hand side a x - b x^3 - c x^5 + eps (gamma cos(omega t) - delta v)."""
+def acceleration(p: OscillatorParams, t: float, x, v):
+    """Right-hand side a x - b x^3 - c x^5 + eps (gamma cos(omega t) - delta v)
+    for float t and float or array x, v.  Keep the order of operations:
+    Poincare sections and bifurcation data depend on its rounding."""
     x2 = x * x
-    out = x * (p.a - x2 * (p.b + p.c * x2))
-    if p.epsilon != 0.0:
-        out += p.epsilon * (p.gamma * math.cos(p.omega * t) if p.gamma != 0.0 else 0.0)
-        out -= p.epsilon * p.delta * v
-    return out
+    return (p.a * x - p.b * x * x2 - p.c * x * x2 * x2
+            + p.epsilon * (p.gamma * math.cos(p.omega * t) - p.delta * v))
 
 
 def rhs(p: OscillatorParams, s: State) -> float:
@@ -284,5 +289,4 @@ def separatrix_velocity(p: OscillatorParams, x0: float) -> tuple[float, float]:
 def hamiltonian_fields(p: OscillatorParams, q: float, pm: float) -> tuple[float, float]:
     """Canonical field (dq/dt, dp/dt) = (p, a q - b q^3 - c q^5) of the
     unperturbed flow (damping and forcing stripped)."""
-    q2 = q * q
-    return pm, q * (p.a - q2 * (p.b + p.c * q2))
+    return pm, acceleration(replace(p, epsilon=0.0), 0.0, q, pm)

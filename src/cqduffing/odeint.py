@@ -6,6 +6,9 @@ adaptive Dormand-Prince 5(4) pair with PI step control.  Both record
 accelerations at every knot, so trajectories support dense output through
 quintic Hermite interpolation.  A method-of-steps variant integrates
 delay equations whose right-hand side reads the velocity at t - tau.
+
+Every run goes through one private helper and records its knots in a
+:class:`HistoryBuffer`, which also answers the delayed reads.
 """
 from __future__ import annotations
 
@@ -77,11 +80,13 @@ class StepControl:
 class HistoryBuffer:
     """Growing record of (t, x, v, accel) knots with interpolated reads.
 
+    Records the knots of both integrators and builds their trajectory.
     Backs the delayed-velocity lookups of :func:`integrate_delayed`; reads
-    before the first knot fall back to the supplied history function.
+    before the first knot fall back to the history function, which a
+    buffer that is only recorded into may omit.
     """
 
-    def __init__(self, history_v: Callable[[float], float]):
+    def __init__(self, history_v: Callable[[float], float] | None = None):
         self._history_v = history_v
         self.ts: list[float] = []
         self.xs: list[float] = []
@@ -98,6 +103,8 @@ class HistoryBuffer:
 
     def velocity(self, t: float) -> float:
         if not self.ts or t < self.ts[0]:
+            if self._history_v is None:
+                raise ValueError(f"read at t={t} before the first knot and no history function")
             return float(self._history_v(t))
         if t >= self.ts[-1]:
             if t <= self.ts[-1] + 1e-12:
@@ -112,6 +119,10 @@ class HistoryBuffer:
             self.xs[i + 1], self.vs[i + 1], self.accs[i + 1],
         )
         return v
+
+    def trajectory(self, metadata: dict) -> Trajectory:
+        return Trajectory(np.array(self.ts), np.array(self.xs), np.array(self.vs),
+                          np.array(self.accs), metadata)
 
 
 def _check_finite(t: float, x: float, v: float) -> None:
@@ -219,18 +230,22 @@ def _run_dp54(f: Rhs, t0: float, x: float, v: float, t_end: float, ctrl: StepCon
     return n_accept, n_reject
 
 
-class _KnotSink:
-    def __init__(self):
-        self.ts: list[float] = []
-        self.xs: list[float] = []
-        self.vs: list[float] = []
-        self.accs: list[float] = []
-
-    def __call__(self, t, x, v, acc):
-        self.ts.append(t)
-        self.xs.append(x)
-        self.vs.append(v)
-        self.accs.append(acc)
+def _drive(f: Rhs, s0: State, t_end: float, ctrl: StepControl, buf: HistoryBuffer,
+           meta: dict, dt_cap: float = math.inf) -> Trajectory:
+    """Check s0 and t_end, run the engine that ctrl names into buf with steps
+    no longer than dt_cap, and return the trajectory with meta completed."""
+    if not s0.is_finite():
+        raise ValueError(f"non-finite initial state {s0}")
+    if t_end <= s0.t:
+        raise ValueError(f"t_end={t_end} must exceed the initial time {s0.t}")
+    if ctrl.method == "rk4":
+        meta["dt"] = min(ctrl.dt, dt_cap)
+        _run_rk4(f, s0.t, s0.x, s0.v, t_end, meta["dt"], ctrl.max_steps, buf.append)
+    else:
+        n_acc, n_rej = _run_dp54(f, s0.t, s0.x, s0.v, t_end, ctrl, buf.append, dt_cap)
+        meta.update(abs_tol=ctrl.abs_tol, rel_tol=ctrl.rel_tol,
+                    n_accepted=n_acc, n_rejected=n_rej)
+    return buf.trajectory(meta)
 
 
 def integrate(rhs: Rhs, s0: State, t_end: float, ctrl: StepControl | None = None) -> Trajectory:
@@ -240,22 +255,8 @@ def integrate(rhs: Rhs, s0: State, t_end: float, ctrl: StepControl | None = None
     the failure time when the state blows up or max_steps is hit.
     """
     ctrl = ctrl or StepControl()
-    if not s0.is_finite():
-        raise ValueError(f"non-finite initial state {s0}")
-    if t_end <= s0.t:
-        raise ValueError(f"t_end={t_end} must exceed the initial time {s0.t}")
-    sink = _KnotSink()
-    meta = {"integrator": ctrl.method, "dense": "hermite5"}
-    if ctrl.method == "rk4":
-        _run_rk4(rhs, s0.t, s0.x, s0.v, t_end, ctrl.dt, ctrl.max_steps, sink)
-        meta["dt"] = ctrl.dt
-    else:
-        n_acc, n_rej = _run_dp54(rhs, s0.t, s0.x, s0.v, t_end, ctrl, sink)
-        meta.update(abs_tol=ctrl.abs_tol, rel_tol=ctrl.rel_tol,
-                    n_accepted=n_acc, n_rejected=n_rej)
-    return Trajectory(
-        np.array(sink.ts), np.array(sink.xs), np.array(sink.vs), np.array(sink.accs), meta
-    )
+    return _drive(rhs, s0, t_end, ctrl, HistoryBuffer(),
+                  {"integrator": ctrl.method, "dense": "hermite5"})
 
 
 def integrate_delayed(
@@ -275,10 +276,6 @@ def integrate_delayed(
     if tau <= 0:
         raise ValueError(f"delay tau must be positive, got {tau}")
     ctrl = ctrl or StepControl()
-    if not s0.is_finite():
-        raise ValueError(f"non-finite initial state {s0}")
-    if t_end <= s0.t:
-        raise ValueError(f"t_end={t_end} must exceed the initial time {s0.t}")
     buf = HistoryBuffer(history_v)
     t0 = s0.t
 
@@ -288,14 +285,4 @@ def integrate_delayed(
         return rhs_with_delay(t, x, v, vd)
 
     meta = {"integrator": f"{ctrl.method}+delay", "dense": "hermite5", "tau": tau}
-    if ctrl.method == "rk4":
-        dt = min(ctrl.dt, tau)
-        _run_rk4(f, t0, s0.x, s0.v, t_end, dt, ctrl.max_steps, buf.append)
-        meta["dt"] = dt
-    else:
-        n_acc, n_rej = _run_dp54(f, t0, s0.x, s0.v, t_end, ctrl, buf.append, dt_cap=tau)
-        meta.update(abs_tol=ctrl.abs_tol, rel_tol=ctrl.rel_tol,
-                    n_accepted=n_acc, n_rejected=n_rej)
-    return Trajectory(
-        np.array(buf.ts), np.array(buf.xs), np.array(buf.vs), np.array(buf.accs), meta
-    )
+    return _drive(f, s0, t_end, ctrl, buf, meta, dt_cap=tau)

@@ -64,6 +64,7 @@ def controlled_rhs(p: OscillatorParams, cfg: ControllerConfig, s: State,
 
 
 def _history_fn(cfg: ControllerConfig, s0: State):
+    """Pre-start velocity; constant in t, so it also serves an array of times."""
     if cfg.history_policy == "zero":
         return lambda t: 0.0
     v0 = s0.v
@@ -84,38 +85,28 @@ def run_controlled(
     compares x(t) with x(t + tau), and the controller norm is the largest
     velocity mismatch the feedback still sees there.
     """
-    a_, b_, c_ = p.a, p.b, p.c
-    g_ = p.epsilon * p.gamma
-    d_ = p.epsilon * p.delta
-    w_ = p.omega
-    mu = cfg.mu
-
-    def f(t: float, x: float, v: float, vd: float) -> float:
-        x2 = x * x
-        return (a_ * x - b_ * x * x2 - c_ * x * x2 * x2
-                + (g_ * math.cos(w_ * t) if g_ != 0.0 else 0.0)
-                - d_ * v + mu * (vd - v))
-
+    mu, tau = cfg.mu, cfg.tau
     if ctrl is None:
-        T = 2.0 * math.pi / w_ if w_ > 0.0 else cfg.tau
+        T = 2.0 * math.pi / p.omega if p.omega > 0.0 else tau
         ctrl = StepControl(dt=T / 200.0, method="rk4")
-    traj = integrate_delayed(f, s0, _history_fn(cfg, s0), cfg.tau, t_end, ctrl)
-    t1 = traj.t[-1]
-    w_lo = max(traj.t[0], t1 - 5.0 * cfg.tau)
+    history = _history_fn(cfg, s0)
+    traj = integrate_delayed(lambda t, x, v, vd: acceleration(p, t, x, v) + mu * (vd - v),
+                             s0, history, tau, t_end, ctrl)
+    t0, t1 = traj.t[0], traj.t[-1]
+    w_lo = max(t0, t1 - 5.0 * tau)
     ts = np.linspace(w_lo, t1, 400)
-    controller_norm = 0.0
-    for t in ts:
-        td = t - cfg.tau
-        vd = traj.eval_v(td) if td >= traj.t[0] else _history_fn(cfg, s0)(td)
-        controller_norm = max(controller_norm, abs(vd - traj.eval_v(t)))
-    ts_res = np.linspace(w_lo, t1 - cfg.tau, 400)
-    residual = max(abs(traj.eval_x(t + cfg.tau) - traj.eval_x(t)) for t in ts_res) \
-        if t1 - cfg.tau > w_lo else math.inf
+    td = ts - tau
+    vd = np.where(td >= t0, traj.eval_v(np.maximum(td, t0)), history(td))
+    controller_norm = float(np.abs(vd - traj.eval_v(ts)).max())
+    residual = math.inf
+    if t1 - tau > w_lo:
+        ts = np.linspace(w_lo, t1 - tau, 400)
+        residual = float(np.abs(traj.eval_x(ts + tau) - traj.eval_x(ts)).max())
     report = PeriodicityReport(
-        is_periodic=residual < periodicity_tol,
-        period=cfg.tau,
-        residual=float(residual),
-        controller_norm=float(controller_norm),
+        is_periodic=bool(residual < periodicity_tol),
+        period=tau,
+        residual=residual,
+        controller_norm=controller_norm,
         tolerance=periodicity_tol,
     )
     return traj, report
@@ -150,8 +141,8 @@ def search_mu_tau(
     n_mu, n_tau = grid
     if n_mu < 1 or n_tau < 1:
         raise ValueError("grid must have at least one cell per axis")
-    mus = np.linspace(mu_range[0], mu_range[1], n_mu) if n_mu > 1 else np.array([mu_range[0]])
-    taus = np.linspace(tau_range[0], tau_range[1], n_tau) if n_tau > 1 else np.array([tau_range[0]])
+    mus = np.linspace(mu_range[0], mu_range[1], n_mu)
+    taus = np.linspace(tau_range[0], tau_range[1], n_tau)
     jobs = [(p, float(mu), float(tau), s0, periodicity_tol) for mu in mus for tau in taus]
     cells = list(map_fn(search_cell, jobs))
     return sorted(cells, key=lambda c: (c[2], c[0], c[1]))
@@ -171,9 +162,9 @@ def chebyshev_fit_orbit(traj: Trajectory, window: tuple[float, float],
     j = np.arange(n_nodes)
     nodes = np.cos((2 * j + 1) * math.pi / (2 * n_nodes))  # Chebyshev points in (-1, 1)
     ts = 0.5 * (w0 + w1) + 0.5 * (w1 - w0) * nodes
-    xs = np.array([traj.eval_x(float(t)) for t in ts])
+    xs = traj.eval_x(ts)
     cheb = np.polynomial.chebyshev.Chebyshev.fit(ts, xs, degree, domain=[w0, w1])
     poly = cheb.convert(kind=np.polynomial.Polynomial)
     dense = np.linspace(w0, w1, 1024)
-    resid = float(np.abs(poly(dense) - np.array([traj.eval_x(float(t)) for t in dense])).max())
+    resid = float(np.abs(poly(dense) - traj.eval_x(dense)).max())
     return np.asarray(poly.coef, dtype=float), resid

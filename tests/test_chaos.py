@@ -55,6 +55,16 @@ class TestPoincareMap:
             restarts.append((state.x, state.v))
         assert np.allclose(series.points, restarts, atol=1e-8)
 
+    def test_strobes_are_kernel_dense_output_bitwise(self):
+        # the section integrates core.acceleration and strobes the dense
+        # output; the point-wise loop is the reference
+        p = params(0.30)
+        series = poincare_map(p, State(0, 0, 0), 6, 3)
+        tr = integrate(lambda t, x, v: acceleration(p, t, x, v), State(0, 0, 0), 9 * T14,
+                       StepControl(dt=T14 / 200, method="rk4"))
+        expected = [tr.eval(min((3 + j) * T14, tr.t[-1])) for j in range(1, 7)]
+        assert np.array_equal(series.points, expected)
+
     def test_requires_forcing_frequency(self):
         p = OscillatorParams(1, 1, 0, delta=0.1, gamma=0.0, omega=0.0, epsilon=1.0)
         with pytest.raises(ValueError, match="omega"):

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from cqduffing.cli import main
+from cqduffing.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -227,3 +227,56 @@ class TestKbmBifurcateMelnikov:
         doc = json.loads(out.read_text())
         assert doc["has_simple_zeros"] is True
         assert 0.05 < float(doc["critical_gamma"]) < 0.35
+
+
+class TestFlagValidation:
+    @pytest.mark.parametrize("argv, flag", [
+        (["scan", "--omega", "1.4", "--coarse-step", "0"], "--coarse-step"),
+        (["scan", "--omega", "1.4", "--resolution", "0"], "--resolution"),
+        (["scan", "--omega", "1.4", "--resolution", "nan"], "--resolution"),
+        (["scan", "--preset", "table1", "--rows", "-3"], "--rows"),
+        (["scan", "--omega", "1.4", "--jobs", "0"], "--jobs"),
+        (["sde", "--dt", "0.01", "--n-steps", "10", "--ensemble", "0"], "--ensemble"),
+        (["sde", "--dt", "0.01", "--n-steps", "10", "--save-paths", "-1"], "--save-paths"),
+        (["sde", "--dt", "0.01", "--n-steps", "0"], "--n-steps"),
+        (["control", "--search", "--preset", "fig10", "--grid", "0"], "--grid"),
+        (["control", "--preset", "fig10", "--fit-degree", "0"], "--fit-degree"),
+        (["control", "--preset", "fig10", "--samples", "0"], "--samples"),
+        (["poincare", "--preset", "fig6", "--points", "0"], "--points"),
+        (["poincare", "--preset", "fig6", "--transient", "-1"], "--transient"),
+        (["simulate", "--t-end", "1", "--samples", "0"], "--samples"),
+        (["kbm", "--t-end", "1", "--samples", "0"], "--samples"),
+        (["bifurcate", "--preset", "fig7", "--points", "0"], "--points"),
+        (["bifurcate", "--a", "1", "--b", "1", "--c", "0", "--delta", "0.1", "--omega", "1.4",
+          "--gamma-min", "0.2", "--gamma-max", "0.3", "--gamma-steps", "0"], "--gamma-steps"),
+        (["exact", "--x0", "1", "--samples", "-1"], "--samples"),
+        (["poincare", "--preset", "fig6", "--points", "many"], "--points"),
+    ])
+    def test_bad_value_exits_2_naming_the_flag(self, argv, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "never.csv")])
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "never.csv").exists()
+
+    def test_meaningful_zeros_are_accepted(self):
+        parser = build_parser()
+        assert parser.parse_args(["exact", "--x0", "1", "--samples", "0"]).samples == 0
+        assert parser.parse_args(["scan", "--preset", "table1", "--rows", "0"]).rows == 0
+        args = parser.parse_args(["sde", "--dt", "0.01", "--n-steps", "5", "--save-paths", "0"])
+        assert args.save_paths == 0
+
+
+class TestControlReportTypes:
+    def test_is_periodic_is_a_json_boolean(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        code, summary, _ = run_cli(capsys, "control", "--a", "1", "--b", "1", "--c", "0.2",
+                                   "--delta", "0.1", "--gamma", "0.35", "--omega", "1.4",
+                                   "--mu", "3", "--tau", "3.6", "--t-end", "60",
+                                   "--samples", "50", "--out", str(out))
+        assert code == 0
+        report = json.loads((tmp_path / "c.json").read_text())["report"]
+        assert isinstance(report["is_periodic"], bool)
+        assert isinstance(summary["is_periodic"], bool)
+        assert report["is_periodic"] is summary["is_periodic"]
+        assert isinstance(report["controller_norm"], float) and isinstance(report["residual"], float)

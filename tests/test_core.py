@@ -179,3 +179,54 @@ class TestTrajectory:
         tr = Trajectory(np.array([0.0, 1.0]), np.array([1.0, 2.0]), np.array([3.0, 4.0]))
         s = tr.samples
         assert s[1] == State(1.0, 2.0, 4.0)
+
+
+class TestAccelerationKernel:
+    @pytest.mark.parametrize("params", [
+        OscillatorParams(1.0, 1.0, 0.2, delta=0.1, gamma=0.35, omega=1.4),
+        OscillatorParams(-1.3, 0.4, -0.7, delta=0.5, gamma=0.0, omega=0.0, epsilon=0.3),
+        OscillatorParams(1.0, 1.0, 1.0, epsilon=0.0),
+    ])
+    def test_arrays_match_float_calls_bitwise(self, params, rng):
+        x = rng.uniform(-2.0, 2.0, 257)
+        v = rng.uniform(-2.0, 2.0, 257)
+        t = 3.7
+        expected = [acceleration(params, t, float(xi), float(vi)) for xi, vi in zip(x, v)]
+        assert np.array_equal(acceleration(params, t, x, v), np.array(expected))
+
+
+class TestDenseOutput:
+    @staticmethod
+    def _duffing_traj():
+        p = OscillatorParams(1.0, 1.0, 0.2, delta=0.1, gamma=0.35, omega=1.4)
+        return integrate(lambda t, x, v: acceleration(p, t, x, v), State(0.0, 0.1, 0.0), 20.0,
+                         StepControl(abs_tol=1e-8, rel_tol=1e-8))
+
+    def test_array_eval_matches_scalar_bitwise(self, rng):
+        tr = self._duffing_traj()
+        lo, hi = tr.t_span
+        ts = np.concatenate([[lo, hi, lo - 5e-13, hi + 5e-13], tr.t[1:-1:7],
+                             rng.uniform(lo, hi, 500)])
+        xs, vs = tr.eval(ts)
+        pairs = [tr.eval(float(t)) for t in ts]
+        assert all(type(x) is float and type(v) is float for x, v in pairs)
+        assert np.array_equal(xs, [x for x, _ in pairs])
+        assert np.array_equal(vs, [v for _, v in pairs])
+        assert np.array_equal(tr.eval_x(ts), xs) and np.array_equal(tr.eval_v(ts), vs)
+        grid = ts[:12].reshape(3, 4)
+        assert tr.eval(grid)[0].shape == (3, 4)
+
+    def test_single_knot_trajectory(self):
+        tr = Trajectory(np.array([2.0]), np.array([0.5]), np.array([-1.5]), np.array([0.25]))
+        assert tr.eval(2.0) == (0.5, -1.5)
+        xs, vs = tr.eval(np.array([2.0, 2.0]))
+        assert np.array_equal(xs, [0.5, 0.5]) and np.array_equal(vs, [-1.5, -1.5])
+
+    @pytest.mark.parametrize("t", [
+        math.nan, -1e-9, 20.0 + 1e-9,
+        np.array([1.0, math.nan]), np.array([-1.0, 1.0]), np.array([1.0, 21.0]),
+    ])
+    def test_nan_and_out_of_span_raise(self, t):
+        tr = self._duffing_traj()
+        with pytest.raises(ValueError, match="outside"):
+            tr.eval(t)

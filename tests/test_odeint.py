@@ -148,3 +148,48 @@ class TestHistoryBuffer:
         buf.append(0.0, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError, match="beyond"):
             buf.velocity(1.0)
+
+
+class TestMetadata:
+    def test_integrate_rk4(self):
+        tr = integrate(harmonic, State(0, 1, 0), 1.0, StepControl(dt=0.1, method="rk4"))
+        assert tr.metadata == {"integrator": "rk4", "dense": "hermite5", "dt": 0.1}
+        assert list(tr.metadata) == ["integrator", "dense", "dt"]
+
+    def test_integrate_dp54(self):
+        tr = integrate(harmonic, State(0, 1, 0), 1.0, StepControl(abs_tol=1e-8, rel_tol=1e-7))
+        meta = tr.metadata
+        assert list(meta) == ["integrator", "dense", "abs_tol", "rel_tol", "n_accepted", "n_rejected"]
+        assert (meta["integrator"], meta["dense"], meta["abs_tol"], meta["rel_tol"]) == \
+            ("dp54", "hermite5", 1e-8, 1e-7)
+        assert meta["n_accepted"] == len(tr) - 1
+        assert isinstance(meta["n_rejected"], int) and meta["n_rejected"] >= 0
+
+    def test_delayed_rk4_caps_dt_at_tau(self):
+        tr = integrate_delayed(lambda t, x, v, vd: -x + 0.1 * vd, State(0, 1, 0),
+                               lambda t: 0.0, 0.05, 1.0, StepControl(dt=0.2, method="rk4"))
+        assert tr.metadata == {"integrator": "rk4+delay", "dense": "hermite5",
+                               "tau": 0.05, "dt": 0.05}
+        assert list(tr.metadata) == ["integrator", "dense", "tau", "dt"]
+
+    def test_delayed_dp54(self):
+        tr = integrate_delayed(lambda t, x, v, vd: -x + 0.1 * vd, State(0, 1, 0),
+                               lambda t: 0.0, 0.5, 3.0, StepControl(abs_tol=1e-9, rel_tol=1e-9))
+        meta = tr.metadata
+        assert list(meta) == ["integrator", "dense", "tau", "abs_tol", "rel_tol",
+                              "n_accepted", "n_rejected"]
+        assert (meta["integrator"], meta["dense"], meta["tau"], meta["abs_tol"], meta["rel_tol"]) == \
+            ("dp54+delay", "hermite5", 0.5, 1e-9, 1e-9)
+        assert meta["n_accepted"] == len(tr) - 1
+        assert np.all(np.diff(tr.t) <= 0.5 + 1e-15)
+
+
+class TestKnotRecorder:
+    def test_records_without_history_function(self):
+        buf = HistoryBuffer()
+        buf.append(0.0, 1.0, 0.0, -1.0)
+        buf.append(0.5, 0.9, -0.5, -0.9)
+        tr = buf.trajectory({"k": 1})
+        assert np.array_equal(tr.x, [1.0, 0.9]) and tr.metadata == {"k": 1}
+        with pytest.raises(ValueError, match="history"):
+            buf.velocity(-0.1)
