@@ -1,16 +1,28 @@
 """Command-line surface: every subcommand maps onto one library operation
 and emits plot-ready CSV or JSON.
 
-Conventions shared by all subcommands:
-  * the resolved configuration (all defaults made explicit) is embedded in
-    every output file, so a rerun from the embedded config is
+Each subcommand declares, in one place (``_COMMANDS``), the flags it reads
+with their defaults, its presets and the flags it reads only in one mode.
+One resolver applies the preset, then the defaults, then the required-flag
+checks, and hands the command that resolved configuration. The rules:
+  * a command records every flag it reads: the resolved configuration is
+    embedded in every output file, so a rerun from the embedded config is
     byte-identical;
+  * a preset owns its flags: it fills in a parameter bundle but never
+    overrides a flag the user passed, and such a conflict is a validation
+    error;
+  * a flag the command does not read is rejected: each subcommand
+    registers only the flags it reads, and a mode flag rejects the flags
+    of its other modes (``control --search`` rejects ``--history``;
+    ``simulate --method rk4`` rejects ``--abs-tol``). ``exact --delta``,
+    ``exact --epsilon``, ``scan --epsilon``, ``melnikov --epsilon``,
+    ``sde --delta``, ``bifurcate --gamma`` and ``--gnuplot`` on the
+    commands that write no plottable CSV do not exist;
   * floats are written with 17 significant digits (lossless round-trip),
     comma separators, '.' decimal point, LF line endings;
   * exit code 0 = success (stdout carries a one-line JSON summary),
-    1 = numerical failure, 2 = flag validation error;
-  * presets fill in parameter bundles but never override a flag the user
-    passed: a conflict is a validation error;
+    1 = numerical failure, 2 = flag validation error (a bad value of one
+    flag, a preset conflict, a missing or unread flag);
   * CQDUFFING_OUTDIR sets the default output directory.
 """
 from __future__ import annotations
@@ -22,6 +34,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -75,11 +88,6 @@ def _out_path(args, default_name: str) -> str:
     return os.path.join(outdir, default_name)
 
 
-def _summary(**kv) -> int:
-    print(json.dumps(kv, sort_keys=True, default=_fmt))
-    return 0
-
-
 def _map_jobs(fn, items, jobs: int) -> list:
     """fn over items in order, across `jobs` worker processes when jobs > 1."""
     if jobs > 1:
@@ -88,34 +96,289 @@ def _map_jobs(fn, items, jobs: int) -> list:
     return [fn(item) for item in items]
 
 
-def _params_from(args) -> OscillatorParams:
-    return OscillatorParams(a=args.a, b=args.b, c=args.c, delta=args.delta,
-                            gamma=args.gamma, omega=args.omega, epsilon=args.epsilon)
+# Flag defaults of the oscillator parameters and the start state.
+_PARAMS = {"a": 1.0, "b": 1.0, "c": 1.0, "delta": 0.0, "gamma": 0.0, "omega": 0.0,
+           "epsilon": 1.0}
+_START = {"x0": 0.0, "v0": 0.0}
 
 
-def _add_param_flags(sp, forcing=True):
-    sp.add_argument("--a", type=float, default=None, help="linear stiffness")
-    sp.add_argument("--b", type=float, default=None, help="cubic coefficient")
-    sp.add_argument("--c", type=float, default=None, help="quintic coefficient")
-    sp.add_argument("--delta", type=float, default=None, help="damping")
-    if forcing:
-        sp.add_argument("--gamma", type=float, default=None, help="forcing amplitude")
-        sp.add_argument("--omega", type=float, default=None, help="forcing frequency")
-    sp.add_argument("--epsilon", type=float, default=None, help="perturbation scale")
+def _params_but(name: str) -> dict:
+    return {k: v for k, v in _PARAMS.items() if k != name}
 
 
-def _add_common_out(sp):
-    sp.add_argument("--out", default=None, help="output file path")
-    sp.add_argument("--outdir", default=None, help=f"output directory (default ${_OUTDIR_ENV} or .)")
-    sp.add_argument("--gnuplot", action="store_true", help="also write a gnuplot script")
+def _params(cfg: dict, **fixed) -> OscillatorParams:
+    """The oscillator parameters the command reads; the rest keep the
+    library defaults."""
+    return OscillatorParams(**{k: cfg[k] for k in _PARAMS if k in cfg}, **fixed)
 
 
-_DEFAULTS = {"a": 1.0, "b": 1.0, "c": 1.0, "delta": 0.0, "gamma": 0.0, "omega": 0.0,
-             "epsilon": 1.0, "x0": 0.0, "v0": 0.0}
+def _start(cfg: dict) -> State:
+    return State(0.0, cfg["x0"], cfg["v0"])
 
-# Preset parameter bundles. Scan windows for the frequency table are
-# centered on the published onset amplitudes so a desk-scale rerun stays
-# cheap; the full resolved window always lands in the output config.
+
+# ---------------------------------------------------------------- commands
+#
+# A command takes its resolved configuration and a map from its default
+# output file name to the output path, writes its files and returns the
+# fields of its stdout summary.
+
+def cmd_simulate(cfg: dict, out_path) -> dict:
+    p = _params(cfg)
+    ctrl = StepControl(**{k: cfg[k] for k in ("dt", "abs_tol", "rel_tol", "method") if k in cfg})
+    traj = integrate(partial(acceleration, p), _start(cfg), cfg["t_end"], ctrl)
+    ts = np.linspace(0.0, cfg["t_end"], cfg["samples"])
+    rows = list(zip(ts.tolist(), *(col.tolist() for col in traj.eval(ts))))
+    out = out_path("simulate.csv")
+    _write_csv(out, "simulate", cfg, ["t", "x", "v"], rows)
+    rep = energy_report(p, traj)
+    return dict(output=out, samples=len(rows), energy_constant=rep.K, energy_drift=rep.max_drift)
+
+
+def cmd_exact(cfg: dict, out_path) -> dict:
+    abcx = cfg["a"], cfg["b"], cfg["c"], cfg["x0"]
+    sol = exact.solve_cn_coefficients(*abcx)
+    resid = float(np.abs(exact.cn_ansatz_residuals(
+        *abcx, sol.lam, sol.mu, sol.omega_cn, sol.m)).max())
+    branches = [
+        {"family": br.family, "lam": br.lam, "mu": br.mu, "omega": br.omega_cn,
+         "m": br.m, "residual": br.residual}
+        for br in exact.closed_form_branches(*abcx)
+    ]
+    payload = {
+        "solution": {"x0": sol.x0, "lam": sol.lam, "mu": sol.mu,
+                     "omega": sol.omega_cn, "m": sol.m, "period": sol.period,
+                     "residual": resid},
+        "closed_form_branches": branches,
+    }
+    out = out_path("exact.json")
+    _write_json(out, "exact", cfg, payload)
+    if cfg["samples"]:
+        ts = np.linspace(0.0, 2.0 * sol.period if math.isfinite(sol.period) else 10.0,
+                         cfg["samples"])
+        rows = [(float(t), exact.eval_cn_solution(sol, float(t))) for t in ts]
+        csv_out = out.rsplit(".", 1)[0] + ".csv"
+        _write_csv(csv_out, "exact", cfg, ["t", "x"], rows)
+    return dict(output=out, lam=sol.lam, mu=sol.mu, omega=sol.omega_cn, m=sol.m, residual=resid)
+
+
+def cmd_kbm(cfg: dict, out_path) -> dict:
+    p = _params(cfg)
+    sol = kbm.kbm_solve(p, cfg["x0"], cfg["v0"], cfg["t_end"], order=cfg["order"])
+    ts = np.linspace(0.0, cfg["t_end"], cfg["samples"])
+    if cfg["compare"]:
+        ctrl = StepControl(abs_tol=1e-11, rel_tol=1e-11)
+        ref = integrate(partial(acceleration, p), _start(cfg), cfg["t_end"], ctrl)
+        rows = [(t, sol.eval(t), xr) for t, xr in zip(ts.tolist(), ref.eval_x(ts).tolist())]
+        header = ["t", "x_approx", "x_reference"]
+        max_err = max(abs(r[1] - r[2]) for r in rows)
+    else:
+        rows = [(float(t), sol.eval(float(t))) for t in ts]
+        header = ["t", "x_approx"]
+        max_err = None
+    out = out_path("kbm.csv")
+    _write_csv(out, "kbm", cfg, header, rows)
+    c = sol.coeffs
+    return dict(output=out, omega0=c.omega0, eta=c.eta, max_error_vs_reference=max_err)
+
+
+def cmd_melnikov(cfg: dict, out_path) -> dict:
+    p = _params(cfg)
+    orbit = exact.homoclinic_orbit(cfg["a"], cfg["b"], cfg["c"], cfg["kind"], cfg["sign"])
+    res = (melnikov.melnikov_sech if cfg["kind"] == "sech" else melnikov.melnikov_tanh)(orbit, p)
+    critical_gamma = abs(p.delta) * res.threshold_ratio if math.isfinite(res.threshold_ratio) else None
+    payload = {
+        "orbit": {"A": orbit.A, "k": orbit.k, "lam": orbit.lam, "kind": orbit.kind},
+        "wave_coeff": res.wave_coeff,
+        "damp_coeff": res.damp_coeff,
+        "threshold_ratio": res.threshold_ratio,
+        "critical_gamma": critical_gamma,
+        "oscillation": res.oscillation,
+        "has_simple_zeros": res.has_simple_zeros,
+        "fit": {"coefficients": list(res.fit.coefficients), "max_error": res.fit.max_error},
+        "damping_by_quadrature": res.damping_by_quadrature,
+    }
+    out = out_path("melnikov.json")
+    _write_json(out, "melnikov", cfg, payload)
+    return dict(output=out, threshold_ratio=res.threshold_ratio, critical_gamma=critical_gamma)
+
+
+def cmd_poincare(cfg: dict, out_path) -> dict:
+    series = chaos.poincare_map(_params(cfg), _start(cfg), cfg["points"], cfg["transient"])
+    rows = [(n + 1, float(pt[0]), float(pt[1])) for n, pt in enumerate(series.points)]
+    out = out_path("poincare.csv")
+    _write_csv(out, "poincare", cfg, ["n", "P", "Q"], rows)
+    return dict(output=out, points=len(rows), clusters=chaos.cluster_count(series.points))
+
+
+def _scan_row(a, b, c, delta, resolution, coarse_step, window) -> tuple:
+    omega, gamma_lo, gamma_hi = window
+    row = chaos.gamma_scan(a, b, c, delta, omega, (gamma_lo, gamma_hi), resolution,
+                           coarse_step=coarse_step)
+    if isinstance(row, chaos.NoOnset):
+        return (omega, math.nan, row.max_lyapunov)
+    return (omega, row.gamma_c, row.lyapunov)
+
+
+def cmd_scan(cfg: dict, out_path) -> dict:
+    # A preset gives one gamma window per row, the flags one for every row.
+    columns = np.broadcast_arrays(cfg["omega"], cfg["gamma_min"], cfg["gamma_max"])
+    windows = list(zip(*(col.tolist() for col in columns)))[: cfg["rows"] or None]
+    scan_row = partial(_scan_row, *(cfg[k] for k in ("a", "b", "c", "delta", "resolution",
+                                                       "coarse_step")))
+    results = _map_jobs(scan_row, windows, cfg["jobs"])
+    out = out_path("scan.csv")
+    _write_csv(out, "scan", cfg, ["omega", "gamma_c", "lyapunov"], results)
+    return dict(output=out, rows=len(results))
+
+
+def cmd_bifurcate(cfg: dict, out_path) -> dict:
+    p = _params(cfg, gamma=cfg["gamma_min"])
+    sweep = np.linspace(cfg["gamma_min"], cfg["gamma_max"], cfg["gamma_steps"])
+    data = chaos.bifurcation_data(p, sweep, n_points=cfg["points"],
+                                  n_transient=cfg["transient"], s0=_start(cfg))
+    rows = [(g, float(x)) for g, xs in data for x in xs]
+    out = out_path("bifurcation.csv")
+    _write_csv(out, "bifurcate", cfg, ["gamma", "p_value"], rows)
+    return dict(output=out, gammas=len(data), rows=len(rows))
+
+
+def cmd_control(cfg: dict, out_path) -> dict:
+    p = _params(cfg)
+    if cfg["search"]:
+        cells = pyragas.search_mu_tau(
+            p, (cfg["mu_min"], cfg["mu_max"]), (cfg["tau_min"], cfg["tau_max"]),
+            (cfg["grid"], cfg["grid"]), _start(cfg),
+            map_fn=partial(_map_jobs, jobs=cfg["jobs"]))
+        out = out_path("control_search.csv")
+        _write_csv(out, "control", cfg, ["mu", "tau", "controller_norm", "is_periodic"], cells)
+        best = cells[0]
+        return dict(output=out, cells=len(cells),
+                    best_mu=best[0], best_tau=best[1], best_norm=best[2])
+    cfgc = pyragas.ControllerConfig(mu=cfg["mu"], tau=cfg["tau"], history_policy=cfg["history"])
+    traj, report = pyragas.run_controlled(p, cfgc, _start(cfg), cfg["t_end"])
+    w1 = traj.t[-1]
+    w0 = max(traj.t[0], w1 - cfg["tau"])
+    coeffs, fit_resid = pyragas.chebyshev_fit_orbit(traj, (w0, w1), cfg["fit_degree"])
+    ts = np.linspace(0.0, traj.t[-1], cfg["samples"])
+    rows = list(zip(ts.tolist(), *(col.tolist() for col in traj.eval(ts))))
+    out = out_path("control.csv")
+    _write_csv(out, "control", cfg, ["t", "x", "v"], rows)
+    payload = {
+        "report": {
+            "is_periodic": report.is_periodic,
+            "period": report.period,
+            "residual": report.residual,
+            "controller_norm": report.controller_norm,
+            "tolerance": report.tolerance,
+        },
+        "orbit_fit": {"window": [float(w0), float(w1)], "degree": cfg["fit_degree"],
+                      "monomial_coefficients": [float(cc) for cc in coeffs],
+                      "max_residual": fit_resid},
+        "trajectory_csv": out,
+    }
+    jout = out.rsplit(".", 1)[0] + ".json"
+    _write_json(jout, "control", cfg, payload)
+    return dict(output=jout, is_periodic=report.is_periodic,
+                controller_norm=report.controller_norm, residual=report.residual)
+
+
+def cmd_sde(cfg: dict, out_path) -> dict:
+    scfg = sde.SdeConfig(dt=cfg["dt"], n_steps=cfg["n_steps"], seed=cfg["seed"],
+                         sigma=cfg["sigma"], ensemble=cfg["ensemble"])
+    paths = sde.euler_maruyama(_params(cfg), scfg, _start(cfg))
+    out = out_path("sde_paths.csv")
+    rows = []
+    for j, tr in enumerate(paths[: cfg["save_paths"]]):
+        rows.extend((j, float(t), float(x), float(v)) for t, x, v in zip(tr.t, tr.x, tr.v))
+    _write_csv(out, "sde", cfg, ["path", "t", "x", "v"], rows)
+    t_final = float(paths[0].t[-1])
+    payload: dict = {"paths_csv": out, "truncated": sum(tr.metadata["truncated"] for tr in paths)}
+    if cfg["ensemble"] >= 2:
+        st = sde.ensemble_stats(paths, t_final)
+        payload["final_time_stats"] = {
+            "t": st.t, "n": st.n, "mean_x": st.mean_x, "var_x": st.var_x,
+            "mean_v": st.mean_v, "var_v": st.var_v,
+        }
+    jout = out.rsplit(".", 1)[0] + ".json"
+    _write_json(jout, "sde", cfg, payload)
+    return dict(output=jout, ensemble=cfg["ensemble"], t_final=t_final)
+
+
+# ---------------------------------------------------------------- flags
+
+def _checked(kind: type, ok, need: str):
+    """argparse type= that parses `kind` and rejects values failing ok(),
+    so that a bad value exits 2 with a message naming the flag."""
+    def parse(text: str):
+        val = kind(text)
+        if not ok(val):
+            raise argparse.ArgumentTypeError(f"{need}, got {text!r}")
+        return val
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_positive_int = _checked(int, lambda n: n >= 1, "must be an integer >= 1")
+_count = _checked(int, lambda n: n >= 0, "must be an integer >= 0")
+_finite = _checked(float, math.isfinite, "must be a finite number")
+_positive = _checked(float, lambda x: 0.0 < x < math.inf, "must be a finite number > 0")
+_nonnegative = _checked(float, lambda x: 0.0 <= x < math.inf, "must be a finite number >= 0")
+
+# argparse keywords of every flag, by name; a command may override them.
+_FLAGS: dict[str, dict] = {
+    "a": dict(type=_finite, help="linear stiffness"),
+    "b": dict(type=_finite, help="cubic coefficient"),
+    "c": dict(type=_finite, help="quintic coefficient"),
+    "delta": dict(type=_finite, help="damping"),
+    "gamma": dict(type=_finite, help="forcing amplitude"),
+    "omega": dict(type=_finite, help="forcing frequency"),
+    "epsilon": dict(type=_finite, help="perturbation scale"),
+    "x0": dict(type=_finite, help="initial displacement"),
+    "v0": dict(type=_finite, help="initial velocity"),
+    "t_end": dict(type=_positive, help="end time"),
+    "method": dict(choices=["dp54", "rk4"]),
+    "abs_tol": dict(type=_positive),
+    "rel_tol": dict(type=_nonnegative),
+    "dt": dict(type=_positive, help="time step"),
+    "samples": dict(type=_positive_int, help="output samples"),
+    "order": dict(type=int, choices=[1, 2]),
+    "compare": dict(action="store_true", help="add a reference-integration column"),
+    "kind": dict(choices=["sech", "tanh"]),
+    "sign": dict(type=int, choices=[1, -1]),
+    "points": dict(type=_positive_int, help="section points"),
+    "transient": dict(type=_count, help="forcing periods discarded first"),
+    "gamma_min": dict(type=_finite),
+    "gamma_max": dict(type=_finite),
+    "gamma_steps": dict(type=_positive_int),
+    "resolution": dict(type=_positive),
+    "coarse_step": dict(type=_positive),
+    "rows": dict(type=_count, help="scan only the first ROWS rows (0: all)"),
+    "jobs": dict(type=_positive_int, help="worker processes"),
+    "mu": dict(type=_finite, help="feedback gain"),
+    "tau": dict(type=_positive, help="feedback delay"),
+    "history": dict(choices=["zero", "constant"]),
+    "fit_degree": dict(type=_positive_int),
+    "search": dict(action="store_true", help="grid search instead of one run"),
+    "mu_min": dict(type=_finite),
+    "mu_max": dict(type=_finite),
+    "tau_min": dict(type=_finite),
+    "tau_max": dict(type=_finite),
+    "grid": dict(type=_positive_int),
+    "n_steps": dict(type=_positive_int),
+    "seed": dict(type=_count),
+    "sigma": dict(type=_nonnegative, help="noise intensity"),
+    "ensemble": dict(type=_positive_int),
+    "save_paths": dict(type=_count),
+    "preset": dict(help="parameter bundle"),
+}
+
+_REQUIRED = object()  # default of a flag that must be given or come from the preset
+
+
+# Published (omega, onset gamma) pairs of the frequency table. The scan
+# windows are centered on the onset amplitudes so a desk-scale rerun stays
+# cheap; every window lands in the output config.
 _TABLE1_ROWS = [
     (0.050, 0.387), (0.100, 0.402), (0.125, 0.402), (0.150, 0.397), (0.200, 0.380),
     (0.225, 0.389), (0.250, 0.381), (0.300, 0.382), (0.350, 0.360), (0.400, 0.342),
@@ -137,315 +400,118 @@ _TABLE1_ROWS = [
     (3.925, 6.288), (4.000, 6.787),
 ]
 
-_PRESETS: dict[str, dict[str, dict]] = {
-    "poincare": {
-        "fig6": {"a": 1.0, "b": 1.0, "c": 0.0, "delta": 0.1, "gamma": 0.35, "omega": 1.4,
-                 "epsilon": 1.0, "x0": 0.0, "v0": 0.0},
-        "fig9": {"a": 1.0, "b": 1.0, "c": 0.2, "delta": 0.1, "gamma": 0.35, "omega": 1.4,
-                 "epsilon": 1.0, "x0": 0.0, "v0": 0.0},
-    },
-    "bifurcate": {
-        "fig7": {"a": 1.0, "b": 1.0, "c": 0.0, "delta": 0.1, "omega": 1.4, "epsilon": 1.0,
-                 "gamma_min": 0.20, "gamma_max": 0.34, "gamma_steps": 57,
-                 "x0": 0.0, "v0": 0.0},
-    },
-    "control": {
-        "fig10": {"a": 1.0, "b": 1.0, "c": 0.2, "delta": 0.1, "gamma": 0.35, "omega": 1.4,
-                  "epsilon": 1.0, "mu": 2.25311, "tau": 3.73093, "x0": 0.0, "v0": 0.0,
-                  "t_end": 500.0},
-    },
+
+class _Command(NamedTuple):
+    """One subcommand: everything the resolver and the parser know of it."""
+
+    fn: Callable[[dict, Callable[[str], str]], dict]
+    help: str
+    flags: dict                  # flag -> default (None: may stay unset, _REQUIRED)
+    modes: tuple = ()            # (mode flag, {its value: the flags read only then})
+    presets: dict = {}           # name -> {flag: value}
+    kw: dict = {}                # flag -> argparse keywords replacing _FLAGS[flag]
+    plot: tuple | None = None    # (columns, title) of the --gnuplot script
+
+    def declared(self) -> list[str]:
+        """Every flag the command reads, in any of its modes."""
+        by_value = self.modes[1] if self.modes else {}
+        return list(dict.fromkeys([*self.flags, *(f for fl in by_value.values() for f in fl)]))
+
+
+_COMMANDS: dict[str, _Command] = {
+    "simulate": _Command(
+        cmd_simulate, "integrate one trajectory",
+        {**_PARAMS, **_START, "t_end": _REQUIRED, "method": "dp54", "samples": 1000},
+        modes=("method", {"dp54": {"dt": None, "abs_tol": 1e-10, "rel_tol": 1e-10},
+                          "rk4": {"dt": _REQUIRED}}),
+        plot=((1, 2), "trajectory")),
+    "exact": _Command(
+        cmd_exact, "elliptic closed-form solution of the unforced equation",
+        {"a": 1.0, "b": 1.0, "c": 1.0, "x0": _REQUIRED, "samples": 0},
+        kw={"samples": dict(type=_count, help="also sample x(t) to CSV")}),
+    "kbm": _Command(
+        cmd_kbm, "second-order amplitude-phase approximation",
+        {**_PARAMS, **_START, "t_end": _REQUIRED, "order": 2, "samples": 1000,
+         "compare": False},
+        plot=((1, 2), "amplitude-phase approximation")),
+    "melnikov": _Command(
+        cmd_melnikov, "separatrix distance function and chaos threshold",
+        {**_params_but("epsilon"), "kind": "sech", "sign": 1}),
+    "poincare": _Command(
+        cmd_poincare, "stroboscopic section of one trajectory",
+        {**_PARAMS, **_START, "points": 500, "transient": 100, "preset": None},
+        presets={
+            "fig6": {"a": 1.0, "b": 1.0, "c": 0.0, "delta": 0.1, "gamma": 0.35, "omega": 1.4,
+                     "epsilon": 1.0, "x0": 0.0, "v0": 0.0},
+            "fig9": {"a": 1.0, "b": 1.0, "c": 0.2, "delta": 0.1, "gamma": 0.35, "omega": 1.4,
+                     "epsilon": 1.0, "x0": 0.0, "v0": 0.0},
+        },
+        plot=((2, 3), "stroboscopic section")),
+    "scan": _Command(
+        cmd_scan, "chaos-onset amplitude per forcing frequency",
+        {"a": 1.0, "b": 1.0, "c": 0.0, "delta": 0.1, "omega": _REQUIRED, "gamma_min": 0.05,
+         "gamma_max": 1.0, "resolution": 0.005, "coarse_step": 0.01, "rows": 0, "jobs": 1,
+         "preset": None},
+        presets={"table1": {"omega": [om for om, _ in _TABLE1_ROWS],
+                            "gamma_min": [max(0.02, g - 0.08) for _, g in _TABLE1_ROWS],
+                            "gamma_max": [g + 0.12 for _, g in _TABLE1_ROWS]}},
+        kw={"omega": dict(type=_finite, action="append", help="forcing frequency (repeatable)")},
+        plot=((1, 2), "chaos onset amplitude")),
+    "bifurcate": _Command(
+        cmd_bifurcate, "strobe displacements over a forcing sweep",
+        {**_params_but("gamma"), **_START,
+         "gamma_min": _REQUIRED, "gamma_max": _REQUIRED, "gamma_steps": _REQUIRED,
+         "points": 120, "transient": 100, "preset": None},
+        presets={"fig7": {"a": 1.0, "b": 1.0, "c": 0.0, "delta": 0.1, "omega": 1.4,
+                          "epsilon": 1.0, "gamma_min": 0.20, "gamma_max": 0.34,
+                          "gamma_steps": 57, "x0": 0.0, "v0": 0.0}},
+        plot=((1, 2), "bifurcation diagram")),
+    "control": _Command(
+        cmd_control, "delayed-velocity-feedback run or (mu, tau) search",
+        {**_PARAMS, **_START, "search": False, "preset": None},
+        modes=("search", {
+            False: {"mu": _REQUIRED, "tau": _REQUIRED, "t_end": _REQUIRED, "history": "zero",
+                    "fit_degree": 5, "samples": 2000},
+            True: {"mu_min": 0.5, "mu_max": 3.0, "tau_min": 2.0, "tau_max": 6.0, "grid": 20,
+                   "jobs": 1},
+        }),
+        presets={"fig10": {"a": 1.0, "b": 1.0, "c": 0.2, "delta": 0.1, "gamma": 0.35,
+                           "omega": 1.4, "epsilon": 1.0, "mu": 2.25311, "tau": 3.73093,
+                           "x0": 0.0, "v0": 0.0, "t_end": 500.0}}),
+    "sde": _Command(
+        cmd_sde, "stochastic paths by the Euler-Maruyama scheme",
+        {**_params_but("delta"), **_START, "dt": _REQUIRED,
+         "n_steps": _REQUIRED, "seed": 0, "sigma": 0.1, "ensemble": 1, "save_paths": 10}),
 }
 
 
-def _apply_preset(parser, args, command: str, keys: list[str]) -> dict:
-    """Fill preset values into args; explicit user flags conflict."""
-    preset = getattr(args, "preset", None)
-    resolved = {}
-    bundle = {}
-    if preset:
-        table = _PRESETS.get(command, {})
-        if preset not in table:
-            parser.error(f"unknown preset {preset!r} for {command}")
-        bundle = table[preset]
-        for key, val in bundle.items():
-            if getattr(args, key, None) is not None:
-                parser.error(f"--{key.replace('_', '-')} conflicts with preset {preset!r}")
-            setattr(args, key, val)
-    for key in keys:
-        if getattr(args, key, None) is None:
-            if key in _DEFAULTS:
-                setattr(args, key, _DEFAULTS[key])
-            elif key not in bundle:
-                parser.error(f"--{key.replace('_', '-')} is required (or use a preset)")
-        resolved[key] = getattr(args, key)
-    return resolved
+def _dash(flag: str) -> str:
+    return "--" + flag.replace("_", "-")
 
 
-# ---------------------------------------------------------------- commands
-
-def cmd_simulate(parser, args) -> int:
-    cfg = _apply_preset(parser, args, "simulate",
-                        ["a", "b", "c", "delta", "gamma", "omega", "epsilon", "x0", "v0"])
-    cfg.update(t_end=args.t_end, abs_tol=args.abs_tol, rel_tol=args.rel_tol,
-               dt=args.dt, method=args.method, samples=args.samples)
-    if args.method == "rk4" and args.dt is None:
-        parser.error("--method rk4 needs --dt")
-    p = _params_from(args)
-    ctrl = StepControl(dt=args.dt, abs_tol=args.abs_tol, rel_tol=args.rel_tol, method=args.method)
-    traj = integrate(partial(acceleration, p), State(0.0, args.x0, args.v0), args.t_end, ctrl)
-    ts = np.linspace(0.0, args.t_end, args.samples)
-    rows = list(zip(ts.tolist(), *(col.tolist() for col in traj.eval(ts))))
-    out = _out_path(args, "simulate.csv")
-    _write_csv(out, "simulate", cfg, ["t", "x", "v"], rows)
-    if args.gnuplot:
-        _write_gnuplot(out, (1, 2), "trajectory")
-    rep = energy_report(p, traj)
-    return _summary(command="simulate", output=out, samples=len(rows),
-                    energy_constant=rep.K, energy_drift=rep.max_drift)
-
-
-def cmd_exact(parser, args) -> int:
-    cfg = _apply_preset(parser, args, "exact", ["a", "b", "c"])
-    cfg.update(x0=args.x0, samples=args.samples)
-    sol = exact.solve_cn_coefficients(args.a, args.b, args.c, args.x0)
-    resid = float(np.abs(exact.cn_ansatz_residuals(
-        args.a, args.b, args.c, args.x0, sol.lam, sol.mu, sol.omega_cn, sol.m)).max())
-    branches = [
-        {"family": br.family, "lam": br.lam, "mu": br.mu, "omega": br.omega_cn,
-         "m": br.m, "residual": br.residual}
-        for br in exact.closed_form_branches(args.a, args.b, args.c, args.x0)
-    ]
-    payload = {
-        "solution": {"x0": sol.x0, "lam": sol.lam, "mu": sol.mu,
-                     "omega": sol.omega_cn, "m": sol.m, "period": sol.period,
-                     "residual": resid},
-        "closed_form_branches": branches,
-    }
-    out = _out_path(args, "exact.json")
-    _write_json(out, "exact", cfg, payload)
-    if args.samples:
-        ts = np.linspace(0.0, 2.0 * sol.period if math.isfinite(sol.period) else 10.0,
-                         args.samples)
-        rows = [(float(t), exact.eval_cn_solution(sol, float(t))) for t in ts]
-        csv_out = out.rsplit(".", 1)[0] + ".csv"
-        _write_csv(csv_out, "exact", cfg, ["t", "x"], rows)
-    return _summary(command="exact", output=out, lam=sol.lam, mu=sol.mu,
-                    omega=sol.omega_cn, m=sol.m, residual=resid)
-
-
-def cmd_kbm(parser, args) -> int:
-    cfg = _apply_preset(parser, args, "kbm",
-                        ["a", "b", "c", "delta", "gamma", "omega", "epsilon", "x0", "v0"])
-    cfg.update(t_end=args.t_end, samples=args.samples, order=args.order)
-    p = _params_from(args)
-    sol = kbm.kbm_solve(p, args.x0, args.v0, args.t_end, order=args.order)
-    ts = np.linspace(0.0, args.t_end, args.samples)
-    if args.compare:
-        ctrl = StepControl(abs_tol=1e-11, rel_tol=1e-11)
-        ref = integrate(partial(acceleration, p), State(0.0, args.x0, args.v0), args.t_end, ctrl)
-        rows = [(t, sol.eval(t), xr) for t, xr in zip(ts.tolist(), ref.eval_x(ts).tolist())]
-        header = ["t", "x_approx", "x_reference"]
-        max_err = max(abs(r[1] - r[2]) for r in rows)
-    else:
-        rows = [(float(t), sol.eval(float(t))) for t in ts]
-        header = ["t", "x_approx"]
-        max_err = None
-    out = _out_path(args, "kbm.csv")
-    _write_csv(out, "kbm", cfg, header, rows)
-    if args.gnuplot:
-        _write_gnuplot(out, (1, 2), "amplitude-phase approximation")
-    c = sol.coeffs
-    return _summary(command="kbm", output=out, omega0=c.omega0, eta=c.eta,
-                    max_error_vs_reference=max_err)
-
-
-def cmd_melnikov(parser, args) -> int:
-    cfg = _apply_preset(parser, args, "melnikov",
-                        ["a", "b", "c", "delta", "gamma", "omega", "epsilon"])
-    cfg.update(kind=args.kind, sign=args.sign)
-    p = _params_from(args)
-    orbit = exact.homoclinic_orbit(args.a, args.b, args.c, args.kind, args.sign)
-    res = (melnikov.melnikov_sech if args.kind == "sech" else melnikov.melnikov_tanh)(orbit, p)
-    critical_gamma = abs(p.delta) * res.threshold_ratio if math.isfinite(res.threshold_ratio) else None
-    payload = {
-        "orbit": {"A": orbit.A, "k": orbit.k, "lam": orbit.lam, "kind": orbit.kind},
-        "wave_coeff": res.wave_coeff,
-        "damp_coeff": res.damp_coeff,
-        "threshold_ratio": res.threshold_ratio,
-        "critical_gamma": critical_gamma,
-        "oscillation": res.oscillation,
-        "has_simple_zeros": res.has_simple_zeros,
-        "fit": {"coefficients": list(res.fit.coefficients), "max_error": res.fit.max_error},
-        "damping_by_quadrature": res.damping_by_quadrature,
-    }
-    out = _out_path(args, "melnikov.json")
-    _write_json(out, "melnikov", cfg, payload)
-    return _summary(command="melnikov", output=out, threshold_ratio=res.threshold_ratio,
-                    critical_gamma=critical_gamma)
-
-
-def cmd_poincare(parser, args) -> int:
-    cfg = _apply_preset(parser, args, "poincare",
-                        ["a", "b", "c", "delta", "gamma", "omega", "epsilon", "x0", "v0"])
-    cfg.update(points=args.points, transient=args.transient)
-    p = _params_from(args)
-    series = chaos.poincare_map(p, State(0.0, args.x0, args.v0), args.points, args.transient)
-    rows = [(n + 1, float(pt[0]), float(pt[1])) for n, pt in enumerate(series.points)]
-    out = _out_path(args, "poincare.csv")
-    _write_csv(out, "poincare", cfg, ["n", "P", "Q"], rows)
-    if args.gnuplot:
-        _write_gnuplot(out, (2, 3), "stroboscopic section")
-    return _summary(command="poincare", output=out, points=len(rows),
-                    clusters=chaos.cluster_count(series.points))
-
-
-def _scan_row(job) -> tuple:
-    omega, gamma_lo, gamma_hi, a, b, c, delta, resolution, coarse = job
-    row = chaos.gamma_scan(a, b, c, delta, omega, (gamma_lo, gamma_hi), resolution,
-                           coarse_step=coarse)
-    if isinstance(row, chaos.NoOnset):
-        return (omega, math.nan, row.max_lyapunov)
-    return (omega, row.gamma_c, row.lyapunov)
-
-
-def cmd_scan(parser, args) -> int:
-    a, b, c, delta = (default if val is None else val for val, default in
-                      ((args.a, 1.0), (args.b, 1.0), (args.c, 0.0), (args.delta, 0.1)))
-    if args.preset == "table1":
-        row_defs = _TABLE1_ROWS[: args.rows] if args.rows else _TABLE1_ROWS
-        if args.omega:
-            parser.error("--omega conflicts with preset 'table1'")
-        jobs = [(om, max(0.02, g - 0.08), g + 0.12, a, b, c, delta,
-                 args.resolution, args.coarse_step) for om, g in row_defs]
-    elif args.preset:
-        parser.error(f"unknown preset {args.preset!r} for scan")
-    else:
-        if not args.omega:
-            parser.error("--omega is required (repeatable), or use --preset table1")
-        jobs = [(om, args.gamma_min, args.gamma_max, a, b, c, delta,
-                 args.resolution, args.coarse_step) for om in args.omega]
-    cfg = {"a": a, "b": b, "c": c, "delta": delta, "resolution": args.resolution,
-           "coarse_step": args.coarse_step, "jobs": args.jobs,
-           "rows": [list(j[:3]) for j in jobs], "preset": args.preset}
-    results = _map_jobs(_scan_row, jobs, args.jobs)
-    out = _out_path(args, "scan.csv")
-    _write_csv(out, "scan", cfg, ["omega", "gamma_c", "lyapunov"], results)
-    if args.gnuplot:
-        _write_gnuplot(out, (1, 2), "chaos onset amplitude")
-    return _summary(command="scan", output=out, rows=len(results))
-
-
-def cmd_bifurcate(parser, args) -> int:
-    cfg = _apply_preset(parser, args, "bifurcate",
-                        ["a", "b", "c", "delta", "omega", "epsilon", "x0", "v0",
-                         "gamma_min", "gamma_max", "gamma_steps"])
-    cfg.update(points=args.points, transient=args.transient)
-    p = OscillatorParams(a=args.a, b=args.b, c=args.c, delta=args.delta,
-                         gamma=args.gamma_min, omega=args.omega, epsilon=args.epsilon)
-    sweep = np.linspace(args.gamma_min, args.gamma_max, args.gamma_steps)
-    data = chaos.bifurcation_data(p, sweep, n_points=args.points,
-                                  n_transient=args.transient,
-                                  s0=State(0.0, args.x0, args.v0))
-    rows = [(g, float(x)) for g, xs in data for x in xs]
-    out = _out_path(args, "bifurcation.csv")
-    _write_csv(out, "bifurcate", cfg, ["gamma", "p_value"], rows)
-    if args.gnuplot:
-        _write_gnuplot(out, (1, 2), "bifurcation diagram")
-    return _summary(command="bifurcate", output=out, gammas=len(data), rows=len(rows))
-
-
-def cmd_control(parser, args) -> int:
-    keys = ["a", "b", "c", "delta", "gamma", "omega", "epsilon", "x0", "v0"]
-    if not args.search:
-        keys += ["mu", "tau", "t_end"]
-    cfg = _apply_preset(parser, args, "control", keys)
-    p = _params_from(args)
-    if args.search:
-        cfg.update(mu_min=args.mu_min, mu_max=args.mu_max, tau_min=args.tau_min,
-                   tau_max=args.tau_max, grid=args.grid, jobs=args.jobs)
-        cells = pyragas.search_mu_tau(
-            p, (args.mu_min, args.mu_max), (args.tau_min, args.tau_max),
-            (args.grid, args.grid), State(0.0, args.x0, args.v0),
-            map_fn=lambda fn, items: _map_jobs(fn, items, args.jobs))
-        out = _out_path(args, "control_search.csv")
-        _write_csv(out, "control", cfg, ["mu", "tau", "controller_norm", "is_periodic"], cells)
-        best = cells[0]
-        return _summary(command="control", output=out, cells=len(cells),
-                        best_mu=best[0], best_tau=best[1], best_norm=best[2])
-    cfg.update(t_end=args.t_end, fit_degree=args.fit_degree)
-    cfgc = pyragas.ControllerConfig(mu=args.mu, tau=args.tau, history_policy=args.history)
-    traj, report = pyragas.run_controlled(p, cfgc, State(0.0, args.x0, args.v0), args.t_end)
-    w1 = traj.t[-1]
-    w0 = max(traj.t[0], w1 - args.tau)
-    coeffs, fit_resid = pyragas.chebyshev_fit_orbit(traj, (w0, w1), args.fit_degree)
-    ts = np.linspace(0.0, traj.t[-1], args.samples)
-    rows = list(zip(ts.tolist(), *(col.tolist() for col in traj.eval(ts))))
-    out = _out_path(args, "control.csv")
-    _write_csv(out, "control", cfg, ["t", "x", "v"], rows)
-    payload = {
-        "report": {
-            "is_periodic": report.is_periodic,
-            "period": report.period,
-            "residual": report.residual,
-            "controller_norm": report.controller_norm,
-            "tolerance": report.tolerance,
-        },
-        "orbit_fit": {"window": [float(w0), float(w1)], "degree": args.fit_degree,
-                      "monomial_coefficients": [float(cc) for cc in coeffs],
-                      "max_residual": fit_resid},
-        "trajectory_csv": out,
-    }
-    jout = out.rsplit(".", 1)[0] + ".json"
-    _write_json(jout, "control", cfg, payload)
-    return _summary(command="control", output=jout, is_periodic=report.is_periodic,
-                    controller_norm=report.controller_norm, residual=report.residual)
-
-
-def cmd_sde(parser, args) -> int:
-    cfg = _apply_preset(parser, args, "sde",
-                        ["a", "b", "c", "delta", "gamma", "omega", "epsilon", "x0", "v0"])
-    cfg.update(dt=args.dt, n_steps=args.n_steps, seed=args.seed, sigma=args.sigma,
-               ensemble=args.ensemble, save_paths=args.save_paths)
-    p = _params_from(args)
-    scfg = sde.SdeConfig(dt=args.dt, n_steps=args.n_steps, seed=args.seed,
-                         sigma=args.sigma, ensemble=args.ensemble)
-    paths = sde.euler_maruyama(p, scfg, State(0.0, args.x0, args.v0))
-    out = _out_path(args, "sde_paths.csv")
-    rows = []
-    for j, tr in enumerate(paths[: args.save_paths]):
-        rows.extend((j, float(t), float(x), float(v)) for t, x, v in zip(tr.t, tr.x, tr.v))
-    _write_csv(out, "sde", cfg, ["path", "t", "x", "v"], rows)
-    t_final = float(paths[0].t[-1])
-    payload: dict = {"paths_csv": out, "truncated": sum(tr.metadata["truncated"] for tr in paths)}
-    if args.ensemble >= 2:
-        st = sde.ensemble_stats(paths, t_final)
-        payload["final_time_stats"] = {
-            "t": st.t, "n": st.n, "mean_x": st.mean_x, "var_x": st.var_x,
-            "mean_v": st.mean_v, "var_v": st.var_v,
-        }
-    jout = out.rsplit(".", 1)[0] + ".json"
-    _write_json(jout, "sde", cfg, payload)
-    return _summary(command="sde", output=jout, ensemble=args.ensemble, t_final=t_final)
-
-
-# ---------------------------------------------------------------- parser
-
-def _checked(kind: type, ok, need: str):
-    """argparse type= that parses `kind` and rejects values failing ok(),
-    so that a bad value exits 2 with a message naming the flag."""
-    def parse(text: str):
-        val = kind(text)
-        if not ok(val):
-            raise argparse.ArgumentTypeError(f"{need}, got {text!r}")
-        return val
-
-    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
-    return parse
-
-
-_positive_int = _checked(int, lambda n: n >= 1, "must be an integer >= 1")
-_count = _checked(int, lambda n: n >= 0, "must be an integer >= 0")
-_positive = _checked(float, lambda x: 0.0 < x < math.inf, "must be a finite number > 0")
+def _resolve(parser: argparse.ArgumentParser, spec: _Command, args) -> dict:
+    """The configuration a command reads and records: the flags given, then
+    its preset's values, then its defaults, with every required flag set."""
+    given = {k: getattr(args, k) for k in spec.declared() if getattr(args, k) is not None}
+    preset = given.get("preset")
+    bundle = spec.presets.get(preset, {})
+    for key in sorted(bundle.keys() & given.keys()):
+        parser.error(f"{_dash(key)} conflicts with preset {preset!r}")
+    chosen = {**bundle, **given}
+    reads, when = dict(spec.flags), {}
+    if spec.modes:
+        switch, by_value = spec.modes
+        value = chosen.get(switch, reads[switch])
+        reads.update(by_value[value])
+        when = dict.fromkeys(by_value[value], f" when {_dash(switch)} is {value}")
+        for key in sorted(given.keys() - reads.keys()):
+            parser.error(f"{_dash(key)} is not read when {_dash(switch)} is {value}")
+    cfg = {key: chosen.get(key, default) for key, default in reads.items()}
+    for key, val in cfg.items():
+        if val is _REQUIRED:
+            parser.error(f"{_dash(key)} is required" + when.get(key, "")
+                         + (" (or use a preset)" if spec.presets else ""))
+    return cfg
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -454,127 +520,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="Driven cubic-quintic Duffing oscillator analysis toolkit",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("simulate", help="integrate one trajectory")
-    _add_param_flags(sp)
-    sp.add_argument("--x0", type=float, default=None)
-    sp.add_argument("--v0", type=float, default=None)
-    sp.add_argument("--t-end", type=float, required=True, dest="t_end")
-    sp.add_argument("--method", choices=["dp54", "rk4"], default="dp54")
-    sp.add_argument("--abs-tol", type=float, default=1e-10)
-    sp.add_argument("--rel-tol", type=float, default=1e-10)
-    sp.add_argument("--dt", type=float, default=None)
-    sp.add_argument("--samples", type=_positive_int, default=1000)
-    _add_common_out(sp)
-    sp.set_defaults(fn=cmd_simulate)
-
-    sp = sub.add_parser("exact", help="elliptic closed-form solution of the unforced equation")
-    _add_param_flags(sp, forcing=False)
-    sp.add_argument("--x0", type=float, required=True)
-    sp.add_argument("--samples", type=_count, default=0, help="also sample x(t) to CSV")
-    _add_common_out(sp)
-    sp.set_defaults(fn=cmd_exact)
-
-    sp = sub.add_parser("kbm", help="second-order amplitude-phase approximation")
-    _add_param_flags(sp)
-    sp.add_argument("--x0", type=float, default=None)
-    sp.add_argument("--v0", type=float, default=None)
-    sp.add_argument("--t-end", type=float, required=True, dest="t_end")
-    sp.add_argument("--order", type=int, choices=[1, 2], default=2)
-    sp.add_argument("--samples", type=_positive_int, default=1000)
-    sp.add_argument("--compare", action="store_true", help="add a reference-integration column")
-    _add_common_out(sp)
-    sp.set_defaults(fn=cmd_kbm)
-
-    sp = sub.add_parser("melnikov", help="separatrix distance function and chaos threshold")
-    _add_param_flags(sp)
-    sp.add_argument("--kind", choices=["sech", "tanh"], default="sech")
-    sp.add_argument("--sign", type=int, choices=[1, -1], default=1)
-    _add_common_out(sp)
-    sp.set_defaults(fn=cmd_melnikov)
-
-    sp = sub.add_parser("poincare", help="stroboscopic section of one trajectory")
-    _add_param_flags(sp)
-    sp.add_argument("--x0", type=float, default=None)
-    sp.add_argument("--v0", type=float, default=None)
-    sp.add_argument("--points", type=_positive_int, default=500)
-    sp.add_argument("--transient", type=_count, default=100)
-    sp.add_argument("--preset", default=None, help="fig6 | fig9")
-    _add_common_out(sp)
-    sp.set_defaults(fn=cmd_poincare)
-
-    sp = sub.add_parser("scan", help="chaos-onset amplitude per forcing frequency")
-    _add_param_flags(sp, forcing=False)
-    sp.add_argument("--omega", type=float, action="append", default=None,
-                    help="forcing frequency (repeatable)")
-    sp.add_argument("--gamma-min", type=float, default=0.05, dest="gamma_min")
-    sp.add_argument("--gamma-max", type=float, default=1.0, dest="gamma_max")
-    sp.add_argument("--resolution", type=_positive, default=0.005)
-    sp.add_argument("--coarse-step", type=_positive, default=0.01, dest="coarse_step")
-    sp.add_argument("--preset", default=None, help="table1")
-    sp.add_argument("--rows", type=_count, default=0, help="limit preset rows (0: all)")
-    sp.add_argument("--jobs", type=_positive_int, default=1)
-    _add_common_out(sp)
-    sp.set_defaults(fn=cmd_scan)
-
-    sp = sub.add_parser("bifurcate", help="strobe displacements over a forcing sweep")
-    _add_param_flags(sp)
-    sp.add_argument("--x0", type=float, default=None)
-    sp.add_argument("--v0", type=float, default=None)
-    sp.add_argument("--gamma-min", type=float, default=None, dest="gamma_min")
-    sp.add_argument("--gamma-max", type=float, default=None, dest="gamma_max")
-    sp.add_argument("--gamma-steps", type=_positive_int, default=None, dest="gamma_steps")
-    sp.add_argument("--points", type=_positive_int, default=120)
-    sp.add_argument("--transient", type=_count, default=100)
-    sp.add_argument("--preset", default=None, help="fig7")
-    _add_common_out(sp)
-    sp.set_defaults(fn=cmd_bifurcate)
-
-    sp = sub.add_parser("control", help="delayed-velocity-feedback run or (mu, tau) search")
-    _add_param_flags(sp)
-    sp.add_argument("--x0", type=float, default=None)
-    sp.add_argument("--v0", type=float, default=None)
-    sp.add_argument("--mu", type=float, default=None)
-    sp.add_argument("--tau", type=float, default=None)
-    sp.add_argument("--t-end", type=float, default=None, dest="t_end")
-    sp.add_argument("--history", choices=["zero", "constant"], default="zero")
-    sp.add_argument("--fit-degree", type=_positive_int, default=5, dest="fit_degree")
-    sp.add_argument("--samples", type=_positive_int, default=2000)
-    sp.add_argument("--search", action="store_true", help="grid search instead of one run")
-    sp.add_argument("--mu-min", type=float, default=0.5, dest="mu_min")
-    sp.add_argument("--mu-max", type=float, default=3.0, dest="mu_max")
-    sp.add_argument("--tau-min", type=float, default=2.0, dest="tau_min")
-    sp.add_argument("--tau-max", type=float, default=6.0, dest="tau_max")
-    sp.add_argument("--grid", type=_positive_int, default=20)
-    sp.add_argument("--jobs", type=_positive_int, default=1)
-    sp.add_argument("--preset", default=None, help="fig10")
-    _add_common_out(sp)
-    sp.set_defaults(fn=cmd_control)
-
-    sp = sub.add_parser("sde", help="stochastic paths by the Euler-Maruyama scheme")
-    _add_param_flags(sp)
-    sp.add_argument("--x0", type=float, default=None)
-    sp.add_argument("--v0", type=float, default=None)
-    sp.add_argument("--dt", type=float, required=True)
-    sp.add_argument("--n-steps", type=_positive_int, required=True, dest="n_steps")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--sigma", type=float, default=0.1)
-    sp.add_argument("--ensemble", type=_positive_int, default=1)
-    sp.add_argument("--save-paths", type=_count, default=10, dest="save_paths")
-    _add_common_out(sp)
-    sp.set_defaults(fn=cmd_sde)
-
+    for name, spec in _COMMANDS.items():
+        sp = sub.add_parser(name, help=spec.help)
+        for flag in spec.declared():
+            kw = spec.kw.get(flag, _FLAGS[flag])
+            if flag == "preset":
+                kw = dict(kw, choices=sorted(spec.presets))
+            # None marks a flag not given; the resolver fills in the defaults.
+            sp.add_argument(_dash(flag), dest=flag, default=None, **kw)
+        sp.add_argument("--out", default=None, help="output file path")
+        sp.add_argument("--outdir", default=None,
+                        help=f"output directory (default ${_OUTDIR_ENV} or .)")
+        if spec.plot:
+            sp.add_argument("--gnuplot", action="store_true", help="also write a gnuplot script")
+        sp.set_defaults(subparser=sp)
     return ap
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    spec = _COMMANDS[args.command]
+    cfg = _resolve(args.subparser, spec, args)
     try:
-        return args.fn(parser, args)
+        summary = spec.fn(cfg, partial(_out_path, args))
     except (IntegrationError, ValueError, ArithmeticError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
+    if spec.plot and args.gnuplot:
+        _write_gnuplot(summary["output"], *spec.plot)
+    print(json.dumps({"command": args.command, **summary}, sort_keys=True, default=_fmt))
+    return 0
 
 
 if __name__ == "__main__":

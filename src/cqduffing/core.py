@@ -59,12 +59,6 @@ class OscillatorParams:
         if self.epsilon * self.gamma != 0.0 and self.omega <= 0.0:
             raise ValueError("omega must be > 0 when forcing is active (epsilon*gamma != 0)")
 
-    def forcing(self, t: float) -> float:
-        """eps * gamma * cos(omega t)."""
-        if self.epsilon * self.gamma == 0.0:
-            return 0.0
-        return self.epsilon * self.gamma * math.cos(self.omega * t)
-
 
 @dataclass(frozen=True)
 class State:

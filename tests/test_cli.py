@@ -1,10 +1,16 @@
+import io
 import json
 import math
 import os
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cqduffing.cli import build_parser, main
+from cqduffing.cli import _COMMANDS, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -229,6 +235,10 @@ class TestKbmBifurcateMelnikov:
         assert 0.05 < float(doc["critical_gamma"]) < 0.35
 
 
+CONTROL_RUN = ["control", "--a", "1", "--b", "1", "--c", "0.2", "--delta", "0.1", "--gamma", "0.35",
+               "--omega", "1.4"]
+
+
 class TestFlagValidation:
     @pytest.mark.parametrize("argv, flag", [
         (["scan", "--omega", "1.4", "--coarse-step", "0"], "--coarse-step"),
@@ -251,6 +261,21 @@ class TestFlagValidation:
           "--gamma-min", "0.2", "--gamma-max", "0.3", "--gamma-steps", "0"], "--gamma-steps"),
         (["exact", "--x0", "1", "--samples", "-1"], "--samples"),
         (["poincare", "--preset", "fig6", "--points", "many"], "--points"),
+        (["simulate", "--t-end", "-1"], "--t-end"),
+        (["kbm", "--a", "-1", "--b", "2", "--c", "1", "--x0", "0.25", "--t-end", "-3"], "--t-end"),
+        (CONTROL_RUN + ["--mu", "3", "--tau", "3.6", "--t-end", "-10"], "--t-end"),
+        (CONTROL_RUN + ["--mu", "3", "--tau", "-1", "--t-end", "60"], "--tau"),
+        (["sde", "--dt", "0", "--n-steps", "10"], "--dt"),
+        (["sde", "--dt", "0.01", "--n-steps", "10", "--sigma", "-1"], "--sigma"),
+        (["simulate", "--t-end", "1", "--method", "rk4", "--dt", "-0.1"], "--dt"),
+        (["simulate", "--t-end", "1", "--abs-tol", "0"], "--abs-tol"),
+        (["simulate", "--t-end", "1", "--rel-tol", "-0.5"], "--rel-tol"),
+        (["simulate", "--t-end", "1", "--a", "nan"], "--a"),
+        (["simulate", "--t-end", "1", "--x0", "inf"], "--x0"),
+        (["melnikov", "--omega", "inf"], "--omega"),
+        (["control", "--search", "--preset", "fig10", "--tau-max", "nan"], "--tau-max"),
+        (["scan", "--omega", "1.4", "--gamma-min", "nan"], "--gamma-min"),
+        (["sde", "--dt", "0.01", "--n-steps", "10", "--seed", "-1"], "--seed"),
     ])
     def test_bad_value_exits_2_naming_the_flag(self, argv, flag, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -280,3 +305,185 @@ class TestControlReportTypes:
         assert isinstance(summary["is_periodic"], bool)
         assert report["is_periodic"] is summary["is_periodic"]
         assert isinstance(report["controller_norm"], float) and isinstance(report["residual"], float)
+
+
+def config_of(path):
+    """The command and the configuration recorded in an output file."""
+    with open(path) as fh:
+        text = fh.read()
+    if text.startswith("# cqduffing "):
+        command, cfg = re.match(r"# cqduffing (\w+) config: (.*)", text).groups()
+        return command, json.loads(cfg)
+    doc = json.loads(text)
+    return doc["command"], doc["config"]
+
+
+def argv_from_config(command, cfg):
+    """Flags that reproduce a recorded configuration: its preset, if any,
+    and every value the preset does not own."""
+    owned = _COMMANDS[command].presets.get(cfg.get("preset"), {})
+    argv = [command]
+    for key, val in cfg.items():
+        if key in owned or val is None or val is False:
+            continue
+        flag = "--" + key.replace("_", "-")
+        if val is True:
+            argv.append(flag)
+        else:
+            for item in val if isinstance(val, list) else [val]:
+                argv += [flag, str(item)]
+    return argv
+
+
+class TestRecordedConfig:
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["simulate", "--a", "1", "--b", "0.5", "--c", "0.25", "--x0", "0.3",
+                      "--t-end", "2", "--samples", "20"], id="simulate"),
+        pytest.param(["simulate", "--delta", "0.1", "--gamma", "0.35", "--omega", "1.4",
+                      "--t-end", "2", "--method", "rk4", "--dt", "0.05", "--samples", "20"],
+                     id="simulate-rk4"),
+        pytest.param(["exact", "--a", "-1", "--b", "2", "--c", "3", "--x0", "1", "--samples", "5"],
+                     id="exact"),
+        pytest.param(["kbm", "--a", "-1", "--b", "2", "--c", "1", "--delta", "0.025",
+                      "--gamma", "0.01", "--omega", "0.1", "--x0", "0.25", "--t-end", "2",
+                      "--samples", "20", "--compare"], id="kbm-compare"),
+        pytest.param(["melnikov", "--a", "1", "--b", "1", "--c", "0.2", "--delta", "0.1",
+                      "--gamma", "0.35", "--omega", "1.4"], id="melnikov"),
+        pytest.param(["poincare", "--preset", "fig6", "--points", "5", "--transient", "2"],
+                     id="poincare-preset"),
+        pytest.param(["scan", "--omega", "1.4", "--gamma-min", "0.3", "--gamma-max", "0.32",
+                      "--resolution", "0.02", "--coarse-step", "0.02"], id="scan"),
+        pytest.param(["scan", "--preset", "table1", "--rows", "1", "--resolution", "0.2",
+                      "--coarse-step", "0.2"], id="scan-table1"),
+        pytest.param(["bifurcate", "--a", "1", "--b", "1", "--c", "0", "--delta", "0.1",
+                      "--omega", "1.4", "--gamma-min", "0.2", "--gamma-max", "0.25",
+                      "--gamma-steps", "2", "--points", "3", "--transient", "2"], id="bifurcate"),
+        pytest.param(["control", "--preset", "fig10", "--history", "constant", "--samples", "20"],
+                     id="control-constant-history"),
+        pytest.param(["control", "--search", "--preset", "fig10", "--grid", "1"],
+                     id="control-search"),
+        pytest.param(["sde", "--a", "0", "--b", "0", "--c", "0", "--gamma", "0.5", "--omega", "1",
+                      "--dt", "0.02", "--n-steps", "10", "--seed", "3", "--ensemble", "3",
+                      "--save-paths", "2"], id="sde"),
+    ])
+    def test_rerun_from_recorded_config_is_byte_identical(self, argv, tmp_path, capsys):
+        out = tmp_path / ("data.json" if argv[0] in ("exact", "melnikov") else "data.csv")
+        assert run_cli(capsys, *argv, "--out", str(out))[0] == 0
+        first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        rebuilt = argv_from_config(*config_of(out))
+        for p in tmp_path.iterdir():
+            p.unlink()
+        assert run_cli(capsys, *rebuilt, "--out", str(out))[0] == 0
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--omega", "1.4"), ("--gamma-min", "0.9"), ("--gamma-max", "0.95")])
+    def test_table_preset_owns_its_windows(self, flag, value, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--preset", "table1", "--rows", "1", flag, value,
+                  "--out", str(tmp_path / "never.csv")])
+        assert exc.value.code == 2
+        assert f"{flag} conflicts with preset 'table1'" in capsys.readouterr().err
+        assert not (tmp_path / "never.csv").exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["exact", "--x0", "1", "--delta", "0.1"], "--delta"),
+        (["exact", "--x0", "1", "--epsilon", "0.5"], "--epsilon"),
+        (["scan", "--omega", "1.4", "--epsilon", "0.5"], "--epsilon"),
+        (["melnikov", "--epsilon", "0.5"], "--epsilon"),
+        (["sde", "--dt", "0.01", "--n-steps", "10", "--delta", "0.1"], "--delta"),
+        (["bifurcate", "--preset", "fig7", "--gamma", "0.3"], "--gamma"),
+        (["exact", "--x0", "1", "--gnuplot"], "--gnuplot"),
+        (["control", "--search", "--preset", "fig10", "--history", "constant"], "--history"),
+        (["control", "--preset", "fig10", "--grid", "3"], "--grid"),
+        (["simulate", "--t-end", "1", "--method", "rk4", "--dt", "0.1", "--abs-tol", "1e-3"],
+         "--abs-tol"),
+    ])
+    def test_unread_flag_exits_2(self, argv, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "never.csv")])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "never.csv").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--t-end", "1", "--method", "rk4"], "--dt is required when --method is rk4"),
+        (["scan", "--rows", "1"], "--omega is required (or use a preset)"),
+        (CONTROL_RUN + ["--mu", "3", "--tau", "3.6"], "--t-end is required when --search is False"),
+        (["exact"], "--x0 is required"),
+    ])
+    def test_missing_flag_exits_2(self, argv, message, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "never.csv")])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
+def _mostly(good, bad):
+    """Draws from `bad` one time in eight, so that most argv pass validation."""
+    return st.integers(0, 7).flatmap(lambda i: bad if i == 7 else good)
+
+
+def _number(lo, hi):
+    """A flag value: a float in [lo, hi] or a string no validator accepts."""
+    return _mostly(st.floats(lo, hi).map(repr), st.sampled_from(["nan", "-inf", "inf", "x", ""]))
+
+
+def _count(hi=5):
+    return _mostly(st.integers(0, hi).map(str), st.just("-1"))
+
+
+def _flags(required, **optional):
+    """argv with each required flag given a drawn value and each optional
+    flag absent or given one (None: a switch)."""
+    def given(flag, values):
+        name = "--" + flag.replace("_", "-")
+        return values.map(lambda v: [name] if v is None else [f"{name}={v}"])
+
+    parts = [given(f, v) for f, v in required.items()]
+    parts += [st.one_of(st.just([]), given(f, v)) for f, v in optional.items()]
+    return st.tuples(*parts).map(lambda drawn: [arg for part in drawn for arg in part])
+
+
+_PHYSICAL = {k: _number(-10.0, 10.0) for k in ("a", "b", "c", "delta", "gamma", "epsilon")}
+_FORCED = {**_PHYSICAL, "omega": _number(-1.0, 10.0), "x0": _number(-2.0, 2.0),
+           "v0": _number(-2.0, 2.0)}
+_HORIZON = _number(0.0, 1.0)
+
+# Horizons <= 1 and counts <= 5 keep every example small.
+_FUZZ = {
+    "simulate": _flags({"t_end": _HORIZON}, **_FORCED,
+                       method=_mostly(st.sampled_from(["dp54", "rk4"]), st.just("euler")),
+                       abs_tol=_number(1e-12, 1.0), rel_tol=_number(0.0, 1.0),
+                       dt=_number(1e-3, 1.0), samples=_count()),
+    "exact": _flags({"x0": _number(-2.0, 2.0)}, **{k: _PHYSICAL[k] for k in "abc"},
+                    samples=_count()),
+    "kbm": _flags({"t_end": _HORIZON}, **_FORCED,
+                  order=_mostly(st.sampled_from(["1", "2"]), st.just("3")),
+                  samples=_count(), compare=st.none()),
+    "melnikov": _flags({}, **{k: v for k, v in _FORCED.items() if k not in ("epsilon", "x0", "v0")},
+                       kind=_mostly(st.sampled_from(["sech", "tanh"]), st.just("cn")),
+                       sign=_mostly(st.sampled_from(["1", "-1"]), st.just("0"))),
+    "sde": _flags({"dt": _number(0.0, 0.2), "n_steps": _count()},
+                  **{k: v for k, v in _FORCED.items() if k != "delta"},
+                  seed=_count(), sigma=_number(0.0, 1.0), ensemble=_count(), save_paths=_count()),
+}
+
+
+class TestFuzz:
+    @pytest.mark.parametrize("command", sorted(_FUZZ))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_exit_code_and_one_summary_line(self, command, data):
+        argv = [command] + data.draw(_FUZZ[command])
+        with tempfile.TemporaryDirectory() as outdir:
+            with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+                try:
+                    code = main(argv + ["--outdir", outdir])
+                except SystemExit as exc:
+                    code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            lines = out.getvalue().splitlines()
+            assert len(lines) == 1 and json.loads(lines[0])["command"] == command
