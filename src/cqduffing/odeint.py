@@ -7,8 +7,8 @@ accelerations at every knot, so trajectories support dense output through
 quintic Hermite interpolation.  A method-of-steps variant integrates
 delay equations whose right-hand side reads the velocity at t - tau.
 
-Every run goes through one private helper and records its knots in a
-:class:`HistoryBuffer`, which also answers the delayed reads.
+Every run goes through one private helper that hands its knots to a sink,
+such as a :class:`HistoryBuffer`, which also answers the delayed reads.
 """
 from __future__ import annotations
 
@@ -125,8 +125,13 @@ class HistoryBuffer:
                           np.array(self.accs), metadata)
 
 
-def _check_finite(t: float, x: float, v: float) -> None:
-    if not (math.isfinite(x) and math.isfinite(v)):
+def _check_finite(t: float, x, v) -> None:
+    if isinstance(x, np.ndarray):  # lockstep states: name the first non-finite one
+        ok = np.isfinite(x) & np.isfinite(v)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise IntegrationError(f"non-finite state at index {i} (x={x[i]}, v={v[i]}) at t={t}", t)
+    elif not (math.isfinite(x) and math.isfinite(v)):
         raise IntegrationError(f"non-finite state (x={x}, v={v}) at t={t}", t)
 
 
@@ -230,22 +235,22 @@ def _run_dp54(f: Rhs, t0: float, x: float, v: float, t_end: float, ctrl: StepCon
     return n_accept, n_reject
 
 
-def _drive(f: Rhs, s0: State, t_end: float, ctrl: StepControl, buf: HistoryBuffer,
-           meta: dict, dt_cap: float = math.inf) -> Trajectory:
-    """Check s0 and t_end, run the engine that ctrl names into buf with steps
-    no longer than dt_cap, and return the trajectory with meta completed."""
+def _drive(f: Rhs, s0: State, t_end: float, ctrl: StepControl, sink, meta: dict,
+           dt_cap: float = math.inf) -> dict:
+    """Check s0 and t_end, run the engine that ctrl names with steps no longer
+    than dt_cap into sink(t, x, v, acc) (rk4: also arrays), return meta."""
     if not s0.is_finite():
         raise ValueError(f"non-finite initial state {s0}")
     if t_end <= s0.t:
         raise ValueError(f"t_end={t_end} must exceed the initial time {s0.t}")
     if ctrl.method == "rk4":
         meta["dt"] = min(ctrl.dt, dt_cap)
-        _run_rk4(f, s0.t, s0.x, s0.v, t_end, meta["dt"], ctrl.max_steps, buf.append)
+        _run_rk4(f, s0.t, s0.x, s0.v, t_end, meta["dt"], ctrl.max_steps, sink)
     else:
-        n_acc, n_rej = _run_dp54(f, s0.t, s0.x, s0.v, t_end, ctrl, buf.append, dt_cap)
+        n_acc, n_rej = _run_dp54(f, s0.t, s0.x, s0.v, t_end, ctrl, sink, dt_cap)
         meta.update(abs_tol=ctrl.abs_tol, rel_tol=ctrl.rel_tol,
                     n_accepted=n_acc, n_rejected=n_rej)
-    return buf.trajectory(meta)
+    return meta
 
 
 def integrate(rhs: Rhs, s0: State, t_end: float, ctrl: StepControl | None = None) -> Trajectory:
@@ -255,8 +260,9 @@ def integrate(rhs: Rhs, s0: State, t_end: float, ctrl: StepControl | None = None
     the failure time when the state blows up or max_steps is hit.
     """
     ctrl = ctrl or StepControl()
-    return _drive(rhs, s0, t_end, ctrl, HistoryBuffer(),
-                  {"integrator": ctrl.method, "dense": "hermite5"})
+    buf = HistoryBuffer()
+    return buf.trajectory(_drive(rhs, s0, t_end, ctrl, buf.append,
+                                 {"integrator": ctrl.method, "dense": "hermite5"}))
 
 
 def integrate_delayed(
@@ -285,4 +291,4 @@ def integrate_delayed(
         return rhs_with_delay(t, x, v, vd)
 
     meta = {"integrator": f"{ctrl.method}+delay", "dense": "hermite5", "tau": tau}
-    return _drive(f, s0, t_end, ctrl, buf, meta, dt_cap=tau)
+    return buf.trajectory(_drive(f, s0, t_end, ctrl, buf.append, meta, dt_cap=tau))

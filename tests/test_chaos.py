@@ -1,9 +1,13 @@
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cqduffing import OscillatorParams, State, StepControl, integrate
+from cqduffing import IntegrationError, OscillatorParams, State, StepControl, chaos, integrate
 from cqduffing.chaos import (
     ChaosScanRow,
     NoOnset,
@@ -17,6 +21,7 @@ from cqduffing.core import acceleration
 
 TABLE_PARAMS = dict(a=1.0, b=1.0, c=0.0, delta=0.1)
 T14 = 2 * math.pi / 1.4
+SHORT_SCAN = dict(steps_per_period=50, transient_periods=5, measure_periods=10)
 
 
 def params(gamma, omega=1.4):
@@ -70,6 +75,19 @@ class TestPoincareMap:
         with pytest.raises(ValueError, match="omega"):
             poincare_map(p, State(0, 0, 0), 10, 0)
 
+    def test_no_points_gives_empty_sections(self, monkeypatch):
+        assert poincare_map(params(0.3), State(0, 0, 0), 0, 1).points.shape == (0, 2)
+        for lockstep_min in (24, 1):
+            monkeypatch.setattr(chaos, "_LOCKSTEP_MIN", lockstep_min)
+            data = bifurcation_data(params(0.3), [0.2, 0.3], n_points=0, n_transient=1)
+            assert [(g, xs.shape) for g, xs in data] == [(0.2, (0,)), (0.3, (0,))]
+
+    def test_max_steps_names_time(self):
+        ctrl = StepControl(dt=T14 / 200, method="rk4", max_steps=500)
+        with pytest.raises(IntegrationError, match="max_steps=500") as err:
+            poincare_map(params(0.3), State(0, 0, 0), 2, 1, ctrl)
+        assert err.value.t == 0.0
+
 
 class TestLyapunov:
     def test_contraction_at_equilibrium(self):
@@ -121,6 +139,64 @@ class TestGammaScan:
         with pytest.raises(ValueError, match="gamma_range"):
             gamma_scan(1, 1, 0, 0.1, 1.4, (0.5, 0.1), 0.01)
 
+    @pytest.mark.parametrize("delta, window, resolution, coarse_step, coarse_needed", [
+        (0.1, (0.05, 0.35), 0.01, 0.02, 11),  # onset pair at coarse indices 9 and 10 of 16
+        (0.1, (0.20, 0.50), 0.01, 0.02, 2),   # onset pair at the window's start
+        (2.0, (0.10, 0.50), 0.10, 0.10, 5),   # no onset: the whole grid
+    ])
+    def test_lazy_coarse_grid_matches_eager_scan(self, monkeypatch, delta, window, resolution,
+                                                 coarse_step, coarse_needed):
+        args = (1.0, 1.0, 0.0, delta, 1.4, window, resolution)
+        eager, eager_calls = eager_gamma_scan(*args, coarse_step=coarse_step)
+        gammas = []
+
+        def counting(p, *a, **kw):
+            gammas.append(p.gamma)
+            return lyapunov_max(p, *a, **kw)
+
+        monkeypatch.setattr(chaos, "lyapunov_max", counting)
+        assert gamma_scan(*args, coarse_step=coarse_step, **SHORT_SCAN) == eager
+        n_bisect = len(eager_calls) - len(_coarse_grid(window, coarse_step))
+        assert len(gammas) == coarse_needed + n_bisect
+        assert gammas == eager_calls[:coarse_needed] + eager_calls[len(eager_calls) - n_bisect:]
+
+
+def _coarse_grid(window, coarse_step):
+    lo, hi = window
+    grid = [lo + i * coarse_step for i in range(int(math.floor((hi - lo) / coarse_step)) + 1)]
+    return grid + [hi] if grid[-1] < hi - 1e-12 else grid
+
+
+def eager_gamma_scan(a, b, c, delta, omega, window, resolution, coarse_step, threshold=0.01):
+    """gamma_scan with every coarse exponent computed before the onset search
+    (the window must be positive); returns the row and the gammas it measured."""
+    T = 2 * math.pi / omega
+    steps, transient, measure = (SHORT_SCAN[k] for k in ("steps_per_period", "transient_periods",
+                                                         "measure_periods"))
+    gammas = []
+
+    def exponent(gamma):
+        gammas.append(gamma)
+        p = OscillatorParams(a, b, c, delta=delta, gamma=gamma, omega=omega, epsilon=1.0)
+        return lyapunov_max(p, State(0.0, 0.0, 0.0), (transient + measure) * T, T,
+                            steps_per_period=steps, t_transient=transient * T)
+
+    grid = _coarse_grid(window, coarse_step)
+    exps = [exponent(g) for g in grid]
+    pairs = [i for i in range(len(grid) - 1) if min(exps[i], exps[i + 1]) > threshold]
+    if not pairs:
+        return NoOnset(omega=omega, gamma_range=window, max_lyapunov=max(exps)), gammas
+    i = pairs[0]
+    g_lo, g_hi, e_hi = (grid[i - 1] if i > 0 else window[0]), grid[i], exps[i]
+    while g_hi - g_lo > resolution:
+        mid = 0.5 * (g_lo + g_hi)
+        e_mid = exponent(mid)
+        if e_mid > threshold:
+            g_hi, e_hi = mid, e_mid
+        else:
+            g_lo = mid
+    return ChaosScanRow(omega=omega, gamma_c=g_hi, lyapunov=e_hi), gammas
+
 
 class TestBifurcationData:
     def test_zero_forcing_single_cluster(self):
@@ -132,6 +208,26 @@ class TestBifurcationData:
         assert cluster_count(xs.reshape(-1, 1)) == 1
         assert abs(xs[-1] - 1.0) < 1e-5  # the cubic-limit center
 
+    def test_sweep_with_one_diverging_gamma_raises(self, monkeypatch):
+        # a softening quintic well (a < 0, c < 0): the strong drive escapes it
+        p = OscillatorParams(-1, 0, -1, delta=0.1, gamma=0.0, omega=1.4, epsilon=1.0)
+        monkeypatch.setattr(chaos, "_LOCKSTEP_MIN", 1)
+        with pytest.raises(IntegrationError, match="at index 1 ") as swept:
+            bifurcation_data(p, [0.1, 5.0, 0.2], n_points=2, n_transient=2)
+        with pytest.raises(IntegrationError) as alone:
+            poincare_map(replace(p, gamma=5.0), State(0, 0, 0), 2, 2)
+        assert swept.value.t == alone.value.t
+        assert f"t={alone.value.t}" in str(swept.value)
+        for gamma in (0.1, 0.2):
+            section = poincare_map(replace(p, gamma=gamma), State(0, 0, 0), 2, 2)
+            assert np.all(np.isfinite(section.points))
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3])
+    def test_requires_forcing_frequency(self, gamma):
+        p = OscillatorParams(1, 1, 0, delta=0.1, gamma=0.0, omega=0.0, epsilon=1.0)
+        with pytest.raises(ValueError, match="omega"):
+            bifurcation_data(p, [0.0, gamma], n_points=2, n_transient=1)
+
     def test_period_doubling_appears(self):
         p = params(0.2)
         sweep = [0.20, 0.24, 0.27, 0.29, 0.31, 0.32, 0.33]
@@ -140,3 +236,55 @@ class TestBifurcationData:
         assert counts[0] == 1
         assert all(c2 >= c1 for c1, c2 in zip(counts, counts[1:]))
         assert any(c2 >= 2 * c1 for c1, c2 in zip(counts, counts[1:]))
+
+
+def reference_strobes(p, s0, n_points, n_transient, ctrl=None):
+    """The section from the whole trajectory: integrate, then evaluate its
+    dense output at the strobe times (clipped to the last knot)."""
+    T = 2 * math.pi / p.omega
+    ctrl = ctrl or StepControl(dt=T / 200, method="rk4")
+    tr = integrate(lambda t, x, v: acceleration(p, t, x, v), s0,
+                   s0.t + (n_transient + n_points) * T, ctrl)
+    tn = s0.t + (n_transient + np.arange(1, n_points + 1)) * T
+    return np.column_stack(tr.eval(np.minimum(tn, tr.t[-1])))
+
+
+class TestLockstepSweep:
+    """bifurcation_data strobes a long sweep in one lockstep pass (forced here
+    for short ones too); each row must equal its own poincare_map and the
+    integrate + Trajectory.eval reference bitwise, whatever the step leaves as
+    a tail or lands on."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(omega=st.floats(0.5, 2.5), c=st.sampled_from([0.0, 0.2]),
+           gammas=st.lists(st.floats(0.0, 0.5), min_size=1, max_size=7),
+           t0=st.one_of(st.just(0.0), st.floats(-10.0, 10.0)),
+           x0=st.floats(-1.0, 1.0), v0=st.floats(-1.0, 1.0),
+           n_points=st.integers(1, 5), n_transient=st.integers(0, 2),
+           steps=st.one_of(st.just(200.0), st.floats(20.0, 300.0)))
+    @example(omega=1.4, c=0.0, gammas=[0.3, 0.35], t0=0.0, x0=0.0, v0=0.0, n_points=5,
+             n_transient=2, steps=200.0)  # strobes on knots
+    @example(omega=1.4, c=0.2, gammas=[0.35], t0=0.0, x0=0.1, v0=0.0, n_points=3,
+             n_transient=1, steps=37.3)  # a short tail step ends the run
+    def test_sweep_equals_per_gamma_sections_and_reference(self, omega, c, gammas, t0, x0, v0,
+                                                           n_points, n_transient, steps):
+        p = OscillatorParams(1.0, 1.0, c, delta=0.1, gamma=0.0, omega=omega, epsilon=1.0)
+        s0 = State(t0, x0, v0)
+        ctrl = StepControl(dt=2 * math.pi / omega / steps, method="rk4")
+        with mock.patch.object(chaos, "_LOCKSTEP_MIN", 1):
+            lockstep = bifurcation_data(p, gammas, n_points, n_transient, s0)
+        per_gamma = bifurcation_data(p, gammas, n_points, n_transient, s0)
+        assert [g for g, _ in lockstep] == [g for g, _ in per_gamma] == gammas
+        for gamma, (_, xs), (_, xs_alone) in zip(gammas, lockstep, per_gamma):
+            pg = replace(p, gamma=gamma)
+            section = poincare_map(pg, s0, n_points, n_transient).points
+            assert np.array_equal(xs, section[:, 0]) and np.array_equal(xs_alone, section[:, 0])
+            assert np.array_equal(section, reference_strobes(pg, s0, n_points, n_transient))
+            assert np.array_equal(poincare_map(pg, s0, n_points, n_transient, ctrl).points,
+                                  reference_strobes(pg, s0, n_points, n_transient, ctrl))
+
+    def test_dp54_section_equals_reference(self):
+        p = params(0.3)
+        ctrl = StepControl(abs_tol=1e-8, rel_tol=1e-8)
+        assert np.array_equal(poincare_map(p, State(0, 0, 0), 4, 2, ctrl).points,
+                              reference_strobes(p, State(0, 0, 0), 4, 2, ctrl))

@@ -224,6 +224,19 @@ class TestKbmBifurcateMelnikov:
         assert header == ["gamma", "p_value"]
         assert len(rows) == 60
 
+    def test_bifurcate_diverging_lockstep_sweep_exits_1(self, tmp_path, capsys):
+        # 30 amplitudes are strobed in lockstep; the strongest escape the
+        # softening quintic well and overflow
+        out = tmp_path / "bif.csv"
+        code, _, err = run_cli(capsys, "bifurcate", "--a", "-1", "--b", "0", "--c", "-1",
+                               "--delta", "0.1", "--omega", "1.4", "--gamma-min", "0.1",
+                               "--gamma-max", "5", "--gamma-steps", "30", "--points", "2",
+                               "--transient", "2", "--out", str(out))
+        assert code == 1
+        assert "Traceback" not in err and "Warning" not in err
+        assert re.search(r"non-finite state at index \d+ .* at t=", json.loads(err)["error"])
+        assert not out.exists()
+
     def test_melnikov_json(self, tmp_path, capsys):
         out = tmp_path / "mel.json"
         code, summary, _ = run_cli(capsys, "melnikov", "--a", "1", "--b", "1",
@@ -433,6 +446,10 @@ def _count(hi=5):
     return _mostly(st.integers(0, hi).map(str), st.just("-1"))
 
 
+def _positive(values=st.integers(1, 5)):
+    return _mostly(values.map(str), st.sampled_from(["0", "-1"]))
+
+
 def _flags(required, **optional):
     """argv with each required flag given a drawn value and each optional
     flag absent or given one (None: a switch)."""
@@ -467,6 +484,13 @@ _FUZZ = {
     "sde": _flags({"dt": _number(0.0, 0.2), "n_steps": _count()},
                   **{k: v for k, v in _FORCED.items() if k != "delta"},
                   seed=_count(), sigma=_number(0.0, 1.0), ensemble=_count(), save_paths=_count()),
+    # at most 7 forcing periods; 24 amplitudes reach the lockstep sweep
+    "poincare": _flags({"points": _positive(), "transient": _count(2), "omega": _FORCED["omega"]},
+                       **{k: v for k, v in _FORCED.items() if k != "omega"}),
+    "bifurcate": _flags({"gamma_min": _number(-1.0, 1.0), "gamma_max": _number(-1.0, 1.0),
+                         "gamma_steps": _positive(st.sampled_from([1, 2, 5, 24])),
+                         "points": _positive(), "transient": _count(2), "omega": _FORCED["omega"]},
+                        **{k: v for k, v in _FORCED.items() if k not in ("gamma", "omega")}),
 }
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from cqduffing import IntegrationError, OscillatorParams, State, StepControl, integrate, integrate_delayed
 from cqduffing.core import acceleration, energy
-from cqduffing.odeint import HistoryBuffer
+from cqduffing.odeint import HistoryBuffer, _check_finite
 
 
 def harmonic(t, x, v):
@@ -72,6 +72,20 @@ class TestRk4:
     def test_fixed_step_requires_dt(self):
         with pytest.raises(ValueError, match="rk4"):
             StepControl(method="rk4")
+
+
+class TestFiniteCheck:
+    def test_float_state(self):
+        _check_finite(1.5, 1.0, -2.0)
+        with pytest.raises(IntegrationError, match=r"state \(x=inf, v=0.0\) at t=1.5") as err:
+            _check_finite(1.5, math.inf, 0.0)
+        assert err.value.t == 1.5
+
+    def test_array_state_names_first_bad_index(self):
+        _check_finite(2.0, np.zeros(3), np.ones(3))
+        with pytest.raises(IntegrationError, match=r"at index 2 \(x=nan, v=0.0\) at t=2.0") as err:
+            _check_finite(2.0, np.array([0.0, 1.0, np.nan, 3.0]), np.array([0.0, 0.0, 0.0, np.inf]))
+        assert err.value.t == 2.0
 
 
 class TestDelayed:
