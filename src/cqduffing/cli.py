@@ -285,13 +285,14 @@ def cmd_control(cfg: dict, out_path) -> dict:
 def cmd_sde(cfg: dict, out_path) -> dict:
     scfg = sde.SdeConfig(dt=cfg["dt"], n_steps=cfg["n_steps"], seed=cfg["seed"],
                          sigma=cfg["sigma"], ensemble=cfg["ensemble"])
-    paths = sde.euler_maruyama(_params(cfg), scfg, _start(cfg))
+    s0 = _start(cfg)
+    paths = sde.euler_maruyama(_params(cfg), scfg, s0)
     out = out_path("sde_paths.csv")
     rows = []
     for j, tr in enumerate(paths[: cfg["save_paths"]]):
         rows.extend((j, float(t), float(x), float(v)) for t, x, v in zip(tr.t, tr.x, tr.v))
     _write_csv(out, "sde", cfg, ["path", "t", "x", "v"], rows)
-    t_final = float(paths[0].t[-1])
+    t_final = s0.t + cfg["n_steps"] * cfg["dt"]
     payload: dict = {"paths_csv": out, "truncated": sum(tr.metadata["truncated"] for tr in paths)}
     if cfg["ensemble"] >= 2:
         st = sde.ensemble_stats(paths, t_final)

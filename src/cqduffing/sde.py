@@ -13,6 +13,12 @@ harmonic drive.)  Every path draws its increments from its own Philox
 counter stream keyed by (seed, path index), so ensembles are reproducible
 and independent of evaluation order: parallel generation gives the same
 paths as serial.
+
+`euler_maruyama` steps the whole ensemble in one time-major pass: the
+scaled increments and the states x and v are (step, path) arrays, about
+3 * 8 bytes * (n_steps + 1) * ensemble in all, so each step reads and
+writes contiguous rows.  The loop does not track divergence; afterwards
+each path is cut before its first row where x or v is not finite.
 """
 from __future__ import annotations
 
@@ -62,52 +68,44 @@ def path_increments(cfg: SdeConfig, path_index: int) -> np.ndarray:
 def euler_maruyama(p: OscillatorParams, cfg: SdeConfig, s0: State) -> list[Trajectory]:
     """Ensemble of Euler-Maruyama paths from s0.
 
-    A path that leaves the finite range is truncated at its last finite
-    state and flagged in metadata ("truncated": True).
+    A path that leaves the finite range is truncated before its first
+    non-finite state and flagged in metadata ("truncated": True).
     """
-    n_paths = cfg.ensemble
+    if not s0.is_finite():
+        raise ValueError(f"non-finite initial state {s0}")
     n = cfg.n_steps
     dt = cfg.dt
     q = p.epsilon * p.gamma
-    dW = np.empty((n_paths, n))
-    for j in range(n_paths):
-        dW[j] = path_increments(cfg, j)
+    noise = np.empty((n, cfg.ensemble))
+    for j in range(cfg.ensemble):
+        noise[:, j] = path_increments(cfg, j)
+    noise *= cfg.sigma
     ts = s0.t + dt * np.arange(n + 1)
-    X = np.empty((n_paths, n + 1))
-    V = np.empty((n_paths, n + 1))
-    X[:, 0] = s0.x
-    V[:, 0] = s0.v
-    alive = np.ones(n_paths, dtype=bool)
-    cut = np.full(n_paths, n + 1, dtype=int)
-    noise = cfg.sigma * dW
+    X = np.empty((n + 1, cfg.ensemble))
+    V = np.empty((n + 1, cfg.ensemble))
+    X[0] = s0.x
+    V[0] = s0.v
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n):
-            x = X[:, i]
-            v = V[:, i]
+            x = X[i]
+            v = V[i]
             x2 = x * x
             drift_v = (p.a * x - p.b * x * x2 - p.c * x * x2 * x2 - q * v
                        + q * math.cos(p.omega * ts[i]))
-            X[:, i + 1] = x + v * dt
-            V[:, i + 1] = v + drift_v * dt + noise[:, i]
-            bad = alive & ~(np.isfinite(X[:, i + 1]) & np.isfinite(V[:, i + 1]))
-            if np.any(bad):
-                cut[bad] = i + 1
-                alive &= ~bad
-                X[bad, i + 1] = X[bad, i]
-                V[bad, i + 1] = V[bad, i]
-    out = []
-    meta_base = {
+            X[i + 1] = x + v * dt
+            V[i + 1] = v + drift_v * dt + noise[i]
+    bad = ~(np.isfinite(X) & np.isfinite(V))
+    cut = np.where(bad.any(axis=0), bad.argmax(axis=0), n + 1)
+    meta = {
         "integrator": "euler-maruyama",
         "rng": _RNG_NAME,
         "seed": cfg.seed,
         "sigma": cfg.sigma,
         "dt": dt,
     }
-    for j in range(n_paths):
-        k = cut[j] if cut[j] <= n else n + 1
-        meta = dict(meta_base, path_index=j, truncated=bool(cut[j] <= n))
-        out.append(Trajectory(ts[:k], X[j, :k], V[j, :k], None, meta))
-    return out
+    return [Trajectory(ts[:k], X[:k, j], V[:k, j], None,
+                       dict(meta, path_index=j, truncated=bool(k <= n)))
+            for j, k in enumerate(cut)]
 
 
 @dataclass(frozen=True)

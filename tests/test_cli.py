@@ -4,6 +4,7 @@ import math
 import os
 import re
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -188,6 +189,19 @@ class TestSdeCommand:
         assert run_cli(capsys, *args, "--out", str(out1))[0] == 0
         assert run_cli(capsys, *args, "--out", str(out2))[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_truncated_ensemble_has_no_horizon_stats(self, tmp_path, capsys):
+        # path 0 overflows at t = 7.1 and the statistics are taken at the
+        # horizon 400 * 0.05 = 20, which it does not reach
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, "sde", "--a", "1", "--b", "1", "--c", "-0.02",
+                                   "--x0", "2", "--dt", "0.05", "--n-steps", "400",
+                                   "--sigma", "3", "--ensemble", "3", "--seed", "4",
+                                   "--out", str(tmp_path / "paths.csv"))
+        assert code == 1
+        assert "Traceback" not in err and "Warning" not in err and not caught
+        assert "does not cover t=20.0 " in json.loads(err)["error"]
 
 
 class TestOutdir:
@@ -472,18 +486,19 @@ _FUZZ = {
     "simulate": _flags({"t_end": _HORIZON}, **_FORCED,
                        method=_mostly(st.sampled_from(["dp54", "rk4"]), st.just("euler")),
                        abs_tol=_number(1e-12, 1.0), rel_tol=_number(0.0, 1.0),
-                       dt=_number(1e-3, 1.0), samples=_count()),
+                       dt=_number(1e-3, 1.0), samples=_positive()),
     "exact": _flags({"x0": _number(-2.0, 2.0)}, **{k: _PHYSICAL[k] for k in "abc"},
                     samples=_count()),
     "kbm": _flags({"t_end": _HORIZON}, **_FORCED,
                   order=_mostly(st.sampled_from(["1", "2"]), st.just("3")),
-                  samples=_count(), compare=st.none()),
+                  samples=_positive(), compare=st.none()),
     "melnikov": _flags({}, **{k: v for k, v in _FORCED.items() if k not in ("epsilon", "x0", "v0")},
                        kind=_mostly(st.sampled_from(["sech", "tanh"]), st.just("cn")),
                        sign=_mostly(st.sampled_from(["1", "-1"]), st.just("0"))),
-    "sde": _flags({"dt": _number(0.0, 0.2), "n_steps": _count()},
+    "sde": _flags({"dt": _number(0.0, 0.2), "n_steps": _positive()},
                   **{k: v for k, v in _FORCED.items() if k != "delta"},
-                  seed=_count(), sigma=_number(0.0, 1.0), ensemble=_count(), save_paths=_count()),
+                  seed=_count(), sigma=_number(0.0, 1.0), ensemble=_positive(),
+                  save_paths=_count()),
     # at most 7 forcing periods; 24 amplitudes reach the lockstep sweep
     "poincare": _flags({"points": _positive(), "transient": _count(2), "omega": _FORCED["omega"]},
                        **{k: v for k, v in _FORCED.items() if k != "omega"}),

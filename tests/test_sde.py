@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cqduffing import OscillatorParams, State
+from cqduffing import OscillatorParams, State, sde
 from cqduffing.sde import SdeConfig, ensemble_stats, euler_maruyama, path_increments
 
 # relaxation-to-noise reduction: with a = b = c = 0 the velocity decouples,
@@ -95,6 +95,50 @@ class TestEulerMaruyama:
         assert any(tr.metadata["truncated"] for tr in paths)
         for tr in paths:
             assert np.all(np.isfinite(tr.x)) and np.all(np.isfinite(tr.v))
+
+    # 201 steps: one path's first non-finite state is the last one
+    @pytest.mark.parametrize("n_steps", [400, 201])
+    def test_truncation_matches_scalar_euler_bitwise(self, n_steps):
+        # a forced softening well: about half of these paths escape and
+        # overflow; each must end just before its first non-finite step of
+        # the scalar scheme on Python floats, and be flagged iff it ends early
+        p = OscillatorParams(a=1.0, b=1.0, c=-0.02, gamma=0.2, omega=1.4, epsilon=1.0)
+        cfg = SdeConfig(dt=0.05, n_steps=n_steps, seed=0, sigma=2.0, ensemble=40)
+        paths = euler_maruyama(p, cfg, State(0.0, 2.0, 0.0))
+        q = p.epsilon * p.gamma
+        ts = 0.0 + cfg.dt * np.arange(cfg.n_steps + 1)
+        lengths = []
+        for j, tr in enumerate(paths):
+            noise = (cfg.sigma * path_increments(cfg, j)).tolist()
+            x, v = 2.0, 0.0
+            xs, vs = [x], [v]
+            for i in range(cfg.n_steps):
+                x2 = x * x
+                drift_v = p.a * x - p.b * x * x2 - p.c * x * x2 * x2 - q * v \
+                    + q * math.cos(p.omega * ts[i])
+                x, v = x + v * cfg.dt, v + drift_v * cfg.dt + noise[i]
+                if not (math.isfinite(x) and math.isfinite(v)):
+                    break
+                xs.append(x)
+                vs.append(v)
+            lengths.append(len(xs))
+            assert len(tr) == len(xs)
+            assert tr.metadata["truncated"] is (len(xs) <= cfg.n_steps)
+            assert tr.t.tobytes() == ts[: len(xs)].tobytes()
+            assert tr.x.tobytes() == np.array(xs).tobytes()
+            assert tr.v.tobytes() == np.array(vs).tobytes()
+        assert 0 < sum(n <= cfg.n_steps for n in lengths) < cfg.ensemble
+
+    @pytest.mark.parametrize("s0", [State(0.0, math.nan, 0.0), State(0.0, 0.0, math.inf),
+                                    State(math.nan, 0.0, 0.0)])
+    def test_non_finite_start_rejected_before_noise(self, s0, monkeypatch):
+        def no_draw(cfg, path_index):
+            raise AssertionError("noise drawn for a non-finite start")
+
+        monkeypatch.setattr(sde, "path_increments", no_draw)
+        cfg = SdeConfig(dt=0.01, n_steps=10, seed=1, sigma=0.1, ensemble=3)
+        with pytest.raises(ValueError, match="non-finite initial state"):
+            euler_maruyama(OU, cfg, s0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
