@@ -21,9 +21,12 @@ checks, and hands the command that resolved configuration. The rules:
   * floats are written with 17 significant digits (lossless round-trip),
     comma separators, '.' decimal point, LF line endings;
   * exit code 0 = success (stdout carries a one-line JSON summary),
-    1 = numerical failure, 2 = flag validation error (a bad value of one
-    flag, a preset conflict, a missing or unread flag);
-  * CQDUFFING_OUTDIR sets the default output directory.
+    1 = numerical failure or a failed write, 2 = flag validation error (a
+    bad value of one flag, a preset conflict, a missing or unread flag, an
+    output directory that does not exist or an --out that is one);
+  * CQDUFFING_OUTDIR sets the default output directory; a second file
+    (``exact``'s CSV, ``control``'s and ``sde``'s JSON) goes next to --out,
+    with its extension replaced.
 """
 from __future__ import annotations
 
@@ -81,11 +84,20 @@ def _write_gnuplot(out_path: str, columns: tuple[int, int], title: str) -> str:
     return gp
 
 
-def _out_path(args, default_name: str) -> str:
+def _out_paths(parser: argparse.ArgumentParser, args) -> Callable[[str], str]:
+    """The map from a default output file name to its path, after checking,
+    before any work, that the output location is a directory that exists."""
     if args.out:
-        return args.out
-    outdir = args.outdir or os.environ.get(_OUTDIR_ENV, ".")
-    return os.path.join(outdir, default_name)
+        if os.path.isdir(args.out):
+            parser.error(f"argument --out: {args.out!r} is a directory")
+        source, outdir = "argument --out", os.path.dirname(args.out)
+    elif args.outdir:
+        source, outdir = "argument --outdir", args.outdir
+    else:
+        source, outdir = _OUTDIR_ENV, os.environ.get(_OUTDIR_ENV, ".")
+    if not os.path.isdir(outdir or "."):
+        parser.error(f"{source}: no directory {outdir!r}")
+    return lambda default_name: args.out or os.path.join(outdir, default_name)
 
 
 def _map_jobs(fn, items, jobs: int) -> list:
@@ -156,7 +168,7 @@ def cmd_exact(cfg: dict, out_path) -> dict:
         ts = np.linspace(0.0, 2.0 * sol.period if math.isfinite(sol.period) else 10.0,
                          cfg["samples"])
         rows = [(float(t), exact.eval_cn_solution(sol, float(t))) for t in ts]
-        csv_out = out.rsplit(".", 1)[0] + ".csv"
+        csv_out = os.path.splitext(out)[0] + ".csv"
         _write_csv(csv_out, "exact", cfg, ["t", "x"], rows)
     return dict(output=out, lam=sol.lam, mu=sol.mu, omega=sol.omega_cn, m=sol.m, residual=resid)
 
@@ -276,7 +288,7 @@ def cmd_control(cfg: dict, out_path) -> dict:
                       "max_residual": fit_resid},
         "trajectory_csv": out,
     }
-    jout = out.rsplit(".", 1)[0] + ".json"
+    jout = os.path.splitext(out)[0] + ".json"
     _write_json(jout, "control", cfg, payload)
     return dict(output=jout, is_periodic=report.is_periodic,
                 controller_norm=report.controller_norm, residual=report.residual)
@@ -300,7 +312,7 @@ def cmd_sde(cfg: dict, out_path) -> dict:
             "t": st.t, "n": st.n, "mean_x": st.mean_x, "var_x": st.var_x,
             "mean_v": st.mean_v, "var_v": st.var_v,
         }
-    jout = out.rsplit(".", 1)[0] + ".json"
+    jout = os.path.splitext(out)[0] + ".json"
     _write_json(jout, "sde", cfg, payload)
     return dict(output=jout, ensemble=cfg["ensemble"], t_final=t_final)
 
@@ -542,13 +554,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     spec = _COMMANDS[args.command]
     cfg = _resolve(args.subparser, spec, args)
+    out_paths = _out_paths(args.subparser, args)
     try:
-        summary = spec.fn(cfg, partial(_out_path, args))
-    except (IntegrationError, ValueError, ArithmeticError) as exc:
+        summary = spec.fn(cfg, out_paths)
+        if spec.plot and args.gnuplot:
+            _write_gnuplot(summary["output"], *spec.plot)
+    except (IntegrationError, ValueError, ArithmeticError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
-    if spec.plot and args.gnuplot:
-        _write_gnuplot(summary["output"], *spec.plot)
     print(json.dumps({"command": args.command, **summary}, sort_keys=True, default=_fmt))
     return 0
 

@@ -116,6 +116,108 @@ class TestLyapunov:
         assert le6 == pytest.approx(le10, rel=0.2)
 
 
+    def test_overflow_reports_divergence_time(self):
+        # x ** 3 overflows in the first period, before the interval's
+        # finiteness check sees a non-finite state
+        p = OscillatorParams(1, 1, -1, delta=0.1, gamma=0.3, omega=1.2, epsilon=1.0)
+        T = 2 * math.pi / 1.2
+        with pytest.raises(ValueError, match=r"trajectory diverged near t=0\.0$"):
+            lyapunov_max(p, State(0.0, 0.0, 0.0), 10 * T, T, t_transient=T)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(gamma=st.one_of(st.just(0.0), st.floats(0.0, 0.6)),
+           omega=st.one_of(st.just(0.0), st.floats(0.5, 2.5)), c=st.floats(0.0, 0.5),
+           t0=st.one_of(st.just(0.0), st.floats(-10.0, 10.0)),
+           x0=st.floats(-1.5, 1.5), v0=st.floats(-1.5, 1.5),
+           per_period=st.sampled_from([1, 2, 3]), d0=st.floats(1e-10, 1e-6),
+           steps=st.integers(2, 200), transient=st.integers(0, 3), measured=st.floats(1.01, 6.0))
+    @example(gamma=0.35, omega=1.4, c=0.0, t0=0.0, x0=0.0, v0=0.0, per_period=1, d0=1e-8,
+             steps=200, transient=10, measured=30.0)  # chaotic
+    @example(gamma=0.3, omega=1.2, c=-1.0, t0=0.0, x0=0.0, v0=0.0, per_period=2, d0=1e-8,
+             steps=200, transient=1, measured=4.0)  # overflows
+    def test_equals_two_trajectory_loop_bitwise(self, gamma, omega, c, t0, x0, v0, per_period,
+                                                d0, steps, transient, measured):
+        if omega == 0.0:
+            gamma = 0.0
+        p = OscillatorParams(1.0, 1.0, c, delta=0.1, gamma=gamma, omega=omega, epsilon=1.0)
+        T = 2 * math.pi / omega if omega > 0.0 else 2 * math.pi
+        interval = T / per_period
+        args = (p, State(t0, x0, v0), (transient + measured) * T, interval)
+        kw = dict(d0=d0, steps_per_period=steps, t_transient=transient * T)
+        try:
+            expected = reference_lyapunov_max(*args, **kw)
+        except (OverflowError, ValueError):
+            with pytest.raises(ValueError, match="trajectory diverged near t="):
+                lyapunov_max(*args, **kw)
+        else:
+            assert lyapunov_max(*args, **kw).hex() == expected.hex()
+
+
+def reference_lyapunov_max(p, s0, t_total, renorm_interval=None, *, d0=1e-8,
+                           steps_per_period=200, t_transient=None):
+    """lyapunov_max as it was before its step function: both trajectories
+    advanced by one inlined RK4 body under a two-way selector (verbatim)."""
+    T = 2.0 * math.pi / p.omega if p.omega > 0.0 else 2.0 * math.pi
+    if renorm_interval is None:
+        renorm_interval = T
+    if t_transient is None:
+        t_transient = 100 * T
+    if t_total <= t_transient + renorm_interval:
+        raise ValueError("t_total must exceed the transient plus one interval")
+    n_steps = max(2, int(round(steps_per_period * renorm_interval / T)))
+    dt = renorm_interval / n_steps
+    a_, b_, c_ = p.a, p.b, p.c
+    g_ = p.epsilon * p.gamma
+    d_ = p.epsilon * p.delta
+    w_ = p.omega
+    cos = math.cos
+    log = math.log
+    sqrt = math.sqrt
+
+    x1, v1 = s0.x, s0.v
+    x2, v2 = s0.x + d0, s0.v
+    t_base = s0.t
+    n_int = int(math.ceil(t_total / renorm_interval))
+    total = 0.0
+    t_measured = 0.0
+    for interval in range(n_int):
+        for i in range(n_steps):
+            t = t_base + i * dt
+            cos0 = cos(w_ * t) if g_ != 0.0 else 0.0
+            cosh_ = cos(w_ * (t + 0.5 * dt)) if g_ != 0.0 else 0.0
+            cos1 = cos(w_ * (t + dt)) if g_ != 0.0 else 0.0
+            h2 = 0.5 * dt
+            # advance both trajectories with shared forcing samples
+            for sel in (0, 1):
+                x, v = (x1, v1) if sel == 0 else (x2, v2)
+                a1 = a_ * x - b_ * x ** 3 - c_ * x ** 5 + g_ * cos0 - d_ * v
+                xb, vb = x + h2 * v, v + h2 * a1
+                a2 = a_ * xb - b_ * xb ** 3 - c_ * xb ** 5 + g_ * cosh_ - d_ * vb
+                xc, vc = x + h2 * vb, v + h2 * a2
+                a3 = a_ * xc - b_ * xc ** 3 - c_ * xc ** 5 + g_ * cosh_ - d_ * vc
+                xd, vd = x + dt * vc, v + dt * a3
+                a4 = a_ * xd - b_ * xd ** 3 - c_ * xd ** 5 + g_ * cos1 - d_ * vd
+                x_new = x + dt / 6.0 * (v + 2.0 * (vb + vc) + vd)
+                v_new = v + dt / 6.0 * (a1 + 2.0 * (a2 + a3) + a4)
+                if sel == 0:
+                    x1, v1 = x_new, v_new
+                else:
+                    x2, v2 = x_new, v_new
+        if not (math.isfinite(x1) and math.isfinite(v1) and math.isfinite(x2) and math.isfinite(v2)):
+            raise ValueError(f"trajectory diverged near t={t_base}")
+        t_base += renorm_interval
+        dx, dv = x2 - x1, v2 - v1
+        d = sqrt(dx * dx + dv * dv)
+        if d == 0.0:
+            d = 1e-300
+        if t_base - s0.t > t_transient:
+            total += log(d / d0)
+            t_measured += renorm_interval
+        scale = d0 / d
+        x2, v2 = x1 + dx * scale, v1 + dv * scale
+    return total / t_measured
+
+
 class TestGammaScan:
     def test_onset_window(self):
         row = gamma_scan(**TABLE_PARAMS, omega=1.4, gamma_range=(0.25, 0.45),

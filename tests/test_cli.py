@@ -6,6 +6,7 @@ import re
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,10 @@ def read_csv(path):
     header = lines[1].split(",")
     rows = [line.split(",") for line in lines[2:]]
     return lines[0], header, rows
+
+
+CONTROL_RUN = ["control", "--a", "1", "--b", "1", "--c", "0.2", "--delta", "0.1", "--gamma", "0.35",
+               "--omega", "1.4"]
 
 
 class TestExactCommand:
@@ -138,6 +143,17 @@ class TestScanCommand:
         assert len(rows) == 2
         assert [float(r[0]) for r in rows] == [0.05, 0.10]
 
+    def test_diverging_exponent_names_the_time(self, tmp_path, capsys):
+        # the softening quintic well lets the trajectory escape in its first
+        # period, and x ** 3 overflows before the interval's finiteness check
+        out = tmp_path / "scan.csv"
+        code, _, err = run_cli(capsys, "scan", "--omega", "1.2", "--c", "-1",
+                               "--gamma-min", "0.3", "--gamma-max", "0.6", "--out", str(out))
+        assert code == 1
+        assert "Traceback" not in err
+        assert json.loads(err)["error"] == "trajectory diverged near t=0.0"
+        assert not out.exists()
+
     def test_jobs_do_not_change_output(self, tmp_path, capsys):
         base = ("scan", "--omega", "1.4", "--gamma-min", "0.32", "--gamma-max", "0.38",
                 "--resolution", "0.03", "--coarse-step", "0.03")
@@ -213,6 +229,61 @@ class TestOutdir:
         assert os.path.dirname(summary["output"]) == str(tmp_path)
         assert os.path.exists(summary["output"])
 
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        """Make every command fail if it runs: the location checks come first."""
+        def work(cfg, out_path):
+            raise AssertionError("the command ran")
+        for name, spec in _COMMANDS.items():
+            monkeypatch.setitem(_COMMANDS, name, spec._replace(fn=work))
+
+    @pytest.mark.parametrize("argv, env, message", [
+        pytest.param(["--outdir", "{missing}"], None, "argument --outdir: no directory '{missing}'",
+                     id="outdir"),
+        pytest.param([], "{missing}", "CQDUFFING_OUTDIR: no directory '{missing}'", id="env"),
+        pytest.param(["--out", "{missing}/e.json"], None,
+                     "argument --out: no directory '{missing}'", id="out-in-missing-dir"),
+        pytest.param(["--out", "{tmp}"], None, "argument --out: '{tmp}' is a directory",
+                     id="out-is-dir"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--x0", "0.1", "--t-end", "1"],
+        ["exact", "--x0", "1"],
+        ["sde", "--dt", "0.01", "--n-steps", "5"],
+    ], ids=lambda argv: argv[0])
+    def test_bad_location_exits_2_before_the_work(self, command, argv, env, message, no_work,
+                                                   tmp_path, capsys, monkeypatch):
+        fill = dict(missing=str(tmp_path / "missing"), tmp=str(tmp_path))
+        if env:
+            monkeypatch.setenv("CQDUFFING_OUTDIR", env.format(**fill))
+        with pytest.raises(SystemExit) as exc:
+            main(command + [a.format(**fill) for a in argv])
+        assert exc.value.code == 2
+        assert message.format(**fill) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_exits_1(self, tmp_path, capsys):
+        # the JSON beside the paths CSV cannot be written: a directory has its name
+        (tmp_path / "paths.json").mkdir()
+        code, _, err = run_cli(capsys, "sde", "--dt", "0.01", "--n-steps", "5",
+                               "--out", str(tmp_path / "paths.csv"))
+        assert code == 1
+        assert "Traceback" not in err
+        assert "paths.json" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("argv, first, second", [
+        pytest.param(["sde", "--dt", "0.01", "--n-steps", "5"], "paths", "paths.json", id="sde"),
+        pytest.param(["exact", "--x0", "1", "--samples", "3"], "sol", "sol.csv", id="exact"),
+        pytest.param(CONTROL_RUN + ["--mu", "3", "--tau", "3.6", "--t-end", "20", "--samples", "5"],
+                     "c", "c.json", id="control"),
+    ])
+    def test_second_file_lands_beside_out(self, argv, first, second, tmp_path, capsys):
+        outdir = tmp_path / "run.d"
+        outdir.mkdir()
+        assert run_cli(capsys, *argv, "--out", str(outdir / first))[0] == 0
+        assert sorted(p.name for p in outdir.iterdir()) == sorted([first, second])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.d"]
+
 
 class TestKbmBifurcateMelnikov:
     def test_kbm_compare_columns(self, tmp_path, capsys):
@@ -260,10 +331,6 @@ class TestKbmBifurcateMelnikov:
         doc = json.loads(out.read_text())
         assert doc["has_simple_zeros"] is True
         assert 0.05 < float(doc["critical_gamma"]) < 0.35
-
-
-CONTROL_RUN = ["control", "--a", "1", "--b", "1", "--c", "0.2", "--delta", "0.1", "--gamma", "0.35",
-               "--omega", "1.4"]
 
 
 class TestFlagValidation:
@@ -446,56 +513,72 @@ class TestRecordedConfig:
         assert message in capsys.readouterr().err
 
 
-def _mostly(good, bad):
-    """Draws from `bad` one time in eight, so that most argv pass validation."""
-    return st.integers(0, 7).flatmap(lambda i: bad if i == 7 else good)
+class _Value(NamedTuple):
+    """The values of one flag: valid ones, and ones its validator rejects
+    (None: a switch, which has none)."""
+
+    good: st.SearchStrategy
+    bad: st.SearchStrategy | None = None
 
 
-def _number(lo, hi):
-    """A flag value: a float in [lo, hi] or a string no validator accepts."""
-    return _mostly(st.floats(lo, hi).map(repr), st.sampled_from(["nan", "-inf", "inf", "x", ""]))
+def _number(lo, hi, exclude_min=False):
+    """A flag value: a float in [lo, hi] (or (lo, hi]) or a string no
+    validator accepts."""
+    return _Value(st.floats(lo, hi, exclude_min=exclude_min).map(repr),
+                  st.sampled_from(["nan", "-inf", "inf", "x", ""]))
 
 
 def _count(hi=5):
-    return _mostly(st.integers(0, hi).map(str), st.just("-1"))
+    return _Value(st.integers(0, hi).map(str), st.just("-1"))
 
 
 def _positive(values=st.integers(1, 5)):
-    return _mostly(values.map(str), st.sampled_from(["0", "-1"]))
+    return _Value(values.map(str), st.sampled_from(["0", "-1"]))
 
 
 def _flags(required, **optional):
     """argv with each required flag given a drawn value and each optional
-    flag absent or given one (None: a switch)."""
-    def given(flag, values):
-        name = "--" + flag.replace("_", "-")
-        return values.map(lambda v: [name] if v is None else [f"{name}={v}"])
+    flag absent or given one (None: a switch). One example in eight gives
+    one flag, and no other, a value its validator rejects, so that most
+    argv pass validation."""
+    flags = {**required, **optional}
+    rejectable = [flag for flag, values in flags.items() if values.bad is not None]
 
-    parts = [given(f, v) for f, v in required.items()]
-    parts += [st.one_of(st.just([]), given(f, v)) for f, v in optional.items()]
-    return st.tuples(*parts).map(lambda drawn: [arg for part in drawn for arg in part])
+    @st.composite
+    def argv(draw):
+        bad = draw(st.sampled_from(rejectable)) if draw(st.integers(0, 7)) == 7 else None
+        args = []
+        for flag, values in flags.items():
+            if flag != bad and flag in optional and not draw(st.booleans()):
+                continue
+            v = draw(values.bad if flag == bad else values.good)
+            name = "--" + flag.replace("_", "-")
+            args += [name] if v is None else [f"{name}={v}"]
+        return args
+
+    return argv()
 
 
 _PHYSICAL = {k: _number(-10.0, 10.0) for k in ("a", "b", "c", "delta", "gamma", "epsilon")}
 _FORCED = {**_PHYSICAL, "omega": _number(-1.0, 10.0), "x0": _number(-2.0, 2.0),
            "v0": _number(-2.0, 2.0)}
-_HORIZON = _number(0.0, 1.0)
+_HORIZON = _number(0.0, 1.0, exclude_min=True)
 
 # Horizons <= 1 and counts <= 5 keep every example small.
 _FUZZ = {
     "simulate": _flags({"t_end": _HORIZON}, **_FORCED,
-                       method=_mostly(st.sampled_from(["dp54", "rk4"]), st.just("euler")),
+                       method=_Value(st.sampled_from(["dp54", "rk4"]), st.just("euler")),
                        abs_tol=_number(1e-12, 1.0), rel_tol=_number(0.0, 1.0),
                        dt=_number(1e-3, 1.0), samples=_positive()),
     "exact": _flags({"x0": _number(-2.0, 2.0)}, **{k: _PHYSICAL[k] for k in "abc"},
                     samples=_count()),
     "kbm": _flags({"t_end": _HORIZON}, **_FORCED,
-                  order=_mostly(st.sampled_from(["1", "2"]), st.just("3")),
-                  samples=_positive(), compare=st.none()),
+                  order=_Value(st.sampled_from(["1", "2"]), st.just("3")),
+                  samples=_positive(), compare=_Value(st.none())),
     "melnikov": _flags({}, **{k: v for k, v in _FORCED.items() if k not in ("epsilon", "x0", "v0")},
-                       kind=_mostly(st.sampled_from(["sech", "tanh"]), st.just("cn")),
-                       sign=_mostly(st.sampled_from(["1", "-1"]), st.just("0"))),
-    "sde": _flags({"dt": _number(0.0, 0.2), "n_steps": _positive()},
+                       kind=_Value(st.sampled_from(["sech", "tanh"]), st.just("cn")),
+                       sign=_Value(st.sampled_from(["1", "-1"]), st.just("0"))),
+    "sde": _flags({"dt": _number(0.0, 0.2, exclude_min=True), "n_steps": _positive()},
                   **{k: v for k, v in _FORCED.items() if k != "delta"},
                   seed=_count(), sigma=_number(0.0, 1.0), ensemble=_positive(),
                   save_paths=_count()),
