@@ -22,8 +22,9 @@ checks, and hands the command that resolved configuration. The rules:
     comma separators, '.' decimal point, LF line endings;
   * exit code 0 = success (stdout carries a one-line JSON summary),
     1 = numerical failure or a failed write, 2 = flag validation error (a
-    bad value of one flag, a preset conflict, a missing or unread flag, an
-    output directory that does not exist or an --out that is one);
+    bad value of one flag, a preset conflict, a missing or unread flag,
+    forcing without a positive --omega, an output directory that does not
+    exist or an --out that is one or that names the second file);
   * CQDUFFING_OUTDIR sets the default output directory; a second file
     (``exact``'s CSV, ``control``'s and ``sde``'s JSON) goes next to --out,
     with its extension replaced.
@@ -84,9 +85,12 @@ def _write_gnuplot(out_path: str, columns: tuple[int, int], title: str) -> str:
     return gp
 
 
-def _out_paths(parser: argparse.ArgumentParser, args) -> Callable[[str], str]:
-    """The map from a default output file name to its path, after checking,
-    before any work, that the output location is a directory that exists."""
+def _out_paths(parser: argparse.ArgumentParser, args, second_ext: str) -> Callable[..., str]:
+    """The map from a default output file name to its path, or with
+    `second=True` to the path of the command's second file (extension
+    `second_ext`, "" for none), after checking, before any work, that the
+    output location is a directory that exists and that --out is not also
+    the path of the second file."""
     if args.out:
         if os.path.isdir(args.out):
             parser.error(f"argument --out: {args.out!r} is a directory")
@@ -97,7 +101,15 @@ def _out_paths(parser: argparse.ArgumentParser, args) -> Callable[[str], str]:
         source, outdir = _OUTDIR_ENV, os.environ.get(_OUTDIR_ENV, ".")
     if not os.path.isdir(outdir or "."):
         parser.error(f"{source}: no directory {outdir!r}")
-    return lambda default_name: args.out or os.path.join(outdir, default_name)
+
+    def where(default_name: str, second: bool = False) -> str:
+        path = args.out or os.path.join(outdir, default_name)
+        return os.path.splitext(path)[0] + second_ext if second else path
+
+    if args.out and second_ext and where("", second=True) == args.out:
+        parser.error(f"argument --out: {args.out!r} is also the path of the command's "
+                     f"second file; give it an extension other than {second_ext!r}")
+    return where
 
 
 def _map_jobs(fn, items, jobs: int) -> list:
@@ -168,7 +180,7 @@ def cmd_exact(cfg: dict, out_path) -> dict:
         ts = np.linspace(0.0, 2.0 * sol.period if math.isfinite(sol.period) else 10.0,
                          cfg["samples"])
         rows = [(float(t), exact.eval_cn_solution(sol, float(t))) for t in ts]
-        csv_out = os.path.splitext(out)[0] + ".csv"
+        csv_out = out_path("exact.json", second=True)
         _write_csv(csv_out, "exact", cfg, ["t", "x"], rows)
     return dict(output=out, lam=sol.lam, mu=sol.mu, omega=sol.omega_cn, m=sol.m, residual=resid)
 
@@ -288,7 +300,7 @@ def cmd_control(cfg: dict, out_path) -> dict:
                       "max_residual": fit_resid},
         "trajectory_csv": out,
     }
-    jout = os.path.splitext(out)[0] + ".json"
+    jout = out_path("control.csv", second=True)
     _write_json(jout, "control", cfg, payload)
     return dict(output=jout, is_periodic=report.is_periodic,
                 controller_norm=report.controller_norm, residual=report.residual)
@@ -298,23 +310,21 @@ def cmd_sde(cfg: dict, out_path) -> dict:
     scfg = sde.SdeConfig(dt=cfg["dt"], n_steps=cfg["n_steps"], seed=cfg["seed"],
                          sigma=cfg["sigma"], ensemble=cfg["ensemble"])
     s0 = _start(cfg)
-    paths = sde.euler_maruyama(_params(cfg), scfg, s0)
+    saved, truncated, st = sde.run_ensemble(_params(cfg), scfg, s0, cfg["save_paths"])
     out = out_path("sde_paths.csv")
     rows = []
-    for j, tr in enumerate(paths[: cfg["save_paths"]]):
+    for j, tr in enumerate(saved):
         rows.extend((j, float(t), float(x), float(v)) for t, x, v in zip(tr.t, tr.x, tr.v))
     _write_csv(out, "sde", cfg, ["path", "t", "x", "v"], rows)
-    t_final = s0.t + cfg["n_steps"] * cfg["dt"]
-    payload: dict = {"paths_csv": out, "truncated": sum(tr.metadata["truncated"] for tr in paths)}
-    if cfg["ensemble"] >= 2:
-        st = sde.ensemble_stats(paths, t_final)
+    payload: dict = {"paths_csv": out, "truncated": truncated}
+    if st is not None:
         payload["final_time_stats"] = {
             "t": st.t, "n": st.n, "mean_x": st.mean_x, "var_x": st.var_x,
             "mean_v": st.mean_v, "var_v": st.var_v,
         }
-    jout = os.path.splitext(out)[0] + ".json"
+    jout = out_path("sde_paths.csv", second=True)
     _write_json(jout, "sde", cfg, payload)
-    return dict(output=jout, ensemble=cfg["ensemble"], t_final=t_final)
+    return dict(output=jout, ensemble=cfg["ensemble"], t_final=s0.t + cfg["n_steps"] * cfg["dt"])
 
 
 # ---------------------------------------------------------------- flags
@@ -388,6 +398,9 @@ _FLAGS: dict[str, dict] = {
 
 _REQUIRED = object()  # default of a flag that must be given or come from the preset
 
+# --omega of a command whose work needs the forcing period.
+_PERIOD_KW = {"omega": dict(type=_positive, help="forcing frequency")}
+
 
 # Published (omega, onset gamma) pairs of the frequency table. The scan
 # windows are centered on the onset amplitudes so a desk-scale rerun stays
@@ -417,13 +430,14 @@ _TABLE1_ROWS = [
 class _Command(NamedTuple):
     """One subcommand: everything the resolver and the parser know of it."""
 
-    fn: Callable[[dict, Callable[[str], str]], dict]
+    fn: Callable[[dict, Callable[..., str]], dict]
     help: str
     flags: dict                  # flag -> default (None: may stay unset, _REQUIRED)
     modes: tuple = ()            # (mode flag, {its value: the flags read only then})
     presets: dict = {}           # name -> {flag: value}
     kw: dict = {}                # flag -> argparse keywords replacing _FLAGS[flag]
     plot: tuple | None = None    # (columns, title) of the --gnuplot script
+    second: Callable[[dict], str] | None = None  # config -> extension of the second file, or ""
 
     def declared(self) -> list[str]:
         """Every flag the command reads, in any of its modes."""
@@ -441,7 +455,8 @@ _COMMANDS: dict[str, _Command] = {
     "exact": _Command(
         cmd_exact, "elliptic closed-form solution of the unforced equation",
         {"a": 1.0, "b": 1.0, "c": 1.0, "x0": _REQUIRED, "samples": 0},
-        kw={"samples": dict(type=_count, help="also sample x(t) to CSV")}),
+        kw={"samples": dict(type=_count, help="also sample x(t) to CSV")},
+        second=lambda cfg: ".csv" if cfg["samples"] else ""),
     "kbm": _Command(
         cmd_kbm, "second-order amplitude-phase approximation",
         {**_PARAMS, **_START, "t_end": _REQUIRED, "order": 2, "samples": 1000,
@@ -449,17 +464,19 @@ _COMMANDS: dict[str, _Command] = {
         plot=((1, 2), "amplitude-phase approximation")),
     "melnikov": _Command(
         cmd_melnikov, "separatrix distance function and chaos threshold",
-        {**_params_but("epsilon"), "kind": "sech", "sign": 1}),
+        {**_params_but("epsilon"), "omega": _REQUIRED, "kind": "sech", "sign": 1},
+        kw=_PERIOD_KW),
     "poincare": _Command(
         cmd_poincare, "stroboscopic section of one trajectory",
-        {**_PARAMS, **_START, "points": 500, "transient": 100, "preset": None},
+        {**_PARAMS, "omega": _REQUIRED, **_START, "points": 500, "transient": 100,
+         "preset": None},
         presets={
             "fig6": {"a": 1.0, "b": 1.0, "c": 0.0, "delta": 0.1, "gamma": 0.35, "omega": 1.4,
                      "epsilon": 1.0, "x0": 0.0, "v0": 0.0},
             "fig9": {"a": 1.0, "b": 1.0, "c": 0.2, "delta": 0.1, "gamma": 0.35, "omega": 1.4,
                      "epsilon": 1.0, "x0": 0.0, "v0": 0.0},
         },
-        plot=((2, 3), "stroboscopic section")),
+        kw=_PERIOD_KW, plot=((2, 3), "stroboscopic section")),
     "scan": _Command(
         cmd_scan, "chaos-onset amplitude per forcing frequency",
         {"a": 1.0, "b": 1.0, "c": 0.0, "delta": 0.1, "omega": _REQUIRED, "gamma_min": 0.05,
@@ -472,13 +489,13 @@ _COMMANDS: dict[str, _Command] = {
         plot=((1, 2), "chaos onset amplitude")),
     "bifurcate": _Command(
         cmd_bifurcate, "strobe displacements over a forcing sweep",
-        {**_params_but("gamma"), **_START,
+        {**_params_but("gamma"), "omega": _REQUIRED, **_START,
          "gamma_min": _REQUIRED, "gamma_max": _REQUIRED, "gamma_steps": _REQUIRED,
          "points": 120, "transient": 100, "preset": None},
         presets={"fig7": {"a": 1.0, "b": 1.0, "c": 0.0, "delta": 0.1, "omega": 1.4,
                           "epsilon": 1.0, "gamma_min": 0.20, "gamma_max": 0.34,
                           "gamma_steps": 57, "x0": 0.0, "v0": 0.0}},
-        plot=((1, 2), "bifurcation diagram")),
+        kw=_PERIOD_KW, plot=((1, 2), "bifurcation diagram")),
     "control": _Command(
         cmd_control, "delayed-velocity-feedback run or (mu, tau) search",
         {**_PARAMS, **_START, "search": False, "preset": None},
@@ -490,11 +507,13 @@ _COMMANDS: dict[str, _Command] = {
         }),
         presets={"fig10": {"a": 1.0, "b": 1.0, "c": 0.2, "delta": 0.1, "gamma": 0.35,
                            "omega": 1.4, "epsilon": 1.0, "mu": 2.25311, "tau": 3.73093,
-                           "x0": 0.0, "v0": 0.0, "t_end": 500.0}}),
+                           "x0": 0.0, "v0": 0.0, "t_end": 500.0}},
+        second=lambda cfg: "" if cfg["search"] else ".json"),
     "sde": _Command(
         cmd_sde, "stochastic paths by the Euler-Maruyama scheme",
         {**_params_but("delta"), **_START, "dt": _REQUIRED,
-         "n_steps": _REQUIRED, "seed": 0, "sigma": 0.1, "ensemble": 1, "save_paths": 10}),
+         "n_steps": _REQUIRED, "seed": 0, "sigma": 0.1, "ensemble": 1, "save_paths": 10},
+        second=lambda cfg: ".json"),
 }
 
 
@@ -524,6 +543,11 @@ def _resolve(parser: argparse.ArgumentParser, spec: _Command, args) -> dict:
         if val is _REQUIRED:
             parser.error(f"{_dash(key)} is required" + when.get(key, "")
                          + (" (or use a preset)" if spec.presets else ""))
+    if "gamma" in cfg and "omega" in cfg:
+        try:
+            _params(cfg)
+        except ValueError as exc:  # the forcing rule: every value passed a finite flag
+            parser.error(f"argument --omega: {exc}")
     return cfg
 
 
@@ -554,7 +578,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     spec = _COMMANDS[args.command]
     cfg = _resolve(args.subparser, spec, args)
-    out_paths = _out_paths(args.subparser, args)
+    out_paths = _out_paths(args.subparser, args, spec.second(cfg) if spec.second else "")
     try:
         summary = spec.fn(cfg, out_paths)
         if spec.plot and args.gnuplot:

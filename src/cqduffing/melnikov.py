@@ -181,6 +181,15 @@ def damping_integral_tanh(orbit: HomoclinicOrbit) -> tuple[float, bool]:
     return val, True
 
 
+def _reciprocal(fn, arg: float) -> float:
+    """1 / fn(arg) for the growing cosh or sinh: 0.0, its limit, where fn
+    overflows."""
+    try:
+        return 1.0 / fn(arg)
+    except OverflowError:
+        return 0.0
+
+
 def melnikov_sech(orbit: HomoclinicOrbit, p: OscillatorParams) -> MelnikovResult:
     """Distance function for the pulse orbit:
     M(t0) = gamma A sqrt(k) [r w pi/k + s w pi (k+w^2)/(6k^2)] sech(w pi/(2 sqrt k)) sin(w t0)
@@ -193,7 +202,7 @@ def melnikov_sech(orbit: HomoclinicOrbit, p: OscillatorParams) -> MelnikovResult
     r, s = fit.coefficients
     k, w = orbit.k, p.omega
     rk = math.sqrt(k)
-    envelope = 1.0 / math.cosh(w * math.pi / (2.0 * rk))
+    envelope = _reciprocal(math.cosh, w * math.pi / (2.0 * rk))
     wave_base = orbit.A * rk * (r * w * math.pi / k
                                 + s * w * math.pi * (k + w * w) / (6.0 * k * k)) * envelope
     i2, by_quad = damping_integral_sech(orbit)
@@ -222,7 +231,7 @@ def melnikov_tanh(orbit: HomoclinicOrbit, p: OscillatorParams) -> MelnikovResult
     r, s = fit.coefficients
     k, w = orbit.k, p.omega
     rk = math.sqrt(k)
-    envelope = 1.0 / math.sinh(w * math.pi / (2.0 * rk))
+    envelope = _reciprocal(math.sinh, w * math.pi / (2.0 * rk))
     wave_base = orbit.A * rk * (-r * w * math.pi / k
                                 + s * w * math.pi * (w * w - 8.0 * k) / (6.0 * k * k)) * envelope
     j2, by_quad = damping_integral_tanh(orbit)

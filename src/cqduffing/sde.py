@@ -14,11 +14,17 @@ counter stream keyed by (seed, path index), so ensembles are reproducible
 and independent of evaluation order: parallel generation gives the same
 paths as serial.
 
-`euler_maruyama` steps the whole ensemble in one time-major pass: the
-scaled increments and the states x and v are (step, path) arrays, about
-3 * 8 bytes * (n_steps + 1) * ensemble in all, so each step reads and
-writes contiguous rows.  The loop does not track divergence; afterwards
-each path is cut before its first row where x or v is not finite.
+One pass steps the ensemble in blocks of `_BLOCK` paths and, within a
+block, in chunks of `_CHUNK` steps.  For each chunk it draws every path's
+next `_CHUNK` increments from the path's own stream, then advances
+time-major (step, path) buffers of x, v and scaled increments, so each
+step reads and writes contiguous rows.  The pass holds four such buffers,
+about 4 * 8 bytes * (`_CHUNK` + 1) * `_BLOCK` (4 MB), whatever the
+ensemble size and the horizon.  The loop does not track divergence: after
+each chunk, a path is cut before its first row where x or v is not
+finite.  The pass keeps each path's cut index and last finite state, and
+the full rows only of the paths asked for: `euler_maruyama` keeps every
+path, `run_ensemble` only those it returns.
 """
 from __future__ import annotations
 
@@ -29,9 +35,13 @@ import numpy as np
 
 from .core import OscillatorParams, State, Trajectory
 
-__all__ = ["SdeConfig", "EnsembleStats", "euler_maruyama", "ensemble_stats", "path_increments"]
+__all__ = ["SdeConfig", "EnsembleStats", "euler_maruyama", "run_ensemble", "ensemble_stats",
+           "path_increments"]
 
 _RNG_NAME = "philox-4x64"
+# Paths per block and steps per chunk of the pass (see the module docstring).
+_BLOCK = 1024
+_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -65,47 +75,107 @@ def path_increments(cfg: SdeConfig, path_index: int) -> np.ndarray:
     return rng.normal(0.0, math.sqrt(cfg.dt), cfg.n_steps)
 
 
+def _em_pass(p: OscillatorParams, cfg: SdeConfig, s0: State, keep: int):
+    """Step every path of the ensemble from s0; keep the rows of the first
+    `keep` paths.
+
+    Returns the knot times, each path's cut index (its first row where x
+    or v is not finite, n_steps + 1 if none), each path's last finite x
+    and v, and the (n_steps + 1, keep) x and v rows of the kept paths.
+    """
+    if not s0.is_finite():
+        raise ValueError(f"non-finite initial state {s0}")
+    n, dt = cfg.n_steps, cfg.dt
+    q = p.epsilon * p.gamma
+    scale = math.sqrt(dt)
+    ts = s0.t + dt * np.arange(n + 1)
+    cut = np.full(cfg.ensemble, n + 1)
+    last_x = np.empty(cfg.ensemble)
+    last_v = np.empty(cfg.ensemble)
+    keep_x = np.empty((n + 1, keep))
+    keep_v = np.empty((n + 1, keep))
+    keep_x[0] = s0.x
+    keep_v[0] = s0.v
+    width, depth = min(_BLOCK, cfg.ensemble), min(_CHUNK, n)
+    X = np.empty((depth + 1, width))
+    V = np.empty((depth + 1, width))
+    noise = np.empty((depth, width))
+    draws = np.empty((width, depth))  # path by path, as each stream is drawn
+    x2, f, tmp = np.empty(width), np.empty(width), np.empty(width)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b0 in range(0, cfg.ensemble, width):
+            w = min(width, cfg.ensemble - b0)
+            rngs = [_rng_for_path(cfg.seed, j) for j in range(b0, b0 + w)]
+            cols = np.arange(w)
+            Xb, Vb, Nb = X[:, :w], V[:, :w], noise[:, :w]
+            x2b, fb, tb = x2[:w], f[:w], tmp[:w]
+            Xb[0] = s0.x
+            Vb[0] = s0.v
+            for c0 in range(0, n, depth):
+                m = min(depth, n - c0)
+                for jj, rng in enumerate(rngs):
+                    draws[jj, :m] = rng.normal(0.0, scale, m)
+                np.multiply(draws[:w, :m].T, cfg.sigma, out=Nb[:m])
+                # The drift and the updates in the order of operations of
+                # x2 = x * x; a x - b x x2 - c x x2 x2 - q v + q cos(omega t).
+                for i in range(m):
+                    x, v = Xb[i], Vb[i]
+                    np.multiply(x, x, out=x2b)
+                    np.multiply(x, p.a, out=fb)
+                    np.multiply(x, p.b, out=tb)
+                    tb *= x2b
+                    fb -= tb
+                    np.multiply(x, p.c, out=tb)
+                    tb *= x2b
+                    tb *= x2b
+                    fb -= tb
+                    np.multiply(v, q, out=tb)
+                    fb -= tb
+                    fb += q * math.cos(p.omega * ts[c0 + i])
+                    fb *= dt
+                    np.multiply(v, dt, out=Xb[i + 1])
+                    Xb[i + 1] += x
+                    np.add(v, fb, out=Vb[i + 1])
+                    Vb[i + 1] += Nb[i]
+                bad = ~(np.isfinite(Xb[1:m + 1]) & np.isfinite(Vb[1:m + 1]))
+                first = bad.argmax(axis=0)
+                alive = cut[b0:b0 + w] > n
+                hit = alive & bad[first, cols]
+                cut[b0:b0 + w][hit] = c0 + 1 + first[hit]
+                row = np.where(hit, first, m)
+                last_x[b0:b0 + w][alive] = Xb[row, cols][alive]
+                last_v[b0:b0 + w][alive] = Vb[row, cols][alive]
+                if b0 < keep:
+                    k = min(w, keep - b0)
+                    keep_x[c0 + 1:c0 + m + 1, b0:b0 + k] = Xb[1:m + 1, :k]
+                    keep_v[c0 + 1:c0 + m + 1, b0:b0 + k] = Vb[1:m + 1, :k]
+                Xb[0] = Xb[m]
+                Vb[0] = Vb[m]
+    return ts, cut, last_x, last_v, keep_x, keep_v
+
+
+def _trajectories(cfg: SdeConfig, ts, cut, X, V) -> list[Trajectory]:
+    """The kept paths, each before its cut index."""
+    meta = {
+        "integrator": "euler-maruyama",
+        "rng": _RNG_NAME,
+        "seed": cfg.seed,
+        "sigma": cfg.sigma,
+        "dt": cfg.dt,
+    }
+    return [Trajectory(ts[:k], X[:k, j], V[:k, j], None,
+                       dict(meta, path_index=j, truncated=bool(k <= cfg.n_steps)))
+            for j, k in enumerate(cut[:X.shape[1]])]
+
+
 def euler_maruyama(p: OscillatorParams, cfg: SdeConfig, s0: State) -> list[Trajectory]:
     """Ensemble of Euler-Maruyama paths from s0.
 
     A path that leaves the finite range is truncated before its first
     non-finite state and flagged in metadata ("truncated": True).
     """
-    if not s0.is_finite():
-        raise ValueError(f"non-finite initial state {s0}")
-    n = cfg.n_steps
-    dt = cfg.dt
-    q = p.epsilon * p.gamma
-    noise = np.empty((n, cfg.ensemble))
-    for j in range(cfg.ensemble):
-        noise[:, j] = path_increments(cfg, j)
-    noise *= cfg.sigma
-    ts = s0.t + dt * np.arange(n + 1)
-    X = np.empty((n + 1, cfg.ensemble))
-    V = np.empty((n + 1, cfg.ensemble))
-    X[0] = s0.x
-    V[0] = s0.v
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n):
-            x = X[i]
-            v = V[i]
-            x2 = x * x
-            drift_v = (p.a * x - p.b * x * x2 - p.c * x * x2 * x2 - q * v
-                       + q * math.cos(p.omega * ts[i]))
-            X[i + 1] = x + v * dt
-            V[i + 1] = v + drift_v * dt + noise[i]
-    bad = ~(np.isfinite(X) & np.isfinite(V))
-    cut = np.where(bad.any(axis=0), bad.argmax(axis=0), n + 1)
-    meta = {
-        "integrator": "euler-maruyama",
-        "rng": _RNG_NAME,
-        "seed": cfg.seed,
-        "sigma": cfg.sigma,
-        "dt": dt,
-    }
-    return [Trajectory(ts[:k], X[:k, j], V[:k, j], None,
-                       dict(meta, path_index=j, truncated=bool(k <= n)))
-            for j, k in enumerate(cut)]
+    ts, cut, _, _, X, V = _em_pass(p, cfg, s0, cfg.ensemble)
+    return _trajectories(cfg, ts, cut, X, V)
 
 
 @dataclass(frozen=True)
@@ -120,6 +190,49 @@ class EnsembleStats:
     var_v: float
 
 
+def _moments(t: float, xs: np.ndarray, vs: np.ndarray) -> EnsembleStats:
+    return EnsembleStats(
+        t=float(t),
+        n=len(xs),
+        mean_x=float(xs.mean()),
+        var_x=float(xs.var(ddof=1)),
+        mean_v=float(vs.mean()),
+        var_v=float(vs.var(ddof=1)),
+    )
+
+
+def _check_coverage(t: float, first: np.ndarray, last: np.ndarray) -> None:
+    """Raise for the first path whose knot span [first, last] misses t by
+    more than 1e-12."""
+    short = (t > last + 1e-12) | (t < first - 1e-12)
+    if short.any():
+        j = int(short.argmax())
+        raise ValueError(f"path {j} does not cover t={t} (span {float(first[j]), float(last[j])})")
+
+
+def run_ensemble(p: OscillatorParams, cfg: SdeConfig, s0: State,
+                 save_paths: int) -> tuple[list[Trajectory], int, EnsembleStats | None]:
+    """The first `save_paths` paths of `euler_maruyama`, the number of
+    truncated paths, and `ensemble_stats` at the horizon
+    s0.t + n_steps * dt (None for a single path), without keeping the
+    other paths' knots.
+
+    Raises the errors of `euler_maruyama` and then `ensemble_stats`.
+    """
+    ts, cut, last_x, last_v, X, V = _em_pass(p, cfg, s0, min(save_paths, cfg.ensemble))
+    # Every path's Trajectory checks its knot times; the longest path's
+    # times fail those checks whenever any path's do, with the same error.
+    k = int(cut.max())
+    Trajectory(ts[:k], np.zeros(k), np.zeros(k))
+    stats = None
+    if cfg.ensemble >= 2:
+        t = s0.t + cfg.n_steps * cfg.dt
+        # a path's last finite knot is its knot nearest to the horizon
+        _check_coverage(t, np.full(cfg.ensemble, ts[0]), ts[cut - 1])
+        stats = _moments(t, last_x, last_v)
+    return _trajectories(cfg, ts, cut, X, V), int((cut <= cfg.n_steps).sum()), stats
+
+
 def ensemble_stats(paths: list[Trajectory], t: float) -> EnsembleStats:
     """Sample mean/variance across paths at the knot nearest to t.
 
@@ -129,19 +242,11 @@ def ensemble_stats(paths: list[Trajectory], t: float) -> EnsembleStats:
         raise ValueError("empty ensemble")
     if len(paths) < 2:
         raise ValueError("variance undefined for a single path")
+    _check_coverage(t, np.array([tr.t[0] for tr in paths]), np.array([tr.t[-1] for tr in paths]))
     xs = np.empty(len(paths))
     vs = np.empty(len(paths))
     for j, tr in enumerate(paths):
-        if t > tr.t[-1] + 1e-12 or t < tr.t[0] - 1e-12:
-            raise ValueError(f"path {j} does not cover t={t} (span {tr.t_span})")
         i = int(np.argmin(np.abs(tr.t - t)))
         xs[j] = tr.x[i]
         vs[j] = tr.v[i]
-    return EnsembleStats(
-        t=float(t),
-        n=len(paths),
-        mean_x=float(xs.mean()),
-        var_x=float(xs.var(ddof=1)),
-        mean_v=float(vs.mean()),
-        var_v=float(vs.var(ddof=1)),
-    )
+    return _moments(t, xs, vs)

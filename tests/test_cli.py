@@ -35,6 +35,15 @@ CONTROL_RUN = ["control", "--a", "1", "--b", "1", "--c", "0.2", "--delta", "0.1"
                "--omega", "1.4"]
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make every command fail if it runs: the boundary checks come first."""
+    def work(cfg, out_path):
+        raise AssertionError("the command ran")
+    for name, spec in _COMMANDS.items():
+        monkeypatch.setitem(_COMMANDS, name, spec._replace(fn=work))
+
+
 class TestExactCommand:
     def test_reference_solution_values(self, tmp_path, capsys):
         out = tmp_path / "exact.json"
@@ -219,6 +228,15 @@ class TestSdeCommand:
         assert "Traceback" not in err and "Warning" not in err and not caught
         assert "does not cover t=20.0 " in json.loads(err)["error"]
 
+    def test_overflowing_knot_time_exits_1_without_saved_paths(self, tmp_path, capsys):
+        # the knot time 2 * 1e308 is inf: the paths are cut at row 3, after it
+        code, _, err = run_cli(capsys, "sde", "--dt", "1e308", "--n-steps", "3", "--sigma", "0",
+                               "--ensemble", "2", "--save-paths", "0",
+                               "--out", str(tmp_path / "paths.csv"))
+        assert code == 1
+        assert json.loads(err)["error"] == "non-finite values in trajectory array 't'"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestOutdir:
     def test_env_var_default(self, tmp_path, capsys, monkeypatch):
@@ -228,14 +246,6 @@ class TestOutdir:
         assert code == 0
         assert os.path.dirname(summary["output"]) == str(tmp_path)
         assert os.path.exists(summary["output"])
-
-    @pytest.fixture
-    def no_work(self, monkeypatch):
-        """Make every command fail if it runs: the location checks come first."""
-        def work(cfg, out_path):
-            raise AssertionError("the command ran")
-        for name, spec in _COMMANDS.items():
-            monkeypatch.setitem(_COMMANDS, name, spec._replace(fn=work))
 
     @pytest.mark.parametrize("argv, env, message", [
         pytest.param(["--outdir", "{missing}"], None, "argument --outdir: no directory '{missing}'",
@@ -284,6 +294,30 @@ class TestOutdir:
         assert sorted(p.name for p in outdir.iterdir()) == sorted([first, second])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.d"]
 
+    @pytest.mark.parametrize("argv, out", [
+        pytest.param(["sde", "--dt", "0.01", "--n-steps", "5"], "p.json", id="sde"),
+        pytest.param(["exact", "--x0", "1", "--samples", "3"], "e.csv", id="exact"),
+        pytest.param(CONTROL_RUN + ["--mu", "3", "--tau", "3.6", "--t-end", "20", "--samples", "5"],
+                     "c.json", id="control"),
+    ])
+    def test_out_naming_the_second_file_exits_2_before_the_work(self, argv, out, no_work,
+                                                                tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / out)])
+        assert exc.value.code == 2
+        assert (f"argument --out: {str(tmp_path / out)!r} is also the path of the command's "
+                "second file") in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, out", [
+        pytest.param(["exact", "--x0", "1"], "e.csv", id="exact-without-samples"),
+        pytest.param(["control", "--search", "--preset", "fig10", "--grid", "1"], "s.json",
+                     id="control-search"),
+    ])
+    def test_out_may_take_the_extension_of_a_file_not_written(self, argv, out, tmp_path, capsys):
+        assert run_cli(capsys, *argv, "--out", str(tmp_path / out))[0] == 0
+        assert [p.name for p in tmp_path.iterdir()] == [out]
+
 
 class TestKbmBifurcateMelnikov:
     def test_kbm_compare_columns(self, tmp_path, capsys):
@@ -321,6 +355,18 @@ class TestKbmBifurcateMelnikov:
         assert "Traceback" not in err and "Warning" not in err
         assert re.search(r"non-finite state at index \d+ .* at t=", json.loads(err)["error"])
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--a", "2.220446049250313e-16", "--gamma", "2.220446049250313e-16",
+         "--omega", "7.487094522702176", "--kind", "sech"],
+        ["--a", "-1", "--b", "-3", "--c", "1", "--sign", "-1", "--delta", "0.1", "--gamma", "0.35",
+         "--omega", "1000", "--kind", "tanh"],
+    ], ids=["sech", "tanh"])
+    def test_melnikov_envelope_overflow_gives_infinite_ratio(self, argv, tmp_path, capsys):
+        # cosh or sinh of omega pi / (2 sqrt k) overflows: its reciprocal is 0.0
+        code, summary, err = run_cli(capsys, "melnikov", *argv, "--out", str(tmp_path / "m.json"))
+        assert code == 0, err
+        assert summary["threshold_ratio"] == math.inf and summary["critical_gamma"] is None
 
     def test_melnikov_json(self, tmp_path, capsys):
         out = tmp_path / "mel.json"
@@ -377,6 +423,25 @@ class TestFlagValidation:
         assert exc.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
         assert not (tmp_path / "never.csv").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--gamma", "0.3", "--t-end", "1"],
+         "argument --omega: omega must be > 0 when forcing is active"),
+        (["sde", "--gamma", "0.3", "--dt", "0.01", "--n-steps", "5"],
+         "argument --omega: omega must be > 0 when forcing is active"),
+        (["melnikov", "--a", "1", "--b", "1", "--c", "0.2", "--delta", "0.1", "--gamma", "0.35"],
+         "--omega is required"),
+        (["melnikov", "--a", "1", "--b", "1", "--c", "0.2", "--omega", "0"],
+         "argument --omega: must be a finite number > 0"),
+        (["poincare", "--gamma", "0.3"], "--omega is required (or use a preset)"),
+    ], ids=["forcing", "forcing-sde", "melnikov-default", "melnikov-zero", "poincare-default"])
+    def test_parameters_the_library_rejects_exit_2_before_the_work(self, argv, message, no_work,
+                                                                    tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--outdir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_meaningful_zeros_are_accepted(self):
         parser = build_parser()
@@ -562,6 +627,8 @@ def _flags(required, **optional):
 _PHYSICAL = {k: _number(-10.0, 10.0) for k in ("a", "b", "c", "delta", "gamma", "epsilon")}
 _FORCED = {**_PHYSICAL, "omega": _number(-1.0, 10.0), "x0": _number(-2.0, 2.0),
            "v0": _number(-2.0, 2.0)}
+# --omega of the commands that need the forcing period
+_PERIOD = _number(0.0, 10.0, exclude_min=True)
 _HORIZON = _number(0.0, 1.0, exclude_min=True)
 
 # Horizons <= 1 and counts <= 5 keep every example small.
@@ -575,7 +642,8 @@ _FUZZ = {
     "kbm": _flags({"t_end": _HORIZON}, **_FORCED,
                   order=_Value(st.sampled_from(["1", "2"]), st.just("3")),
                   samples=_positive(), compare=_Value(st.none())),
-    "melnikov": _flags({}, **{k: v for k, v in _FORCED.items() if k not in ("epsilon", "x0", "v0")},
+    "melnikov": _flags({"omega": _PERIOD},
+                       **{k: v for k, v in _FORCED.items() if k not in ("epsilon", "omega", "x0", "v0")},
                        kind=_Value(st.sampled_from(["sech", "tanh"]), st.just("cn")),
                        sign=_Value(st.sampled_from(["1", "-1"]), st.just("0"))),
     "sde": _flags({"dt": _number(0.0, 0.2, exclude_min=True), "n_steps": _positive()},
@@ -583,11 +651,11 @@ _FUZZ = {
                   seed=_count(), sigma=_number(0.0, 1.0), ensemble=_positive(),
                   save_paths=_count()),
     # at most 7 forcing periods; 24 amplitudes reach the lockstep sweep
-    "poincare": _flags({"points": _positive(), "transient": _count(2), "omega": _FORCED["omega"]},
+    "poincare": _flags({"points": _positive(), "transient": _count(2), "omega": _PERIOD},
                        **{k: v for k, v in _FORCED.items() if k != "omega"}),
     "bifurcate": _flags({"gamma_min": _number(-1.0, 1.0), "gamma_max": _number(-1.0, 1.0),
                          "gamma_steps": _positive(st.sampled_from([1, 2, 5, 24])),
-                         "points": _positive(), "transient": _count(2), "omega": _FORCED["omega"]},
+                         "points": _positive(), "transient": _count(2), "omega": _PERIOD},
                         **{k: v for k, v in _FORCED.items() if k not in ("gamma", "omega")}),
 }
 

@@ -1,10 +1,15 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cqduffing import OscillatorParams, State, sde
-from cqduffing.sde import SdeConfig, ensemble_stats, euler_maruyama, path_increments
+from cqduffing import OscillatorParams, State, Trajectory, sde
+from cqduffing.sde import (SdeConfig, ensemble_stats, euler_maruyama, path_increments,
+                           run_ensemble)
 
 # relaxation-to-noise reduction: with a = b = c = 0 the velocity decouples,
 # dv = (-theta v + theta cos(omega t)) dt + sigma dW with theta = eps*gamma,
@@ -132,10 +137,10 @@ class TestEulerMaruyama:
     @pytest.mark.parametrize("s0", [State(0.0, math.nan, 0.0), State(0.0, 0.0, math.inf),
                                     State(math.nan, 0.0, 0.0)])
     def test_non_finite_start_rejected_before_noise(self, s0, monkeypatch):
-        def no_draw(cfg, path_index):
+        def no_draw(*args):
             raise AssertionError("noise drawn for a non-finite start")
 
-        monkeypatch.setattr(sde, "path_increments", no_draw)
+        monkeypatch.setattr(sde, "_rng_for_path", no_draw)
         cfg = SdeConfig(dt=0.01, n_steps=10, seed=1, sigma=0.1, ensemble=3)
         with pytest.raises(ValueError, match="non-finite initial state"):
             euler_maruyama(OU, cfg, s0)
@@ -172,3 +177,142 @@ class TestEnsembleStats:
         paths = euler_maruyama(OU, cfg, State(0, 0, 0))
         with pytest.raises(ValueError, match="cover"):
             ensemble_stats(paths, 5.0)
+
+
+def reference_euler_maruyama(p, cfg, s0):
+    """The one time-major Euler-Maruyama loop over full (step, path) arrays
+    that the streaming pass replaced, verbatim."""
+    n = cfg.n_steps
+    dt = cfg.dt
+    q = p.epsilon * p.gamma
+    noise = np.empty((n, cfg.ensemble))
+    for j in range(cfg.ensemble):
+        noise[:, j] = path_increments(cfg, j)
+    noise *= cfg.sigma
+    ts = s0.t + dt * np.arange(n + 1)
+    X = np.empty((n + 1, cfg.ensemble))
+    V = np.empty((n + 1, cfg.ensemble))
+    X[0] = s0.x
+    V[0] = s0.v
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            x = X[i]
+            v = V[i]
+            x2 = x * x
+            drift_v = (p.a * x - p.b * x * x2 - p.c * x * x2 * x2 - q * v
+                       + q * math.cos(p.omega * ts[i]))
+            X[i + 1] = x + v * dt
+            V[i + 1] = v + drift_v * dt + noise[i]
+    bad = ~(np.isfinite(X) & np.isfinite(V))
+    cut = np.where(bad.any(axis=0), bad.argmax(axis=0), n + 1)
+    meta = {"integrator": "euler-maruyama", "rng": "philox-4x64", "seed": cfg.seed,
+            "sigma": cfg.sigma, "dt": dt}
+    return [Trajectory(ts[:k], X[:k, j], V[:k, j], None,
+                       dict(meta, path_index=j, truncated=bool(k <= n)))
+            for j, k in enumerate(cut)]
+
+
+def reference_ensemble_stats(paths, t):
+    """`ensemble_stats` before its moments moved to a shared helper, verbatim."""
+    xs = np.empty(len(paths))
+    vs = np.empty(len(paths))
+    for j, tr in enumerate(paths):
+        if t > tr.t[-1] + 1e-12 or t < tr.t[0] - 1e-12:
+            raise ValueError(f"path {j} does not cover t={t} (span {tr.t_span})")
+        i = int(np.argmin(np.abs(tr.t - t)))
+        xs[j] = tr.x[i]
+        vs[j] = tr.v[i]
+    return sde.EnsembleStats(t=float(t), n=len(paths), mean_x=float(xs.mean()),
+                             var_x=float(xs.var(ddof=1)), mean_v=float(vs.mean()),
+                             var_v=float(vs.var(ddof=1)))
+
+
+def knots(tr):
+    return tr.t.tobytes(), tr.x.tobytes(), tr.v.tobytes(), tr.metadata
+
+
+def moments(st):
+    return st.t.hex(), st.n, st.mean_x.hex(), st.var_x.hex(), st.mean_v.hex(), st.var_v.hex()
+
+
+class TestStreamingPass:
+    # A forced softening well (c < 0): from x0 = 2 with sigma = 2 about half
+    # of the paths escape and overflow, at different steps; c = 0.2 keeps
+    # every path. Blocks and chunks are patched small, so that an example
+    # crosses several of each, and n_steps is rarely a multiple of a chunk.
+    # With dt < 1e-12 a path cut early still covers the horizon within
+    # ensemble_stats' 1e-12, which then reads its last finite state.
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(ensemble=st.integers(1, 40), n_steps=st.integers(1, 300),
+           save=st.sampled_from(["0", "1", "all", "more"]),
+           c=st.sampled_from([-0.02, 0.2]), x0=st.floats(1.5, 2.5), sigma=st.floats(0.0, 3.0),
+           gamma=st.sampled_from([0.0, 0.2]), t0=st.sampled_from([0.0, 1.5]),
+           dt=st.sampled_from([0.05, 0.02]), seed=st.integers(0, 3),
+           block=st.sampled_from([1, 3, 7, 64]),
+           chunk=st.sampled_from([7, 13, 64]))
+    @example(ensemble=40, n_steps=400, save="all", c=-0.02, x0=2.0, sigma=2.0, gamma=0.2,
+             t0=0.0, dt=0.05, seed=0, block=7, chunk=64)
+    @example(ensemble=40, n_steps=201, save="more", c=-0.02, x0=2.0, sigma=2.0, gamma=0.2,
+             t0=0.0, dt=0.05, seed=0, block=3, chunk=1)
+    @example(ensemble=40, n_steps=257, save="1", c=-0.02, x0=2.0, sigma=2.0, gamma=0.2,
+             t0=0.0, dt=0.05, seed=0, block=40, chunk=250)
+    @example(ensemble=1, n_steps=300, save="1", c=-0.02, x0=2.0, sigma=2.0, gamma=0.2,
+             t0=0.0, dt=0.05, seed=0, block=1, chunk=64)  # path 0 is cut at row 256
+    @example(ensemble=5, n_steps=20, save="1", c=-0.02, x0=1e62, sigma=1.0, gamma=0.0, t0=0.0,
+             dt=1e-14, seed=0, block=3, chunk=7)  # x**5 overflows: every path is cut at row 1
+    @example(ensemble=2, n_steps=3, save="0", c=0.2, x0=0.0, sigma=0.0, gamma=0.0, t0=0.0,
+             dt=1e308, seed=0, block=1, chunk=7)  # the knot time 2e308 overflows to inf
+    @example(ensemble=1, n_steps=20, save="0", c=0.2, x0=2.0, sigma=0.5, gamma=0.2, t0=1e20,
+             dt=1e-10, seed=0, block=2, chunk=7)  # t0 + dt rounds to t0: the times do not increase
+    def test_equals_full_array_loop_bitwise(self, ensemble, n_steps, save, c, x0, sigma, gamma,
+                                            t0, dt, seed, block, chunk):
+        p = OscillatorParams(a=1.0, b=1.0, c=c, gamma=gamma, omega=1.4, epsilon=1.0)
+        cfg = SdeConfig(dt=dt, n_steps=n_steps, seed=seed, sigma=sigma, ensemble=ensemble)
+        s0 = State(t0, x0, 0.0)
+        save_paths = {"0": 0, "1": 1, "all": ensemble, "more": ensemble + 3}[save]
+        ref, ref_stats, ref_error = None, None, None
+        try:
+            ref = reference_euler_maruyama(p, cfg, s0)
+            if ensemble >= 2:
+                ref_stats = reference_ensemble_stats(ref, t0 + n_steps * dt)
+        except ValueError as exc:
+            ref_error = str(exc)
+        with mock.patch.object(sde, "_BLOCK", block), mock.patch.object(sde, "_CHUNK", chunk):
+            if ref is None:
+                with pytest.raises(ValueError) as exc:
+                    euler_maruyama(p, cfg, s0)
+                assert str(exc.value) == ref_error
+            else:
+                full = euler_maruyama(p, cfg, s0)
+                assert [knots(tr) for tr in full] == [knots(tr) for tr in ref]
+            if ref_error is not None:
+                with pytest.raises(ValueError) as exc:
+                    run_ensemble(p, cfg, s0, save_paths)
+                assert str(exc.value) == ref_error
+                return
+            saved, truncated, stats = run_ensemble(p, cfg, s0, save_paths)
+        assert [knots(tr) for tr in saved] == [knots(tr) for tr in ref[:save_paths]]
+        assert truncated == sum(tr.metadata["truncated"] for tr in ref)
+        assert (stats is None) is (ref_stats is None)
+        if stats is not None:
+            assert moments(stats) == moments(ref_stats)
+
+    @pytest.mark.parametrize("sizes", [[1] * 9, [128, 128, 44], [5, 64, 231], [300]])
+    def test_chunked_draws_equal_one_draw_bitwise(self, sizes):
+        cfg = SdeConfig(dt=0.01, n_steps=sum(sizes), seed=6, sigma=1.0, ensemble=3)
+        rng = sde._rng_for_path(cfg.seed, 2)
+        chunks = [rng.normal(0.0, math.sqrt(cfg.dt), m) for m in sizes]
+        assert np.concatenate(chunks).tobytes() == path_increments(cfg, 2).tobytes()
+
+    def test_memory_does_not_grow_with_the_ensemble(self):
+        # 2000 paths of 2000 steps: one full (n_steps + 1, ensemble) float64
+        # array is 32 MB, and the pass holds four buffers of block x chunk
+        cfg = SdeConfig(dt=0.01, n_steps=2000, seed=0, sigma=0.1, ensemble=2000)
+        p = OscillatorParams(a=1.0, b=1.0, c=0.2, gamma=0.2, omega=1.4, epsilon=1.0)
+        tracemalloc.start()
+        try:
+            run_ensemble(p, cfg, State(0.0, 0.0, 0.0), 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (cfg.n_steps + 1) * cfg.ensemble / 4
