@@ -23,8 +23,9 @@ checks, and hands the command that resolved configuration. The rules:
   * exit code 0 = success (stdout carries a one-line JSON summary),
     1 = numerical failure or a failed write, 2 = flag validation error (a
     bad value of one flag, a preset conflict, a missing or unread flag,
-    forcing without a positive --omega, an output directory that does not
-    exist or an --out that is one or that names the second file);
+    forcing without a positive --omega, an ``sde`` horizon that overflows,
+    an output directory that does not exist or an --out that is one or
+    that names the second file);
   * CQDUFFING_OUTDIR sets the default output directory; a second file
     (``exact``'s CSV, ``control``'s and ``sde``'s JSON) goes next to --out,
     with its extension replaced.
@@ -219,7 +220,6 @@ def cmd_melnikov(cfg: dict, out_path) -> dict:
         "oscillation": res.oscillation,
         "has_simple_zeros": res.has_simple_zeros,
         "fit": {"coefficients": list(res.fit.coefficients), "max_error": res.fit.max_error},
-        "damping_by_quadrature": res.damping_by_quadrature,
     }
     out = out_path("melnikov.json")
     _write_json(out, "melnikov", cfg, payload)
@@ -548,6 +548,9 @@ def _resolve(parser: argparse.ArgumentParser, spec: _Command, args) -> dict:
             _params(cfg)
         except ValueError as exc:  # the forcing rule: every value passed a finite flag
             parser.error(f"argument --omega: {exc}")
+    if "n_steps" in cfg and not math.isfinite(cfg["n_steps"] * cfg["dt"]):
+        parser.error(f"argument --dt: the horizon n_steps * dt = {cfg['n_steps']} * "
+                     f"{cfg['dt']!r} overflows")
     return cfg
 
 

@@ -9,10 +9,9 @@ For the pulse (sech) family
 and for the kink (tanh) family the oscillatory factor is cos(omega t0)
 with a csch envelope.  Simple zeros exist, signalling transverse
 separatrix intersection, exactly when gamma/delta exceeds I2/|W| (the
-threshold ratio).  Where a closed form leaves its validity range
-(lam(lam+1) <= 0 for the pulse damping integral, lam <= 0 for the kink
-one), adaptive quadrature of the defining integral is used instead and
-the result is flagged.
+threshold ratio).  Each damping integral has one closed form on the
+whole range lam > -1 of a regular orbit, with its Taylor series near
+lam = 0.
 """
 from __future__ import annotations
 
@@ -20,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import OscillatorParams
 from .exact import HomoclinicOrbit
@@ -117,7 +115,6 @@ class MelnikovResult:
     omega: float
     oscillation: str  # "sin" | "cos"
     fit: ChebyshevFit
-    damping_by_quadrature: bool
 
     def evaluate(self, t0: float) -> float:
         osc = math.sin(self.omega * t0) if self.oscillation == "sin" else math.cos(self.omega * t0)
@@ -128,57 +125,45 @@ class MelnikovResult:
         return abs(self.wave_coeff) > abs(self.damp_coeff)
 
 
-def damping_integral_sech(orbit: HomoclinicOrbit) -> tuple[float, bool]:
-    """integral of (dx/dt)^2 over the pulse orbit; (value, used_quadrature).
+# Taylor coefficients in lam of the two damping integrals over A^2 sqrt(k),
+# used for |lam| < 1e-3: there the closed forms cancel terms of size 1/lam,
+# and the first term left out is below 2e-15 of the sum.
+_PULSE_SERIES = (2.0 / 3.0, -4.0 / 5.0, 32.0 / 35.0, -64.0 / 63.0, 256.0 / 231.0)
+_KINK_SERIES = (4.0 / 3.0, -4.0 / 5.0, 24.0 / 35.0, -40.0 / 63.0, 20.0 / 33.0)
 
-    Closed form (valid for lam(lam+1) > 0):
-    A^2 sqrt(k) (2 sqrt(lam+1) lam^{3/2} + sqrt(lam(lam+1)) - atanh(sqrt(lam/(lam+1))))
-    / (4 (lam(lam+1))^{3/2}).
-    """
-    A, k, lam = orbit.A, orbit.k, orbit.lam
-    if lam == 0.0:
-        return 2.0 / 3.0 * A * A * math.sqrt(k), False
-    if lam * (lam + 1.0) > 0.0 and lam > 0.0:
+
+def _damping(orbit: HomoclinicOrbit, series: tuple[float, ...], closed) -> float:
+    """A^2 sqrt(k) times closed(lam), or times the series near lam = 0."""
+    lam = orbit.lam
+    if not lam > -1.0:
+        raise ValueError(f"damping integral needs lam > -1 (the integrand is singular "
+                         f"on the orbit otherwise), got lam={lam}")
+    val = closed(lam) if abs(lam) >= 1e-3 else sum(c * lam ** n for n, c in enumerate(series))
+    return float(orbit.A * orbit.A * math.sqrt(orbit.k) * val)
+
+
+def damping_integral_sech(orbit: HomoclinicOrbit) -> float:
+    """integral of (dx/dt)^2 over the pulse orbit, for lam > -1:
+    A^2 sqrt(k) [(2 lam + 1)/g - sign(lam) F(sqrt(|lam|/(lam+1))) / |g|^{3/2}] / 4,
+    g = lam(lam+1), F = atanh for lam > 0 and its continuation atan for lam < 0."""
+    def closed(lam: float) -> float:
         g = lam * (lam + 1.0)
-        val = A * A * math.sqrt(k) * (
-            2.0 * math.sqrt(lam + 1.0) * lam ** 1.5 + math.sqrt(g)
-            - math.atanh(math.sqrt(lam / (lam + 1.0)))
-        ) / (4.0 * g ** 1.5)
-        return val, False
-    rk = math.sqrt(k)
-
-    def f(t: float) -> float:
-        ch = math.cosh(2.0 * rk * t)
-        return 2.0 * A * A * k * math.sinh(2.0 * rk * t) ** 2 / (ch + 2.0 * lam + 1.0) ** 3
-
-    val, _ = quad(f, -40.0 / rk, 40.0 / rk, limit=400)
-    return val, True
+        arg = math.sqrt(abs(lam) / (lam + 1.0))
+        f = math.atanh(arg) if lam > 0.0 else -math.atan(arg)
+        return ((2.0 * lam + 1.0) / g - f / abs(g) ** 1.5) / 4.0
+    return _damping(orbit, _PULSE_SERIES, closed)
 
 
-def damping_integral_tanh(orbit: HomoclinicOrbit) -> tuple[float, bool]:
-    """integral of (dx/dt)^2 over the kink orbit; (value, used_quadrature).
-
-    Closed form (valid for lam > 0):
-    A^2 sqrt(k) (sqrt(lam)(3lam+1) + (lam+1)(3lam-1) atan(sqrt(lam)))
-    / (4 lam^{3/2} (lam+1)).
-    """
-    A, k, lam = orbit.A, orbit.k, orbit.lam
-    if lam > 0.0:
-        val = A * A * math.sqrt(k) * (
-            math.sqrt(lam) * (3.0 * lam + 1.0)
-            + (lam + 1.0) * (3.0 * lam - 1.0) * math.atan(math.sqrt(lam))
-        ) / (4.0 * lam ** 1.5 * (lam + 1.0))
-        return val, False
-    if lam == 0.0:
-        return 4.0 / 3.0 * A * A * math.sqrt(k), False
-    rk = math.sqrt(k)
-
-    def f(t: float) -> float:
-        u = math.tanh(rk * t)
-        return A * A * k * (1.0 - u * u) ** 2 / (1.0 + lam * u * u) ** 3
-
-    val, _ = quad(f, -40.0 / rk, 40.0 / rk, limit=400)
-    return val, True
+def damping_integral_tanh(orbit: HomoclinicOrbit) -> float:
+    """integral of (dx/dt)^2 over the kink orbit, for lam > -1:
+    A^2 sqrt(k) [(3 lam + 1)/(lam (lam+1))
+                 + (3 lam - 1) F(sqrt|lam|) / (sign(lam) |lam|^{3/2})] / 4,
+    F = atan for lam > 0 and its continuation atanh for lam < 0."""
+    def closed(lam: float) -> float:
+        r = math.sqrt(abs(lam))
+        f = math.atan(r) if lam > 0.0 else -math.atanh(r)
+        return ((3.0 * lam + 1.0) / (lam * (lam + 1.0)) + (3.0 * lam - 1.0) * f / r ** 3) / 4.0
+    return _damping(orbit, _KINK_SERIES, closed)
 
 
 def _reciprocal(fn, arg: float) -> float:
@@ -205,7 +190,7 @@ def melnikov_sech(orbit: HomoclinicOrbit, p: OscillatorParams) -> MelnikovResult
     envelope = _reciprocal(math.cosh, w * math.pi / (2.0 * rk))
     wave_base = orbit.A * rk * (r * w * math.pi / k
                                 + s * w * math.pi * (k + w * w) / (6.0 * k * k)) * envelope
-    i2, by_quad = damping_integral_sech(orbit)
+    i2 = damping_integral_sech(orbit)
     ratio = math.inf if wave_base == 0.0 else abs(i2 / wave_base)
     return MelnikovResult(
         wave_coeff=p.gamma * wave_base,
@@ -215,7 +200,6 @@ def melnikov_sech(orbit: HomoclinicOrbit, p: OscillatorParams) -> MelnikovResult
         omega=w,
         oscillation="sin",
         fit=fit,
-        damping_by_quadrature=by_quad,
     )
 
 
@@ -234,7 +218,7 @@ def melnikov_tanh(orbit: HomoclinicOrbit, p: OscillatorParams) -> MelnikovResult
     envelope = _reciprocal(math.sinh, w * math.pi / (2.0 * rk))
     wave_base = orbit.A * rk * (-r * w * math.pi / k
                                 + s * w * math.pi * (w * w - 8.0 * k) / (6.0 * k * k)) * envelope
-    j2, by_quad = damping_integral_tanh(orbit)
+    j2 = damping_integral_tanh(orbit)
     ratio = math.inf if wave_base == 0.0 else abs(j2 / wave_base)
     return MelnikovResult(
         wave_coeff=p.gamma * wave_base,
@@ -244,7 +228,6 @@ def melnikov_tanh(orbit: HomoclinicOrbit, p: OscillatorParams) -> MelnikovResult
         omega=w,
         oscillation="cos",
         fit=fit,
-        damping_by_quadrature=by_quad,
     )
 
 

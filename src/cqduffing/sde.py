@@ -88,7 +88,6 @@ def _em_pass(p: OscillatorParams, cfg: SdeConfig, s0: State, keep: int):
     n, dt = cfg.n_steps, cfg.dt
     q = p.epsilon * p.gamma
     scale = math.sqrt(dt)
-    ts = s0.t + dt * np.arange(n + 1)
     cut = np.full(cfg.ensemble, n + 1)
     last_x = np.empty(cfg.ensemble)
     last_v = np.empty(cfg.ensemble)
@@ -103,6 +102,7 @@ def _em_pass(p: OscillatorParams, cfg: SdeConfig, s0: State, keep: int):
     draws = np.empty((width, depth))  # path by path, as each stream is drawn
     x2, f, tmp = np.empty(width), np.empty(width), np.empty(width)
     with np.errstate(over="ignore", invalid="ignore"):
+        ts = s0.t + dt * np.arange(n + 1)
         for b0 in range(0, cfg.ensemble, width):
             w = min(width, cfg.ensemble - b0)
             rngs = [_rng_for_path(cfg.seed, j) for j in range(b0, b0 + w)]

@@ -3,6 +3,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cqduffing
 from cqduffing.cli import _COMMANDS, build_parser, main
 
 
@@ -228,13 +231,16 @@ class TestSdeCommand:
         assert "Traceback" not in err and "Warning" not in err and not caught
         assert "does not cover t=20.0 " in json.loads(err)["error"]
 
-    def test_overflowing_knot_time_exits_1_without_saved_paths(self, tmp_path, capsys):
-        # the knot time 2 * 1e308 is inf: the paths are cut at row 3, after it
-        code, _, err = run_cli(capsys, "sde", "--dt", "1e308", "--n-steps", "3", "--sigma", "0",
-                               "--ensemble", "2", "--save-paths", "0",
-                               "--out", str(tmp_path / "paths.csv"))
-        assert code == 1
-        assert json.loads(err)["error"] == "non-finite values in trajectory array 't'"
+    def test_overflowing_horizon_exits_2_without_saved_paths(self, tmp_path, capsys):
+        # the horizon 3 * 1e308 is inf: rejected with the flags, before the work
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(SystemExit) as exc:
+            warnings.simplefilter("always")
+            main(["sde", "--dt", "1e308", "--n-steps", "3", "--sigma", "0", "--ensemble", "2",
+                  "--save-paths", "0", "--out", str(tmp_path / "paths.csv")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --dt: the horizon n_steps * dt = 3 * 1e+308 overflows" in err
+        assert "Warning" not in err and not caught
         assert list(tmp_path.iterdir()) == []
 
 
@@ -377,6 +383,19 @@ class TestKbmBifurcateMelnikov:
         doc = json.loads(out.read_text())
         assert doc["has_simple_zeros"] is True
         assert 0.05 < float(doc["critical_gamma"]) < 0.35
+
+
+
+def test_startup_imports_no_scipy():
+    # every command pays for what `import cqduffing.cli` loads; scipy alone
+    # added about 0.65 s and 49 MB to each run
+    probe = ("import sys, cqduffing, cqduffing.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(cqduffing.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestFlagValidation:

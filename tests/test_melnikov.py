@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -107,15 +108,13 @@ class TestChebyshevFits:
 class TestDampingIntegrals:
     def test_pulse_closed_form_reference(self):
         orb = HomoclinicOrbit(A=1.0, k=1.0, lam=1.0, kind="sech")
-        val, by_quad = damping_integral_sech(orb)
-        assert not by_quad
+        val = damping_integral_sech(orb)
         assert val == pytest.approx(PULSE_DAMPING_111, abs=1e-10)
         assert val == pytest.approx(quad_pulse_damping(1, 1, 1), abs=1e-10)
 
     def test_kink_closed_form_reference(self):
         orb = HomoclinicOrbit(A=1.0, k=1.0, lam=1.0, kind="tanh")
-        val, by_quad = damping_integral_tanh(orb)
-        assert not by_quad
+        val = damping_integral_tanh(orb)
         assert val == pytest.approx(KINK_DAMPING_111, rel=1e-12)
         assert val == pytest.approx(quad_kink_damping(1, 1, 1), abs=1e-10)
 
@@ -125,8 +124,7 @@ class TestDampingIntegrals:
             k = rng.uniform(0.2, 3.0)
             lam = rng.uniform(0.05, 3.0)
             orb = HomoclinicOrbit(A=A, k=k, lam=lam, kind="sech")
-            val, by_quad = damping_integral_sech(orb)
-            assert not by_quad
+            val = damping_integral_sech(orb)
             assert val == pytest.approx(quad_pulse_damping(A, k, lam), abs=1e-6)
 
     def test_kink_matches_quadrature_randomly(self, rng):
@@ -135,17 +133,43 @@ class TestDampingIntegrals:
             k = rng.uniform(0.2, 3.0)
             lam = rng.uniform(0.05, 3.0)
             orb = HomoclinicOrbit(A=A, k=k, lam=lam, kind="tanh")
-            val, by_quad = damping_integral_tanh(orb)
-            assert not by_quad
+            val = damping_integral_tanh(orb)
             assert val == pytest.approx(quad_kink_damping(A, k, lam), abs=1e-6)
 
-    def test_negative_shape_falls_back_to_quadrature(self):
+    def test_negative_shape_uses_the_closed_form(self):
         orb = homoclinic_orbit(1, 1, 1, "sech", +1)
         assert orb.lam < 0
-        val, by_quad = damping_integral_sech(orb)
-        assert by_quad
+        val = damping_integral_sech(orb)
         assert val == pytest.approx(quad_pulse_damping(orb.A, orb.k, orb.lam), abs=1e-8)
         assert val > 0
+
+    # Every branch of both integrals: the series near 0 and both sides of
+    # its cutoff, the continued forms for lam < 0 up to the singular end,
+    # the paper's quintic pulse (fig9, fig10) and the kink of
+    # a = -1, b = -3, c = 1, sign -1 (lam = 0.11388).
+    @pytest.mark.parametrize("lam", [
+        -0.9999, -0.999, -0.5, -0.15219582817987357, 1.001e-3, -1.001e-3, 0.999e-3,
+        -0.999e-3, 1e-6, -1e-6, 1e-12, -1e-12, 0.0, 0.11388, 1.0, 10.0, 100.0,
+    ])
+    def test_both_integrals_match_a_40_digit_oracle(self, lam):
+        mp_lam = mpmath.mpf(lam)  # exact: a float fits the default 53 bits
+        with mpmath.workdps(40):
+            # u = tanh(sqrt(k) t) maps both integrals onto [-1, 1], over A^2 sqrt(k)
+            pulse = mpmath.quad(lambda u: u * u / (1 + mp_lam * (1 - u * u)) ** 3, [-1, 0, 1])
+            kink = mpmath.quad(lambda u: (1 - u * u) / (1 + mp_lam * u * u) ** 3, [-1, 0, 1])
+        A, k = 1.3, 0.7
+        scale = A * A * math.sqrt(k)
+        for fn, kind, exact in ((damping_integral_sech, "sech", pulse),
+                                (damping_integral_tanh, "tanh", kink)):
+            val = fn(HomoclinicOrbit(A=A, k=k, lam=lam, kind=kind))
+            assert type(val) is float
+            assert abs(val / scale - exact) / exact <= 1e-12
+
+    @pytest.mark.parametrize("lam", [-1.0, -1.5])
+    def test_singular_shape_raises(self, lam):
+        for fn, kind in ((damping_integral_sech, "sech"), (damping_integral_tanh, "tanh")):
+            with pytest.raises(ValueError, match="lam > -1"):
+                fn(HomoclinicOrbit(A=1.0, k=1.0, lam=lam, kind=kind))
 
 
 class TestMelnikovAssembly:
