@@ -162,17 +162,25 @@ def _hermite5(s, h, x0, v0, a0, x1, v1, a1):
     (x(s), x'(s)/h), i.e. the interpolated displacement and velocity.
     Works elementwise on numpy arrays of s and of the knot values.
     """
-    # basis in the monomial form p(s) = x0 + h v0 s + h^2 a0 s^2/2 + c3 s^3 + c4 s^4 + c5 s^5
+    c3, c4, c5 = _hermite5_coeffs(h, x0, v0, a0, x1, v1, a1)
+    s2 = s * s
+    x = x0 + h * v0 * s + 0.5 * h * h * a0 * s2 + s2 * s * (c3 + s * (c4 + s * c5))
+    return x, _hermite5_velocity(s, h, v0, a0, c3, c4, c5)
+
+
+def _hermite5_coeffs(h, x0, v0, a0, x1, v1, a1):
+    """The upper coefficients (c3, c4, c5) of the interval's quintic in the
+    monomial form p(s) = x0 + h v0 s + h^2 a0 s^2/2 + c3 s^3 + c4 s^4 + c5 s^5."""
     r = x1 - x0 - h * v0 - 0.5 * h * h * a0
     q = h * (v1 - v0) - h * h * a0
     w = h * h * (a1 - a0)
-    c3 = 10.0 * r - 4.0 * q + 0.5 * w
-    c4 = -15.0 * r + 7.0 * q - w
-    c5 = 6.0 * r - 3.0 * q + 0.5 * w
+    return 10.0 * r - 4.0 * q + 0.5 * w, -15.0 * r + 7.0 * q - w, 6.0 * r - 3.0 * q + 0.5 * w
+
+
+def _hermite5_velocity(s, h, v0, a0, c3, c4, c5):
+    """x'(s)/h of the interval's quintic: the interpolated velocity."""
     s2 = s * s
-    x = x0 + h * v0 * s + 0.5 * h * h * a0 * s2 + s2 * s * (c3 + s * (c4 + s * c5))
-    dx = h * v0 + h * h * a0 * s + s2 * (3.0 * c3 + s * (4.0 * c4 + 5.0 * s * c5))
-    return x, dx / h
+    return (h * v0 + h * h * a0 * s + s2 * (3.0 * c3 + s * (4.0 * c4 + 5.0 * s * c5))) / h
 
 
 @dataclass(frozen=True)

@@ -135,24 +135,31 @@ def _check_finite(t: float, x, v) -> None:
         raise IntegrationError(f"non-finite state (x={x}, v={v}) at t={t}", t)
 
 
+def _rk4_schedule(t0: float, t_end: float, dt: float, max_steps: int) -> tuple[int, float]:
+    """The full steps of a fixed-step run from t0 to t_end and the length of
+    its final short step (0.0 when the full steps land on t_end); raises
+    IntegrationError when the full steps exceed max_steps."""
+    n_full = int(math.floor((t_end - t0) / dt + 1e-9))
+    if n_full > max_steps:
+        raise IntegrationError(f"max_steps={max_steps} exceeded at t={t0 + max_steps * dt}", t0)
+    t = t0 + n_full * dt
+    return n_full, (t_end - t if t_end - t > 1e-12 * max(1.0, abs(t_end)) else 0.0)
+
+
 def _run_rk4(f: Rhs, t0: float, x: float, v: float, t_end: float, dt: float,
              max_steps: int, sink) -> None:
     """Classical RK4 with a fixed step; a shorter final step lands on t_end."""
-    n_full = int(math.floor((t_end - t0) / dt + 1e-9))
+    n_full, h_last = _rk4_schedule(t0, t_end, dt, max_steps)
     acc = f(t0, x, v)
     sink(t0, x, v, acc)
-    t = t0
-    if n_full > max_steps:
-        raise IntegrationError(f"max_steps={max_steps} exceeded at t={t0 + max_steps * dt}", t0)
     for i in range(1, n_full + 1):
         t = t0 + (i - 1) * dt
         x, v, acc = _rk4_step(f, t, x, v, dt, acc)
         t = t0 + i * dt
         _check_finite(t, x, v)
         sink(t, x, v, acc)
-    t = t0 + n_full * dt
-    if t_end - t > 1e-12 * max(1.0, abs(t_end)):
-        x, v, acc = _rk4_step(f, t, x, v, t_end - t, acc)
+    if h_last:
+        x, v, acc = _rk4_step(f, t0 + n_full * dt, x, v, h_last, acc)
         _check_finite(t_end, x, v)
         sink(t_end, x, v, acc)
 
@@ -162,12 +169,13 @@ def _rk4_step(f: Rhs, t: float, x: float, v: float, dt: float,
     """One RK4 step from a known accel a1 = f(t, x, v); returns the new
     (x, v) and the accel at the new point (reusable as the next a1)."""
     h2 = 0.5 * dt
-    a2 = f(t + h2, x + h2 * v, v + h2 * a1)
     v2 = v + h2 * a1
-    a3 = f(t + h2, x + h2 * v2, v + h2 * a2)
+    a2 = f(t + h2, x + h2 * v, v2)
     v3 = v + h2 * a2
-    a4 = f(t + dt, x + dt * v3, v + dt * a3)
-    x_new = x + dt / 6.0 * (v + 2.0 * (v2 + v3) + (v + dt * a3))
+    a3 = f(t + h2, x + h2 * v2, v3)
+    v4 = v + dt * a3
+    a4 = f(t + dt, x + dt * v3, v4)
+    x_new = x + dt / 6.0 * (v + 2.0 * (v2 + v3) + v4)
     v_new = v + dt / 6.0 * (a1 + 2.0 * (a2 + a3) + a4)
     return x_new, v_new, f(t + dt, x_new, v_new)
 
@@ -235,14 +243,18 @@ def _run_dp54(f: Rhs, t0: float, x: float, v: float, t_end: float, ctrl: StepCon
     return n_accept, n_reject
 
 
-def _drive(f: Rhs, s0: State, t_end: float, ctrl: StepControl, sink, meta: dict,
-           dt_cap: float = math.inf) -> dict:
-    """Check s0 and t_end, run the engine that ctrl names with steps no longer
-    than dt_cap into sink(t, x, v, acc) (rk4: also arrays), return meta."""
+def _check_start(s0: State, t_end: float) -> None:
     if not s0.is_finite():
         raise ValueError(f"non-finite initial state {s0}")
     if t_end <= s0.t:
         raise ValueError(f"t_end={t_end} must exceed the initial time {s0.t}")
+
+
+def _drive(f: Rhs, s0: State, t_end: float, ctrl: StepControl, sink, meta: dict,
+           dt_cap: float = math.inf) -> dict:
+    """Check s0 and t_end, run the engine that ctrl names with steps no longer
+    than dt_cap into sink(t, x, v, acc) (rk4: also arrays), return meta."""
+    _check_start(s0, t_end)
     if ctrl.method == "rk4":
         meta["dt"] = min(ctrl.dt, dt_cap)
         _run_rk4(f, s0.t, s0.x, s0.v, t_end, meta["dt"], ctrl.max_steps, sink)
@@ -278,17 +290,24 @@ def integrate_delayed(
     The delayed velocity is read from the accumulated knots by Hermite
     interpolation; for times before s0.t the history function supplies it.
     Steps never exceed tau, so every delayed read is already recorded.
+    Both engines evaluate the right-hand side twice in a row at one time
+    (RK4 at t + dt/2 and t + dt, DP54 at t + dt), so the delayed velocity
+    is read once per distinct time; read times only advance across new
+    knots, so a repeated time always sees the same knots.
     """
     if tau <= 0:
         raise ValueError(f"delay tau must be positive, got {tau}")
     ctrl = ctrl or StepControl()
     buf = HistoryBuffer(history_v)
     t0 = s0.t
+    last = [math.nan, 0.0]  # the latest (td, vd)
 
     def f(t: float, x: float, v: float) -> float:
         td = t - tau
-        vd = buf.velocity(td) if td > t0 else float(history_v(td))
-        return rhs_with_delay(t, x, v, vd)
+        if td != last[0]:
+            last[0] = td
+            last[1] = buf.velocity(td) if td > t0 else float(history_v(td))
+        return rhs_with_delay(t, x, v, last[1])
 
     meta = {"integrator": f"{ctrl.method}+delay", "dense": "hermite5", "tau": tau}
     return buf.trajectory(_drive(f, s0, t_end, ctrl, buf.append, meta, dt_cap=tau))

@@ -8,16 +8,30 @@ A feedback of this form vanishes identically on any tau-periodic orbit,
 so a stabilized orbit carries vanishing control power; the controller
 norm (sup |x'(t-tau) - x'(t)| over the final window) is the figure of
 merit throughout.
+
+The grid search advances its cells in lockstep, bitwise equal to one
+`search_cell` per cell.  Cells that share the RK4 step dt = min(T/200,
+tau) share their knot times t0 + k dt and forcing samples, so each such
+group (split into blocks that fit a ring budget) runs as arrays of lanes,
+one per cell, through `odeint._rk4_step` and `core.acceleration`; a block
+of fewer than _LOCKSTEP_MIN lanes runs `search_cell` per cell instead.  A
+lane keeps a ring of its last 6 tau of knots, for the periodicity report,
+and of its last tau of interval coefficients, for the delayed reads: each
+interval's quintic is set up once, when its right knot is written, and
+each delayed time is read once.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .core import OscillatorParams, State, Trajectory, acceleration
-from .odeint import StepControl, integrate_delayed
+from .core import (OscillatorParams, State, Trajectory, _hermite5_coeffs, _hermite5_velocity,
+                   acceleration)
+from .odeint import (IntegrationError, StepControl, _check_start, _rk4_schedule, _rk4_step,
+                     integrate_delayed)
 
 __all__ = [
     "ControllerConfig",
@@ -29,6 +43,16 @@ __all__ = [
 ]
 
 _DEFAULT_PERIODICITY_TOL = 1e-2
+# Bytes of knot and coefficient rings one lane block of the search may hold;
+# a group of cells with one step splits into blocks that fit.
+_RING_BUDGET = 32 << 20
+# Steps per chunk of the lockstep search at most: this bounds the arrays of
+# a chunk's delayed reads and interval coefficients (chunk x lanes each).
+_CHUNK = 32
+# Lanes a block needs to run in lockstep; a smaller block runs search_cell
+# per cell, since numpy's cost per operation outweighs a few lanes (a block
+# of 8 lanes took as long as its 8 scalar cells).
+_LOCKSTEP_MIN = 8
 
 
 @dataclass(frozen=True)
@@ -86,13 +110,18 @@ def run_controlled(
     velocity mismatch the feedback still sees there.
     """
     mu, tau = cfg.mu, cfg.tau
-    if ctrl is None:
-        T = 2.0 * math.pi / p.omega if p.omega > 0.0 else tau
-        ctrl = StepControl(dt=T / 200.0, method="rk4")
+    ctrl = ctrl or _default_ctrl(p, tau)
     history = _history_fn(cfg, s0)
     traj = integrate_delayed(lambda t, x, v, vd: acceleration(p, t, x, v) + mu * (vd - v),
                              s0, history, tau, t_end, ctrl)
-    t0, t1 = traj.t[0], traj.t[-1]
+    return traj, _periodicity_report(traj, traj.t[0], tau, history, periodicity_tol)
+
+
+def _periodicity_report(traj: Trajectory, t0: float, tau: float, history,
+                        periodicity_tol: float) -> PeriodicityReport:
+    """The report on the final 5 tau of traj, a run from t0 that may keep only
+    its last 6 tau of knots; delayed reads before t0 come from history."""
+    t1 = traj.t[-1]
     w_lo = max(t0, t1 - 5.0 * tau)
     ts = np.linspace(w_lo, t1, 400)
     td = ts - tau
@@ -102,19 +131,25 @@ def run_controlled(
     if t1 - tau > w_lo:
         ts = np.linspace(w_lo, t1 - tau, 400)
         residual = float(np.abs(traj.eval_x(ts + tau) - traj.eval_x(ts)).max())
-    report = PeriodicityReport(
+    return PeriodicityReport(
         is_periodic=bool(residual < periodicity_tol),
         period=tau,
         residual=residual,
         controller_norm=controller_norm,
         tolerance=periodicity_tol,
     )
-    return traj, report
+
+
+def _forcing_period(p: OscillatorParams, tau: float) -> float:
+    return 2.0 * math.pi / p.omega if p.omega > 0.0 else tau
+
+
+def _default_ctrl(p: OscillatorParams, tau: float) -> StepControl:
+    return StepControl(dt=_forcing_period(p, tau) / 200.0, method="rk4")
 
 
 def _settle_time(p: OscillatorParams, tau: float) -> float:
-    T = 2.0 * math.pi / p.omega if p.omega > 0.0 else tau
-    return max(50.0 * T, 20.0 * tau) + 5.0 * tau
+    return max(50.0 * _forcing_period(p, tau), 20.0 * tau) + 5.0 * tau
 
 
 def search_cell(args) -> tuple[float, float, float, bool]:
@@ -143,9 +178,192 @@ def search_mu_tau(
         raise ValueError("grid must have at least one cell per axis")
     mus = np.linspace(mu_range[0], mu_range[1], n_mu)
     taus = np.linspace(tau_range[0], tau_range[1], n_tau)
-    jobs = [(p, float(mu), float(tau), s0, periodicity_tol) for mu in mus for tau in taus]
-    cells = list(map_fn(search_cell, jobs))
-    return sorted(cells, key=lambda c: (c[2], c[0], c[1]))
+    cells = [(float(mu), float(tau)) for mu in mus for tau in taus]
+    blocks = _lane_blocks(p, s0, cells)
+    out = [None] * len(cells)
+    for done in map_fn(_run_lanes, [(p, s0, periodicity_tol, dt, lanes) for dt, lanes in blocks]):
+        for i, cell in done:
+            out[i] = cell
+    return sorted(out, key=lambda c: (c[2], c[0], c[1]))
+
+
+def _lane_blocks(p: OscillatorParams, s0: State, cells: list[tuple[float, float]]):
+    """The search's lane blocks, as (dt, lanes): cells grouped by their step
+    dt, sorted by delay (so by end time) and split to fit _RING_BUDGET.  A
+    lane is (grid index, mu, tau, t_end, full steps, final short step).
+
+    Raises search_cell's errors for the first failing cell, before any work.
+    """
+    groups: dict[float, list] = {}
+    for i, (mu, tau) in enumerate(cells):
+        ControllerConfig(mu=mu, tau=tau)
+        ctrl = _default_ctrl(p, tau)
+        dt, t_end = min(ctrl.dt, tau), _settle_time(p, tau)
+        _check_start(s0, t_end)
+        groups.setdefault(dt, []).append(
+            (i, mu, tau, t_end, *_rk4_schedule(s0.t, t_end, dt, ctrl.max_steps)))
+    blocks = []
+    for dt, lanes in groups.items():
+        lanes.sort(key=lambda lane: (lane[2], lane[0]))
+        block = []
+        for lane in lanes:
+            lane_bytes = 24 * sum(_ring_sizes(dt, lane[2], lane[4]))  # 3 float64 rows of each
+            if block and (len(block) + 1) * lane_bytes > _RING_BUDGET:
+                blocks.append((dt, block))
+                block = []
+            block.append(lane)
+        blocks.append((dt, block))
+    return blocks
+
+
+def _ring_sizes(dt: float, tau: float, n_end: int) -> tuple[int, int]:
+    """Knots and intervals a lane keeps: its last 6 tau of knots (the
+    report's window and the delay before it) and its last tau of intervals
+    (the delayed reads), with a few steps to spare, at most the whole run."""
+    return min(int(6.0 * tau / dt) + 8, n_end + 1), min(int(tau / dt) + 4, max(n_end, 1))
+
+
+def _check_lanes(t: float, x, v, mu, tau) -> None:
+    ok = np.isfinite(x) & np.isfinite(v)
+    if not ok.all():
+        j = int(np.argmin(ok))
+        raise IntegrationError(f"non-finite state (x={x[j]}, v={v[j]}) at t={t} "
+                               f"in the cell mu={mu[j]}, tau={tau[j]}", t)
+
+
+def _run_lanes(job) -> list[tuple[int, tuple[float, float, float, bool]]]:
+    """One lane block of the search in lockstep (per cell below
+    _LOCKSTEP_MIN lanes): each cell of search_cell, bitwise, with its grid
+    index.  Module-level so worker processes can import it.
+
+    The lanes share the knot times t0 + k dt and are sorted by delay, so
+    finished lanes form a prefix.  The steps run in chunks of at most
+    _CHUNK steps and fewer than tau / dt (one step when tau < 2 dt), so a
+    chunk's delayed reads reach only knots written before it: the chunk's
+    new intervals get their coefficients, and its reads are evaluated
+    together, before its steps.  A read finds its interval by arithmetic on
+    the knot times, corrected by one compare to the interval that
+    HistoryBuffer's bisect_right picks.
+    """
+    p, s0, periodicity_tol, dt, lanes = job
+    if len(lanes) < _LOCKSTEP_MIN:
+        return [(i, search_cell((p, mu, tau, s0, periodicity_tol))) for i, mu, tau, *_ in lanes]
+    index, mus, taus, t_ends, n_fulls, h_lasts = zip(*lanes)
+    n_lanes = len(lanes)
+    mu, tau = np.array(mus), np.array(taus)
+    # The force coefficients as lane arrays: numpy multiplies two arrays
+    # about twice as fast as a float and an array, with the same rounding.
+    force = {k: np.full(n_lanes, getattr(p, k)) for k in ("a", "b", "c", "delta", "epsilon")}
+    t0 = s0.t
+    history = _history_fn(ControllerConfig(mu=mus[0], tau=taus[0]), s0)
+    n_knots, n_intervals = _ring_sizes(dt, taus[-1], n_fulls[-1])
+    knots = np.empty((3, n_knots, n_lanes))  # x, v, accel of knot k in row k % n_knots
+    coeffs = np.empty((3, n_intervals, n_lanes))  # c3, c4, c5 of interval k in row k % ...
+    lane = np.arange(n_lanes)
+    n = n_set = 0  # the newest knot; intervals before n_set have coefficients
+
+    def set_intervals(a: int) -> None:
+        nonlocal n_set
+        if n_set == n:
+            return
+        k = np.arange(n_set, n)
+        left, right = knots[:, k % n_knots, a:], knots[:, (k + 1) % n_knots, a:]
+        h = (t0 + (k + 1) * dt - (t0 + k * dt))[:, None]
+        coeffs[:, k % n_intervals, a:] = _hermite5_coeffs(h, *left, *right)
+        n_set = n
+
+    def read(td, a: int, b: int):
+        """integrate_delayed's delayed velocities of lanes [a, b) (the last
+        axis of td) at the times td, from the knots up to n."""
+        t_n, hi = t0 + n * dt, td.max()
+        vd = 0.0
+        if n:
+            k = ((td - t0) / dt - 0.5).astype(np.intp)
+            k += t0 + (k + 1) * dt <= td
+            tk = t0 + k * dt
+            h = t0 + (k + 1) * dt - tk
+            j = lane[a:b]
+            v0, a0 = knots[1:, k % n_knots, j]
+            vd = _hermite5_velocity((td - tk) / h, h, v0, a0, *coeffs[:, k % n_intervals, j])
+        if hi >= t_n:  # at the newest knot: its velocity
+            if hi > t_n + 1e-12:
+                raise ValueError(f"delayed read at t={hi} beyond recorded history t={t_n}")
+            vd = np.where(td >= t_n, knots[1, n % n_knots, a:b], vd)
+        if td.min() <= t0:
+            vd = np.where(td > t0, vd, history(td))
+        return vd
+
+    def rhs(a: int, b: int, times):
+        """The controlled right-hand side of lanes [a, b) at the given times,
+        each of whose delayed velocities is read once."""
+        times = np.asarray(times)
+        delayed = dict(zip(times.tolist(), read(times[:, None] - tau[a:b], a, b)))
+        q = SimpleNamespace(**{**vars(p), **{k: c[a:b] for k, c in force.items()}})
+        mu_ab = mu[a:b]
+
+        def f(t, x, v):
+            return acceleration(q, t, x, v) + mu_ab * (delayed[t] - v)
+        return f
+
+    def finish(a: int, b: int, x, v, acc) -> list:
+        """The cells of lanes [a, b), whose full steps end at knot n."""
+        t_n = t0 + n * dt
+        ks = np.arange(max(0, n - n_knots + 1), n + 1)
+        ts = t0 + ks * dt
+        out = []
+        while a < b:
+            c = a + 1
+            while c < b and t_ends[c] == t_ends[a]:
+                c += 1
+            t1, h = t_ends[a], h_lasts[a]
+            if h:
+                f = rhs(a, c, [t_n + 0.5 * h, t_n + h])
+                last = _rk4_step(f, t_n, x[:c - a], v[:c - a], h, acc[:c - a])
+                _check_lanes(t1, *last[:2], mu[a:c], tau[a:c])
+            for j in range(a, c):
+                win = [knots[q, ks % n_knots, j] for q in range(3)]
+                if h:
+                    win = [np.append(w, z[j - a]) for w, z in zip(win, last)]
+                traj = Trajectory(np.append(ts, t1) if h else ts, *win)
+                rep = _periodicity_report(traj, t0, taus[j], history, periodicity_tol)
+                out.append((index[j], (mus[j], taus[j], rep.controller_norm, rep.is_periodic)))
+            x, v, acc = x[c - a:], v[c - a:], acc[c - a:]
+            a = c
+        return out
+
+    done = []
+    x, v = np.full(n_lanes, s0.x), np.full(n_lanes, s0.v)
+    a = 0  # lanes [0, a) are finished
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        acc = rhs(0, n_lanes, [t0])(t0, x, v)
+        knots[:, 0] = x, v, acc
+        while a < n_lanes:
+            if n_fulls[a] == n:
+                set_intervals(a)
+                b = next((j for j in range(a, n_lanes) if n_fulls[j] > n), n_lanes)
+                done += finish(a, b, x, v, acc)
+                x, v, acc = x[b - a:], v[b - a:], acc[b - a:]
+                a = b
+                continue
+            m = min(max(1, int(taus[a] / dt) - 1), _CHUNK, n_fulls[a] - n)
+            set_intervals(a)
+            kt = t0 + np.arange(n, n + m + 1) * dt
+            if not (kt[1:] > kt[:-1]).all():
+                raise ValueError("history knots must advance in time")
+            f = rhs(a, n_lanes, np.column_stack([kt[:-1] + 0.5 * dt, kt[:-1] + dt]).ravel())
+            for i in range(n + 1, n + m + 1):
+                x, v, acc = _rk4_step(f, t0 + (i - 1) * dt, x, v, dt, acc)
+                row = i % n_knots
+                knots[0, row, a:] = x
+                knots[1, row, a:] = v
+                knots[2, row, a:] = acc
+            if not (np.isfinite(x).all() and np.isfinite(v).all()):
+                # a state that is not finite stays so: find where it first was
+                for i in range(n + 1, n + m + 1):
+                    row = i % n_knots
+                    _check_lanes(t0 + i * dt, knots[0, row, a:], knots[1, row, a:], mu[a:], tau[a:])
+            n += m
+    return done
 
 
 def chebyshev_fit_orbit(traj: Trajectory, window: tuple[float, float],

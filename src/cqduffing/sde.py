@@ -75,6 +75,11 @@ def path_increments(cfg: SdeConfig, path_index: int) -> np.ndarray:
     return rng.normal(0.0, math.sqrt(cfg.dt), cfg.n_steps)
 
 
+def _cos(wt: float) -> float:
+    """cos(wt), NaN where wt is not finite (a knot time that overflowed)."""
+    return math.cos(wt) if math.isfinite(wt) else math.nan
+
+
 def _em_pass(p: OscillatorParams, cfg: SdeConfig, s0: State, keep: int):
     """Step every path of the ensemble from s0; keep the rows of the first
     `keep` paths.
@@ -131,7 +136,7 @@ def _em_pass(p: OscillatorParams, cfg: SdeConfig, s0: State, keep: int):
                     fb -= tb
                     np.multiply(v, q, out=tb)
                     fb -= tb
-                    fb += q * math.cos(p.omega * ts[c0 + i])
+                    fb += q * _cos(p.omega * ts[c0 + i])
                     fb *= dt
                     np.multiply(v, dt, out=Xb[i + 1])
                     Xb[i + 1] += x

@@ -193,6 +193,17 @@ class TestControlSearch:
         b2 = out2.read_text().replace('"jobs": 2', '"jobs": N')
         assert b1 == b2
 
+    def test_diverging_cell_exits_1(self, tmp_path, capsys):
+        # a softening quintic well: the start x0 = 2 escapes and overflows
+        out = tmp_path / "search.csv"
+        code, _, err = run_cli(capsys, "control", "--search", "--a", "1", "--b", "0", "--c", "-1",
+                               "--delta", "0.1", "--gamma", "0.35", "--omega", "1.4",
+                               "--x0", "2", "--grid", "3", "--out", str(out))
+        assert code == 1
+        assert "Traceback" not in err and "Warning" not in err
+        assert re.search(r"non-finite state .* in the cell mu=", json.loads(err)["error"])
+        assert not out.exists()
+
 
 class TestSdeCommand:
     def test_paths_and_summary(self, tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from cqduffing import IntegrationError, OscillatorParams, State, StepControl, integrate, integrate_delayed
 from cqduffing.core import acceleration, energy
-from cqduffing.odeint import HistoryBuffer, _check_finite
+from cqduffing.odeint import HistoryBuffer, _check_finite, _drive
 
 
 def harmonic(t, x, v):
@@ -135,6 +135,44 @@ class TestDelayed:
         tr = integrate_delayed(f, State(0, 0, 0), lambda t: 0.0, tau, 500.0, ctrl)
         assert tr.t[-1] == pytest.approx(500.0, abs=1e-9)
         assert np.all(np.isfinite(tr.x))
+
+    @staticmethod
+    def unmemoised(rhs_with_delay, s0, history_v, tau, t_end, ctrl):
+        """integrate_delayed before it kept its latest delayed read, verbatim."""
+        buf = HistoryBuffer(history_v)
+        t0 = s0.t
+
+        def f(t, x, v):
+            td = t - tau
+            vd = buf.velocity(td) if td > t0 else float(history_v(td))
+            return rhs_with_delay(t, x, v, vd)
+
+        meta = {"integrator": f"{ctrl.method}+delay", "dense": "hermite5", "tau": tau}
+        return buf.trajectory(_drive(f, s0, t_end, ctrl, buf.append, meta, dt_cap=tau))
+
+    @pytest.mark.parametrize("ctrl", [StepControl(dt=(2 * math.pi / 1.4) / 200, method="rk4"),
+                                      StepControl(abs_tol=1e-9, rel_tol=1e-9)])
+    def test_one_read_per_delayed_time_bitwise(self, ctrl, monkeypatch):
+        p = OscillatorParams(1, 1, 0.2, delta=0.1, gamma=0.35, omega=1.4, epsilon=1)
+        mu, tau = 2.25311, 3.73093
+
+        def f(t, x, v, vd):
+            return acceleration(p, t, x, v) + mu * (vd - v)
+
+        reads = []
+        velocity = HistoryBuffer.velocity
+        monkeypatch.setattr(HistoryBuffer, "velocity",
+                            lambda buf, t: reads.append(t) or velocity(buf, t))
+        s0 = State(0.5, 0.1, -0.2)
+        ref = self.unmemoised(f, s0, lambda t: 0.0, tau, 40.0, ctrl)
+        ref_reads, reads[:] = reads[:], []
+        tr = integrate_delayed(f, s0, lambda t: 0.0, tau, 40.0, ctrl)
+        assert [a.tobytes() for a in (tr.t, tr.x, tr.v, tr.accel)] == \
+            [a.tobytes() for a in (ref.t, ref.x, ref.v, ref.accel)]
+        assert tr.metadata == ref.metadata
+        if ctrl.method == "rk4":  # each time is read twice in a row without the memo
+            assert ref_reads[::2] == ref_reads[1::2] == reads
+            assert len(set(reads)) == len(reads) > 1000
 
     def test_tau_must_be_positive(self):
         with pytest.raises(ValueError, match="tau"):

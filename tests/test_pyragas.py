@@ -1,14 +1,19 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cqduffing import OscillatorParams, State, StepControl, Trajectory, rhs
+from cqduffing import (IntegrationError, OscillatorParams, State, StepControl, Trajectory, pyragas,
+                       rhs)
 from cqduffing.pyragas import (
     ControllerConfig,
     chebyshev_fit_orbit,
     controlled_rhs,
     run_controlled,
+    search_cell,
     search_mu_tau,
 )
 
@@ -138,6 +143,79 @@ class TestSearch:
         reordered = search_mu_tau(CHAOTIC, *grid,
                                   map_fn=lambda f, jobs: reversed([f(j) for j in jobs]))
         assert forward == reordered
+
+
+def reversed_map(f, jobs):
+    return reversed([f(j) for j in jobs])
+
+
+def cells_bits(cells):
+    return [(mu.hex(), tau.hex(), norm.hex(), periodic) for mu, tau, norm, periodic in cells]
+
+
+class TestLockstepSearch:
+    # Cells start at s0.t, a few time units before the earliest settle
+    # time, so that each example is short; the delays are
+    #   "chaos":  around the published 3.73 (dt = T/200 is shared),
+    #   "period": exactly T (forced; delayed reads land on knots),
+    #   "short":  below T/200 (forced; dt = tau, and RK4's last read of a
+    #             step lands on the newest knot or within rounding of it).
+    # Unforced cells (omega = 0) take T = tau, so each delay has its own dt
+    # and the delays are "chaos" ones.
+    # Blocks of any size run in lockstep, and a budget of 1 byte puts every
+    # lane in its own block.
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(forced=st.booleans(), delays=st.sampled_from(["chaos", "period", "short"]),
+           n_mu=st.integers(1, 3), n_tau=st.integers(1, 3), mu_lo=st.floats(0.0, 3.0),
+           spread=st.floats(0.0, 0.05), before=st.floats(0.5, 8.0), x0=st.floats(-1.0, 1.0),
+           v0=st.floats(-1.0, 1.0),
+           budget=st.sampled_from([1, 120_000, 32 << 20]))
+    @example(forced=True, delays="short", n_mu=2, n_tau=2, mu_lo=1.0, spread=0.05,
+             before=5.0, x0=0.2, v0=0.1, budget=32 << 20)
+    @example(forced=True, delays="chaos", n_mu=1, n_tau=2, mu_lo=1.0, spread=0.05,
+             before=0.01, x0=0.5, v0=0.0, budget=32 << 20)  # tau = 3.73093: no full step
+    @example(forced=True, delays="period", n_mu=2, n_tau=1, mu_lo=2.25311, spread=0.0,
+             before=8.0, x0=0.0, v0=-0.3, budget=1)
+    @example(forced=False, delays="chaos", n_mu=2, n_tau=3, mu_lo=0.5, spread=0.05,
+             before=8.0, x0=0.3, v0=0.2, budget=120_000)
+    @example(forced=True, delays="chaos", n_mu=3, n_tau=3, mu_lo=0.5, spread=0.05,
+             before=T_FORCING / 2, x0=0.0, v0=0.0, budget=1)  # tau = 3.73093: no short step,
+    # and the report windows reach back before s0.t
+    def test_equals_search_cell_per_cell_bitwise(self, forced, delays, n_mu, n_tau, mu_lo,
+                                                  spread, before, x0, v0, budget):
+        p = OscillatorParams(1, 1, 0.2, delta=0.1, gamma=0.35 if forced else 0.0,
+                             omega=1.4 if forced else 0.0, epsilon=1.0)
+        if not forced:  # T = tau: every delay is a period and above T/200
+            delays = "chaos"
+        tau_lo = {"chaos": 3.73093, "period": T_FORCING, "short": 0.012}[delays]
+        tau_hi = tau_lo * (1.0 + spread) if delays != "period" else tau_lo
+        s0 = State(pyragas._settle_time(p, tau_lo) - before, x0, v0)
+        mus, taus = np.linspace(mu_lo, mu_lo + 1.5, n_mu), np.linspace(tau_lo, tau_hi, n_tau)
+        ref = sorted((search_cell((p, float(mu), float(tau), s0, 1e-2))
+                      for mu in mus for tau in taus), key=lambda c: (c[2], c[0], c[1]))
+        with mock.patch.object(pyragas, "_RING_BUDGET", budget), \
+                mock.patch.object(pyragas, "_LOCKSTEP_MIN", 1):
+            got = search_mu_tau(p, (mu_lo, mu_lo + 1.5), (tau_lo, tau_hi), (n_mu, n_tau), s0,
+                                map_fn=reversed_map)
+        assert cells_bits(got) == cells_bits(ref)
+
+    def test_max_steps_raises_before_any_lane_runs(self, monkeypatch):
+        # tau = 5000 settles at t = 125 000, 5.6 million steps of T/200
+        with pytest.raises(IntegrationError) as want:
+            search_cell((CHAOTIC, 1.0, 5000.0, State(0, 0, 0), 1e-2))
+        monkeypatch.setattr(pyragas, "_run_lanes", None)
+        with pytest.raises(IntegrationError) as got:
+            search_mu_tau(CHAOTIC, (1.0, 2.0), (2.0, 5000.0), (2, 2))
+        assert str(got.value) == str(want.value) and got.value.t == want.value.t
+
+    def test_diverging_cell_raises(self):
+        # a softening quintic well: the start x0 = 2 escapes and overflows
+        p = OscillatorParams(1, 0, -1, delta=0.1, gamma=0.35, omega=1.4, epsilon=1.0)
+        with pytest.raises(IntegrationError, match="non-finite state"):
+            search_cell((p, 1.0, 2.0, State(0, 2, 0), 1e-2))
+        with pytest.raises(IntegrationError,
+                           match=r"non-finite state .* at t=\S+ in the cell mu=\S+, tau=\S+"):
+            search_mu_tau(p, (1.0, 2.0), (2.0, 3.0), (3, 3), State(0, 2, 0))
 
 
 class TestChebyshevFitOrbit:

@@ -181,7 +181,9 @@ class TestEnsembleStats:
 
 def reference_euler_maruyama(p, cfg, s0):
     """The one time-major Euler-Maruyama loop over full (step, path) arrays
-    that the streaming pass replaced, verbatim."""
+    that the streaming pass replaced, verbatim but for the forcing at a
+    knot time that overflowed, which is NaN instead of math.cos's
+    ValueError."""
     n = cfg.n_steps
     dt = cfg.dt
     q = p.epsilon * p.gamma
@@ -200,7 +202,8 @@ def reference_euler_maruyama(p, cfg, s0):
             v = V[i]
             x2 = x * x
             drift_v = (p.a * x - p.b * x * x2 - p.c * x * x2 * x2 - q * v
-                       + q * math.cos(p.omega * ts[i]))
+                       + q * (math.cos(p.omega * ts[i]) if math.isfinite(p.omega * ts[i])
+                              else math.nan))
             X[i + 1] = x + v * dt
             V[i + 1] = v + drift_v * dt + noise[i]
     bad = ~(np.isfinite(X) & np.isfinite(V))
@@ -296,6 +299,14 @@ class TestStreamingPass:
         assert (stats is None) is (ref_stats is None)
         if stats is not None:
             assert moments(stats) == moments(ref_stats)
+
+    @pytest.mark.parametrize("run", [euler_maruyama, lambda p, cfg, s0: run_ensemble(p, cfg, s0, 0)])
+    def test_overflowing_knot_time_is_named_when_forced(self, run):
+        # omega != 0: the forcing at the knot time inf is NaN, not math.cos's ValueError
+        p = OscillatorParams(a=1, b=1, c=0.2, gamma=0, omega=1.4, epsilon=1)
+        cfg = SdeConfig(dt=1e308, n_steps=3, seed=0, sigma=0, ensemble=2)
+        with pytest.raises(ValueError, match="non-finite values in trajectory array 't'"):
+            run(p, cfg, State(0, 0, 0))
 
     @pytest.mark.parametrize("sizes", [[1] * 9, [128, 128, 44], [5, 64, 231], [300]])
     def test_chunked_draws_equal_one_draw_bitwise(self, sizes):
