@@ -6,10 +6,10 @@ Periodic orbits take the elliptic form
            / sqrt(1 + lam cn^2(sqrt(w) t, m) + mu cn^4(sqrt(w) t, m)),
 
 whose shape constants (lam, mu, w, m) satisfy a five-equation algebraic
-system (the cn^0..cn^8 coefficients of the substituted ansatz).  The system
-is solved numerically by damped Gauss-Newton, seeded with two closed-form
-branch families; the closed forms are cross-checks and seeds, the numeric
-root is authoritative.  Separatrix orbits come in a pulse (sech) and a
+system (the cn^0..cn^8 coefficients of the substituted ansatz).  Its roots
+come from two closed-form branch families, mu = 0 and mu != 0, and their
+degenerate limits; damped Gauss-Newton polishes each branch root, and the
+polished root is returned.  Separatrix orbits come in a pulse (sech) and a
 kink (tanh) family with explicit amplitude/rate/shape formulas.
 """
 from __future__ import annotations
@@ -66,7 +66,8 @@ class BranchCandidate:
 
     Branches are returned whenever their guard inequalities hold, even if
     they cannot be promoted to a valid CnSolution (negative rate, sign
-    changes in the denominator); root finding still uses them as seeds.
+    changes in the denominator); solve_cn_coefficients polishes each one
+    and keeps those that converge to a valid root.
     """
 
     lam: float
@@ -111,27 +112,28 @@ def cn_ansatz_residuals(a: float, b: float, c: float, x0: float,
 
 
 def _mu0_branches(a: float, b: float, c: float, x0: float) -> list[tuple[float, float, float, float]]:
-    """Biquadratic closed forms with mu = 0: two sign rows of (w, m, lam)."""
+    """Biquadratic closed forms with mu = 0: two sign rows of (w, m, lam), one at a double root."""
     x2, x4 = x0 * x0, x0 ** 4
     disc = x4 * (16 * a * c + 3 * b * b - 4 * b * c * x2 - 4 * c * c * x4)
-    if disc <= 0.0:
+    # a discriminant within rounding of zero (8 ulps of its terms) is a double root
+    if disc < -2.0 ** -49 * x4 * (16 * abs(a * c) + 3 * b * b + 4 * abs(b * c) * x2 + 4 * c * c * x4):
         return []
     den1 = 6 * a - 3 * b * x2 - 2 * c * x4
     den2 = a - b * x2 - c * x4
-    if den1 == 0.0 or den2 == 0.0:
+    if den1 == 0.0 and den2 != 0.0:
+        # a start on the zero-energy level, where -2 den2 = 4a - b x0^2: m is
+        # 0/0 and tends to 1, the sech orbit of homoclinic_orbit
+        return [((b * x2 - 2 * a) / (-2.0 * den2), 0.0, a, 1.0)]
+    if den1 * den2 == 0.0:  # a zero, or a product that underflows
         return []
-    sd = math.sqrt(3.0) * math.sqrt(disc)
+    sd = math.sqrt(3.0) * math.sqrt(max(disc, 0.0))
     out = []
-    w = (-12 * a + 9 * b * x2 + 6 * c * x4 + sd) / 12.0
-    m = (x2 * (3 * b + 2 * c * x2) * (-b * x2 + 2 * c * x4 + sd) - 4 * a * (4 * c * x4 + sd)) \
-        / (4.0 * den1 * den2)
-    lam = (-3 * b * x2 - 6 * c * x4 + sd) / (12.0 * -den2)
-    out.append((lam, 0.0, w, m))
-    w = (-12 * a + 9 * b * x2 + 6 * c * x4 - sd) / 12.0
-    m = (4 * a * (sd - 4 * c * x4) - x2 * (3 * b + 2 * c * x2) * (b * x2 - 2 * c * x4 + sd)) \
-        / (4.0 * den1 * den2)
-    lam = (3 * b * x2 + 6 * c * x4 + sd) / (12.0 * den2)
-    out.append((lam, 0.0, w, m))
+    for s in (1.0, -1.0) if disc > 0.0 else (1.0,):
+        w = (-12 * a + 9 * b * x2 + 6 * c * x4 + s * sd) / 12.0
+        m = (x2 * (3 * b + 2 * c * x2) * (-b * x2 + 2 * c * x4 + s * sd)
+             - 4 * a * (4 * c * x4 + s * sd)) / (4.0 * den1 * den2)
+        lam = (-3 * b * x2 - 6 * c * x4 + s * sd) / (12.0 * -den2)
+        out.append((lam, 0.0, w, m))
     return out
 
 
@@ -144,6 +146,11 @@ def _general_branches(a: float, b: float, c: float, x0: float) -> list[tuple[flo
     den = 16 * a * c + 3 * b * b - 4 * b * c * x2 - 4 * c * c * x4
     if den == 0.0:
         return []
+    if a == 0.0 and b == 0.0:
+        # pure quintic: wden and mden vanish identically, and the row with
+        # s_l = -s_m = -sign(c) tends to this root
+        r3 = math.sqrt(3.0)
+        return [(2.0 - 4.0 / r3, 4.0 * r3 - 7.0, c * x4 / r3, (2.0 - r3) / 4.0)]
     sq = 2.0 * math.sqrt(6.0) * math.sqrt(dsc)
     out = []
     for s_l, s_m in product((1.0, -1.0), repeat=2):
@@ -164,10 +171,14 @@ def _general_branches(a: float, b: float, c: float, x0: float) -> list[tuple[flo
 
 def closed_form_branches(a: float, b: float, c: float, x0: float) -> list[BranchCandidate]:
     """All closed-form branch roots whose guards hold, annotated with the
-    algebraic-system residual.  An empty list just means no branch applies."""
+    algebraic-system residual.  An empty list just means no branch applies.
+    A term of a, b x0^2, c x0^4 below the rounding of the largest counts as
+    zero, so that inputs within rounding of a degenerate limit take it."""
+    x2 = x0 * x0
+    terms = (abs(a), abs(b) * x2, abs(c) * x2 * x2)
+    abc = [0.0 if t <= 2.0 ** -52 * max(terms) else v for v, t in zip((a, b, c), terms)]
     out = []
-    for family, raw in (("mu0", _mu0_branches(a, b, c, x0)),
-                        ("general", _general_branches(a, b, c, x0))):
+    for family, raw in (("mu0", _mu0_branches(*abc, x0)), ("general", _general_branches(*abc, x0))):
         for lam, mu, w, m in raw:
             if not all(map(math.isfinite, (lam, mu, w, m))):
                 continue
@@ -210,32 +221,22 @@ def _gauss_newton(a, b, c, x0, theta0, max_iter=200, tol=1e-12):
     return theta, best
 
 
-def _seed_grid(a, b, c, x0):
-    w_hat = max(abs(a) + abs(b) * x0 * x0 + abs(c) * x0 ** 4, 0.1)
-    for lam in (-0.5, 0.0, 1.0):
-        for mu in (-0.1, 0.0, 0.5):
-            for w in (0.5 * w_hat, w_hat, 2.0 * w_hat):
-                for m in (0.1, 0.5, 0.9):
-                    yield (lam, mu, w, m)
-
-
 def solve_cn_coefficients(a: float, b: float, c: float, x0: float,
                           residual_tol: float = 1e-10) -> CnSolution:
     """Numerically solved shape constants for x(0) = x0, x'(0) = 0.
 
-    Multi-start Gauss-Newton seeded by every closed-form branch plus a
-    coarse grid; among converged roots, prefers m in [0, 1] and the
-    smallest |lam| + |mu|.
+    Each closed-form branch is polished by Gauss-Newton; among the
+    branches that converge to a valid root, prefers m in [0, 1] and the
+    smallest |lam| + |mu|.  Raises ValueError, listing each branch's
+    residual, when none does.
     """
     if x0 == 0.0:
         raise ValueError("x0 must be nonzero (the ansatz normalizes by x0)")
-    seeds = [(br.lam, br.mu, br.omega_cn, br.m) for br in closed_form_branches(a, b, c, x0)]
-    seeds.extend(_seed_grid(a, b, c, x0))
     roots: list[tuple[CnSolution, float]] = []
-    diagnostics: list[float] = []
-    for seed in seeds:
-        theta, resid = _gauss_newton(a, b, c, x0, seed)
-        diagnostics.append(resid)
+    diagnostics: list[str] = []
+    for br in closed_form_branches(a, b, c, x0):
+        theta, resid = _gauss_newton(a, b, c, x0, (br.lam, br.mu, br.omega_cn, br.m))
+        diagnostics.append(f"{br.family} {resid:.3g}")
         if resid >= residual_tol:
             continue
         lam, mu, w, m = map(float, theta)
@@ -253,10 +254,9 @@ def solve_cn_coefficients(a: float, b: float, c: float, x0: float,
                    and abs(sol.omega_cn - r.omega_cn) < 1e-8 for r, _ in roots):
             roots.append((sol, resid))
     if not roots:
-        raise ValueError(
-            f"no elliptic-ansatz root found for (a={a}, b={b}, c={c}, x0={x0}); "
-            f"best residuals per seed: {sorted(diagnostics)[:5]}"
-        )
+        tried = ", ".join(diagnostics) or "none, since no closed-form branch applies"
+        raise ValueError(f"no elliptic-ansatz root found for (a={a}, b={b}, c={c}, x0={x0}); "
+                         f"branch residuals after Gauss-Newton: {tried}")
     roots.sort(key=lambda sr: (not (0.0 <= sr[0].m <= 1.0), abs(sr[0].lam) + abs(sr[0].mu)))
     return roots[0][0]
 

@@ -148,8 +148,8 @@ def _default_ctrl(p: OscillatorParams, tau: float) -> StepControl:
     return StepControl(dt=_forcing_period(p, tau) / 200.0, method="rk4")
 
 
-def _settle_time(p: OscillatorParams, tau: float) -> float:
-    return max(50.0 * _forcing_period(p, tau), 20.0 * tau) + 5.0 * tau
+def _settle_time(p: OscillatorParams, tau: float, t0: float) -> float:
+    return t0 + max(50.0 * _forcing_period(p, tau), 20.0 * tau) + 5.0 * tau
 
 
 def search_cell(args) -> tuple[float, float, float, bool]:
@@ -157,7 +157,7 @@ def search_cell(args) -> tuple[float, float, float, bool]:
     processes can import it.  Returns (mu, tau, controller_norm, is_periodic)."""
     p, mu, tau, s0, periodicity_tol = args
     cfg = ControllerConfig(mu=mu, tau=tau)
-    _, rep = run_controlled(p, cfg, s0, _settle_time(p, tau), periodicity_tol=periodicity_tol)
+    _, rep = run_controlled(p, cfg, s0, _settle_time(p, tau, s0.t), periodicity_tol=periodicity_tol)
     return mu, tau, rep.controller_norm, rep.is_periodic
 
 
@@ -198,7 +198,7 @@ def _lane_blocks(p: OscillatorParams, s0: State, cells: list[tuple[float, float]
     for i, (mu, tau) in enumerate(cells):
         ControllerConfig(mu=mu, tau=tau)
         ctrl = _default_ctrl(p, tau)
-        dt, t_end = min(ctrl.dt, tau), _settle_time(p, tau)
+        dt, t_end = min(ctrl.dt, tau), _settle_time(p, tau, s0.t)
         _check_start(s0, t_end)
         groups.setdefault(dt, []).append(
             (i, mu, tau, t_end, *_rk4_schedule(s0.t, t_end, dt, ctrl.max_steps)))

@@ -61,6 +61,40 @@ class TestExactCommand:
         assert float(sol["m"]) == pytest.approx((3 - 2 * math.sqrt(2)) / 6, abs=1e-9)
         assert summary["lam"] == pytest.approx(4 - 3 * math.sqrt(2), abs=1e-9)
 
+    @pytest.mark.parametrize("argv, want", [
+        pytest.param(["--a", "0", "--b", "0", "--c", "1", "--x0", "0.5"],
+                     (2 - 4 / math.sqrt(3), 4 * math.sqrt(3) - 7, 0.0625 / math.sqrt(3),
+                      (2 - math.sqrt(3)) / 4), id="pure-quintic"),
+        pytest.param(["--a", "0.5", "--b", "1", "--c", "0", "--x0", "1", "--samples", "5"],
+                     (0.0, 0.0, 0.5, 1.0), id="separatrix-start"),
+        pytest.param(["--a", "-1", "--b", "0", "--c", "0", "--x0", "0.5"], (0.0, 0.0, 1.0, 0.0),
+                     id="linear"),
+    ])
+    def test_degenerate_limits(self, argv, want, tmp_path, capsys):
+        out = tmp_path / "exact.json"
+        code, summary, err = run_cli(capsys, "exact", *argv, "--out", str(out))
+        assert code == 0, err
+        got = tuple(summary[k] for k in ("lam", "mu", "omega", "m"))
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
+        if "--samples" in argv:  # the sech orbit: an infinite period, sampled on [0, 10]
+            _, header, rows = read_csv(str(tmp_path / "exact.csv"))
+            assert json.loads(out.read_text())["solution"]["period"] == math.inf
+            assert [float(r[0]) for r in rows] == [0.0, 2.5, 5.0, 7.5, 10.0]
+            for t, x in rows:
+                assert float(x) == pytest.approx(1.0 / math.cosh(math.sqrt(0.5) * float(t)),
+                                                 rel=1e-14)
+
+    def test_no_root_exits_1_naming_the_branch_residuals(self, tmp_path, capsys):
+        out = tmp_path / "exact.json"
+        code, _, err = run_cli(capsys, "exact", "--a", "1", "--b", "0", "--c", "-1", "--x0", "2",
+                               "--out", str(out))
+        assert code == 1
+        assert "Traceback" not in err
+        message = json.loads(err)["error"]
+        assert message.startswith("no elliptic-ansatz root found")
+        assert re.search(r"branch residuals after Gauss-Newton: general \S+, general ", message)
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_equilibrium_stays_put(self, tmp_path, capsys):
@@ -241,6 +275,16 @@ class TestSdeCommand:
         assert code == 1
         assert "Traceback" not in err and "Warning" not in err and not caught
         assert "does not cover t=20.0 " in json.loads(err)["error"]
+
+    def test_tiny_step_truncated_ensemble_exits_1_without_output(self, tmp_path, capsys):
+        # both paths overflow at the first step and end at t = 0, which is
+        # 3e-300 short of the horizon: no statistics are taken from x0
+        code, _, err = run_cli(capsys, "sde", "--dt", "1e-300", "--n-steps", "3", "--ensemble", "2",
+                               "--x0", "1e62", "--out", str(tmp_path / "paths.csv"))
+        assert code == 1
+        assert "Traceback" not in err
+        assert json.loads(err)["error"].startswith("path 0 does not cover t=3e-300 ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_overflowing_horizon_exits_2_without_saved_paths(self, tmp_path, capsys):
         # the horizon 3 * 1e308 is inf: rejected with the flags, before the work

@@ -73,8 +73,9 @@ class TestCoefficientSolve:
 
     def test_no_root_is_diagnosed(self):
         # a saddle-side start with positive energy has no bounded cn orbit
-        with pytest.raises(ValueError, match="no elliptic-ansatz root"):
+        with pytest.raises(ValueError, match="no elliptic-ansatz root") as exc:
             solve_cn_coefficients(1.0, 0.0, -1.0, 2.0)
+        assert "branch residuals after Gauss-Newton: general " in str(exc.value)
 
 
 class TestEvalCnSolution:
@@ -135,8 +136,82 @@ class TestClosedFormBranches:
         assert any(abs(br.lam - EX2["lam"]) < 1e-10 and abs(br.m - EX2["m"]) < 1e-10
                    for br in good)
 
-    def test_linear_equation_has_no_branches(self):
-        assert closed_form_branches(-1.0, 0.0, 0.0, 1.0) == []
+    def test_linear_equation_has_one_exact_row(self):
+        # b = c = 0 zeroes the mu = 0 discriminant: its double root is one row
+        rows = [(br.lam, br.mu, br.omega_cn, br.m, br.residual)
+                for br in closed_form_branches(-1.0, 0.0, 0.0, 1.0)]
+        assert rows == [(0.0, 0.0, 1.0, 0.0, 0.0)]
+
+
+SQ3 = math.sqrt(3.0)
+
+
+class TestDegenerateLimits:
+    """The roots where a branch formula meets a zero discriminant or a zero
+    denominator, each the limit of its own family."""
+
+    def constants(self, sol):
+        return sol.lam, sol.mu, sol.omega_cn, sol.m
+
+    @pytest.mark.parametrize("a, x0", [(-1.0, 0.5), (-2.5, 1.5)])
+    def test_linear_limit_is_exact(self, a, x0):
+        sol = solve_cn_coefficients(a, 0.0, 0.0, x0)
+        assert self.constants(sol) == (0.0, 0.0, -a, 0.0)
+        assert eval_cn_solution(sol, 0.7) == x0 * math.cos(math.sqrt(-a) * 0.7)
+
+    def test_zero_discriminant_double_root(self):
+        # 16ac + 3b^2 - 4bc x0^2 - 4c^2 x0^4 = 0: the two mu = 0 rows coincide
+        a, b, c, x0 = 0.5, 1.0, 1.5, 1.0
+        [br] = closed_form_branches(a, b, c, x0)
+        assert (br.lam, br.mu, br.omega_cn, br.m, br.residual) == (-0.5, 0.0, 1.0, 0.0, 0.0)
+        sol = solve_cn_coefficients(a, b, c, x0)
+        assert self.constants(sol) == (-0.5, 0.0, 1.0, 0.0)
+        ts = np.linspace(0.05, 2 * sol.period, 40)
+        assert ode_residual_fd(a, b, c, lambda t: eval_cn_solution(sol, t), ts) < 1e-5
+
+    @pytest.mark.parametrize("a, b, c, lam", [(0.5, 1.0, 0.0, 0.0), (0.5, 0.0, 1.5, -0.5),
+                                              (1.5, 2.0, 1.5, -0.25)])
+    def test_separatrix_start_is_the_sech_orbit(self, a, b, c, lam):
+        # 6a - 3b x0^2 - 2c x0^4 = 0 at x0 = 1: the start is on the zero-energy
+        # level, m tends to 1 and the period is infinite
+        sol = solve_cn_coefficients(a, b, c, 1.0)
+        assert self.constants(sol) == (lam, 0.0, a, 1.0)
+        assert sol.period == math.inf
+        orb = homoclinic_orbit(a, b, c, "sech", +1)
+        assert orb.x0 == 1.0 and orb.lam == lam
+        for t in np.linspace(-6.0, 6.0, 25):
+            assert eval_cn_solution(sol, t) == eval_homoclinic(orb, t)[0]
+
+    @pytest.mark.parametrize("c, x0", [(1.0, 0.5), (1.5, 1.0), (0.7, 1.3)])
+    def test_pure_quintic(self, c, x0):
+        # a = b = 0: the mu != 0 family's rate and parameter are 0/0
+        want = (2 - 4 / SQ3, 4 * SQ3 - 7, c * x0 ** 4 / SQ3, (2 - SQ3) / 4)
+        [br] = closed_form_branches(0.0, 0.0, c, x0)
+        assert (br.lam, br.mu, br.omega_cn, br.m) == want
+        assert br.residual <= 1e-14
+        sol = solve_cn_coefficients(0.0, 0.0, c, x0)
+        assert self.constants(sol) == pytest.approx(want, rel=1e-13, abs=1e-14)
+
+    @pytest.mark.parametrize("a, b, c, x0, want", [
+        (0.0, 2e-72, 1.0, 1.0, (2 - 4 / SQ3, 4 * SQ3 - 7, 1 / SQ3, (2 - SQ3) / 4)),
+        (0.5, 1.0, 1e-72, 1.0, (0.0, 0.0, 0.5, 1.0)),
+        (-1.0, 0.0, 1e-72, 1.0, (0.0, 0.0, 1.0, 0.0)),
+        (0.5, 1.0, 1.500000000000001, 1.0, (-0.5, 0.0, 1.0, 0.0)),  # discriminant -1.1e-14
+    ])
+    def test_within_rounding_of_a_limit(self, a, b, c, x0, want):
+        # the branch formulas cancel to noise here, and the limit gives the root
+        sol = solve_cn_coefficients(a, b, c, x0)
+        assert self.constants(sol) == pytest.approx(want, abs=1e-12)
+
+    def test_softening_pure_quintic_has_no_root(self):
+        with pytest.raises(ValueError, match="no elliptic-ansatz root found .*; "
+                                             "branch residuals after Gauss-Newton: general "):
+            solve_cn_coefficients(0.0, 0.0, -1.0, 0.5)
+
+    def test_no_branch_is_named(self):
+        with pytest.raises(ValueError, match="after Gauss-Newton: none, since no closed-form "
+                                             "branch applies"):
+            solve_cn_coefficients(0.0, 0.0, 0.0, 1.0)
 
 
 class TestPublishedHardeningParameters:

@@ -155,7 +155,9 @@ def cells_bits(cells):
 
 class TestLockstepSearch:
     # Cells start at s0.t, a few time units before the earliest settle
-    # time, so that each example is short; the delays are
+    # time from t = 0, and settle until that time from t = 0 (the settle
+    # time is patched in both paths), so that each example is short; the
+    # delays are
     #   "chaos":  around the published 3.73 (dt = T/200 is shared),
     #   "period": exactly T (forced; delayed reads land on knots),
     #   "short":  below T/200 (forced; dt = tau, and RK4's last read of a
@@ -189,15 +191,30 @@ class TestLockstepSearch:
             delays = "chaos"
         tau_lo = {"chaos": 3.73093, "period": T_FORCING, "short": 0.012}[delays]
         tau_hi = tau_lo * (1.0 + spread) if delays != "period" else tau_lo
-        s0 = State(pyragas._settle_time(p, tau_lo) - before, x0, v0)
+        settle = pyragas._settle_time
+        s0 = State(settle(p, tau_lo, 0.0) - before, x0, v0)
         mus, taus = np.linspace(mu_lo, mu_lo + 1.5, n_mu), np.linspace(tau_lo, tau_hi, n_tau)
-        ref = sorted((search_cell((p, float(mu), float(tau), s0, 1e-2))
-                      for mu in mus for tau in taus), key=lambda c: (c[2], c[0], c[1]))
-        with mock.patch.object(pyragas, "_RING_BUDGET", budget), \
-                mock.patch.object(pyragas, "_LOCKSTEP_MIN", 1):
-            got = search_mu_tau(p, (mu_lo, mu_lo + 1.5), (tau_lo, tau_hi), (n_mu, n_tau), s0,
-                                map_fn=reversed_map)
+        with mock.patch.object(pyragas, "_settle_time", lambda p, tau, t0: settle(p, tau, 0.0)):
+            ref = sorted((search_cell((p, float(mu), float(tau), s0, 1e-2))
+                          for mu in mus for tau in taus), key=lambda c: (c[2], c[0], c[1]))
+            with mock.patch.object(pyragas, "_RING_BUDGET", budget), \
+                    mock.patch.object(pyragas, "_LOCKSTEP_MIN", 1):
+                got = search_mu_tau(p, (mu_lo, mu_lo + 1.5), (tau_lo, tau_hi), (n_mu, n_tau), s0,
+                                    map_fn=reversed_map)
         assert cells_bits(got) == cells_bits(ref)
+
+    def test_settle_time_counts_from_the_start(self):
+        # a start after the settle time from t = 0 (about 234) still settles
+        # for 50 forcing periods and 5 delays
+        p = OscillatorParams(1, 1, 0.2, delta=0.1, gamma=0.35, omega=1.4)
+        s0 = State(300.0, 0, 0)
+        assert pyragas._settle_time(p, 2.0, 300.0) - 300.0 == pytest.approx(
+            pyragas._settle_time(p, 2.0, 0.0), rel=1e-15)
+        ref = sorted((search_cell((p, mu, tau, s0, 1e-2)) for mu in (1.0, 2.0)
+                      for tau in (2.0, 3.0)), key=lambda c: (c[2], c[0], c[1]))
+        assert cells_bits(search_mu_tau(p, (1, 2), (2, 3), (2, 2), s0)) == cells_bits(ref)
+        with mock.patch.object(pyragas, "_LOCKSTEP_MIN", 1):  # the lanes too
+            assert cells_bits(search_mu_tau(p, (1, 2), (2, 3), (2, 2), s0)) == cells_bits(ref)
 
     def test_max_steps_raises_before_any_lane_runs(self, monkeypatch):
         # tau = 5000 settles at t = 125 000, 5.6 million steps of T/200

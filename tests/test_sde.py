@@ -178,6 +178,28 @@ class TestEnsembleStats:
         with pytest.raises(ValueError, match="cover"):
             ensemble_stats(paths, 5.0)
 
+    def test_coverage_is_checked_to_rounding(self):
+        # the last knot 30 * 0.1 is 3.0000000000000004: a horizon within a
+        # few ulps of it is covered, one 16 ulps beyond it is not
+        cfg = SdeConfig(dt=0.1, n_steps=30, seed=9, sigma=0.1, ensemble=2)
+        paths = euler_maruyama(OU, cfg, State(0, 0, 0))
+        last = paths[0].t[-1]
+        assert ensemble_stats(paths, 3.0).t == 3.0
+        assert ensemble_stats(paths, float(np.nextafter(last, 4.0))).n == 2
+        with pytest.raises(ValueError, match="path 0 does not cover"):
+            ensemble_stats(paths, last + 16 * np.spacing(last))
+
+    @pytest.mark.parametrize("run", [
+        lambda p, cfg, s0: ensemble_stats(euler_maruyama(p, cfg, s0), cfg.n_steps * cfg.dt),
+        lambda p, cfg, s0: run_ensemble(p, cfg, s0, 0)])
+    def test_tiny_step_truncation_is_not_covered(self, run):
+        # x**5 overflows at the first step: both paths end at t = 0, which
+        # lies 3e-300 short of the horizon
+        p = OscillatorParams(a=1.0, b=1.0, c=0.2, epsilon=0.0)
+        cfg = SdeConfig(dt=1e-300, n_steps=3, seed=0, sigma=0.0, ensemble=2)
+        with pytest.raises(ValueError, match=r"path 0 does not cover t=3e-300 \(span \(0.0, 0.0\)\)"):
+            run(p, cfg, State(0.0, 1e62, 0.0))
+
 
 def reference_euler_maruyama(p, cfg, s0):
     """The one time-major Euler-Maruyama loop over full (step, path) arrays
@@ -216,11 +238,14 @@ def reference_euler_maruyama(p, cfg, s0):
 
 
 def reference_ensemble_stats(paths, t):
-    """`ensemble_stats` before its moments moved to a shared helper, verbatim."""
+    """`ensemble_stats` before its moments moved to a shared helper, verbatim
+    but for its coverage test, which allows 4 ulps of the span's end in
+    place of an absolute 1e-12."""
     xs = np.empty(len(paths))
     vs = np.empty(len(paths))
     for j, tr in enumerate(paths):
-        if t > tr.t[-1] + 1e-12 or t < tr.t[0] - 1e-12:
+        if (t > tr.t[-1] + 4 * np.spacing(abs(tr.t[-1]))
+                or t < tr.t[0] - 4 * np.spacing(abs(tr.t[0]))):
             raise ValueError(f"path {j} does not cover t={t} (span {tr.t_span})")
         i = int(np.argmin(np.abs(tr.t - t)))
         xs[j] = tr.x[i]
@@ -243,8 +268,8 @@ class TestStreamingPass:
     # of the paths escape and overflow, at different steps; c = 0.2 keeps
     # every path. Blocks and chunks are patched small, so that an example
     # crosses several of each, and n_steps is rarely a multiple of a chunk.
-    # With dt < 1e-12 a path cut early still covers the horizon within
-    # ensemble_stats' 1e-12, which then reads its last finite state.
+    # With dt = 1e-14 every path is cut at row 1, far short of the horizon
+    # 20 dt on the scale of its rounding: no statistics are taken.
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(ensemble=st.integers(1, 40), n_steps=st.integers(1, 300),
            save=st.sampled_from(["0", "1", "all", "more"]),
