@@ -209,7 +209,7 @@ def cmd_kbm(cfg: dict, out_path) -> dict:
 def cmd_melnikov(cfg: dict, out_path) -> dict:
     p = _params(cfg)
     orbit = exact.homoclinic_orbit(cfg["a"], cfg["b"], cfg["c"], cfg["kind"], cfg["sign"])
-    res = (melnikov.melnikov_sech if cfg["kind"] == "sech" else melnikov.melnikov_tanh)(orbit, p)
+    res = melnikov.melnikov(orbit, p)
     critical_gamma = abs(p.delta) * res.threshold_ratio if math.isfinite(res.threshold_ratio) else None
     payload = {
         "orbit": {"A": orbit.A, "k": orbit.k, "lam": orbit.lam, "kind": orbit.kind},
@@ -385,8 +385,8 @@ _FLAGS: dict[str, dict] = {
     "search": dict(action="store_true", help="grid search instead of one run"),
     "mu_min": dict(type=_finite),
     "mu_max": dict(type=_finite),
-    "tau_min": dict(type=_finite),
-    "tau_max": dict(type=_finite),
+    "tau_min": dict(type=_positive),
+    "tau_max": dict(type=_positive),
     "grid": dict(type=_positive_int),
     "n_steps": dict(type=_positive_int),
     "seed": dict(type=_count),
@@ -485,7 +485,8 @@ _COMMANDS: dict[str, _Command] = {
         presets={"table1": {"omega": [om for om, _ in _TABLE1_ROWS],
                             "gamma_min": [max(0.02, g - 0.08) for _, g in _TABLE1_ROWS],
                             "gamma_max": [g + 0.12 for _, g in _TABLE1_ROWS]}},
-        kw={"omega": dict(type=_finite, action="append", help="forcing frequency (repeatable)")},
+        kw={"omega": dict(type=_positive, action="append", help="forcing frequency (repeatable)"),
+            "gamma_min": dict(type=_nonnegative), "gamma_max": dict(type=_positive)},
         plot=((1, 2), "chaos onset amplitude")),
     "bifurcate": _Command(
         cmd_bifurcate, "strobe displacements over a forcing sweep",

@@ -31,6 +31,14 @@ def complete_k(m: float) -> float:
     return math.pi / (2.0 * a)
 
 
+def _reciprocal(fn, arg: float) -> float:
+    """1 / fn(arg) for the growing cosh or sinh; 0.0, its limit, where fn overflows."""
+    try:
+        return 1.0 / fn(arg)
+    except OverflowError:
+        return 0.0
+
+
 def _sn_cn_dn_basic(u: float, m: float) -> tuple[float, float, float]:
     """AGM/Landen evaluation for 0 <= m < 1 after range reduction of u."""
     if m == 0.0:
@@ -76,7 +84,7 @@ def jacobi_sn_cn_dn(u: float, m: float) -> tuple[float, float, float]:
         raise ValueError(f"non-finite elliptic argument u={u}, m={m}")
     if m >= _M_ONE_CUTOFF:
         if m <= 1.0 + 1e-12:
-            sech = 1.0 / math.cosh(u)
+            sech = _reciprocal(math.cosh, u)
             return math.tanh(u), sech, sech
         # reciprocal-parameter transformation, m > 1
         mu = 1.0 / m

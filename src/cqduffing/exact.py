@@ -20,7 +20,7 @@ from itertools import product
 
 import numpy as np
 
-from .elliptic import cn_period, jacobi_sn_cn_dn
+from .elliptic import _reciprocal, cn_period, jacobi_sn_cn_dn
 
 __all__ = [
     "CnSolution",
@@ -325,8 +325,6 @@ def homoclinic_orbit(a: float, b: float, c: float, kind: str, sign: int = 1) -> 
         lam = (b * x2 - 2.0 * a) / den
         if 1.0 + lam <= 0.0:
             raise ValueError(f"sech orbit guard violated: 1 + lam = {1 + lam} <= 0")
-        if 1.0 + min(lam, 0.0) <= 0.0:
-            raise ValueError(f"sech orbit guard violated: denominator vanishes (lam = {lam})")
         return HomoclinicOrbit(A=math.sqrt(x2) * math.sqrt(1.0 + lam), k=a, lam=lam, kind="sech")
     if kind == "tanh":
         if c == 0.0:
@@ -354,7 +352,7 @@ def eval_homoclinic(orbit: HomoclinicOrbit, t: float) -> tuple[float, float]:
     """(x, v) on the orbit at time t, with the analytic velocity."""
     rk = math.sqrt(orbit.k)
     if orbit.kind == "sech":
-        s = 1.0 / math.cosh(rk * t)
+        s = _reciprocal(math.cosh, rk * t)
         den = 1.0 + orbit.lam * s * s
         x = orbit.A * s / math.sqrt(den)
         v = -orbit.A * rk * math.tanh(rk * t) * s / den ** 1.5

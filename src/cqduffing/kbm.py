@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OscillatorParams, equilibria
+from .core import OscillatorParams, _stiffness, equilibria
 
 __all__ = [
     "KbmCoefficients",
@@ -86,7 +86,7 @@ def build_coefficients(p: OscillatorParams, x0: float) -> KbmCoefficients:
         )
     eta = min(centers, key=lambda e: abs(e - x0))
     eta2 = eta * eta
-    w0sq = -p.a + 3.0 * p.b * eta2 + 5.0 * p.c * eta2 * eta2
+    w0sq = -_stiffness(p, eta)
     if w0sq <= 0.0:
         raise ValueError(f"nonpositive squared base frequency {w0sq} around eta={eta}")
     return KbmCoefficients(

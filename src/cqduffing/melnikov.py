@@ -2,16 +2,18 @@
 oscillator, with closed-form damping integrals and cubic/quadratic
 Chebyshev surrogates for the oscillatory forcing integrals.
 
-For the pulse (sech) family
+Along an orbit of either family, the pulse (sech) or the kink (tanh),
 
-    M(t0) = gamma * W * sin(omega t0) - delta * I2,
+    M(t0) = gamma * W * osc(omega t0) - delta * I,
 
-and for the kink (tanh) family the oscillatory factor is cos(omega t0)
-with a csch envelope.  Simple zeros exist, signalling transverse
-separatrix intersection, exactly when gamma/delta exceeds I2/|W| (the
-threshold ratio).  Each damping integral has one closed form on the
-whole range lam > -1 of a regular orbit, with its Taylor series near
-lam = 0.
+with osc = sin and a sech envelope in W for the pulse, osc = cos and a
+csch envelope for the kink.  One function, `melnikov`, assembles both:
+the orbit names its family, and that family's row supplies the surrogate
+fit, the envelope, the bracket of W, the damping integral I and osc.
+Simple zeros exist, signalling transverse separatrix intersection,
+exactly when gamma/delta exceeds I/|W| (the threshold ratio).  Each
+damping integral has one closed form on the whole range lam > -1 of a
+regular orbit, with its Taylor series near lam = 0.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OscillatorParams
+from .elliptic import _reciprocal
 from .exact import HomoclinicOrbit
 
 __all__ = [
@@ -28,8 +31,7 @@ __all__ = [
     "MelnikovResult",
     "chebyshev_fit_sech",
     "chebyshev_fit_tanh",
-    "melnikov_sech",
-    "melnikov_tanh",
+    "melnikov",
     "chaos_threshold",
     "damping_integral_sech",
     "damping_integral_tanh",
@@ -117,8 +119,7 @@ class MelnikovResult:
     fit: ChebyshevFit
 
     def evaluate(self, t0: float) -> float:
-        osc = math.sin(self.omega * t0) if self.oscillation == "sin" else math.cos(self.omega * t0)
-        return self.wave_coeff * osc - self.damp_coeff
+        return self.wave_coeff * getattr(math, self.oscillation)(self.omega * t0) - self.damp_coeff
 
     @property
     def has_simple_zeros(self) -> bool:
@@ -166,75 +167,46 @@ def damping_integral_tanh(orbit: HomoclinicOrbit) -> float:
     return _damping(orbit, _KINK_SERIES, closed)
 
 
-def _reciprocal(fn, arg: float) -> float:
-    """1 / fn(arg) for the growing cosh or sinh: 0.0, its limit, where fn
-    overflows."""
-    try:
-        return 1.0 / fn(arg)
-    except OverflowError:
-        return 0.0
+# Per family: the surrogate fit, the growing function whose reciprocal is
+# the envelope (sech or csch), the bracket of the wave coefficient in
+# (r, s, k, w), the damping integral and the oscillation in t0.
+_FAMILIES = {
+    "sech": (chebyshev_fit_sech, math.cosh,
+             lambda r, s, k, w: (r * w * math.pi / k
+                                 + s * w * math.pi * (k + w * w) / (6.0 * k * k)),
+             damping_integral_sech, "sin"),
+    "tanh": (chebyshev_fit_tanh, math.sinh,
+             lambda r, s, k, w: (-r * w * math.pi / k
+                                 + s * w * math.pi * (w * w - 8.0 * k) / (6.0 * k * k)),
+             damping_integral_tanh, "cos"),
+}
 
 
-def melnikov_sech(orbit: HomoclinicOrbit, p: OscillatorParams) -> MelnikovResult:
-    """Distance function for the pulse orbit:
-    M(t0) = gamma A sqrt(k) [r w pi/k + s w pi (k+w^2)/(6k^2)] sech(w pi/(2 sqrt k)) sin(w t0)
-            - delta * I2."""
-    if orbit.kind != "sech":
-        raise ValueError(f"expected a sech orbit, got kind={orbit.kind!r}")
+def melnikov(orbit: HomoclinicOrbit, p: OscillatorParams) -> MelnikovResult:
+    """M(t0) = gamma W osc(w t0) - delta I along the orbit's own family,
+    with (r, s) the coefficients of that family's surrogate fit:
+    pulse: W = A sqrt(k) [r w pi/k + s w pi (k+w^2)/(6k^2)] sech(w pi/(2 sqrt k)),
+           osc = sin, I = I2 (damping_integral_sech);
+    kink:  W = A sqrt(k) [-r w pi/k + s w pi (w^2-8k)/(6k^2)] csch(w pi/(2 sqrt k)),
+           osc = cos, I = J2 (damping_integral_tanh)."""
     if p.omega <= 0.0:
         raise ValueError("melnikov evaluation needs omega > 0")
-    fit = chebyshev_fit_sech(orbit.lam)
+    fit_fn, grow, bracket, damping, oscillation = _FAMILIES[orbit.kind]
+    fit = fit_fn(orbit.lam)
     r, s = fit.coefficients
     k, w = orbit.k, p.omega
     rk = math.sqrt(k)
-    envelope = _reciprocal(math.cosh, w * math.pi / (2.0 * rk))
-    wave_base = orbit.A * rk * (r * w * math.pi / k
-                                + s * w * math.pi * (k + w * w) / (6.0 * k * k)) * envelope
-    i2 = damping_integral_sech(orbit)
-    ratio = math.inf if wave_base == 0.0 else abs(i2 / wave_base)
-    return MelnikovResult(
-        wave_coeff=p.gamma * wave_base,
-        damp_coeff=p.delta * i2,
-        threshold_ratio=ratio,
-        orbit=orbit,
-        omega=w,
-        oscillation="sin",
-        fit=fit,
-    )
-
-
-def melnikov_tanh(orbit: HomoclinicOrbit, p: OscillatorParams) -> MelnikovResult:
-    """Distance function for the kink orbit:
-    M(t0) = gamma A sqrt(k) [-r w pi/k + s w pi (w^2-8k)/(6k^2)] csch(w pi/(2 sqrt k)) cos(w t0)
-            - delta * J2."""
-    if orbit.kind != "tanh":
-        raise ValueError(f"expected a tanh orbit, got kind={orbit.kind!r}")
-    if p.omega <= 0.0:
-        raise ValueError("melnikov evaluation needs omega > 0")
-    fit = chebyshev_fit_tanh(orbit.lam)
-    r, s = fit.coefficients
-    k, w = orbit.k, p.omega
-    rk = math.sqrt(k)
-    envelope = _reciprocal(math.sinh, w * math.pi / (2.0 * rk))
-    wave_base = orbit.A * rk * (-r * w * math.pi / k
-                                + s * w * math.pi * (w * w - 8.0 * k) / (6.0 * k * k)) * envelope
-    j2 = damping_integral_tanh(orbit)
-    ratio = math.inf if wave_base == 0.0 else abs(j2 / wave_base)
-    return MelnikovResult(
-        wave_coeff=p.gamma * wave_base,
-        damp_coeff=p.delta * j2,
-        threshold_ratio=ratio,
-        orbit=orbit,
-        omega=w,
-        oscillation="cos",
-        fit=fit,
-    )
+    envelope = _reciprocal(grow, w * math.pi / (2.0 * rk))
+    wave_base = orbit.A * rk * bracket(r, s, k, w) * envelope
+    damp = damping(orbit)
+    ratio = math.inf if wave_base == 0.0 else abs(damp / wave_base)
+    return MelnikovResult(p.gamma * wave_base, p.delta * damp, ratio, orbit, w, oscillation, fit)
 
 
 def chaos_threshold(orbit: HomoclinicOrbit, p: OscillatorParams) -> float:
     """Critical forcing amplitude delta * I/|W|: below it M(t0) keeps one
     sign (no transverse intersection), above it M has simple zeros."""
-    res = melnikov_sech(orbit, p) if orbit.kind == "sech" else melnikov_tanh(orbit, p)
+    res = melnikov(orbit, p)
     if not math.isfinite(res.threshold_ratio):
         raise ValueError("oscillatory coefficient vanishes; threshold criterion inconclusive")
     return abs(p.delta) * res.threshold_ratio

@@ -39,7 +39,7 @@ from cqduffing.melnikov import (
     chebyshev_fit_tanh,
     damping_integral_sech,
     damping_integral_tanh,
-    melnikov_sech,
+    melnikov,
 )
 from cqduffing.pyragas import ControllerConfig, run_controlled, search_mu_tau
 from cqduffing.sde import SdeConfig, ensemble_stats, euler_maruyama, path_increments
@@ -170,8 +170,8 @@ def test_criterion_04_melnikov_closed_forms():
         j2_q = quad(g, -40 / rk, 40 / rk, limit=400)[0]
         worst = max(worst, abs(i2 - i2_q), abs(j2 - j2_q))
     orb = HomoclinicOrbit(A=1.0, k=1.0, lam=0.5, kind="sech")
-    res = melnikov_sech(orb, OscillatorParams(1, 1, 0.2, delta=0.1, gamma=0.3,
-                                              omega=1.4, epsilon=1))
+    res = melnikov(orb, OscillatorParams(1, 1, 0.2, delta=0.1, gamma=0.3,
+                                         omega=1.4, epsilon=1))
     T0 = 2 * math.pi / res.omega
     per_err = max(abs(res.evaluate(t0 + T0) - res.evaluate(t0))
                   for t0 in np.linspace(0, 7, 40))

@@ -69,6 +69,8 @@ class TestExactCommand:
                      (0.0, 0.0, 0.5, 1.0), id="separatrix-start"),
         pytest.param(["--a", "-1", "--b", "0", "--c", "0", "--x0", "0.5"], (0.0, 0.0, 1.0, 0.0),
                      id="linear"),
+        pytest.param(["--a", "6000", "--b", "12000", "--c", "0", "--x0", "1", "--samples", "5"],
+                     (0.0, 0.0, 6000.0, 1.0), id="separatrix-start-past-the-cosh-overflow"),
     ])
     def test_degenerate_limits(self, argv, want, tmp_path, capsys):
         out = tmp_path / "exact.json"
@@ -80,8 +82,10 @@ class TestExactCommand:
             _, header, rows = read_csv(str(tmp_path / "exact.csv"))
             assert json.loads(out.read_text())["solution"]["period"] == math.inf
             assert [float(r[0]) for r in rows] == [0.0, 2.5, 5.0, 7.5, 10.0]
-            for t, x in rows:
-                assert float(x) == pytest.approx(1.0 / math.cosh(math.sqrt(0.5) * float(t)),
+            rate = math.sqrt(float(argv[1]))
+            for t, x in rows:  # sech, or its limit 0.0 where cosh overflows
+                u = rate * float(t)
+                assert float(x) == pytest.approx(1.0 / math.cosh(u) if u < 710.0 else 0.0,
                                                  rel=1e-14)
 
     def test_no_root_exits_1_naming_the_branch_residuals(self, tmp_path, capsys):
@@ -490,6 +494,13 @@ class TestFlagValidation:
         (["control", "--search", "--preset", "fig10", "--tau-max", "nan"], "--tau-max"),
         (["scan", "--omega", "1.4", "--gamma-min", "nan"], "--gamma-min"),
         (["sde", "--dt", "0.01", "--n-steps", "10", "--seed", "-1"], "--seed"),
+        (["scan", "--omega", "0"], "--omega"),
+        (["scan", "--omega", "-1.4"], "--omega"),
+        (["scan", "--omega", "1.4", "--gamma-min", "-0.1"], "--gamma-min"),
+        (["scan", "--omega", "1.4", "--gamma-max", "0"], "--gamma-max"),
+        (["control", "--search", "--preset", "fig10", "--tau-min", "0"], "--tau-min"),
+        (["control", "--search", "--preset", "fig10", "--tau-min", "-1"], "--tau-min"),
+        (["control", "--search", "--preset", "fig10", "--tau-max", "0"], "--tau-max"),
     ])
     def test_bad_value_exits_2_naming_the_flag(self, argv, flag, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

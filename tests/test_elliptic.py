@@ -52,6 +52,12 @@ class TestCn:
             for u in rng.uniform(-5, 5, 20):
                 assert jacobi_cn(u + 4 * K, m) == pytest.approx(jacobi_cn(u, m), abs=1e-10)
 
+    def test_hyperbolic_limit_past_the_cosh_overflow(self):
+        # cosh overflows past |u| ~ 710: sech takes its limit 0.0
+        assert jacobi_sn_cn_dn(720.0, 1.0) == (1.0, 0.0, 0.0)
+        assert jacobi_sn_cn_dn(-720.0, 1.0) == (-1.0, 0.0, 0.0)
+        assert jacobi_sn_cn_dn(700.0, 1.0)[1] == 1.0 / math.cosh(700.0) > 0.0
+
     def test_near_circular_limit(self):
         worst = max(abs(jacobi_cn(u, 1e-12) - math.cos(u)) for u in np.linspace(-5, 5, 201))
         assert worst < 1e-9

@@ -269,6 +269,12 @@ class TestHomoclinicOrbit:
         assert min(abs(x_inf - e) for e in eqs) < 1e-8
         assert abs(orb.x0 - x_inf) < 1e-8
 
+    def test_pulse_past_the_cosh_overflow(self):
+        # cosh(sqrt(k) t) overflows past sqrt(k) |t| ~ 710: the orbit is at the origin
+        orb = homoclinic_orbit(1, 1, 0.2, "sech", +1)
+        for t in (720.0, -720.0, 1e300):
+            assert eval_homoclinic(orb, t) == (0.0, 0.0)
+
     def test_pulse_peak_state(self):
         orb = homoclinic_orbit(1, 1, 1, "sech", +1)
         x, v = eval_homoclinic(orb, 0.0)

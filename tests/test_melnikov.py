@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from itertools import product
 
 import mpmath
 import numpy as np
@@ -7,15 +9,16 @@ from scipy.integrate import quad
 
 from cqduffing import OscillatorParams, State
 from cqduffing.chaos import lyapunov_max
+from cqduffing.elliptic import _reciprocal
 from cqduffing.exact import HomoclinicOrbit, homoclinic_orbit
 from cqduffing.melnikov import (
+    MelnikovResult,
     chaos_threshold,
     chebyshev_fit_sech,
     chebyshev_fit_tanh,
     damping_integral_sech,
     damping_integral_tanh,
-    melnikov_sech,
-    melnikov_tanh,
+    melnikov,
 )
 
 # sup errors of the surrogate fits, measured once on 4096 points and frozen
@@ -178,8 +181,8 @@ class TestMelnikovAssembly:
 
     def test_pure_damping_has_no_zeros(self):
         orb = HomoclinicOrbit(A=1, k=1, lam=1, kind="sech")
-        res = melnikov_sech(orb, OscillatorParams(1, 1, 0.2, delta=0.1, gamma=0.0,
-                                                  omega=1.4, epsilon=1))
+        res = melnikov(orb, OscillatorParams(1, 1, 0.2, delta=0.1, gamma=0.0,
+                                             omega=1.4, epsilon=1))
         assert res.wave_coeff == 0.0
         assert res.damp_coeff > 0
         assert not res.has_simple_zeros
@@ -187,7 +190,7 @@ class TestMelnikovAssembly:
 
     def test_pure_forcing_zeros_on_the_lattice(self):
         orb = HomoclinicOrbit(A=1, k=1, lam=1, kind="sech")
-        res = melnikov_sech(orb, self.params(delta=0.0))
+        res = melnikov(orb, self.params(delta=0.0))
         assert res.has_simple_zeros
         w = res.omega
         for n in range(4):
@@ -195,7 +198,7 @@ class TestMelnikovAssembly:
 
     def test_periodicity_in_release_time(self):
         orb = HomoclinicOrbit(A=1, k=1, lam=0.5, kind="sech")
-        res = melnikov_sech(orb, self.params())
+        res = melnikov(orb, self.params())
         T0 = 2 * math.pi / res.omega
         for t0 in np.linspace(0, 5, 23):
             assert res.evaluate(t0 + T0) == pytest.approx(res.evaluate(t0), abs=1e-12)
@@ -206,8 +209,8 @@ class TestMelnikovAssembly:
         for A, k, lam, w in [(0.8915, 1.0, -0.30132, 1.4), (1.0, 1.0, 1.0, 1.0),
                              (0.9, 2.0, 0.5, 0.8)]:
             orb = HomoclinicOrbit(A=A, k=k, lam=lam, kind="sech")
-            res = melnikov_sech(orb, OscillatorParams(1, 1, 0.2, delta=0.0, gamma=1.0,
-                                                      omega=w, epsilon=1))
+            res = melnikov(orb, OscillatorParams(1, 1, 0.2, delta=0.0, gamma=1.0,
+                                                 omega=w, epsilon=1))
             for t0 in (0.0, 0.4, 1.3):
                 approx = res.evaluate(t0)
                 exact = quad_pulse_forcing(A, k, lam, w, t0)
@@ -218,8 +221,8 @@ class TestMelnikovAssembly:
         for A, k, lam, w in [(0.65228, 0.42705, 0.11388, 1.4), (1.0, 1.0, 0.3, 1.0),
                              (1.0, 1.0, 1.0, 1.4)]:
             orb = HomoclinicOrbit(A=A, k=k, lam=lam, kind="tanh")
-            res = melnikov_tanh(orb, OscillatorParams(1, 1, 0.2, delta=0.0, gamma=1.0,
-                                                      omega=w, epsilon=1))
+            res = melnikov(orb, OscillatorParams(1, 1, 0.2, delta=0.0, gamma=1.0,
+                                                 omega=w, epsilon=1))
             assert math.isfinite(res.fit.max_error)
             for t0 in (0.0, 0.4, 1.3):
                 approx = res.evaluate(t0)
@@ -228,16 +231,11 @@ class TestMelnikovAssembly:
 
     def test_kink_high_frequency_suppression(self):
         orb = HomoclinicOrbit(A=1, k=1, lam=0.5, kind="tanh")
-        lo = melnikov_tanh(orb, OscillatorParams(1, 1, 0.2, delta=0.1, gamma=0.3,
-                                                 omega=2.0, epsilon=1))
-        hi = melnikov_tanh(orb, OscillatorParams(1, 1, 0.2, delta=0.1, gamma=0.3,
-                                                 omega=20.0, epsilon=1))
+        lo = melnikov(orb, OscillatorParams(1, 1, 0.2, delta=0.1, gamma=0.3,
+                                            omega=2.0, epsilon=1))
+        hi = melnikov(orb, OscillatorParams(1, 1, 0.2, delta=0.1, gamma=0.3,
+                                            omega=20.0, epsilon=1))
         assert hi.threshold_ratio > 100 * lo.threshold_ratio
-
-    def test_kind_mismatch_rejected(self):
-        orb = HomoclinicOrbit(A=1, k=1, lam=1, kind="tanh")
-        with pytest.raises(ValueError, match="sech"):
-            melnikov_sech(orb, self.params())
 
 
 class TestChaosThreshold:
@@ -263,3 +261,120 @@ class TestChaosThreshold:
         crit = chaos_threshold(orb, p)
         assert 0.0 < crit < 0.35
         assert 0.35 / crit < 5.0
+
+
+# The two per-family assemblies that `melnikov` replaced, verbatim: the
+# differential test below holds every field of the one assembly to them.
+def melnikov_sech(orbit: HomoclinicOrbit, p: OscillatorParams) -> MelnikovResult:
+    """Distance function for the pulse orbit:
+    M(t0) = gamma A sqrt(k) [r w pi/k + s w pi (k+w^2)/(6k^2)] sech(w pi/(2 sqrt k)) sin(w t0)
+            - delta * I2."""
+    if orbit.kind != "sech":
+        raise ValueError(f"expected a sech orbit, got kind={orbit.kind!r}")
+    if p.omega <= 0.0:
+        raise ValueError("melnikov evaluation needs omega > 0")
+    fit = chebyshev_fit_sech(orbit.lam)
+    r, s = fit.coefficients
+    k, w = orbit.k, p.omega
+    rk = math.sqrt(k)
+    envelope = _reciprocal(math.cosh, w * math.pi / (2.0 * rk))
+    wave_base = orbit.A * rk * (r * w * math.pi / k
+                                + s * w * math.pi * (k + w * w) / (6.0 * k * k)) * envelope
+    i2 = damping_integral_sech(orbit)
+    ratio = math.inf if wave_base == 0.0 else abs(i2 / wave_base)
+    return MelnikovResult(
+        wave_coeff=p.gamma * wave_base,
+        damp_coeff=p.delta * i2,
+        threshold_ratio=ratio,
+        orbit=orbit,
+        omega=w,
+        oscillation="sin",
+        fit=fit,
+    )
+
+
+def melnikov_tanh(orbit: HomoclinicOrbit, p: OscillatorParams) -> MelnikovResult:
+    """Distance function for the kink orbit:
+    M(t0) = gamma A sqrt(k) [-r w pi/k + s w pi (w^2-8k)/(6k^2)] csch(w pi/(2 sqrt k)) cos(w t0)
+            - delta * J2."""
+    if orbit.kind != "tanh":
+        raise ValueError(f"expected a tanh orbit, got kind={orbit.kind!r}")
+    if p.omega <= 0.0:
+        raise ValueError("melnikov evaluation needs omega > 0")
+    fit = chebyshev_fit_tanh(orbit.lam)
+    r, s = fit.coefficients
+    k, w = orbit.k, p.omega
+    rk = math.sqrt(k)
+    envelope = _reciprocal(math.sinh, w * math.pi / (2.0 * rk))
+    wave_base = orbit.A * rk * (-r * w * math.pi / k
+                                + s * w * math.pi * (w * w - 8.0 * k) / (6.0 * k * k)) * envelope
+    j2 = damping_integral_tanh(orbit)
+    ratio = math.inf if wave_base == 0.0 else abs(j2 / wave_base)
+    return MelnikovResult(
+        wave_coeff=p.gamma * wave_base,
+        damp_coeff=p.delta * j2,
+        threshold_ratio=ratio,
+        orbit=orbit,
+        omega=w,
+        oscillation="cos",
+        fit=fit,
+    )
+
+
+def per_family_threshold(orbit: HomoclinicOrbit, p: OscillatorParams) -> float:
+    res = melnikov_sech(orbit, p) if orbit.kind == "sech" else melnikov_tanh(orbit, p)
+    if not math.isfinite(res.threshold_ratio):
+        raise ValueError("oscillatory coefficient vanishes; threshold criterion inconclusive")
+    return abs(p.delta) * res.threshold_ratio
+
+
+def outcome(fn, *args):
+    """fn's value with every float in float hex, or its error's type and text."""
+    def hexed(value):
+        if isinstance(value, float):
+            return value.hex()
+        if isinstance(value, tuple):
+            return tuple(map(hexed, value))
+        return value
+
+    try:
+        value = fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+    return hexed(dataclasses.astuple(value) if dataclasses.is_dataclass(value) else value)
+
+
+class TestOneAssemblyMatchesThePerFamilyPair:
+    # Orbits from a lattice of (a, b, c) in both kinds and both signs, plus
+    # direct orbits on both sides of the damping series' cutoff |lam| < 1e-3,
+    # the CLI's two overflowing envelopes and a nonpositive omega.
+    LATTICE = (-2.0, -1.0, -0.5, 0.0, 0.2, 0.5, 1.0, 2.5)
+    OMEGAS = (-1.4, 0.0, 0.05, 1.4, 3.0, 1000.0)
+
+    def orbits(self):
+        for a, b, c in product(self.LATTICE, repeat=3):
+            for kind, sign in product(("sech", "tanh"), (1, -1)):
+                try:
+                    yield homoclinic_orbit(a, b, c, kind, sign)
+                except ValueError:
+                    pass
+        for kind, lam in product(("sech", "tanh"), (0.0, 5e-4, -5e-4, 1e-3, -0.999e-3)):
+            yield HomoclinicOrbit(A=1.3, k=0.7, lam=lam, kind=kind)
+        yield homoclinic_orbit(2.220446049250313e-16, 1, 1, "sech", 1)
+        yield homoclinic_orbit(-1, -3, 1, "tanh", -1)
+
+    def test_every_field_and_threshold_bit_for_bit(self):
+        seen = {"sech": 0, "tanh": 0, "series": 0, "inf_ratio": 0, "omega_error": 0}
+        for orbit in self.orbits():
+            per_family = melnikov_sech if orbit.kind == "sech" else melnikov_tanh
+            for w in self.OMEGAS:
+                # forcing needs omega > 0, so the omega <= 0 rows are unforced
+                p = OscillatorParams(1, 1, 0.2, delta=0.1, gamma=0.35 if w > 0 else 0.0, omega=w)
+                want = outcome(per_family, orbit, p)
+                assert outcome(melnikov, orbit, p) == want, (orbit, w)
+                assert outcome(chaos_threshold, orbit, p) == outcome(per_family_threshold, orbit, p)
+                seen[orbit.kind] += 1
+                seen["series"] += abs(orbit.lam) < 1e-3
+                seen["inf_ratio"] += want[2:3] == (math.inf.hex(),)
+                seen["omega_error"] += want[1:] == ("melnikov evaluation needs omega > 0",)
+        assert all(seen.values()), seen
