@@ -549,6 +549,10 @@ def _resolve(parser: argparse.ArgumentParser, spec: _Command, args) -> dict:
             _params(cfg)
         except ValueError as exc:  # the forcing rule: every value passed a finite flag
             parser.error(f"argument --omega: {exc}")
+    # scan's windows only: a bifurcate sweep may run downwards or stand still
+    if spec.fn is cmd_scan and np.any(np.greater_equal(cfg["gamma_min"], cfg["gamma_max"])):
+        parser.error(f"argument --gamma-max: {cfg['gamma_max']!r} is not above "
+                     f"--gamma-min {cfg['gamma_min']!r}")
     if "n_steps" in cfg and not math.isfinite(cfg["n_steps"] * cfg["dt"]):
         parser.error(f"argument --dt: the horizon n_steps * dt = {cfg['n_steps']} * "
                      f"{cfg['dt']!r} overflows")

@@ -7,13 +7,14 @@ The unperturbed (eps = 0) system is Hamiltonian with energy
 E = v^2/2 - a x^2/2 + b x^4/4 + c x^6/6; its equilibria and separatrix
 geometry live here.
 
-The force kernel :func:`acceleration` works on floats and on numpy arrays;
-:meth:`Trajectory.eval` takes one time or an array of times.
+The conservative force `_restoring` and the force kernel :func:`acceleration`
+built on it work on floats and on numpy arrays; :meth:`Trajectory.eval`
+takes one time or an array of times.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -203,13 +204,18 @@ class Equilibrium:
     kind: str  # "center" | "saddle" | "degenerate"
 
 
+def _restoring(p: OscillatorParams, x):
+    """Conservative force a x - b x^3 - c x^5 for float or array x.  Keep the
+    order of operations: Poincare sections, bifurcation data and the
+    Euler-Maruyama paths of `sde._em_pass` depend on its rounding."""
+    x2 = x * x
+    return p.a * x - p.b * x * x2 - p.c * x * x2 * x2
+
+
 def acceleration(p: OscillatorParams, t: float, x, v):
     """Right-hand side a x - b x^3 - c x^5 + eps (gamma cos(omega t) - delta v)
-    for float t and float or array x, v.  Keep the order of operations:
-    Poincare sections and bifurcation data depend on its rounding."""
-    x2 = x * x
-    return (p.a * x - p.b * x * x2 - p.c * x * x2 * x2
-            + p.epsilon * (p.gamma * math.cos(p.omega * t) - p.delta * v))
+    for float t and float or array x, v."""
+    return _restoring(p, x) + p.epsilon * (p.gamma * math.cos(p.omega * t) - p.delta * v)
 
 
 def rhs(p: OscillatorParams, s: State) -> float:
@@ -291,4 +297,4 @@ def separatrix_velocity(p: OscillatorParams, x0: float) -> tuple[float, float]:
 def hamiltonian_fields(p: OscillatorParams, q: float, pm: float) -> tuple[float, float]:
     """Canonical field (dq/dt, dp/dt) = (p, a q - b q^3 - c q^5) of the
     unperturbed flow (damping and forcing stripped)."""
-    return pm, acceleration(replace(p, epsilon=0.0), 0.0, q, pm)
+    return pm, _restoring(p, q)

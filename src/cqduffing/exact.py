@@ -77,10 +77,6 @@ class BranchCandidate:
     residual: float
     family: str  # "mu0" (biquadratic, mu = 0) | "general"
 
-    def solution(self, x0: float) -> CnSolution:
-        """Promote to a CnSolution; raises if the branch is not evaluable."""
-        return CnSolution(x0, self.lam, self.mu, self.omega_cn, self.m)
-
 
 def _den_min(lam: float, mu: float) -> float:
     """min over s = cn^2 in [0, 1] of 1 + lam s + mu s^2."""

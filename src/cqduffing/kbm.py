@@ -266,9 +266,6 @@ class KbmSolution:
     def eval(self, t: float) -> float:
         return assemble_solution(self.coeffs, self.traj, t)
 
-    def sample(self, ts) -> np.ndarray:
-        return np.array([self.eval(float(t)) for t in ts])
-
 
 def kbm_solve(p: OscillatorParams, x0: float, v0: float, t_end: float,
               order: int = 2) -> KbmSolution:

@@ -15,10 +15,9 @@ tau) share their knot times t0 + k dt and forcing samples, so each such
 group (split into blocks that fit a ring budget) runs as arrays of lanes,
 one per cell, through `odeint._rk4_step` and `core.acceleration`; a block
 of fewer than _LOCKSTEP_MIN lanes runs `search_cell` per cell instead.  A
-lane keeps a ring of its last 6 tau of knots, for the periodicity report,
-and of its last tau of interval coefficients, for the delayed reads: each
-interval's quintic is set up once, when its right knot is written, and
-each delayed time is read once.
+lane keeps a ring of its last 6 tau of knots, for the periodicity report
+and the delayed reads, and each delayed time is read once, from the two
+knots of its interval.
 """
 from __future__ import annotations
 
@@ -43,11 +42,11 @@ __all__ = [
 ]
 
 _DEFAULT_PERIODICITY_TOL = 1e-2
-# Bytes of knot and coefficient rings one lane block of the search may hold;
-# a group of cells with one step splits into blocks that fit.
+# Bytes of knot ring one lane block of the search may hold; a group of
+# cells with one step splits into blocks that fit.
 _RING_BUDGET = 32 << 20
 # Steps per chunk of the lockstep search at most: this bounds the arrays of
-# a chunk's delayed reads and interval coefficients (chunk x lanes each).
+# a chunk's delayed reads (chunk x lanes each).
 _CHUNK = 32
 # Lanes a block needs to run in lockstep; a smaller block runs search_cell
 # per cell, since numpy's cost per operation outweighs a few lanes (a block
@@ -207,7 +206,7 @@ def _lane_blocks(p: OscillatorParams, s0: State, cells: list[tuple[float, float]
         lanes.sort(key=lambda lane: (lane[2], lane[0]))
         block = []
         for lane in lanes:
-            lane_bytes = 24 * sum(_ring_sizes(dt, lane[2], lane[4]))  # 3 float64 rows of each
+            lane_bytes = 24 * _ring_knots(dt, lane[2], lane[4])  # x, v, accel in float64
             if block and (len(block) + 1) * lane_bytes > _RING_BUDGET:
                 blocks.append((dt, block))
                 block = []
@@ -216,11 +215,11 @@ def _lane_blocks(p: OscillatorParams, s0: State, cells: list[tuple[float, float]
     return blocks
 
 
-def _ring_sizes(dt: float, tau: float, n_end: int) -> tuple[int, int]:
-    """Knots and intervals a lane keeps: its last 6 tau of knots (the
-    report's window and the delay before it) and its last tau of intervals
-    (the delayed reads), with a few steps to spare, at most the whole run."""
-    return min(int(6.0 * tau / dt) + 8, n_end + 1), min(int(tau / dt) + 4, max(n_end, 1))
+def _ring_knots(dt: float, tau: float, n_end: int) -> int:
+    """Knots a lane keeps: its last 6 tau (the report's window and the delay
+    before it, which covers the delayed reads), with a few steps to spare,
+    at most the whole run."""
+    return min(int(6.0 * tau / dt) + 8, n_end + 1)
 
 
 def _check_lanes(t: float, x, v, mu, tau) -> None:
@@ -239,11 +238,11 @@ def _run_lanes(job) -> list[tuple[int, tuple[float, float, float, bool]]]:
     The lanes share the knot times t0 + k dt and are sorted by delay, so
     finished lanes form a prefix.  The steps run in chunks of at most
     _CHUNK steps and fewer than tau / dt (one step when tau < 2 dt), so a
-    chunk's delayed reads reach only knots written before it: the chunk's
-    new intervals get their coefficients, and its reads are evaluated
-    together, before its steps.  A read finds its interval by arithmetic on
-    the knot times, corrected by one compare to the interval that
-    HistoryBuffer's bisect_right picks.
+    chunk's delayed reads reach only knots written before it, and they are
+    evaluated together, before its steps.  A read finds its interval by
+    arithmetic on the knot times, corrected by one compare to the interval
+    that HistoryBuffer's bisect_right picks, and sets up the interval's
+    quintic from its two knots.
     """
     p, s0, periodicity_tol, dt, lanes = job
     if len(lanes) < _LOCKSTEP_MIN:
@@ -256,21 +255,10 @@ def _run_lanes(job) -> list[tuple[int, tuple[float, float, float, bool]]]:
     force = {k: np.full(n_lanes, getattr(p, k)) for k in ("a", "b", "c", "delta", "epsilon")}
     t0 = s0.t
     history = _history_fn(ControllerConfig(mu=mus[0], tau=taus[0]), s0)
-    n_knots, n_intervals = _ring_sizes(dt, taus[-1], n_fulls[-1])
+    n_knots = _ring_knots(dt, taus[-1], n_fulls[-1])
     knots = np.empty((3, n_knots, n_lanes))  # x, v, accel of knot k in row k % n_knots
-    coeffs = np.empty((3, n_intervals, n_lanes))  # c3, c4, c5 of interval k in row k % ...
     lane = np.arange(n_lanes)
-    n = n_set = 0  # the newest knot; intervals before n_set have coefficients
-
-    def set_intervals(a: int) -> None:
-        nonlocal n_set
-        if n_set == n:
-            return
-        k = np.arange(n_set, n)
-        left, right = knots[:, k % n_knots, a:], knots[:, (k + 1) % n_knots, a:]
-        h = (t0 + (k + 1) * dt - (t0 + k * dt))[:, None]
-        coeffs[:, k % n_intervals, a:] = _hermite5_coeffs(h, *left, *right)
-        n_set = n
+    n = 0  # the newest knot
 
     def read(td, a: int, b: int):
         """integrate_delayed's delayed velocities of lanes [a, b) (the last
@@ -282,9 +270,13 @@ def _run_lanes(job) -> list[tuple[int, tuple[float, float, float, bool]]]:
             k += t0 + (k + 1) * dt <= td
             tk = t0 + k * dt
             h = t0 + (k + 1) * dt - tk
-            j = lane[a:b]
-            v0, a0 = knots[1:, k % n_knots, j]
-            vd = _hermite5_velocity((td - tk) / h, h, v0, a0, *coeffs[:, k % n_intervals, j])
+            # knot k of lane j is column k % n_knots * n_lanes + j of flat:
+            # np.take gathers there about twice as fast as knots[:, rows, j]
+            j, flat = lane[a:b], knots.reshape(3, -1)
+            left = np.take(flat, k % n_knots * n_lanes + j, axis=1)
+            right = np.take(flat, (k + 1) % n_knots * n_lanes + j, axis=1)
+            vd = _hermite5_velocity((td - tk) / h, h, *left[1:],
+                                    *_hermite5_coeffs(h, *left, *right))
         if hi >= t_n:  # at the newest knot: its velocity
             if hi > t_n + 1e-12:
                 raise ValueError(f"delayed read at t={hi} beyond recorded history t={t_n}")
@@ -339,14 +331,12 @@ def _run_lanes(job) -> list[tuple[int, tuple[float, float, float, bool]]]:
         knots[:, 0] = x, v, acc
         while a < n_lanes:
             if n_fulls[a] == n:
-                set_intervals(a)
                 b = next((j for j in range(a, n_lanes) if n_fulls[j] > n), n_lanes)
                 done += finish(a, b, x, v, acc)
                 x, v, acc = x[b - a:], v[b - a:], acc[b - a:]
                 a = b
                 continue
             m = min(max(1, int(taus[a] / dt) - 1), _CHUNK, n_fulls[a] - n)
-            set_intervals(a)
             kt = t0 + np.arange(n, n + m + 1) * dt
             if not (kt[1:] > kt[:-1]).all():
                 raise ValueError("history knots must advance in time")

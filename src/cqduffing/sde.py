@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OscillatorParams, State, Trajectory
+from .core import OscillatorParams, State, Trajectory, _restoring
 
 __all__ = ["SdeConfig", "EnsembleStats", "euler_maruyama", "run_ensemble", "ensemble_stats",
            "path_increments"]
@@ -105,7 +105,6 @@ def _em_pass(p: OscillatorParams, cfg: SdeConfig, s0: State, keep: int):
     V = np.empty((depth + 1, width))
     noise = np.empty((depth, width))
     draws = np.empty((width, depth))  # path by path, as each stream is drawn
-    x2, f, tmp = np.empty(width), np.empty(width), np.empty(width)
     with np.errstate(over="ignore", invalid="ignore"):
         ts = s0.t + dt * np.arange(n + 1)
         for b0 in range(0, cfg.ensemble, width):
@@ -113,7 +112,6 @@ def _em_pass(p: OscillatorParams, cfg: SdeConfig, s0: State, keep: int):
             rngs = [_rng_for_path(cfg.seed, j) for j in range(b0, b0 + w)]
             cols = np.arange(w)
             Xb, Vb, Nb = X[:, :w], V[:, :w], noise[:, :w]
-            x2b, fb, tb = x2[:w], f[:w], tmp[:w]
             Xb[0] = s0.x
             Vb[0] = s0.v
             for c0 in range(0, n, depth):
@@ -121,27 +119,11 @@ def _em_pass(p: OscillatorParams, cfg: SdeConfig, s0: State, keep: int):
                 for jj, rng in enumerate(rngs):
                     draws[jj, :m] = rng.normal(0.0, scale, m)
                 np.multiply(draws[:w, :m].T, cfg.sigma, out=Nb[:m])
-                # The drift and the updates in the order of operations of
-                # x2 = x * x; a x - b x x2 - c x x2 x2 - q v + q cos(omega t).
                 for i in range(m):
                     x, v = Xb[i], Vb[i]
-                    np.multiply(x, x, out=x2b)
-                    np.multiply(x, p.a, out=fb)
-                    np.multiply(x, p.b, out=tb)
-                    tb *= x2b
-                    fb -= tb
-                    np.multiply(x, p.c, out=tb)
-                    tb *= x2b
-                    tb *= x2b
-                    fb -= tb
-                    np.multiply(v, q, out=tb)
-                    fb -= tb
-                    fb += q * _cos(p.omega * ts[c0 + i])
-                    fb *= dt
-                    np.multiply(v, dt, out=Xb[i + 1])
-                    Xb[i + 1] += x
-                    np.add(v, fb, out=Vb[i + 1])
-                    Vb[i + 1] += Nb[i]
+                    Xb[i + 1] = x + v * dt
+                    f = _restoring(p, x) - q * v + q * _cos(p.omega * ts[c0 + i])
+                    Vb[i + 1] = v + f * dt + Nb[i]
                 bad = ~(np.isfinite(Xb[1:m + 1]) & np.isfinite(Vb[1:m + 1]))
                 first = bad.argmax(axis=0)
                 alive = cut[b0:b0 + w] > n

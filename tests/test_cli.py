@@ -501,6 +501,8 @@ class TestFlagValidation:
         (["control", "--search", "--preset", "fig10", "--tau-min", "0"], "--tau-min"),
         (["control", "--search", "--preset", "fig10", "--tau-min", "-1"], "--tau-min"),
         (["control", "--search", "--preset", "fig10", "--tau-max", "0"], "--tau-max"),
+        (["scan", "--omega", "1.4", "--gamma-min", "0.5", "--gamma-max", "0.2"], "--gamma-max"),
+        (["scan", "--omega", "1.4", "--gamma-min", "0.5", "--gamma-max", "0.5"], "--gamma-max"),
     ])
     def test_bad_value_exits_2_naming_the_flag(self, argv, flag, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

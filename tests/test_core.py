@@ -165,6 +165,11 @@ class TestHamiltonianFields:
         q, mom = 0.37, -0.81
         assert hamiltonian_fields(p, q, mom)[1] == rhs(p0, State(0, q, mom))
 
+    def test_force_does_not_depend_on_the_momentum(self):
+        # delta * pm overflows to inf; the stripped damping must not turn it into NaN
+        p = OscillatorParams(1, 1, 0.2, delta=10.0)
+        assert hamiltonian_fields(p, 0.5, 1e308) == (1e308, pytest.approx(0.36875, rel=1e-15))
+
 
 class TestTrajectory:
     def test_rejects_decreasing_time(self):
