@@ -27,7 +27,6 @@ from .odeint import StepControl, _drive
 __all__ = [
     "PoincareSeries",
     "ChaosScanRow",
-    "NoOnset",
     "poincare_map",
     "lyapunov_max",
     "gamma_scan",
@@ -54,20 +53,12 @@ class PoincareSeries:
 
 @dataclass(frozen=True)
 class ChaosScanRow:
-    """One scan result: onset amplitude gamma_c and the exponent there."""
+    """One scan result: onset amplitude gamma_c and the exponent there.  A
+    window with no onset has gamma_c = NaN and its largest coarse exponent."""
 
     omega: float
     gamma_c: float
     lyapunov: float
-
-
-@dataclass(frozen=True)
-class NoOnset:
-    """Scan outcome when no amplitude in range classifies as chaotic."""
-
-    omega: float
-    gamma_range: tuple[float, float]
-    max_lyapunov: float
 
 
 def _strobe_ctrl(omega: float, steps_per_period: int = _STEPS_PER_PERIOD) -> StepControl:
@@ -218,12 +209,13 @@ def gamma_scan(
     steps_per_period: int = _STEPS_PER_PERIOD,
     transient_periods: int = _TRANSIENT_PERIODS,
     measure_periods: int = _MEASURE_PERIODS,
-) -> ChaosScanRow | NoOnset:
+) -> ChaosScanRow:
     """Smallest forcing amplitude classified chaotic at this omega.
 
     Grid search at coarse_step (chaotic = exponent above threshold at two
     consecutive amplitudes), then bisection down to `resolution` inside
-    the bracketing interval.  Deterministic for fixed inputs.
+    the bracketing interval.  Deterministic for fixed inputs.  With no
+    onset in range, gamma_c is NaN and the exponent the largest coarse one.
     """
     lo, hi = gamma_range
     if not (0.0 <= lo < hi):
@@ -244,7 +236,7 @@ def gamma_scan(
     grid = [lo + i * coarse_step for i in range(int(math.floor((hi - lo) / coarse_step)) + 1)]
     if grid[-1] < hi - 1e-12:
         grid.append(hi)
-    exps: list[float] = []  # lazy: only NoOnset reads every coarse exponent
+    exps: list[float] = []  # lazy: only a window with no onset reads every coarse exponent
     onset_i = None
     for i, g in enumerate(grid):
         exps.append(exponent(g) if g > 0.0 else -math.inf)
@@ -252,7 +244,7 @@ def gamma_scan(
             onset_i = i - 1
             break
     if onset_i is None:
-        return NoOnset(omega=omega, gamma_range=(lo, hi), max_lyapunov=float(max(exps)))
+        return ChaosScanRow(omega=omega, gamma_c=math.nan, lyapunov=float(max(exps)))
     g_hi = grid[onset_i]
     e_hi = exps[onset_i]
     g_lo = grid[onset_i - 1] if onset_i > 0 else max(lo, 0.0)

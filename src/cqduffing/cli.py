@@ -38,6 +38,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, astuple
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -212,7 +213,7 @@ def cmd_melnikov(cfg: dict, out_path) -> dict:
     res = melnikov.melnikov(orbit, p)
     critical_gamma = abs(p.delta) * res.threshold_ratio if math.isfinite(res.threshold_ratio) else None
     payload = {
-        "orbit": {"A": orbit.A, "k": orbit.k, "lam": orbit.lam, "kind": orbit.kind},
+        "orbit": asdict(orbit),
         "wave_coeff": res.wave_coeff,
         "damp_coeff": res.damp_coeff,
         "threshold_ratio": res.threshold_ratio,
@@ -236,11 +237,8 @@ def cmd_poincare(cfg: dict, out_path) -> dict:
 
 def _scan_row(a, b, c, delta, resolution, coarse_step, window) -> tuple:
     omega, gamma_lo, gamma_hi = window
-    row = chaos.gamma_scan(a, b, c, delta, omega, (gamma_lo, gamma_hi), resolution,
-                           coarse_step=coarse_step)
-    if isinstance(row, chaos.NoOnset):
-        return (omega, math.nan, row.max_lyapunov)
-    return (omega, row.gamma_c, row.lyapunov)
+    return astuple(chaos.gamma_scan(a, b, c, delta, omega, (gamma_lo, gamma_hi), resolution,
+                                    coarse_step=coarse_step))
 
 
 def cmd_scan(cfg: dict, out_path) -> dict:
@@ -288,13 +286,7 @@ def cmd_control(cfg: dict, out_path) -> dict:
     out = out_path("control.csv")
     _write_csv(out, "control", cfg, ["t", "x", "v"], rows)
     payload = {
-        "report": {
-            "is_periodic": report.is_periodic,
-            "period": report.period,
-            "residual": report.residual,
-            "controller_norm": report.controller_norm,
-            "tolerance": report.tolerance,
-        },
+        "report": asdict(report),
         "orbit_fit": {"window": [float(w0), float(w1)], "degree": cfg["fit_degree"],
                       "monomial_coefficients": [float(cc) for cc in coeffs],
                       "max_residual": fit_resid},
@@ -318,10 +310,7 @@ def cmd_sde(cfg: dict, out_path) -> dict:
     _write_csv(out, "sde", cfg, ["path", "t", "x", "v"], rows)
     payload: dict = {"paths_csv": out, "truncated": truncated}
     if st is not None:
-        payload["final_time_stats"] = {
-            "t": st.t, "n": st.n, "mean_x": st.mean_x, "var_x": st.var_x,
-            "mean_v": st.mean_v, "var_v": st.var_v,
-        }
+        payload["final_time_stats"] = asdict(st)
     jout = out_path("sde_paths.csv", second=True)
     _write_json(jout, "sde", cfg, payload)
     return dict(output=jout, ensemble=cfg["ensemble"], t_final=s0.t + cfg["n_steps"] * cfg["dt"])
@@ -455,7 +444,10 @@ _COMMANDS: dict[str, _Command] = {
     "exact": _Command(
         cmd_exact, "elliptic closed-form solution of the unforced equation",
         {"a": 1.0, "b": 1.0, "c": 1.0, "x0": _REQUIRED, "samples": 0},
-        kw={"samples": dict(type=_count, help="also sample x(t) to CSV")},
+        kw={"x0": dict(type=_checked(float, lambda x: math.isfinite(x) and x != 0.0,
+                                     "must be a finite nonzero number"),
+                       help="initial displacement (the ansatz normalizes by it)"),
+            "samples": dict(type=_count, help="also sample x(t) to CSV")},
         second=lambda cfg: ".csv" if cfg["samples"] else ""),
     "kbm": _Command(
         cmd_kbm, "second-order amplitude-phase approximation",

@@ -251,11 +251,9 @@ def equilibria(p: OscillatorParams) -> list[Equilibrium]:
             sq = math.sqrt(disc)
             for num in (-p.b + sq, -p.b - sq):
                 x2 = num / (2.0 * p.c)
-                if x2 > 0.0:
+                if x2 > 0.0:  # x2 == 0 is the origin, already listed
                     r = math.sqrt(x2)
                     roots.extend([r, -r])
-                elif x2 == 0.0:
-                    pass  # coincides with the origin
     elif p.b != 0.0:
         x2 = p.a / p.b
         if x2 > 0.0:

@@ -228,7 +228,7 @@ def solve_cn_coefficients(a: float, b: float, c: float, x0: float,
     """
     if x0 == 0.0:
         raise ValueError("x0 must be nonzero (the ansatz normalizes by x0)")
-    roots: list[tuple[CnSolution, float]] = []
+    roots: list[CnSolution] = []
     diagnostics: list[str] = []
     for br in closed_form_branches(a, b, c, x0):
         theta, resid = _gauss_newton(a, b, c, x0, (br.lam, br.mu, br.omega_cn, br.m))
@@ -247,14 +247,14 @@ def solve_cn_coefficients(a: float, b: float, c: float, x0: float,
         if amplified >= 1e-8 * max(1.0, abs(a), abs(b) * x0 * x0, abs(c) * x0 ** 4):
             continue
         if not any(abs(sol.lam - r.lam) < 1e-8 and abs(sol.mu - r.mu) < 1e-8
-                   and abs(sol.omega_cn - r.omega_cn) < 1e-8 for r, _ in roots):
-            roots.append((sol, resid))
+                   and abs(sol.omega_cn - r.omega_cn) < 1e-8 for r in roots):
+            roots.append(sol)
     if not roots:
         tried = ", ".join(diagnostics) or "none, since no closed-form branch applies"
         raise ValueError(f"no elliptic-ansatz root found for (a={a}, b={b}, c={c}, x0={x0}); "
                          f"branch residuals after Gauss-Newton: {tried}")
-    roots.sort(key=lambda sr: (not (0.0 <= sr[0].m <= 1.0), abs(sr[0].lam) + abs(sr[0].mu)))
-    return roots[0][0]
+    roots.sort(key=lambda r: (not (0.0 <= r.m <= 1.0), abs(r.lam) + abs(r.mu)))
+    return roots[0]
 
 
 def eval_cn_solution(sol: CnSolution, t: float) -> float:

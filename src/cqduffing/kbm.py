@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OscillatorParams, _stiffness, equilibria
+from .odeint import IntegrationError, StepControl
 
 __all__ = [
     "KbmCoefficients",
@@ -74,23 +75,18 @@ def build_coefficients(p: OscillatorParams, x0: float) -> KbmCoefficients:
     error is raised when no nonzero center exists.
     """
     if p.a < 0.0:
-        return KbmCoefficients(
-            omega0=math.sqrt(-p.a), B=0.0, C=p.b, D=0.0, E=p.c, eta=0.0,
-            epsilon_eff=p.epsilon * p.delta,
-            phi_amplitude=p.epsilon * p.gamma, phi_omega=p.omega,
-        )
-    centers = [e.x for e in equilibria(p) if e.kind == "center" and e.x != 0.0]
-    if not centers:
-        raise ValueError(
-            f"a={p.a} >= 0 requires a nonzero center equilibrium to expand around; none exists"
-        )
-    eta = min(centers, key=lambda e: abs(e - x0))
+        eta = 0.0
+    else:
+        centers = [e.x for e in equilibria(p) if e.kind == "center" and e.x != 0.0]
+        if not centers:
+            raise ValueError(
+                f"a={p.a} >= 0 requires a nonzero center equilibrium to expand around; none exists"
+            )
+        eta = min(centers, key=lambda e: abs(e - x0))
     eta2 = eta * eta
-    w0sq = -_stiffness(p, eta)
-    if w0sq <= 0.0:
-        raise ValueError(f"nonpositive squared base frequency {w0sq} around eta={eta}")
+    # a center has stiffness < 0 (and -a > 0 at eta = 0), so the root is real
     return KbmCoefficients(
-        omega0=math.sqrt(w0sq),
+        omega0=math.sqrt(-_stiffness(p, eta)),
         B=3.0 * p.b * eta + 10.0 * p.c * eta * eta2,
         C=p.b + 10.0 * p.c * eta2,
         D=5.0 * p.c * eta,
@@ -176,11 +172,16 @@ def integrate_amplitude_phase(
     """RK4 integration of the slow flow from t = 0.
 
     Returns knots of shape (n, 3) with columns (t, amp, psi); the default
-    step is a two-hundredth of the base period.
+    step is a two-hundredth of the base period.  Raises IntegrationError
+    when the run needs more than StepControl.max_steps steps.
     """
     if dt is None:
         dt = (2.0 * math.pi / k.omega0) / 200.0
-    n = max(int(math.ceil(t_end / dt - 1e-12)), 1)
+    steps = t_end / dt - 1e-12
+    if steps > StepControl.max_steps:  # before the knots are allocated
+        raise IntegrationError(f"max_steps={StepControl.max_steps} exceeded at "
+                               f"t={StepControl.max_steps * dt}", 0.0)
+    n = max(int(math.ceil(steps)), 1)
     out = np.empty((n + 1, 3))
     out[0] = (0.0, ic.amp, ic.psi)
     a, psi = ic.amp, ic.psi

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from cqduffing import IntegrationError, OscillatorParams, State, StepControl, chaos, integrate
 from cqduffing.chaos import (
     ChaosScanRow,
-    NoOnset,
     bifurcation_data,
     cluster_count,
     gamma_scan,
@@ -234,8 +233,8 @@ class TestGammaScan:
     def test_overdamped_no_onset(self):
         out = gamma_scan(a=1, b=1, c=0, delta=2.0, omega=1.4, gamma_range=(0.1, 0.5),
                          resolution=0.1, coarse_step=0.1)
-        assert isinstance(out, NoOnset)
-        assert out.max_lyapunov <= 0.01
+        assert math.isnan(out.gamma_c)
+        assert out.lyapunov <= 0.01
 
     def test_range_validation(self):
         with pytest.raises(ValueError, match="gamma_range"):
@@ -287,7 +286,7 @@ def eager_gamma_scan(a, b, c, delta, omega, window, resolution, coarse_step, thr
     exps = [exponent(g) for g in grid]
     pairs = [i for i in range(len(grid) - 1) if min(exps[i], exps[i + 1]) > threshold]
     if not pairs:
-        return NoOnset(omega=omega, gamma_range=window, max_lyapunov=max(exps)), gammas
+        return ChaosScanRow(omega, math.nan, max(exps)), gammas
     i = pairs[0]
     g_lo, g_hi, e_hi = (grid[i - 1] if i > 0 else window[0]), grid[i], exps[i]
     while g_hi - g_lo > resolution:
@@ -390,3 +389,16 @@ class TestLockstepSweep:
         ctrl = StepControl(abs_tol=1e-8, rel_tol=1e-8)
         assert np.array_equal(poincare_map(p, State(0, 0, 0), 4, 2, ctrl).points,
                               reference_strobes(p, State(0, 0, 0), 4, 2, ctrl))
+
+
+@pytest.mark.parametrize("build, match", [
+    pytest.param(lambda: lyapunov_max(params(0.3), State(0, 0, 0), 100 * T14, T14),
+                 "t_total must exceed", id="lyapunov-horizon"),
+    pytest.param(lambda: gamma_scan(1, 1, 0, 0.1, 1.4, (0.1, 0.5), 0.0),
+                 "resolution must be positive", id="scan-resolution-zero"),
+    pytest.param(lambda: gamma_scan(1, 1, 0, 0.1, 1.4, (0.1, 0.5), -0.01),
+                 "resolution must be positive", id="scan-resolution-negative"),
+])
+def test_invalid_input_raises(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()

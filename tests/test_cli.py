@@ -396,6 +396,14 @@ class TestKbmBifurcateMelnikov:
         assert header == ["t", "x_approx", "x_reference"]
         assert summary["max_error_vs_reference"] < 0.02
 
+    def test_kbm_horizon_past_max_steps_exits_1_before_the_work(self, tmp_path, capsys):
+        out = tmp_path / "kbm.csv"
+        code, _, err = run_cli(capsys, "kbm", "--a", "-1", "--b", "2", "--c", "1", "--x0", "0.25",
+                               "--t-end", "1e300", "--out", str(out))
+        assert code == 1
+        assert "max_steps=5000000 exceeded" in json.loads(err)["error"]
+        assert not out.exists()
+
     def test_bifurcate_long_format(self, tmp_path, capsys):
         out = tmp_path / "bif.csv"
         code, summary, _ = run_cli(capsys, "bifurcate", "--a", "1", "--b", "1", "--c", "0",
@@ -503,6 +511,8 @@ class TestFlagValidation:
         (["control", "--search", "--preset", "fig10", "--tau-max", "0"], "--tau-max"),
         (["scan", "--omega", "1.4", "--gamma-min", "0.5", "--gamma-max", "0.2"], "--gamma-max"),
         (["scan", "--omega", "1.4", "--gamma-min", "0.5", "--gamma-max", "0.5"], "--gamma-max"),
+        (["exact", "--x0", "0"], "--x0"),
+        (["exact", "--x0", "0.0"], "--x0"),
     ])
     def test_bad_value_exits_2_naming_the_flag(self, argv, flag, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

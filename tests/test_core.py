@@ -235,3 +235,20 @@ class TestDenseOutput:
         tr = self._duffing_traj()
         with pytest.raises(ValueError, match="outside"):
             tr.eval(t)
+
+
+@pytest.mark.parametrize("build, match", [
+    pytest.param(lambda: OscillatorParams(1.0, math.inf, 0.0), "non-finite oscillator parameter",
+                 id="params-inf"),
+    pytest.param(lambda: OscillatorParams(1.0, 1.0, 0.0, delta=math.nan),
+                 "non-finite oscillator parameter", id="params-nan"),
+    pytest.param(lambda: Trajectory(np.zeros(3), np.zeros(2), np.zeros(3)),
+                 "equal-length 1-d arrays", id="trajectory-lengths"),
+    pytest.param(lambda: Trajectory(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2))),
+                 "equal-length 1-d arrays", id="trajectory-2d"),
+    pytest.param(lambda: Trajectory(np.array([0.0, 1.0]), np.zeros(2), np.zeros(2)).eval(0.5),
+                 "no acceleration knots", id="eval-without-accelerations"),
+])
+def test_invalid_input_raises(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()

@@ -105,3 +105,9 @@ class TestCnPeriod:
 
     def test_hyperbolic_is_aperiodic(self):
         assert cn_period(1.0) == math.inf
+
+
+@pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf])
+def test_cn_period_rejects_non_finite_m(m):
+    with pytest.raises(ValueError, match="non-finite parameter"):
+        cn_period(m)

@@ -8,6 +8,7 @@ from cqduffing.core import acceleration, energy
 from cqduffing.elliptic import jacobi_cn
 from cqduffing.exact import (
     CnSolution,
+    HomoclinicOrbit,
     closed_form_branches,
     cn_ansatz_residuals,
     eval_cn_solution,
@@ -356,3 +357,18 @@ class TestHomoclinicOrbit:
                     assert resid < 1e-5, (a, b, c, kind, sign)
                     found[kind] += 1
                     break
+
+
+@pytest.mark.parametrize("build, match", [
+    pytest.param(lambda: HomoclinicOrbit(A=1.0, k=1.0, lam=0.0, kind="cn"),
+                 "kind must be 'sech' or 'tanh'", id="orbit-kind"),
+    pytest.param(lambda: HomoclinicOrbit(A=1.0, k=0.0, lam=0.0, kind="sech"),
+                 "rate k must be positive", id="orbit-rate"),
+    pytest.param(lambda: homoclinic_orbit(1.0, 1.0, 0.2, "sech", sign=0),
+                 "sign must be", id="sign"),
+    pytest.param(lambda: homoclinic_orbit(1.0, 1.0, 0.2, "cn"),
+                 "kind must be 'sech' or 'tanh'", id="unknown-kind"),
+])
+def test_invalid_input_raises(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()

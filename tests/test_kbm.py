@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cqduffing import OscillatorParams, State, StepControl, integrate
+from cqduffing import IntegrationError, OscillatorParams, State, StepControl, integrate
 from cqduffing.core import acceleration
 from cqduffing.kbm import (
     AmplitudePhase,
@@ -190,3 +190,32 @@ class TestOrderProperty:
 
         e_full, e_half = err(1.0), err(0.5)
         assert e_full / e_half >= 3.0
+
+
+class TestStepBound:
+    def test_horizon_past_max_steps_raises_before_the_knots_exist(self):
+        k = build_coefficients(SOFT, 0.25)
+        with pytest.raises(IntegrationError, match=f"max_steps={StepControl.max_steps} exceeded"):
+            integrate_amplitude_phase(k, AmplitudePhase(0.25, 0.0), 1e300)
+
+    def test_bound_counts_the_steps(self, monkeypatch):
+        monkeypatch.setattr(StepControl, "max_steps", 10)
+        k = build_coefficients(SOFT, 0.25)
+        ic = AmplitudePhase(0.25, 0.0)
+        assert integrate_amplitude_phase(k, ic, 1.0, dt=0.1).shape == (11, 3)
+        with pytest.raises(IntegrationError, match="max_steps=10 exceeded"):
+            integrate_amplitude_phase(k, ic, 1.05, dt=0.1)
+
+
+_SPAN = np.array([[0.0, 0.25, 0.0], [1.0, 0.24, 1.0]])
+
+
+@pytest.mark.parametrize("build, match", [
+    pytest.param(lambda: assemble_solution(build_coefficients(SOFT, 0.25), _SPAN, -0.5),
+                 "outside the amplitude/phase trajectory span", id="before-span"),
+    pytest.param(lambda: assemble_solution(build_coefficients(SOFT, 0.25), _SPAN, 1.5),
+                 "outside the amplitude/phase trajectory span", id="after-span"),
+])
+def test_invalid_input_raises(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()

@@ -245,3 +245,17 @@ class TestKnotRecorder:
         assert np.array_equal(tr.x, [1.0, 0.9]) and tr.metadata == {"k": 1}
         with pytest.raises(ValueError, match="history"):
             buf.velocity(-0.1)
+
+
+@pytest.mark.parametrize("build, match", [
+    pytest.param(lambda: StepControl(method="euler"), "unknown method", id="method"),
+    pytest.param(lambda: StepControl(dt=-0.1), "dt must be positive", id="dp54-dt"),
+    pytest.param(lambda: StepControl(abs_tol=0.0), "tolerances must be positive", id="abs-tol"),
+    pytest.param(lambda: StepControl(rel_tol=-1e-9), "tolerances must be positive", id="rel-tol"),
+    pytest.param(lambda: StepControl(max_steps=0), "max_steps must be >= 1", id="max-steps"),
+    pytest.param(lambda: integrate(lambda t, x, v: -x, State(0.0, math.nan, 0.0), 1.0),
+                 "non-finite initial state", id="start-state"),
+])
+def test_invalid_input_raises(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()

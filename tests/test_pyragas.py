@@ -275,3 +275,22 @@ class TestChebyshevFitOrbit:
         fit = sum(c * (ts + w1 - TAU_REF) ** i for i, c in enumerate(coeffs))
         print(f"stabilized-orbit fit vs published shape: span_fit="
               f"[{fit.min():.3f},{fit.max():.3f}] span_ref=[{ref.min():.3f},{ref.max():.3f}]")
+
+
+def _line_trajectory():
+    # x = t on [0, 2]: constant velocity, no acceleration
+    t = np.array([0.0, 1.0, 2.0])
+    return Trajectory(t, t.copy(), np.ones(3), np.zeros(3))
+
+
+@pytest.mark.parametrize("build, match", [
+    pytest.param(lambda: search_mu_tau(CHAOTIC, (0.5, 3.0), (2.0, 6.0), (0, 3)),
+                 "at least one cell per axis", id="search-no-mu"),
+    pytest.param(lambda: search_mu_tau(CHAOTIC, (0.5, 3.0), (2.0, 6.0), (3, 0)),
+                 "at least one cell per axis", id="search-no-tau"),
+    pytest.param(lambda: chebyshev_fit_orbit(_line_trajectory(), (0.0, 2.0), 0),
+                 "degree must be >= 1", id="fit-degree"),
+])
+def test_invalid_input_raises(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()

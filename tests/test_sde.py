@@ -352,3 +352,12 @@ class TestStreamingPass:
         finally:
             tracemalloc.stop()
         assert peak < 8 * (cfg.n_steps + 1) * cfg.ensemble / 4
+
+
+@pytest.mark.parametrize("kw, match", [
+    pytest.param(dict(ensemble=0), "ensemble must be >= 1", id="ensemble-zero"),
+    pytest.param(dict(ensemble=-3), "ensemble must be >= 1", id="ensemble-negative"),
+])
+def test_invalid_input_raises(kw, match):
+    with pytest.raises(ValueError, match=match):
+        SdeConfig(dt=0.01, n_steps=10, seed=0, **kw)
