@@ -315,14 +315,8 @@ def homoclinic_orbit(a: float, b: float, c: float, kind: str, sign: int = 1) -> 
             x2 = (-3.0 * b + sign * math.sqrt(disc)) / (4.0 * c)
             if x2 <= 0.0:
                 raise ValueError(f"sech orbit guard violated: x0^2 = {x2} <= 0")
-        den = 4.0 * a - b * x2
-        if den == 0.0:
-            raise ValueError("sech orbit guard violated: 4a - b x0^2 = 0")
-        lam = (b * x2 - 2.0 * a) / den
-        if 1.0 + lam <= 0.0:
-            raise ValueError(f"sech orbit guard violated: 1 + lam = {1 + lam} <= 0")
-        return HomoclinicOrbit(A=math.sqrt(x2) * math.sqrt(1.0 + lam), k=a, lam=lam, kind="sech")
-    if kind == "tanh":
+        k, num, den, den_name = a, b * x2 - 2.0 * a, 4.0 * a - b * x2, "4a - b x0^2"
+    elif kind == "tanh":
         if c == 0.0:
             raise ValueError("tanh orbit needs c != 0 (amplitude formula divides by c)")
         disc = b * b + 4.0 * a * c
@@ -334,14 +328,15 @@ def homoclinic_orbit(a: float, b: float, c: float, kind: str, sign: int = 1) -> 
         k = 0.5 * (-b * x2 - 2.0 * c * x2 * x2)
         if k <= 0.0:
             raise ValueError(f"tanh orbit guard violated: k = (-b x0^2 - 2c x0^4)/2 = {k} <= 0")
-        den = b + 2.0 * c * x2
-        if den == 0.0:
-            raise ValueError("tanh orbit guard violated: b + 2c x0^2 = 0")
-        lam = -2.0 * c * x2 / (3.0 * den)
-        if 1.0 + lam <= 0.0:
-            raise ValueError(f"tanh orbit guard violated: 1 + lam = {1 + lam} <= 0")
-        return HomoclinicOrbit(A=math.sqrt(x2) * math.sqrt(1.0 + lam), k=k, lam=lam, kind="tanh")
-    raise ValueError(f"kind must be 'sech' or 'tanh', got {kind!r}")
+        num, den, den_name = -2.0 * c * x2, 3.0 * (b + 2.0 * c * x2), "b + 2c x0^2"
+    else:
+        raise ValueError(f"kind must be 'sech' or 'tanh', got {kind!r}")
+    if den == 0.0:
+        raise ValueError(f"{kind} orbit guard violated: {den_name} = 0")
+    lam = num / den
+    if 1.0 + lam <= 0.0:
+        raise ValueError(f"{kind} orbit guard violated: 1 + lam = {1 + lam} <= 0")
+    return HomoclinicOrbit(A=math.sqrt(x2) * math.sqrt(1.0 + lam), k=k, lam=lam, kind=kind)
 
 
 def eval_homoclinic(orbit: HomoclinicOrbit, t: float) -> tuple[float, float]:

@@ -23,7 +23,7 @@ from cqduffing import (
     integrate,
     integrate_delayed,
 )
-from cqduffing.chaos import ChaosScanRow, gamma_scan, lyapunov_max
+from cqduffing.chaos import gamma_scan, lyapunov_max
 from cqduffing.core import acceleration
 from cqduffing.exact import (
     HomoclinicOrbit,
@@ -35,10 +35,8 @@ from cqduffing.exact import (
 )
 from cqduffing.kbm import kbm_solve
 from cqduffing.melnikov import (
-    chebyshev_fit_sech,
-    chebyshev_fit_tanh,
-    damping_integral_sech,
-    damping_integral_tanh,
+    chebyshev_fit,
+    damping_integral,
     melnikov,
 )
 from cqduffing.pyragas import ControllerConfig, run_controlled, search_mu_tau
@@ -160,13 +158,13 @@ def test_criterion_04_melnikov_closed_forms():
         k = rng.uniform(0.2, 3.0)
         lam = rng.uniform(0.05, 3.0)
         rk = math.sqrt(k)
-        i2 = damping_integral_sech(HomoclinicOrbit(A, k, lam, "sech"))
+        i2 = damping_integral(HomoclinicOrbit(A, k, lam, "sech"))
         f = lambda t: 2 * A * A * k * math.sinh(2 * rk * t) ** 2 \
             / (math.cosh(2 * rk * t) + 2 * lam + 1) ** 3
         i2_q = quad(f, -40 / rk, 40 / rk, limit=400)[0]
         g = lambda t: A * A * k / math.cosh(rk * t) ** 4 \
             / (1 + lam * math.tanh(rk * t) ** 2) ** 3
-        j2 = damping_integral_tanh(HomoclinicOrbit(A, k, lam, "tanh"))
+        j2 = damping_integral(HomoclinicOrbit(A, k, lam, "tanh"))
         j2_q = quad(g, -40 / rk, 40 / rk, limit=400)[0]
         worst = max(worst, abs(i2 - i2_q), abs(j2 - j2_q))
     orb = HomoclinicOrbit(A=1.0, k=1.0, lam=0.5, kind="sech")
@@ -184,8 +182,8 @@ def test_criterion_04_melnikov_closed_forms():
 
 def test_criterion_05_chebyshev_fit_errors():
     lams = (0.0, 0.25, 0.5, 1.0)
-    sech_errs = {lam: chebyshev_fit_sech(lam).max_error for lam in lams}
-    tanh_errs = {lam: chebyshev_fit_tanh(lam).max_error for lam in lams}
+    sech_errs = {lam: chebyshev_fit("sech", lam).max_error for lam in lams}
+    tanh_errs = {lam: chebyshev_fit("tanh", lam).max_error for lam in lams}
     ok = all(e < 0.05 for e in sech_errs.values()) and \
         all(e < 0.05 for e in tanh_errs.values())
     fmt = lambda d: ", ".join(f"{k}: {v:.4f}" for k, v in d.items())
@@ -208,12 +206,12 @@ def test_criterion_06_chaos_onset():
     le_lo = lyapunov_max(OscillatorParams(1, 1, 0, delta=0.1, gamma=0.10, omega=1.4),
                          State(0, 0, 0), 500 * T14, T14)
     wall = time.time() - t_start
-    ok = (isinstance(row, ChaosScanRow) and 0.31 <= row.gamma_c <= 0.37
+    ok = (not math.isnan(row.gamma_c) and 0.31 <= row.gamma_c <= 0.37
           and le_hi > 0.01 and le_lo <= 0.0 and wall < 180.0)
     report(6, ok, f"gamma_c = {row.gamma_c:.4f} (window [0.31, 0.37]), "
                   f"exponent(0.35) = {le_hi:.3f} (> 0.01), exponent(0.10) = {le_lo:.3f} "
                   f"(<= 0), runtime {wall:.0f}s (< 180s)")
-    assert isinstance(row, ChaosScanRow)
+    assert not math.isnan(row.gamma_c), "no onset found at omega=1.4"
     assert 0.31 <= row.gamma_c <= 0.37
     assert le_hi > 0.01
     assert le_lo <= 0.0
@@ -226,7 +224,7 @@ def test_criterion_07_frequency_table_spot_checks():
     results = {}
     for omega, want in targets.items():
         row = gamma_scan(1, 1, 0, 0.1, omega, ranges[omega], 0.005)
-        assert isinstance(row, ChaosScanRow), f"no onset found at omega={omega}"
+        assert not math.isnan(row.gamma_c), f"no onset found at omega={omega}"
         results[omega] = row.gamma_c
     devs = {w: abs(results[w] - targets[w]) for w in targets}
     ok = all(d <= 0.06 for d in devs.values())

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from itertools import product
 
 import mpmath
@@ -14,10 +15,8 @@ from cqduffing.exact import HomoclinicOrbit, homoclinic_orbit
 from cqduffing.melnikov import (
     MelnikovResult,
     chaos_threshold,
-    chebyshev_fit_sech,
-    chebyshev_fit_tanh,
-    damping_integral_sech,
-    damping_integral_tanh,
+    chebyshev_fit,
+    damping_integral,
     melnikov,
 )
 
@@ -63,7 +62,7 @@ def quad_kink_forcing(A, k, lam, w, t0):
 
 class TestChebyshevFits:
     def test_pulse_identity_limit(self):
-        fit = chebyshev_fit_sech(0.0)
+        fit = chebyshev_fit("sech", 0.0)
         r, s = fit.coefficients
         assert r == pytest.approx(1.0, abs=1e-12)
         assert s == pytest.approx(0.0, abs=1e-12)
@@ -71,21 +70,21 @@ class TestChebyshevFits:
 
     def test_pulse_measured_errors_frozen(self):
         for lam, want in SECH_FIT_ERRORS.items():
-            fit = chebyshev_fit_sech(lam)
+            fit = chebyshev_fit("sech", lam)
             assert fit.max_error == pytest.approx(want, abs=1e-3)
             assert fit.max_error < 0.05
 
     def test_pulse_negative_shape(self):
-        fit = chebyshev_fit_sech(-0.30132)
+        fit = chebyshev_fit("sech", -0.30132)
         assert all(map(math.isfinite, fit.coefficients))
         assert fit.max_error < 0.05
 
     def test_pulse_guard(self):
         with pytest.raises(ValueError, match="surrogate"):
-            chebyshev_fit_sech(-1.5)
+            chebyshev_fit("sech", -1.5)
 
     def test_kink_identity_limit(self):
-        fit = chebyshev_fit_tanh(0.0)
+        fit = chebyshev_fit("tanh", 0.0)
         r, s = fit.coefficients
         assert r == pytest.approx(-1.0, abs=1e-12)
         assert s == pytest.approx(0.0, abs=1e-12)
@@ -95,29 +94,44 @@ class TestChebyshevFits:
         # x = tanh^2 along the orbit, where its target is smooth for every
         # lam > -1; the measured sup errors are frozen as regressions
         for lam, want in TANH_FIT_ERRORS.items():
-            fit = chebyshev_fit_tanh(lam)
+            fit = chebyshev_fit("tanh", lam)
             assert fit.max_error == pytest.approx(want, abs=1e-3)
 
     def test_kink_guard_boundary(self):
         # the largest node (2+sqrt3)/4 must stay clear of the pole x = -1/lam
         with pytest.raises(ValueError, match="surrogate"):
-            chebyshev_fit_tanh(-4 / (2 + math.sqrt(3)) - 1e-9)
+            chebyshev_fit("tanh", -4 / (2 + math.sqrt(3)) - 1e-9)
         for lam in (2 / math.sqrt(3) + 1e-9, 2.0):
-            fit = chebyshev_fit_tanh(lam)
+            fit = chebyshev_fit("tanh", lam)
             assert all(map(math.isfinite, fit.coefficients))
             assert math.isfinite(fit.max_error)
+
+    def test_singular_target_error_is_inf(self):
+        # once 1 + lam <= 0 the target is singular inside the range, which
+        # the nodes may still avoid: both kinds report inf, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind, lam in (("sech", -1.1), ("sech", -1.0), ("tanh", -1.0)):
+                assert chebyshev_fit(kind, lam).max_error == math.inf
+            for kind, lam in (("sech", -1.5), ("tanh", -1.1)):
+                with pytest.raises(ValueError, match="surrogate"):
+                    chebyshev_fit(kind, lam)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="kind must be"):
+            chebyshev_fit("cn", 0.0)
 
 
 class TestDampingIntegrals:
     def test_pulse_closed_form_reference(self):
         orb = HomoclinicOrbit(A=1.0, k=1.0, lam=1.0, kind="sech")
-        val = damping_integral_sech(orb)
+        val = damping_integral(orb)
         assert val == pytest.approx(PULSE_DAMPING_111, abs=1e-10)
         assert val == pytest.approx(quad_pulse_damping(1, 1, 1), abs=1e-10)
 
     def test_kink_closed_form_reference(self):
         orb = HomoclinicOrbit(A=1.0, k=1.0, lam=1.0, kind="tanh")
-        val = damping_integral_tanh(orb)
+        val = damping_integral(orb)
         assert val == pytest.approx(KINK_DAMPING_111, rel=1e-12)
         assert val == pytest.approx(quad_kink_damping(1, 1, 1), abs=1e-10)
 
@@ -127,7 +141,7 @@ class TestDampingIntegrals:
             k = rng.uniform(0.2, 3.0)
             lam = rng.uniform(0.05, 3.0)
             orb = HomoclinicOrbit(A=A, k=k, lam=lam, kind="sech")
-            val = damping_integral_sech(orb)
+            val = damping_integral(orb)
             assert val == pytest.approx(quad_pulse_damping(A, k, lam), abs=1e-6)
 
     def test_kink_matches_quadrature_randomly(self, rng):
@@ -136,13 +150,13 @@ class TestDampingIntegrals:
             k = rng.uniform(0.2, 3.0)
             lam = rng.uniform(0.05, 3.0)
             orb = HomoclinicOrbit(A=A, k=k, lam=lam, kind="tanh")
-            val = damping_integral_tanh(orb)
+            val = damping_integral(orb)
             assert val == pytest.approx(quad_kink_damping(A, k, lam), abs=1e-6)
 
     def test_negative_shape_uses_the_closed_form(self):
         orb = homoclinic_orbit(1, 1, 1, "sech", +1)
         assert orb.lam < 0
-        val = damping_integral_sech(orb)
+        val = damping_integral(orb)
         assert val == pytest.approx(quad_pulse_damping(orb.A, orb.k, orb.lam), abs=1e-8)
         assert val > 0
 
@@ -162,17 +176,16 @@ class TestDampingIntegrals:
             kink = mpmath.quad(lambda u: (1 - u * u) / (1 + mp_lam * u * u) ** 3, [-1, 0, 1])
         A, k = 1.3, 0.7
         scale = A * A * math.sqrt(k)
-        for fn, kind, exact in ((damping_integral_sech, "sech", pulse),
-                                (damping_integral_tanh, "tanh", kink)):
-            val = fn(HomoclinicOrbit(A=A, k=k, lam=lam, kind=kind))
+        for kind, exact in (("sech", pulse), ("tanh", kink)):
+            val = damping_integral(HomoclinicOrbit(A=A, k=k, lam=lam, kind=kind))
             assert type(val) is float
             assert abs(val / scale - exact) / exact <= 1e-12
 
     @pytest.mark.parametrize("lam", [-1.0, -1.5])
     def test_singular_shape_raises(self, lam):
-        for fn, kind in ((damping_integral_sech, "sech"), (damping_integral_tanh, "tanh")):
+        for kind in ("sech", "tanh"):
             with pytest.raises(ValueError, match="lam > -1"):
-                fn(HomoclinicOrbit(A=1.0, k=1.0, lam=lam, kind=kind))
+                damping_integral(HomoclinicOrbit(A=1.0, k=1.0, lam=lam, kind=kind))
 
 
 class TestMelnikovAssembly:
@@ -273,14 +286,14 @@ def melnikov_sech(orbit: HomoclinicOrbit, p: OscillatorParams) -> MelnikovResult
         raise ValueError(f"expected a sech orbit, got kind={orbit.kind!r}")
     if p.omega <= 0.0:
         raise ValueError("melnikov evaluation needs omega > 0")
-    fit = chebyshev_fit_sech(orbit.lam)
+    fit = chebyshev_fit("sech", orbit.lam)
     r, s = fit.coefficients
     k, w = orbit.k, p.omega
     rk = math.sqrt(k)
     envelope = _reciprocal(math.cosh, w * math.pi / (2.0 * rk))
     wave_base = orbit.A * rk * (r * w * math.pi / k
                                 + s * w * math.pi * (k + w * w) / (6.0 * k * k)) * envelope
-    i2 = damping_integral_sech(orbit)
+    i2 = damping_integral(orbit)
     ratio = math.inf if wave_base == 0.0 else abs(i2 / wave_base)
     return MelnikovResult(
         wave_coeff=p.gamma * wave_base,
@@ -301,14 +314,14 @@ def melnikov_tanh(orbit: HomoclinicOrbit, p: OscillatorParams) -> MelnikovResult
         raise ValueError(f"expected a tanh orbit, got kind={orbit.kind!r}")
     if p.omega <= 0.0:
         raise ValueError("melnikov evaluation needs omega > 0")
-    fit = chebyshev_fit_tanh(orbit.lam)
+    fit = chebyshev_fit("tanh", orbit.lam)
     r, s = fit.coefficients
     k, w = orbit.k, p.omega
     rk = math.sqrt(k)
     envelope = _reciprocal(math.sinh, w * math.pi / (2.0 * rk))
     wave_base = orbit.A * rk * (-r * w * math.pi / k
                                 + s * w * math.pi * (w * w - 8.0 * k) / (6.0 * k * k)) * envelope
-    j2 = damping_integral_tanh(orbit)
+    j2 = damping_integral(orbit)
     ratio = math.inf if wave_base == 0.0 else abs(j2 / wave_base)
     return MelnikovResult(
         wave_coeff=p.gamma * wave_base,

@@ -225,6 +225,22 @@ class TestLockstepSearch:
             search_mu_tau(CHAOTIC, (1.0, 2.0), (2.0, 5000.0), (2, 2))
         assert str(got.value) == str(want.value) and got.value.t == want.value.t
 
+    @pytest.mark.parametrize("lockstep_min, grid", [(1, (2, 2)), (pyragas._LOCKSTEP_MIN, (3, 3))],
+                             ids=["min1-2x2", "3x3"])
+    def test_knot_times_that_do_not_advance_raise(self, lockstep_min, grid):
+        # at t = 1e17 a step of T/200 rounds away (t + dt == t): one cell
+        # raises from HistoryBuffer.append, and the lanes (search_cell is
+        # patched out) from their per-chunk check of the knot times
+        s0 = State(1e17, 0, 0)
+        with pytest.raises(ValueError) as want:
+            search_cell((CHAOTIC, 1.0, 2.0, s0, 1e-2))
+        assert str(want.value) == "history knots must advance in time"
+        with mock.patch.object(pyragas, "_LOCKSTEP_MIN", lockstep_min), \
+                mock.patch.object(pyragas, "search_cell", None), \
+                pytest.raises(ValueError) as got:
+            search_mu_tau(CHAOTIC, (1.0, 2.0), (2.0, 3.0), grid, s0)
+        assert str(got.value) == str(want.value)
+
     def test_diverging_cell_raises(self):
         # a softening quintic well: the start x0 = 2 escapes and overflows
         p = OscillatorParams(1, 0, -1, delta=0.1, gamma=0.35, omega=1.4, epsilon=1.0)
