@@ -61,8 +61,8 @@ class ChaosScanRow:
     lyapunov: float
 
 
-def _strobe_ctrl(omega: float, steps_per_period: int = _STEPS_PER_PERIOD) -> StepControl:
-    return StepControl(dt=(2.0 * math.pi / omega) / steps_per_period, method="rk4")
+def _strobe_ctrl(omega: float) -> StepControl:
+    return StepControl(dt=(2.0 * math.pi / omega) / _STEPS_PER_PERIOD, method="rk4")
 
 
 class _Strobes:

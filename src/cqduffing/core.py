@@ -121,33 +121,22 @@ class Trajectory:
         return State(float(self.t[-1]), float(self.x[-1]), float(self.v[-1]))
 
     def eval(self, t):
-        """Densely interpolated (x, v) at time t inside the span: floats for a
-        float t, arrays equal to the float results for an array t."""
+        """Densely interpolated (x, v) at time t inside the span: arrays for an
+        array t, two floats for a float or numpy-scalar t."""
         if self.accel is None:
             raise ValueError("trajectory has no acceleration knots; dense output unavailable")
-        kt = self.t
-        lo, hi = kt[0] - 1e-12, kt[-1] + 1e-12
-        if isinstance(t, np.ndarray):
-            t = np.asarray(t, dtype=float)
-            outside = ~((lo <= t) & (t <= hi))  # NaN counts as outside
-            if outside.any():
-                raise ValueError(f"t={t[outside][0]} outside trajectory span [{kt[0]}, {kt[-1]}]")
-            if kt.size == 1:
-                return np.full(t.shape, self.x[0]), np.full(t.shape, self.v[0])
-            i = np.clip(np.searchsorted(kt, t, side="right") - 1, 0, kt.size - 2)
-            pick = np.ndarray.__getitem__
+        kt, ts = self.t, np.asarray(t, dtype=float)
+        outside = ~((kt[0] - 1e-12 <= ts) & (ts <= kt[-1] + 1e-12))  # NaN counts as outside
+        if outside.any():
+            raise ValueError(f"t={ts[outside][0]} outside trajectory span [{kt[0]}, {kt[-1]}]")
+        if kt.size == 1:
+            x, v = np.full(ts.shape, self.x[0]), np.full(ts.shape, self.v[0])
         else:
-            if not (lo <= t <= hi):
-                raise ValueError(f"t={t} outside trajectory span [{kt[0]}, {kt[-1]}]")
-            if kt.size == 1:
-                return float(self.x[0]), float(self.v[0])
-            i = min(max(int(np.searchsorted(kt, t, side="right")) - 1, 0), kt.size - 2)
-            # Python floats: their arithmetic is faster than numpy scalars' and rounds the same
-            t, pick = float(t), np.ndarray.item
-        t0 = pick(kt, i)
-        h = pick(kt, i + 1) - t0
-        return _hermite5((t - t0) / h, h, pick(self.x, i), pick(self.v, i), pick(self.accel, i),
-                         pick(self.x, i + 1), pick(self.v, i + 1), pick(self.accel, i + 1))
+            i = np.clip(np.searchsorted(kt, ts, side="right") - 1, 0, kt.size - 2)
+            h = kt[i + 1] - kt[i]
+            x, v = _hermite5((ts - kt[i]) / h, h, self.x[i], self.v[i], self.accel[i],
+                             self.x[i + 1], self.v[i + 1], self.accel[i + 1])
+        return (x, v) if isinstance(t, np.ndarray) else (float(x), float(v))
 
     def eval_x(self, t):
         return self.eval(t)[0]

@@ -183,7 +183,7 @@ def closed_form_branches(a: float, b: float, c: float, x0: float) -> list[Branch
     return out
 
 
-def _gauss_newton(a, b, c, x0, theta0, max_iter=200, tol=1e-12):
+def _gauss_newton(a, b, c, x0, theta0):
     """Damped Gauss-Newton on the five residuals over (lam, mu, w, m)."""
     theta = np.asarray(theta0, dtype=float)
 
@@ -192,7 +192,7 @@ def _gauss_newton(a, b, c, x0, theta0, max_iter=200, tol=1e-12):
 
     r = res(theta)
     best = float(np.abs(r).max())
-    for _ in range(max_iter):
+    for _ in range(200):
         J = np.empty((5, 4))
         for j in range(4):
             h = 1e-7 * max(1.0, abs(theta[j]))
@@ -212,7 +212,7 @@ def _gauss_newton(a, b, c, x0, theta0, max_iter=200, tol=1e-12):
             lam_damp *= 0.5
         else:
             break
-        if best < tol or np.abs(lam_damp * step).max() < 1e-15:
+        if best < 1e-12 or np.abs(lam_damp * step).max() < 1e-15:
             break
     return theta, best
 

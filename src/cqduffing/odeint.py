@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import State, Trajectory, _hermite5
+from .core import State, Trajectory, _hermite5_coeffs, _hermite5_velocity
 
 __all__ = ["StepControl", "HistoryBuffer", "IntegrationError", "integrate", "integrate_delayed"]
 
@@ -112,13 +112,9 @@ class HistoryBuffer:
             raise ValueError(f"delayed read at t={t} beyond recorded history t={self.ts[-1]}")
         i = bisect_right(self.ts, t) - 1
         h = self.ts[i + 1] - self.ts[i]
-        s = (t - self.ts[i]) / h
-        _, v = _hermite5(
-            s, h,
-            self.xs[i], self.vs[i], self.accs[i],
-            self.xs[i + 1], self.vs[i + 1], self.accs[i + 1],
-        )
-        return v
+        v0, a0 = self.vs[i], self.accs[i]
+        return _hermite5_velocity((t - self.ts[i]) / h, h, v0, a0, *_hermite5_coeffs(
+            h, self.xs[i], v0, a0, self.xs[i + 1], self.vs[i + 1], self.accs[i + 1]))
 
     def trajectory(self, metadata: dict) -> Trajectory:
         return Trajectory(np.array(self.ts), np.array(self.xs), np.array(self.vs),
@@ -288,7 +284,7 @@ def integrate_delayed(
     """Method-of-steps integration of x'' = rhs(t, x, v, v(t - tau)).
 
     The delayed velocity is read from the accumulated knots by Hermite
-    interpolation; for times before s0.t the history function supplies it.
+    interpolation; at or before s0.t the history function supplies it.
     Steps never exceed tau, so every delayed read is already recorded.
     Both engines evaluate the right-hand side twice in a row at one time
     (RK4 at t + dt/2 and t + dt, DP54 at t + dt), so the delayed velocity

@@ -17,7 +17,8 @@ one per cell, through `odeint._rk4_step` and `core.acceleration`; a block
 of fewer than _LOCKSTEP_MIN lanes runs `search_cell` per cell instead.  A
 lane keeps a ring of its last 6 tau of knots, for the periodicity report
 and the delayed reads, and each delayed time is read once, from the two
-knots of its interval.
+knots of its interval.  The block's one loop steps its unfinished lanes
+and, as each end time comes, finishes the lanes that share it.
 """
 from __future__ import annotations
 
@@ -119,12 +120,13 @@ def run_controlled(
 def _periodicity_report(traj: Trajectory, t0: float, tau: float, history,
                         periodicity_tol: float) -> PeriodicityReport:
     """The report on the final 5 tau of traj, a run from t0 that may keep only
-    its last 6 tau of knots; delayed reads before t0 come from history."""
+    its last 6 tau of knots; delayed reads at or before t0 come from history,
+    as in integrate_delayed."""
     t1 = traj.t[-1]
     w_lo = max(t0, t1 - 5.0 * tau)
     ts = np.linspace(w_lo, t1, 400)
     td = ts - tau
-    vd = np.where(td >= t0, traj.eval_v(np.maximum(td, t0)), history(td))
+    vd = np.where(td > t0, traj.eval_v(np.maximum(td, t0)), history(td))
     controller_norm = float(np.abs(vd - traj.eval_v(ts)).max())
     residual = math.inf
     if t1 - tau > w_lo:
@@ -236,7 +238,10 @@ def _run_lanes(job) -> list[tuple[int, tuple[float, float, float, bool]]]:
     index.  Module-level so worker processes can import it.
 
     The lanes share the knot times t0 + k dt and are sorted by delay, so
-    finished lanes form a prefix.  The steps run in chunks of at most
+    finished lanes form a prefix.  Once the full steps reach a lane's last
+    one, the main loop finishes its end-time group, the lanes with its t_end,
+    one group at a time: their final short step, their ring windows and their
+    reports.  The other steps run in chunks of at most
     _CHUNK steps and fewer than tau / dt (one step when tau < 2 dt), so a
     chunk's delayed reads reach only knots written before it, and they are
     evaluated together, before its steps.  A read finds its interval by
@@ -297,32 +302,6 @@ def _run_lanes(job) -> list[tuple[int, tuple[float, float, float, bool]]]:
             return acceleration(q, t, x, v) + mu_ab * (delayed[t] - v)
         return f
 
-    def finish(a: int, b: int, x, v, acc) -> list:
-        """The cells of lanes [a, b), whose full steps end at knot n."""
-        t_n = t0 + n * dt
-        ks = np.arange(max(0, n - n_knots + 1), n + 1)
-        ts = t0 + ks * dt
-        out = []
-        while a < b:
-            c = a + 1
-            while c < b and t_ends[c] == t_ends[a]:
-                c += 1
-            t1, h = t_ends[a], h_lasts[a]
-            if h:
-                f = rhs(a, c, [t_n + 0.5 * h, t_n + h])
-                last = _rk4_step(f, t_n, x[:c - a], v[:c - a], h, acc[:c - a])
-                _check_lanes(t1, *last[:2], mu[a:c], tau[a:c])
-            for j in range(a, c):
-                win = [knots[q, ks % n_knots, j] for q in range(3)]
-                if h:
-                    win = [np.append(w, z[j - a]) for w, z in zip(win, last)]
-                traj = Trajectory(np.append(ts, t1) if h else ts, *win)
-                rep = _periodicity_report(traj, t0, taus[j], history, periodicity_tol)
-                out.append((index[j], (mus[j], taus[j], rep.controller_norm, rep.is_periodic)))
-            x, v, acc = x[c - a:], v[c - a:], acc[c - a:]
-            a = c
-        return out
-
     done = []
     x, v = np.full(n_lanes, s0.x), np.full(n_lanes, s0.v)
     a = 0  # lanes [0, a) are finished
@@ -330,11 +309,26 @@ def _run_lanes(job) -> list[tuple[int, tuple[float, float, float, bool]]]:
         acc = rhs(0, n_lanes, [t0])(t0, x, v)
         knots[:, 0] = x, v, acc
         while a < n_lanes:
-            if n_fulls[a] == n:
-                b = next((j for j in range(a, n_lanes) if n_fulls[j] > n), n_lanes)
-                done += finish(a, b, x, v, acc)
-                x, v, acc = x[b - a:], v[b - a:], acc[b - a:]
-                a = b
+            if n_fulls[a] == n:  # lanes [a, c) end at t1: their final short step and reports
+                c = next((j for j in range(a, n_lanes) if t_ends[j] != t_ends[a]), n_lanes)
+                t1, h = t_ends[a], h_lasts[a]
+                ks = np.arange(max(0, n - n_knots + 1), n + 1)
+                ts, rows = t0 + ks * dt, ks % n_knots  # the ring window, oldest knot first
+                if h:
+                    t_n = t0 + n * dt
+                    last = _rk4_step(rhs(a, c, [t_n + 0.5 * h, t_n + h]), t_n,
+                                     x[:c - a], v[:c - a], h, acc[:c - a])
+                    _check_lanes(t1, *last[:2], mu[a:c], tau[a:c])
+                    ts = np.append(ts, t1)
+                for j in range(a, c):
+                    win = knots[:, rows, j]
+                    if h:
+                        win = np.column_stack([win, [z[j - a] for z in last]])
+                    rep = _periodicity_report(Trajectory(ts, *win), t0, taus[j], history,
+                                              periodicity_tol)
+                    done.append((index[j], (mus[j], taus[j], rep.controller_norm, rep.is_periodic)))
+                x, v, acc = x[c - a:], v[c - a:], acc[c - a:]
+                a = c
                 continue
             m = min(max(1, int(taus[a] / dt) - 1), _CHUNK, n_fulls[a] - n)
             kt = t0 + np.arange(n, n + m + 1) * dt

@@ -220,6 +220,12 @@ class TestDenseOutput:
         assert np.array_equal(tr.eval_x(ts), xs) and np.array_equal(tr.eval_v(ts), vs)
         grid = ts[:12].reshape(3, 4)
         assert tr.eval(grid)[0].shape == (3, 4)
+        for t, pair in zip(ts[:20], pairs):
+            scalar = tr.eval(np.float64(t))  # a numpy scalar reads as a float
+            assert all(type(z) is float for z in scalar) and scalar == pair
+            zero_d = tr.eval(np.array(t))  # a 0-d array keeps numpy's shape ()
+            assert all(type(z) is not float and np.shape(z) == () for z in zero_d)
+            assert tuple(map(float, zero_d)) == pair
 
     def test_single_knot_trajectory(self):
         tr = Trajectory(np.array([2.0]), np.array([0.5]), np.array([-1.5]), np.array([0.25]))

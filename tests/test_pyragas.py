@@ -107,6 +107,19 @@ class TestRunControlled:
         for t in np.linspace(s_on.t + 1.0, s_on.t + 29.0, 57):
             assert fed.eval_x(t) == pytest.approx(free.eval_x(t), abs=1e-6)
 
+    def test_report_reads_the_history_at_the_start_time(self):
+        # one report sample reads the delay at exactly t0 = 0, where
+        # integrate_delayed takes the history (zero), not the start velocity
+        p = OscillatorParams(1, 1, 0.2, delta=0.1, gamma=0.35, omega=1.4)
+        cfg = ControllerConfig(mu=0.5, tau=2.380952380952381)
+        traj, rep = run_controlled(p, cfg, State(0, 0, 0.8), 2.5)
+        ts = np.linspace(0.0, 2.5, 400)
+        td = ts - cfg.tau
+        assert traj.t[-1] == 2.5 and np.count_nonzero(td == 0.0) == 1
+        vd = [traj.eval_v(float(t)) if t > 0.0 else 0.0 for t in td]
+        assert rep.controller_norm == float(np.abs(np.array(vd) - traj.eval_v(ts)).max())
+        assert rep.controller_norm == pytest.approx(1.3541344055099256, rel=1e-12)
+
     def test_vanishing_control_power_on_periodic_orbit(self):
         cfg = ControllerConfig(mu=MU_REF, tau=T_FORCING)
         traj, rep = run_controlled(CHAOTIC, cfg, State(0, 0, 0), 500.0)
@@ -183,6 +196,9 @@ class TestLockstepSearch:
     @example(forced=True, delays="chaos", n_mu=3, n_tau=3, mu_lo=0.5, spread=0.05,
              before=T_FORCING / 2, x0=0.0, v0=0.0, budget=1)  # tau = 3.73093: no short step,
     # and the report windows reach back before s0.t
+    @example(forced=True, delays="chaos", n_mu=2, n_tau=3, mu_lo=1.0, spread=1e-4,
+             before=5.0, x0=0.1, v0=0.0, budget=32 << 20)  # three end times after the same
+    # 222 full steps: three short final steps in one block
     def test_equals_search_cell_per_cell_bitwise(self, forced, delays, n_mu, n_tau, mu_lo,
                                                   spread, before, x0, v0, budget):
         p = OscillatorParams(1, 1, 0.2, delta=0.1, gamma=0.35 if forced else 0.0,
