@@ -37,6 +37,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple
 from functools import partial
@@ -189,7 +190,10 @@ def cmd_exact(cfg: dict, out_path) -> dict:
 
 def cmd_kbm(cfg: dict, out_path) -> dict:
     p = _params(cfg)
-    sol = kbm.kbm_solve(p, cfg["x0"], cfg["v0"], cfg["t_end"], order=cfg["order"])
+    # kbm_solve warns only when the initial fit falls back to its linear seed
+    with warnings.catch_warnings(record=True) as fit_warnings:
+        warnings.simplefilter("always")
+        sol = kbm.kbm_solve(p, cfg["x0"], cfg["v0"], cfg["t_end"], order=cfg["order"])
     ts = np.linspace(0.0, cfg["t_end"], cfg["samples"])
     if cfg["compare"]:
         ctrl = StepControl(abs_tol=1e-11, rel_tol=1e-11)
@@ -204,7 +208,8 @@ def cmd_kbm(cfg: dict, out_path) -> dict:
     out = out_path("kbm.csv")
     _write_csv(out, "kbm", cfg, header, rows)
     c = sol.coeffs
-    return dict(output=out, omega0=c.omega0, eta=c.eta, max_error_vs_reference=max_err)
+    return dict(output=out, omega0=c.omega0, eta=c.eta, max_error_vs_reference=max_err,
+                initial_fit_converged=not fit_warnings)
 
 
 def cmd_melnikov(cfg: dict, out_path) -> dict:

@@ -23,7 +23,6 @@ from .odeint import IntegrationError, StepControl
 
 __all__ = [
     "KbmCoefficients",
-    "AmplitudePhase",
     "KbmSolution",
     "build_coefficients",
     "amplitude_phase_odes",
@@ -60,14 +59,6 @@ class KbmCoefficients:
         return self.phi_amplitude * math.cos(self.phi_omega * t)
 
 
-@dataclass(frozen=True)
-class AmplitudePhase:
-    """Slowly varying amplitude and phase."""
-
-    amp: float
-    psi: float
-
-
 def build_coefficients(p: OscillatorParams, x0: float) -> KbmCoefficients:
     """Expansion coefficients for the orbit started at x0.
 
@@ -98,10 +89,9 @@ def build_coefficients(p: OscillatorParams, x0: float) -> KbmCoefficients:
     )
 
 
-def amplitude_phase_odes(k: KbmCoefficients, s: AmplitudePhase, t: float,
+def amplitude_phase_odes(k: KbmCoefficients, a: float, t: float,
                          order: int = 2) -> tuple[float, float]:
-    """(d amp/dt, d psi/dt) of the slow flow, to first or second order."""
-    a = s.amp
+    """(d amp/dt, d psi/dt) of the slow flow at amplitude a, to first or second order."""
     w0 = k.omega0
     eps = k.epsilon_eff
     a2 = a * a
@@ -166,10 +156,10 @@ def _assemble_point(k: KbmCoefficients, a: float, psi: float, t: float) -> float
 
 
 def integrate_amplitude_phase(
-    k: KbmCoefficients, ic: AmplitudePhase, t_end: float,
+    k: KbmCoefficients, ic: tuple[float, float], t_end: float,
     dt: float | None = None, order: int = 2,
 ) -> np.ndarray:
-    """RK4 integration of the slow flow from t = 0.
+    """RK4 integration of the slow flow from t = 0 and ic = (amp, psi).
 
     Returns knots of shape (n, 3) with columns (t, amp, psi); the default
     step is a two-hundredth of the base period.  Raises IntegrationError
@@ -183,15 +173,15 @@ def integrate_amplitude_phase(
                                f"t={StepControl.max_steps * dt}", 0.0)
     n = max(int(math.ceil(steps)), 1)
     out = np.empty((n + 1, 3))
-    out[0] = (0.0, ic.amp, ic.psi)
-    a, psi = ic.amp, ic.psi
+    a, psi = ic
+    out[0] = (0.0, a, psi)
     for i in range(n):
         t = i * dt
         h = min(dt, t_end - t) if i < n - 1 else t_end - t
-        k1 = amplitude_phase_odes(k, AmplitudePhase(a, psi), t, order)
-        k2 = amplitude_phase_odes(k, AmplitudePhase(a + 0.5 * h * k1[0], psi + 0.5 * h * k1[1]), t + 0.5 * h, order)
-        k3 = amplitude_phase_odes(k, AmplitudePhase(a + 0.5 * h * k2[0], psi + 0.5 * h * k2[1]), t + 0.5 * h, order)
-        k4 = amplitude_phase_odes(k, AmplitudePhase(a + h * k3[0], psi + h * k3[1]), t + h, order)
+        k1 = amplitude_phase_odes(k, a, t, order)
+        k2 = amplitude_phase_odes(k, a + 0.5 * h * k1[0], t + 0.5 * h, order)
+        k3 = amplitude_phase_odes(k, a + 0.5 * h * k2[0], t + 0.5 * h, order)
+        k4 = amplitude_phase_odes(k, a + h * k3[0], t + h, order)
         a += h / 6.0 * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
         psi += h / 6.0 * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
         out[i + 1] = (t + h, a, psi)
@@ -211,7 +201,7 @@ def assemble_solution(k: KbmCoefficients, amp_phase_traj: np.ndarray, t: float) 
 
 
 def initial_conditions_map(k: KbmCoefficients, x0: float, v0: float,
-                           order: int = 2) -> AmplitudePhase:
+                           order: int = 2) -> tuple[float, float]:
     """(amp, psi) at t = 0 such that the assembled solution meets
     x(0) = x0, x'(0) = v0, found by a two-dimensional Newton iteration."""
     w0 = k.omega0
@@ -222,7 +212,7 @@ def initial_conditions_map(k: KbmCoefficients, x0: float, v0: float,
 
     def value_and_slope(a: float, ps: float) -> tuple[float, float]:
         x = _assemble_point(k, a, ps, 0.0)
-        da, dpsi = amplitude_phase_odes(k, AmplitudePhase(a, ps), 0.0, order)
+        da, dpsi = amplitude_phase_odes(k, a, 0.0, order)
         h = 1e-6
         dxa = (_assemble_point(k, a + h, ps, 0.0) - _assemble_point(k, a - h, ps, 0.0)) / (2 * h)
         dxp = (_assemble_point(k, a, ps + h, 0.0) - _assemble_point(k, a, ps - h, 0.0)) / (2 * h)
@@ -233,7 +223,7 @@ def initial_conditions_map(k: KbmCoefficients, x0: float, v0: float,
         x, v = value_and_slope(amp, psi)
         fx, fv = x - x0, v - v0
         if abs(fx) < 1e-13 and abs(fv) < 1e-13 * max(1.0, w0):
-            return AmplitudePhase(amp, psi)
+            return amp, psi
         h_a = 1e-7 * max(1.0, abs(amp))
         h_p = 1e-7
         xa, va = value_and_slope(amp + h_a, psi)
@@ -252,9 +242,9 @@ def initial_conditions_map(k: KbmCoefficients, x0: float, v0: float,
     else:
         x, v = value_and_slope(amp, psi)
         if abs(x - x0) < 1e-9 and abs(v - v0) < 1e-9 * max(1.0, w0):
-            return AmplitudePhase(amp, psi)
+            return amp, psi
     warnings.warn("initial-condition fit did not converge; using the linear seed")
-    return AmplitudePhase(*seed)
+    return seed
 
 
 class KbmSolution:

@@ -13,7 +13,7 @@ The grid search advances its cells in lockstep, bitwise equal to one
 `search_cell` per cell.  Cells that share the RK4 step dt = min(T/200,
 tau) share their knot times t0 + k dt and forcing samples, so each such
 group (split into blocks that fit a ring budget) runs as arrays of lanes,
-one per cell, through `odeint._rk4_step` and `core.acceleration`; a block
+one per cell, through `odeint._rk4_step` and `controlled_rhs`; a block
 of fewer than _LOCKSTEP_MIN lanes runs `search_cell` per cell instead.  A
 lane keeps a ring of its last 6 tau of knots, for the periodicity report
 and the delayed reads, and each delayed time is read once, from the two
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -81,17 +82,15 @@ class PeriodicityReport:
     tolerance: float
 
 
-def controlled_rhs(p: OscillatorParams, cfg: ControllerConfig, s: State,
-                   delayed_velocity: float) -> float:
-    """Driven-oscillator acceleration plus mu (v(t - tau) - v(t))."""
-    return acceleration(p, s.t, s.x, s.v) + cfg.mu * (delayed_velocity - s.v)
+def controlled_rhs(p: OscillatorParams, mu, t, x, v, vd):
+    """The delayed-feedback force law: the driven-oscillator acceleration
+    plus mu (vd - v), where vd = v(t - tau); on floats or on lane arrays."""
+    return acceleration(p, t, x, v) + mu * (vd - v)
 
 
 def _history_fn(cfg: ControllerConfig, s0: State):
     """Pre-start velocity; constant in t, so it also serves an array of times."""
-    if cfg.history_policy == "zero":
-        return lambda t: 0.0
-    v0 = s0.v
+    v0 = s0.v if cfg.history_policy == "constant" else 0.0
     return lambda t: v0
 
 
@@ -109,16 +108,15 @@ def run_controlled(
     compares x(t) with x(t + tau), and the controller norm is the largest
     velocity mismatch the feedback still sees there.
     """
-    mu, tau = cfg.mu, cfg.tau
+    tau = cfg.tau
     ctrl = ctrl or _default_ctrl(p, tau)
     history = _history_fn(cfg, s0)
-    traj = integrate_delayed(lambda t, x, v, vd: acceleration(p, t, x, v) + mu * (vd - v),
-                             s0, history, tau, t_end, ctrl)
+    traj = integrate_delayed(partial(controlled_rhs, p, cfg.mu), s0, history, tau, t_end, ctrl)
     return traj, _periodicity_report(traj, traj.t[0], tau, history, periodicity_tol)
 
 
 def _periodicity_report(traj: Trajectory, t0: float, tau: float, history,
-                        periodicity_tol: float) -> PeriodicityReport:
+                        periodicity_tol: float = _DEFAULT_PERIODICITY_TOL) -> PeriodicityReport:
     """The report on the final 5 tau of traj, a run from t0 that may keep only
     its last 6 tau of knots; delayed reads at or before t0 come from history,
     as in integrate_delayed."""
@@ -168,7 +166,6 @@ def search_mu_tau(
     tau_range: tuple[float, float],
     grid: tuple[int, int] = (20, 20),
     s0: State = State(0.0, 0.0, 0.0),
-    periodicity_tol: float = _DEFAULT_PERIODICITY_TOL,
     map_fn=map,
 ) -> list[tuple[float, float, float, bool]]:
     """Evaluate the controller over a (mu, tau) grid, ranked by ascending
@@ -182,7 +179,7 @@ def search_mu_tau(
     cells = [(float(mu), float(tau)) for mu in mus for tau in taus]
     blocks = _lane_blocks(p, s0, cells)
     out = [None] * len(cells)
-    for done in map_fn(_run_lanes, [(p, s0, periodicity_tol, dt, lanes) for dt, lanes in blocks]):
+    for done in map_fn(_run_lanes, [(p, s0, dt, lanes) for dt, lanes in blocks]):
         for i, cell in done:
             out[i] = cell
     return sorted(out, key=lambda c: (c[2], c[0], c[1]))
@@ -249,9 +246,10 @@ def _run_lanes(job) -> list[tuple[int, tuple[float, float, float, bool]]]:
     that HistoryBuffer's bisect_right picks, and sets up the interval's
     quintic from its two knots.
     """
-    p, s0, periodicity_tol, dt, lanes = job
+    p, s0, dt, lanes = job
     if len(lanes) < _LOCKSTEP_MIN:
-        return [(i, search_cell((p, mu, tau, s0, periodicity_tol))) for i, mu, tau, *_ in lanes]
+        return [(i, search_cell((p, mu, tau, s0, _DEFAULT_PERIODICITY_TOL)))
+                for i, mu, tau, *_ in lanes]
     index, mus, taus, t_ends, n_fulls, h_lasts = zip(*lanes)
     n_lanes = len(lanes)
     mu, tau = np.array(mus), np.array(taus)
@@ -265,9 +263,11 @@ def _run_lanes(job) -> list[tuple[int, tuple[float, float, float, bool]]]:
     lane = np.arange(n_lanes)
     n = 0  # the newest knot
 
-    def read(td, a: int, b: int):
-        """integrate_delayed's delayed velocities of lanes [a, b) (the last
-        axis of td) at the times td, from the knots up to n."""
+    def rhs(a: int, b: int, times):
+        """The controlled right-hand side of lanes [a, b) at the given times,
+        whose delayed velocities are read once each, from the knots up to n."""
+        times = np.asarray(times)
+        td = times[:, None] - tau[a:b]
         t_n, hi = t0 + n * dt, td.max()
         vd = 0.0
         if n:
@@ -288,19 +288,10 @@ def _run_lanes(job) -> list[tuple[int, tuple[float, float, float, bool]]]:
             vd = np.where(td >= t_n, knots[1, n % n_knots, a:b], vd)
         if td.min() <= t0:
             vd = np.where(td > t0, vd, history(td))
-        return vd
-
-    def rhs(a: int, b: int, times):
-        """The controlled right-hand side of lanes [a, b) at the given times,
-        each of whose delayed velocities is read once."""
-        times = np.asarray(times)
-        delayed = dict(zip(times.tolist(), read(times[:, None] - tau[a:b], a, b)))
+        delayed = dict(zip(times.tolist(), vd))
         q = SimpleNamespace(**{**vars(p), **{k: c[a:b] for k, c in force.items()}})
         mu_ab = mu[a:b]
-
-        def f(t, x, v):
-            return acceleration(q, t, x, v) + mu_ab * (delayed[t] - v)
-        return f
+        return lambda t, x, v: controlled_rhs(q, mu_ab, t, x, v, delayed[t])
 
     done = []
     x, v = np.full(n_lanes, s0.x), np.full(n_lanes, s0.v)
@@ -324,8 +315,7 @@ def _run_lanes(job) -> list[tuple[int, tuple[float, float, float, bool]]]:
                     win = knots[:, rows, j]
                     if h:
                         win = np.column_stack([win, [z[j - a] for z in last]])
-                    rep = _periodicity_report(Trajectory(ts, *win), t0, taus[j], history,
-                                              periodicity_tol)
+                    rep = _periodicity_report(Trajectory(ts, *win), t0, taus[j], history)
                     done.append((index[j], (mus[j], taus[j], rep.controller_norm, rep.is_periodic)))
                 x, v, acc = x[c - a:], v[c - a:], acc[c - a:]
                 a = c

@@ -396,6 +396,20 @@ class TestKbmBifurcateMelnikov:
         assert header == ["t", "x_approx", "x_reference"]
         assert summary["max_error_vs_reference"] < 0.02
 
+    @pytest.mark.parametrize("argv, converged", [
+        pytest.param(["--t-end", "1.0"], False, id="saddle-start"),
+        pytest.param(["--a", "-1", "--b", "2", "--c", "1", "--delta", "0.025", "--gamma", "0.01",
+                      "--omega", "0.1", "--x0", "0.25", "--t-end", "30", "--compare"], True,
+                     id="readme"),
+    ])
+    def test_kbm_reports_the_initial_fit_without_a_warning(self, argv, converged, tmp_path,
+                                                            capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, summary, err = run_cli(capsys, "kbm", *argv, "--outdir", str(tmp_path))
+        assert code == 0 and err == ""
+        assert summary["initial_fit_converged"] is converged
+
     def test_kbm_horizon_past_max_steps_exits_1_before_the_work(self, tmp_path, capsys):
         out = tmp_path / "kbm.csv"
         code, _, err = run_cli(capsys, "kbm", "--a", "-1", "--b", "2", "--c", "1", "--x0", "0.25",

@@ -6,7 +6,6 @@ import pytest
 from cqduffing import IntegrationError, OscillatorParams, State, StepControl, integrate
 from cqduffing.core import acceleration
 from cqduffing.kbm import (
-    AmplitudePhase,
     KbmCoefficients,
     amplitude_phase_odes,
     assemble_solution,
@@ -65,13 +64,13 @@ class TestBuildCoefficients:
 class TestSlowFlow:
     def test_conservative_amplitude_is_frozen(self):
         k = build_coefficients(OscillatorParams(-1, 2, 1, epsilon=0), 0.25)
-        da, _ = amplitude_phase_odes(k, AmplitudePhase(0.3, 1.0), 0.0)
+        da, _ = amplitude_phase_odes(k, 0.3, 0.0)
         assert da == 0.0
 
     def test_linear_damping_rate(self):
         k = KbmCoefficients(omega0=1.0, B=0.0, C=0.0, D=0.0, E=0.0, eta=0.0,
                             epsilon_eff=0.2, phi_amplitude=0.0, phi_omega=0.0)
-        da, _ = amplitude_phase_odes(k, AmplitudePhase(0.5, 0.0), 0.0)
+        da, _ = amplitude_phase_odes(k, 0.5, 0.0)
         assert da == pytest.approx(-0.2 * 0.5 / 2, rel=1e-14)
 
     def test_slow_flow_matches_published_exponentials(self):
@@ -79,7 +78,7 @@ class TestSlowFlow:
         # printed amplitude/phase laws within 1e-3 over [0, 50]
         k = build_coefficients(SOFT, 0.25)
         psi0 = REF_PSI[0] + REF_PSI[1] + REF_PSI[2]
-        traj = integrate_amplitude_phase(k, AmplitudePhase(REF_AMP0, psi0), 50.0, order=1)
+        traj = integrate_amplitude_phase(k, (REF_AMP0, psi0), 50.0, order=1)
         for t, amp, psi in traj[:: len(traj) // 25]:
             amp_ref = REF_AMP0 * math.exp(-0.0125 * t)
             psi_ref = (t + REF_PSI[0] + REF_PSI[1] * math.exp(-0.05 * t)
@@ -159,20 +158,20 @@ class TestAssembly:
 class TestInitialConditions:
     def test_rest_at_shift_gives_zero_amplitude(self):
         k = build_coefficients(OscillatorParams(1, 1, 1), 0.9)
-        ic = initial_conditions_map(k, k.eta, 0.0)
-        assert abs(ic.amp) < 1e-9
+        amp, _ = initial_conditions_map(k, k.eta, 0.0)
+        assert abs(amp) < 1e-9
 
     def test_small_corrections_linear_seed(self):
         p = OscillatorParams(-1, 1e-6, 0.0, epsilon=0)
         k = build_coefficients(p, 0.3)
-        ic = initial_conditions_map(k, 0.3, 0.0)
-        assert ic.amp == pytest.approx(0.3, abs=1e-6)
-        assert ic.psi == pytest.approx(0.0, abs=1e-6)
+        amp, psi = initial_conditions_map(k, 0.3, 0.0)
+        assert amp == pytest.approx(0.3, abs=1e-6)
+        assert psi == pytest.approx(0.0, abs=1e-6)
 
     def test_reference_leading_amplitude(self):
         k = build_coefficients(SOFT, 0.25)
-        ic = initial_conditions_map(k, 0.25, 0.0)
-        assert ic.amp == pytest.approx(REF_AMP0, abs=2e-3)
+        amp, _ = initial_conditions_map(k, 0.25, 0.0)
+        assert amp == pytest.approx(REF_AMP0, abs=2e-3)
 
 
 class TestOrderProperty:
@@ -196,12 +195,12 @@ class TestStepBound:
     def test_horizon_past_max_steps_raises_before_the_knots_exist(self):
         k = build_coefficients(SOFT, 0.25)
         with pytest.raises(IntegrationError, match=f"max_steps={StepControl.max_steps} exceeded"):
-            integrate_amplitude_phase(k, AmplitudePhase(0.25, 0.0), 1e300)
+            integrate_amplitude_phase(k, (0.25, 0.0), 1e300)
 
     def test_bound_counts_the_steps(self, monkeypatch):
         monkeypatch.setattr(StepControl, "max_steps", 10)
         k = build_coefficients(SOFT, 0.25)
-        ic = AmplitudePhase(0.25, 0.0)
+        ic = (0.25, 0.0)
         assert integrate_amplitude_phase(k, ic, 1.0, dt=0.1).shape == (11, 3)
         with pytest.raises(IntegrationError, match="max_steps=10 exceeded"):
             integrate_amplitude_phase(k, ic, 1.05, dt=0.1)

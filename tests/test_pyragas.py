@@ -30,16 +30,26 @@ class TestControlledRhs:
     def test_zero_gain_matches_plain(self):
         cfg = ControllerConfig(mu=0.0, tau=1.0)
         s = State(0.3, 0.7, -0.2)
-        assert controlled_rhs(CHAOTIC, cfg, s, 5.0) == rhs(CHAOTIC, s)
+        assert controlled_rhs(CHAOTIC, cfg.mu, s.t, s.x, s.v, 5.0) == rhs(CHAOTIC, s)
 
     def test_matched_velocity_cancels(self):
         cfg = ControllerConfig(mu=2.0, tau=1.0)
         s = State(0.3, 0.7, -0.2)
-        assert controlled_rhs(CHAOTIC, cfg, s, -0.2) == rhs(CHAOTIC, s)
+        assert controlled_rhs(CHAOTIC, cfg.mu, s.t, s.x, s.v, -0.2) == rhs(CHAOTIC, s)
 
     def test_reference_start(self):
         cfg = ControllerConfig(mu=MU_REF, tau=TAU_REF)
-        assert controlled_rhs(CHAOTIC, cfg, State(0, 0, 0), 0.0) == pytest.approx(0.35)
+        assert controlled_rhs(CHAOTIC, cfg.mu, 0.0, 0.0, 0.0, 0.0) == pytest.approx(0.35)
+
+    def test_lane_arrays_equal_the_float_calls_bitwise(self):
+        rng = np.random.default_rng(17)
+        mu, x, v, vd = rng.uniform(-3.0, 3.0, (4, 64))
+        t = 1.7
+        got = controlled_rhs(CHAOTIC, mu, t, x, v, vd)
+        want = [controlled_rhs(CHAOTIC, float(m), t, float(xj), float(vj), float(dj))
+                for m, xj, vj, dj in zip(mu, x, v, vd)]
+        assert all(isinstance(w, float) for w in want)
+        assert got.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="tau"):
