@@ -4,14 +4,18 @@ the two knots around each strobe time and build no trajectory; a long
 bifurcation sweep strobes its amplitudes as one array.
 
 The Benettin exponent steps a reference trajectory and its companion
-through one RK4 step function, on forcing samples shared per step.  The
-chaos classifier is fixed and reproducible: a forcing amplitude is called
-chaotic when that exponent exceeds a threshold (default 0.01) at two
-consecutive grid amplitudes, the first such pair ends the coarse grid, and
-the onset is then refined by bisection.  Scans are deterministic functions
-of the grid, the start state, and the step policy, and each (omega, gamma)
-cell is independent, so callers may evaluate cells in parallel and merge by
-index without changing results.
+through one RK4 step function, on forcing samples shared per step; the
+same step body runs on floats and on numpy lanes.  The chaos classifier is
+fixed and reproducible: a forcing amplitude is called chaotic when that
+exponent exceeds a threshold (default 0.01) at two consecutive grid
+amplitudes, and the onset is then refined by bisection from the first such
+pair.  A scan whose rows' coarse grids hold _SCAN_LANES_MIN (24) or more
+positive amplitudes computes all their exponents in one lane pass, bitwise
+equal to one lyapunov_max call each; a smaller scan computes a row's coarse
+exponents in order only up to its first chaotic pair.  Scans are
+deterministic functions of the grid, the start state, and the step policy,
+and each (omega, gamma) cell is independent, so callers may evaluate cells
+in parallel and merge by index without changing results.
 """
 from __future__ import annotations
 
@@ -30,6 +34,7 @@ __all__ = [
     "poincare_map",
     "lyapunov_max",
     "gamma_scan",
+    "gamma_scan_rows",
     "bifurcation_data",
     "cluster_count",
 ]
@@ -37,7 +42,12 @@ __all__ = [
 _STEPS_PER_PERIOD = 200
 _TRANSIENT_PERIODS = 100
 _MEASURE_PERIODS = 400
+_D0 = 1e-8  # the companion's start offset
 _LOCKSTEP_MIN = 24  # an array step costs ~23 float steps (34 vs 1.5 us, 2-vCPU Xeon)
+# A scan's lane pass of 8-42 amplitudes costs as much as 9-15 lazy exponents
+# (2-vCPU Xeon); the lazy walk reads about half a window whose onset may lie
+# anywhere in it, so the lanes pay from about 24 amplitudes.
+_SCAN_LANES_MIN = 24
 
 
 @dataclass(frozen=True)
@@ -120,13 +130,62 @@ def poincare_map(
                           metadata={"params": p, "ctrl": ctrl, "s0": s0})
 
 
+def _diverged(t_base: float) -> ValueError:
+    return ValueError(f"trajectory diverged near t={t_base}")
+
+
+def _benettin_intervals(p, t_total, renorm_interval, t_transient, steps_per_period):
+    """(renorm_interval, t_transient, steps per interval, interval count) of
+    lyapunov_max, with its defaults filled in."""
+    T = 2.0 * math.pi / p.omega if p.omega > 0.0 else 2.0 * math.pi
+    if renorm_interval is None:
+        renorm_interval = T
+    if t_transient is None:
+        t_transient = _TRANSIENT_PERIODS * T
+    if t_total <= t_transient + renorm_interval:
+        raise ValueError("t_total must exceed the transient plus one interval")
+    n_steps = max(2, int(round(steps_per_period * renorm_interval / T)))
+    return renorm_interval, t_transient, n_steps, int(math.ceil(t_total / renorm_interval))
+
+
+def _cos_samples(w: float, t_base: float, dt: float, n_steps: int) -> list[list[float]]:
+    """cos(w t) at the start, middle and end of each step of one interval."""
+    h2, cos = 0.5 * dt, math.cos
+    ts = [t_base + i * dt for i in range(n_steps)]
+    return [[cos(w * t) for t in ts], [cos(w * (t + h2)) for t in ts],
+            [cos(w * (t + dt)) for t in ts]]
+
+
+def _rk4_step(pw, a_, b_, c_, d_, dt):
+    """One RK4 step of x'' = a x - b x^3 - c x^5 + f - d x' on the forcing
+    samples f0, fh, f1 at its start, middle and end, in that force law's
+    x ** 3, x ** 5 order.  The same body steps floats with pw = pow and
+    lane arrays (reference lanes, then companion lanes) with pw =
+    np.float_power, which runs libm pow per element and so rounds as the
+    floats do; np.power does not."""
+    h2, h6 = 0.5 * dt, dt / 6.0
+
+    def step(x, v, f0, fh, f1):
+        a1 = a_ * x - b_ * pw(x, 3.0) - c_ * pw(x, 5.0) + f0 - d_ * v
+        xb, vb = x + h2 * v, v + h2 * a1
+        a2 = a_ * xb - b_ * pw(xb, 3.0) - c_ * pw(xb, 5.0) + fh - d_ * vb
+        xc, vc = x + h2 * vb, v + h2 * a2
+        a3 = a_ * xc - b_ * pw(xc, 3.0) - c_ * pw(xc, 5.0) + fh - d_ * vc
+        xd, vd = x + dt * vc, v + dt * a3
+        a4 = a_ * xd - b_ * pw(xd, 3.0) - c_ * pw(xd, 5.0) + f1 - d_ * vd
+        return (x + h6 * (v + 2.0 * (vb + vc) + vd),
+                v + h6 * (a1 + 2.0 * (a2 + a3) + a4))
+
+    return step
+
+
 def lyapunov_max(
     p: OscillatorParams,
     s0: State,
     t_total: float,
     renorm_interval: float | None = None,
     *,
-    d0: float = 1e-8,
+    d0: float = _D0,
     steps_per_period: int = _STEPS_PER_PERIOD,
     t_transient: float | None = None,
 ) -> float:
@@ -137,61 +196,112 @@ def lyapunov_max(
     separation is renormalized to d0 after every interval, and the exponent
     is the mean log stretch per unit time after the transient discard.
     """
-    T = 2.0 * math.pi / p.omega if p.omega > 0.0 else 2.0 * math.pi
-    if renorm_interval is None:
-        renorm_interval = T
-    if t_transient is None:
-        t_transient = _TRANSIENT_PERIODS * T
-    if t_total <= t_transient + renorm_interval:
-        raise ValueError("t_total must exceed the transient plus one interval")
-    n_steps = max(2, int(round(steps_per_period * renorm_interval / T)))
-    dt = renorm_interval / n_steps
-    h2, h6 = 0.5 * dt, dt / 6.0
-    a_, b_, c_ = p.a, p.b, p.c
+    interval, t_transient, n_steps, n_intervals = _benettin_intervals(
+        p, t_total, renorm_interval, t_transient, steps_per_period)
+    dt = interval / n_steps
+    step = _rk4_step(pow, p.a, p.b, p.c, p.epsilon * p.delta, dt)
     g_ = p.epsilon * p.gamma
-    d_ = p.epsilon * p.delta
-    w_ = p.omega
-    cos = math.cos
-
-    def step(x, v, f0, fh, f1):
-        # the force law in its x ** 3, x ** 5 order; f0, fh, f1 the forcing
-        a1 = a_ * x - b_ * x ** 3 - c_ * x ** 5 + f0 - d_ * v
-        xb, vb = x + h2 * v, v + h2 * a1
-        a2 = a_ * xb - b_ * xb ** 3 - c_ * xb ** 5 + fh - d_ * vb
-        xc, vc = x + h2 * vb, v + h2 * a2
-        a3 = a_ * xc - b_ * xc ** 3 - c_ * xc ** 5 + fh - d_ * vc
-        xd, vd = x + dt * vc, v + dt * a3
-        a4 = a_ * xd - b_ * xd ** 3 - c_ * xd ** 5 + f1 - d_ * vd
-        return (x + h6 * (v + 2.0 * (vb + vc) + vd),
-                v + h6 * (a1 + 2.0 * (a2 + a3) + a4))
-
     x1, v1 = s0.x, s0.v
     x2, v2 = s0.x + d0, s0.v
     t_base = s0.t
     total = 0.0
     t_measured = 0.0
-    for _ in range(int(math.ceil(t_total / renorm_interval))):
+    for _ in range(n_intervals):
         try:
-            for i in range(n_steps):
-                t = t_base + i * dt
-                f0, fh, f1 = g_ * cos(w_ * t), g_ * cos(w_ * (t + h2)), g_ * cos(w_ * (t + dt))
+            for c0, ch, c1 in zip(*_cos_samples(p.omega, t_base, dt, n_steps)):
+                f0, fh, f1 = g_ * c0, g_ * ch, g_ * c1
                 x1, v1 = step(x1, v1, f0, fh, f1)
                 x2, v2 = step(x2, v2, f0, fh, f1)
         except OverflowError:  # x ** 3 raises where x * x * x would give inf
             x1 = math.inf
         if not all(map(math.isfinite, (x1, v1, x2, v2))):
-            raise ValueError(f"trajectory diverged near t={t_base}")
-        t_base += renorm_interval
+            raise _diverged(t_base)
+        t_base += interval
         dx, dv = x2 - x1, v2 - v1
         d = math.sqrt(dx * dx + dv * dv)
         if d == 0.0:
             d = 1e-300
         if t_base - s0.t > t_transient:
             total += math.log(d / d0)
-            t_measured += renorm_interval
+            t_measured += interval
         scale = d0 / d
         x2, v2 = x1 + dx * scale, v1 + dv * scale
     return total / t_measured
+
+
+def _lyapunov_lanes(rows, s0: State, steps_per_period: int, transient_periods: int,
+                    measure_periods: int) -> list:
+    """The exponents of gamma_scan's rows in one pass of numpy lanes.
+
+    rows holds (p, gammas) pairs; their lanes come out flat, in order.  The
+    lane of gamma in row p is bitwise _scan_exponent(p, gamma, s0, ...), or
+    the ValueError that call raises.  Each row keeps its own interval count,
+    interval start and transient test; its forcing comes from math.cos once
+    per sample and interval and is scaled per lane, and math.log is taken
+    per lane, since np.log rounds differently.  The step arrays hold the
+    reference lanes and then the companion lanes: a flat array of 2 L
+    costs numpy less per operation than a (2, L) one.
+    """
+    spans = [_benettin_intervals(p, *_scan_times(p, transient_periods, measure_periods),
+                                 steps_per_period) for p, _ in rows]
+    n_steps = spans[0][2]  # renorm_interval = T: every row has max(2, steps_per_period)
+    row = np.repeat(np.arange(len(rows)), [len(gammas) for _, gammas in rows])
+    n = len(row)
+    lane = np.tile(row, 2)  # the row of each reference and each companion lane
+    dts = [interval / n_steps for interval, *_ in spans]
+    coeffs = np.array([(p.a, p.b, p.c, p.epsilon * p.delta, dt) for (p, _), dt in zip(rows, dts)])
+    step = _rk4_step(np.float_power, *np.ascontiguousarray(coeffs[lane].T))
+    g = np.tile([p.epsilon * gamma for p, gammas in rows for gamma in gammas], 2)
+    x = np.repeat([s0.x, s0.x + _D0], n)
+    v = np.full(2 * n, s0.v)
+    n_intervals = np.array([k for *_, k in spans])
+    t_base = [s0.t] * len(rows)
+    t_measured = [0.0] * len(rows)
+    total = np.zeros(n)
+    out: list = [None] * n
+    live = np.ones(n, dtype=bool)  # lanes not yet finished or diverged
+    forcing = np.empty((3, n_steps, 2 * n))  # one interval's samples, refilled per interval
+    with np.errstate(over="ignore", invalid="ignore"):  # the interval check reports overflow
+        for k in range(n_intervals.max()):
+            cosines = np.array([_cos_samples(p.omega, t, dt, n_steps)
+                                for (p, _), t, dt in zip(rows, t_base, dts)])
+            # mode="clip" fills out directly; the default "raise" buffers a copy of it
+            np.take(cosines.transpose(1, 2, 0), lane, axis=2, out=forcing, mode="clip")
+            forcing *= g
+            for f0, fh, f1 in zip(*forcing):
+                x, v = step(x, v, f0, fh, f1)
+            bad = live & ~(np.isfinite(x) & np.isfinite(v)).reshape(2, n).all(axis=0)
+            for j in np.flatnonzero(bad):
+                out[j] = _diverged(t_base[row[j]])
+            live &= ~bad
+            measured = []
+            for r, (interval, t_transient, _, _) in enumerate(spans):
+                t_base[r] += interval
+                measured.append(t_base[r] - s0.t > t_transient)
+                if measured[r]:
+                    t_measured[r] += interval
+            x1, v1, x2, v2 = x[:n], v[:n], x[n:], v[n:]
+            dx, dv = x2 - x1, v2 - v1
+            d = np.sqrt(dx * dx + dv * dv)
+            d[d == 0.0] = 1e-300
+            logged = live & np.array(measured)[row]
+            total[logged] += [math.log(q) for q in (d[logged] / _D0).tolist()]
+            scale = _D0 / d
+            x2[:], v2[:] = x1 + dx * scale, v1 + dv * scale
+            done = live & (n_intervals == k + 1)[row]
+            for j in np.flatnonzero(done):
+                out[j] = float(total[j]) / t_measured[row[j]]
+            live &= ~done
+            if not live.any():
+                break
+    return out
+
+
+def _coarse_grid(lo: float, hi: float, coarse_step: float) -> list[float]:
+    grid = [lo + i * coarse_step for i in range(int(math.floor((hi - lo) / coarse_step)) + 1)]
+    if grid[-1] < hi - 1e-12:
+        grid.append(hi)
+    return grid
 
 
 def gamma_scan(
@@ -216,46 +326,97 @@ def gamma_scan(
     consecutive amplitudes), then bisection down to `resolution` inside
     the bracketing interval.  Deterministic for fixed inputs.  With no
     onset in range, gamma_c is NaN and the exponent the largest coarse one.
+    The one-row call of gamma_scan_rows.
     """
-    lo, hi = gamma_range
-    if not (0.0 <= lo < hi):
-        raise ValueError(f"gamma_range must be ordered and nonnegative, got {gamma_range}")
+    return gamma_scan_rows(a, b, c, delta, [(omega, gamma_range)], resolution,
+                           coarse_step=coarse_step, lyap_threshold=lyap_threshold, s0=s0,
+                           steps_per_period=steps_per_period, transient_periods=transient_periods,
+                           measure_periods=measure_periods)[0]
+
+
+def gamma_scan_rows(
+    a: float,
+    b: float,
+    c: float,
+    delta: float,
+    windows,
+    resolution: float,
+    *,
+    coarse_step: float | None = None,
+    lyap_threshold: float = 0.01,
+    s0: State = State(0.0, 0.0, 0.0),
+    steps_per_period: int = _STEPS_PER_PERIOD,
+    transient_periods: int = _TRANSIENT_PERIODS,
+    measure_periods: int = _MEASURE_PERIODS,
+) -> list[ChaosScanRow]:
+    """gamma_scan for each (omega, gamma_range) window, in order.
+
+    When the windows' coarse grids hold _SCAN_LANES_MIN or more positive
+    amplitudes, their exponents come from one lane pass (_lyapunov_lanes),
+    bitwise the lyapunov_max calls they replace; the onset walk then reads
+    them in grid order, and a diverged lane raises only when read.
+    Smaller scans compute a row's coarse exponents in order only up to its
+    first chaotic pair.  Bisection calls lyapunov_max either way.
+    """
+    for _, gamma_range in windows:
+        lo, hi = gamma_range
+        if not (0.0 <= lo < hi):
+            raise ValueError(f"gamma_range must be ordered and nonnegative, got {gamma_range}")
     if resolution <= 0.0:
         raise ValueError("resolution must be positive")
     if coarse_step is None:
         coarse_step = max(resolution, 0.01)
-    T = 2.0 * math.pi / omega
-    t_total = (transient_periods + measure_periods) * T
-    t_transient = transient_periods * T
+    periods = dict(steps_per_period=steps_per_period, transient_periods=transient_periods,
+                   measure_periods=measure_periods)
+    rows = [(OscillatorParams(a=a, b=b, c=c, delta=delta, omega=omega, epsilon=1.0),
+             _coarse_grid(*gamma_range, coarse_step)) for omega, gamma_range in windows]
+    positive = [(p, [g for g in grid if g > 0.0]) for p, grid in rows]
+    coarse: list = [None] * len(rows)
+    if sum(len(gammas) for _, gammas in positive) >= _SCAN_LANES_MIN:
+        lanes = iter(_lyapunov_lanes(positive, s0, **periods))
+        coarse = [[next(lanes) if g > 0.0 else -math.inf for g in grid] for _, grid in rows]
+    out = []
+    for (p, grid), lane_exps, (_, (lo, _)) in zip(rows, coarse, windows):
+        exps: list[float] = []
+        onset_i = None
+        for i, g in enumerate(grid):
+            e = lane_exps[i] if lane_exps else (
+                _scan_exponent(p, g, s0, **periods) if g > 0.0 else -math.inf)
+            if isinstance(e, ValueError):
+                raise e
+            exps.append(e)
+            if i > 0 and exps[i - 1] > lyap_threshold and e > lyap_threshold:
+                onset_i = i - 1
+                break
+        if onset_i is None:
+            out.append(ChaosScanRow(omega=p.omega, gamma_c=math.nan, lyapunov=float(max(exps))))
+            continue
+        g_hi = grid[onset_i]
+        e_hi = exps[onset_i]
+        g_lo = grid[onset_i - 1] if onset_i > 0 else max(lo, 0.0)
+        while g_hi - g_lo > resolution:
+            mid = 0.5 * (g_lo + g_hi)
+            e_mid = _scan_exponent(p, mid, s0, **periods)
+            if e_mid > lyap_threshold:
+                g_hi, e_hi = mid, e_mid
+            else:
+                g_lo = mid
+        out.append(ChaosScanRow(omega=p.omega, gamma_c=g_hi, lyapunov=e_hi))
+    return out
 
-    def exponent(gamma: float) -> float:
-        p = OscillatorParams(a=a, b=b, c=c, delta=delta, gamma=gamma, omega=omega, epsilon=1.0)
-        return lyapunov_max(p, s0, t_total, T, steps_per_period=steps_per_period,
-                            t_transient=t_transient)
 
-    grid = [lo + i * coarse_step for i in range(int(math.floor((hi - lo) / coarse_step)) + 1)]
-    if grid[-1] < hi - 1e-12:
-        grid.append(hi)
-    exps: list[float] = []  # lazy: only a window with no onset reads every coarse exponent
-    onset_i = None
-    for i, g in enumerate(grid):
-        exps.append(exponent(g) if g > 0.0 else -math.inf)
-        if i > 0 and exps[i - 1] > lyap_threshold and exps[i] > lyap_threshold:
-            onset_i = i - 1
-            break
-    if onset_i is None:
-        return ChaosScanRow(omega=omega, gamma_c=math.nan, lyapunov=float(max(exps)))
-    g_hi = grid[onset_i]
-    e_hi = exps[onset_i]
-    g_lo = grid[onset_i - 1] if onset_i > 0 else max(lo, 0.0)
-    while g_hi - g_lo > resolution:
-        mid = 0.5 * (g_lo + g_hi)
-        e_mid = exponent(mid)
-        if e_mid > lyap_threshold:
-            g_hi, e_hi = mid, e_mid
-        else:
-            g_lo = mid
-    return ChaosScanRow(omega=omega, gamma_c=g_hi, lyapunov=e_hi)
+def _scan_times(p: OscillatorParams, transient_periods: int, measure_periods: int) -> tuple:
+    """(t_total, renorm_interval, t_transient) of a scan exponent, which
+    renormalizes once per forcing period."""
+    T = 2.0 * math.pi / p.omega
+    return (transient_periods + measure_periods) * T, T, transient_periods * T
+
+
+def _scan_exponent(p: OscillatorParams, gamma: float, s0: State, steps_per_period: int,
+                   transient_periods: int, measure_periods: int) -> float:
+    t_total, T, t_transient = _scan_times(p, transient_periods, measure_periods)
+    return lyapunov_max(replace(p, gamma=gamma), s0, t_total, T,
+                        steps_per_period=steps_per_period, t_transient=t_transient)
 
 
 def bifurcation_data(

@@ -240,19 +240,23 @@ def cmd_poincare(cfg: dict, out_path) -> dict:
     return dict(output=out, points=len(rows), clusters=chaos.cluster_count(series.points))
 
 
-def _scan_row(a, b, c, delta, resolution, coarse_step, window) -> tuple:
-    omega, gamma_lo, gamma_hi = window
-    return astuple(chaos.gamma_scan(a, b, c, delta, omega, (gamma_lo, gamma_hi), resolution,
-                                    coarse_step=coarse_step))
+def _scan_rows(a, b, c, delta, resolution, coarse_step, windows) -> list[tuple]:
+    return [astuple(row) for row in chaos.gamma_scan_rows(
+        a, b, c, delta, [(omega, (lo, hi)) for omega, lo, hi in windows], resolution,
+        coarse_step=coarse_step)]
 
 
 def cmd_scan(cfg: dict, out_path) -> dict:
     # A preset gives one gamma window per row, the flags one for every row.
     columns = np.broadcast_arrays(cfg["omega"], cfg["gamma_min"], cfg["gamma_max"])
     windows = list(zip(*(col.tolist() for col in columns)))[: cfg["rows"] or None]
-    scan_row = partial(_scan_row, *(cfg[k] for k in ("a", "b", "c", "delta", "resolution",
-                                                       "coarse_step")))
-    results = _map_jobs(scan_row, windows, cfg["jobs"])
+    # one contiguous chunk of rows per worker, so that a chunk can share a lane pass
+    jobs = min(cfg["jobs"], len(windows))
+    chunks = [windows[i * len(windows) // jobs:(i + 1) * len(windows) // jobs]
+              for i in range(jobs)]
+    scan_rows = partial(_scan_rows, *(cfg[k] for k in ("a", "b", "c", "delta", "resolution",
+                                                         "coarse_step")))
+    results = [row for chunk in _map_jobs(scan_rows, chunks, jobs) for row in chunk]
     out = out_path("scan.csv")
     _write_csv(out, "scan", cfg, ["omega", "gamma_c", "lyapunov"], results)
     return dict(output=out, rows=len(results))

@@ -219,6 +219,13 @@ def initial_conditions_map(k: KbmCoefficients, x0: float, v0: float,
         dxt = (_assemble_point(k, a, ps, h) - _assemble_point(k, a, ps, -h)) / (2 * h)
         return x, dxa * da + dxp * dpsi + dxt
 
+    if amp == 0.0:
+        # x and x' do not depend on psi at amp = 0, where the Jacobian is
+        # singular: seed from the residual that the corrections leave there
+        x, v = value_and_slope(0.0, 0.0)
+        u, w = x0 - x, (v - v0) / w0
+        if u or w:
+            amp, psi = math.hypot(u, w), math.atan2(w, u)
     for _ in range(50):
         x, v = value_and_slope(amp, psi)
         fx, fv = x - x0, v - v0

@@ -217,6 +217,73 @@ def reference_lyapunov_max(p, s0, t_total, renorm_interval=None, *, d0=1e-8,
     return total / t_measured
 
 
+def test_float_power_rounds_as_python_pow():
+    # the lane kernel's bitwise equality with lyapunov_max rests on this:
+    # np.float_power runs libm pow per element, as Python's float ** does
+    x = np.random.default_rng(20260).normal(0.0, 2.0, 200_000)
+    for n in (3, 5):
+        differ = np.flatnonzero(np.float_power(x, float(n)) != [v ** n for v in x.tolist()])
+        assert differ.size == 0, (f"np.float_power(x, {n}.0) rounds unlike Python x ** {n} "
+                                  f"on {differ.size} of {x.size} draws, e.g. x = {x[differ[0]]!r}")
+
+
+class TestLyapunovLanes:
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(rows=st.lists(st.tuples(
+               st.one_of(st.sampled_from([0.05, 0.1, 1.2, 1.4]), st.floats(0.5, 2.5)),
+               st.one_of(st.sampled_from([0.0, 0.2, -1.0]), st.floats(0.0, 0.5)),
+               st.lists(st.one_of(st.just(0.0), st.floats(0.0, 0.6)), min_size=1, max_size=3)),
+               min_size=1, max_size=3),
+           t0=st.one_of(st.just(0.0), st.floats(-10.0, 10.0)),
+           x0=st.floats(-1.5, 1.5), v0=st.floats(-1.5, 1.5),
+           steps=st.integers(20, 200), transient=st.integers(0, 2), measure=st.integers(2, 4))
+    @example(rows=[(0.05, 0.0, [0.0, 0.387]), (0.1, 0.2, [0.41, 0.45]), (1.2, -1.0, [0.3]),
+                   (1.4, 0.0, [0.35])],
+             t0=0.0, x0=0.0, v0=0.0, steps=200, transient=1, measure=9)  # c = -1 overflows
+    @example(rows=[(0.1, 0.0, [0.402]), (1.4, 0.2, [0.0, 0.35]), (1.2, -1.0, [0.3])],
+             t0=-3.5, x0=0.4, v0=-0.3, steps=200, transient=2, measure=3)
+    @example(rows=[(1.4, 0.0, [0.3, 0.32, 0.35]), (1.1, 0.2, [0.2, 0.25, 0.3])],
+             t0=0.0, x0=0.0, v0=0.0, steps=20, transient=0, measure=100)  # 600 logs
+    def test_each_lane_equals_lyapunov_max_bitwise(self, rows, t0, x0, v0, steps, transient,
+                                                   measure):
+        rows = [(OscillatorParams(1.0, 1.0, c, delta=0.1, omega=omega, epsilon=1.0), gammas)
+                for omega, c, gammas in rows]
+        s0 = State(t0, x0, v0)
+        periods = dict(steps_per_period=steps, transient_periods=transient,
+                       measure_periods=measure)
+        lanes = chaos._lyapunov_lanes(rows, s0, **periods)
+        expected = []
+        for p, gammas in rows:
+            T = 2 * math.pi / p.omega
+            for gamma in gammas:
+                try:
+                    expected.append(lyapunov_max(replace(p, gamma=gamma), s0,
+                                                 (transient + measure) * T, T,
+                                                 steps_per_period=steps,
+                                                 t_transient=transient * T).hex())
+                except ValueError as err:
+                    expected.append(str(err))
+        assert [str(e) if isinstance(e, ValueError) else e.hex() for e in lanes] == expected
+
+    def test_each_lane_logs_as_math_log(self):
+        # np.log rounds unlike math.log on about 0.5% of arguments in (0.5, 2),
+        # and a one-ulp log is mostly lost in a long sum.  Periods under 0.5
+        # stretch the separation by such factors, and 2000 exponents of two
+        # logs each show a lane kernel that takes np.log.
+        rows = [(OscillatorParams(1.0, 1.0, c, delta=0.1, omega=omega, epsilon=1.0),
+                 np.linspace(0.01, 0.6, 250).tolist())
+                for omega, c in ((13.0, 0.0), (15.0, 0.2), (17.0, 0.0), (20.0, 0.2),
+                                 (22.0, 0.1), (25.0, 0.0), (28.0, 0.1), (30.0, 0.0))]
+        s0 = State(0.0, 0.2, 0.0)
+        lanes = chaos._lyapunov_lanes(rows, s0, steps_per_period=20, transient_periods=0,
+                                      measure_periods=2)
+        expected = [lyapunov_max(replace(p, gamma=gamma), s0, 2 * (2 * math.pi / p.omega),
+                                 2 * math.pi / p.omega, steps_per_period=20,
+                                 t_transient=0.0).hex()
+                    for p, gammas in rows for gamma in gammas]
+        assert [e.hex() for e in lanes] == expected
+
+
 class TestGammaScan:
     def test_onset_window(self):
         row = gamma_scan(**TABLE_PARAMS, omega=1.4, gamma_range=(0.25, 0.45),
@@ -260,6 +327,57 @@ class TestGammaScan:
         n_bisect = len(eager_calls) - len(_coarse_grid(window, coarse_step))
         assert len(gammas) == coarse_needed + n_bisect
         assert gammas == eager_calls[:coarse_needed] + eager_calls[len(eager_calls) - n_bisect:]
+
+    @pytest.mark.parametrize("c, delta, window, resolution, coarse_step", [
+        (0.0, 0.1, (0.25, 0.45), 0.005, None),   # test_onset_window's window
+        (0.0, 0.1, (0.30, 0.40), 0.01, 0.02),
+        (0.0, 2.0, (0.10, 0.50), 0.10, 0.10),    # no onset
+        (0.0, 0.1, (0.05, 0.35), 0.01, 0.02),
+        (0.0, 0.1, (0.20, 0.50), 0.01, 0.02),
+        (0.0, 0.1, (0.0, 0.30), 0.01, 0.05),     # a gamma = 0 grid point
+        (-0.1, 0.1, (0.2, 2.8), 0.05, 0.2),      # lanes from 1.2 on diverge past the onset
+    ])
+    def test_lanes_equal_the_lazy_scan(self, monkeypatch, c, delta, window, resolution,
+                                       coarse_step):
+        args = (1.0, 1.0, c, delta, 1.4, window, resolution)
+        kw = dict(coarse_step=coarse_step, **SHORT_SCAN)
+        monkeypatch.setattr(chaos, "_SCAN_LANES_MIN", math.inf)
+        lazy = gamma_scan(*args, **kw)
+        monkeypatch.setattr(chaos, "_SCAN_LANES_MIN", 1)
+        assert _hex(gamma_scan(*args, **kw)) == _hex(lazy)
+
+    def test_a_read_lane_that_diverged_raises_the_lazy_message(self, monkeypatch):
+        # c = -0.1 softens the quintic; the trajectory at gamma = 1.2 escapes
+        args = (1.0, 1.0, -0.1, 0.1, 1.4, (1.0, 2.8), 0.05)
+        kw = dict(coarse_step=0.2, **SHORT_SCAN)
+        monkeypatch.setattr(chaos, "_SCAN_LANES_MIN", math.inf)
+        with pytest.raises(ValueError, match="trajectory diverged near t=") as lazy:
+            gamma_scan(*args, **kw)
+        monkeypatch.setattr(chaos, "_SCAN_LANES_MIN", 1)
+        with pytest.raises(ValueError) as lanes:
+            gamma_scan(*args, **kw)
+        assert str(lanes.value) == str(lazy.value)
+
+    def test_rows_share_one_lane_pass(self, monkeypatch):
+        windows = [(1.4, (0.25, 0.45)), (1.1, (0.10, 0.30)), (2.0, (0.55, 0.75))]
+        kw = dict(coarse_step=0.02, **SHORT_SCAN)
+        lazy = [gamma_scan(1.0, 1.0, 0.0, 0.1, omega, window, 0.01, **kw)
+                for omega, window in windows]
+        passes = []
+
+        def counting(rows, *a, **k):
+            passes.append(sum(len(gammas) for _, gammas in rows))
+            return lanes(rows, *a, **k)
+
+        lanes = chaos._lyapunov_lanes
+        monkeypatch.setattr(chaos, "_lyapunov_lanes", counting)
+        rows = chaos.gamma_scan_rows(1.0, 1.0, 0.0, 0.1, windows, 0.01, **kw)
+        assert passes == [33]
+        assert list(map(_hex, rows)) == list(map(_hex, lazy))
+
+
+def _hex(row):
+    return [float(v).hex() for v in (row.omega, row.gamma_c, row.lyapunov)]
 
 
 def _coarse_grid(window, coarse_step):

@@ -410,6 +410,16 @@ class TestKbmBifurcateMelnikov:
         assert code == 0 and err == ""
         assert summary["initial_fit_converged"] is converged
 
+    def test_kbm_at_rest_on_a_forced_center_starts_at_the_origin(self, tmp_path, capsys):
+        # the linear seed is amp = 0 there, where the fit's Jacobian is singular
+        out = tmp_path / "kbm.csv"
+        code, summary, err = run_cli(capsys, "kbm", "--a", "-1", "--b", "2", "--c", "1",
+                                     "--delta", "0.025", "--gamma", "0.01", "--omega", "0.1",
+                                     "--t-end", "10", "--out", str(out))
+        assert code == 0 and err == ""
+        assert summary["initial_fit_converged"] is True
+        assert read_csv(str(out))[2][0] == ["0", "0"]
+
     def test_kbm_horizon_past_max_steps_exits_1_before_the_work(self, tmp_path, capsys):
         out = tmp_path / "kbm.csv"
         code, _, err = run_cli(capsys, "kbm", "--a", "-1", "--b", "2", "--c", "1", "--x0", "0.25",
