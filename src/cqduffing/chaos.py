@@ -9,10 +9,13 @@ same step body runs on floats and on numpy lanes.  The chaos classifier is
 fixed and reproducible: a forcing amplitude is called chaotic when that
 exponent exceeds a threshold (default 0.01) at two consecutive grid
 amplitudes, and the onset is then refined by bisection from the first such
-pair.  A scan whose rows' coarse grids hold _SCAN_LANES_MIN (24) or more
-positive amplitudes computes all their exponents in one lane pass, bitwise
-equal to one lyapunov_max call each; a smaller scan computes a row's coarse
-exponents in order only up to its first chaotic pair.  Scans are
+pair, down to the resolution or to a bracket one ulp wide.  A scan whose
+rows' coarse grids hold _SCAN_LANES_MIN (24) or more positive amplitudes
+computes all their exponents in lane passes, bitwise equal to one
+lyapunov_max call each; a pass holds at most _SCAN_LANES_BUDGET (32 MB) of
+forcing table, about 3500 amplitudes at 200 steps per period.  A smaller
+scan computes a row's coarse exponents in order only up to its first
+chaotic pair.  Scans are
 deterministic functions of the grid, the start state, and the step policy,
 and each (omega, gamma) cell is independent, so callers may evaluate cells
 in parallel and merge by index without changing results.
@@ -21,6 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import groupby
+from operator import itemgetter
 from types import MethodType, SimpleNamespace
 
 import numpy as np
@@ -29,7 +34,6 @@ from .core import OscillatorParams, State, _hermite5, acceleration
 from .odeint import StepControl, _drive
 
 __all__ = [
-    "PoincareSeries",
     "ChaosScanRow",
     "poincare_map",
     "lyapunov_max",
@@ -43,22 +47,17 @@ _STEPS_PER_PERIOD = 200
 _TRANSIENT_PERIODS = 100
 _MEASURE_PERIODS = 400
 _D0 = 1e-8  # the companion's start offset
+_CLUSTER_RADIUS = 1e-3  # cluster_count's: strobes this close are one cluster
 _LOCKSTEP_MIN = 24  # an array step costs ~23 float steps (34 vs 1.5 us, 2-vCPU Xeon)
 # A scan's lane pass of 8-42 amplitudes costs as much as 9-15 lazy exponents
 # (2-vCPU Xeon); the lazy walk reads about half a window whose onset may lie
 # anywhere in it, so the lanes pay from about 24 amplitudes.
 _SCAN_LANES_MIN = 24
-
-
-@dataclass(frozen=True)
-class PoincareSeries:
-    """Stroboscopic samples (P_n, Q_n) at t = n 2pi/omega, n starting
-    after the discarded transient prefix."""
-
-    points: np.ndarray  # shape (n, 2): displacement, velocity
-    omega: float
-    n_transient: int
-    metadata: dict | None = None
+# Bytes of forcing table one lane pass may hold: 48 per amplitude and step
+# (3 samples for a reference and a companion lane, float64), 9.6 kB per
+# amplitude at 200 steps per period.  table1's 1827 amplitudes take 17.5 MB;
+# a larger scan runs in several passes.
+_SCAN_LANES_BUDGET = 32 << 20
 
 
 @dataclass(frozen=True)
@@ -107,13 +106,14 @@ def poincare_map(
     n_points: int,
     n_transient: int = _TRANSIENT_PERIODS,
     ctrl: StepControl | None = None,
-) -> PoincareSeries:
-    """Strobe one trajectory at integer multiples of the forcing period.
+) -> np.ndarray:
+    """Strobe one trajectory once per forcing period after n_transient discarded
+    periods: the (n_points, 2) array of displacement and velocity.
 
     Continuing a single trajectory is equivalent to the restart
     construction (re-posing the i.v.p. from each period's end state) by
     uniqueness of solutions; dense output supplies the exact strobe times.
-    An array p.gamma (see bifurcation_data) gives points of shape (n, 2, k).
+    An array p.gamma of k amplitudes (see bifurcation_data) gives (n_points, 2, k).
     """
     if p.omega <= 0.0:
         raise ValueError("poincare_map needs omega > 0")
@@ -125,9 +125,7 @@ def poincare_map(
     # calls a bound Python function inline, about 13% faster per call.
     with np.errstate(over="ignore", invalid="ignore"):  # the step check reports overflow
         _drive(MethodType(acceleration, p), s0, t_end, ctrl, strobes.append, {})
-    points = strobes.finish().reshape((n_points, 2) + np.shape(p.gamma))
-    return PoincareSeries(points=points, omega=p.omega, n_transient=n_transient,
-                          metadata={"params": p, "ctrl": ctrl, "s0": s0})
+    return strobes.finish().reshape((n_points, 2) + np.shape(p.gamma))
 
 
 def _diverged(t_base: float) -> ValueError:
@@ -136,10 +134,8 @@ def _diverged(t_base: float) -> ValueError:
 
 def _benettin_intervals(p, t_total, renorm_interval, t_transient, steps_per_period):
     """(renorm_interval, t_transient, steps per interval, interval count) of
-    lyapunov_max, with its defaults filled in."""
+    lyapunov_max, with its default transient filled in."""
     T = 2.0 * math.pi / p.omega if p.omega > 0.0 else 2.0 * math.pi
-    if renorm_interval is None:
-        renorm_interval = T
     if t_transient is None:
         t_transient = _TRANSIENT_PERIODS * T
     if t_total <= t_transient + renorm_interval:
@@ -183,7 +179,7 @@ def lyapunov_max(
     p: OscillatorParams,
     s0: State,
     t_total: float,
-    renorm_interval: float | None = None,
+    renorm_interval: float,
     *,
     d0: float = _D0,
     steps_per_period: int = _STEPS_PER_PERIOD,
@@ -297,6 +293,21 @@ def _lyapunov_lanes(rows, s0: State, steps_per_period: int, transient_periods: i
     return out
 
 
+def _lane_passes(rows, s0: State, steps_per_period: int, transient_periods: int,
+                 measure_periods: int) -> list:
+    """_lyapunov_lanes of rows in passes of at most _SCAN_LANES_BUDGET bytes of
+    forcing table, the lanes in order and cut where a pass fills; lanes do
+    not interact, so each equals its one-pass value bitwise."""
+    per_pass = max(1, _SCAN_LANES_BUDGET // (48 * max(2, steps_per_period)))
+    lanes = [(r, gamma) for r, (_, gammas) in enumerate(rows) for gamma in gammas]
+    out: list = []
+    for k in range(0, len(lanes), per_pass):
+        chunk = [(rows[r][0], [gamma for _, gamma in row])
+                 for r, row in groupby(lanes[k:k + per_pass], key=itemgetter(0))]
+        out += _lyapunov_lanes(chunk, s0, steps_per_period, transient_periods, measure_periods)
+    return out
+
+
 def _coarse_grid(lo: float, hi: float, coarse_step: float) -> list[float]:
     grid = [lo + i * coarse_step for i in range(int(math.floor((hi - lo) / coarse_step)) + 1)]
     if grid[-1] < hi - 1e-12:
@@ -352,7 +363,7 @@ def gamma_scan_rows(
     """gamma_scan for each (omega, gamma_range) window, in order.
 
     When the windows' coarse grids hold _SCAN_LANES_MIN or more positive
-    amplitudes, their exponents come from one lane pass (_lyapunov_lanes),
+    amplitudes, their exponents come from lane passes (_lane_passes),
     bitwise the lyapunov_max calls they replace; the onset walk then reads
     them in grid order, and a diverged lane raises only when read.
     Smaller scans compute a row's coarse exponents in order only up to its
@@ -373,7 +384,7 @@ def gamma_scan_rows(
     positive = [(p, [g for g in grid if g > 0.0]) for p, grid in rows]
     coarse: list = [None] * len(rows)
     if sum(len(gammas) for _, gammas in positive) >= _SCAN_LANES_MIN:
-        lanes = iter(_lyapunov_lanes(positive, s0, **periods))
+        lanes = iter(_lane_passes(positive, s0, **periods))
         coarse = [[next(lanes) if g > 0.0 else -math.inf for g in grid] for _, grid in rows]
     out = []
     for (p, grid), lane_exps, (_, (lo, _)) in zip(rows, coarse, windows):
@@ -396,6 +407,8 @@ def gamma_scan_rows(
         g_lo = grid[onset_i - 1] if onset_i > 0 else max(lo, 0.0)
         while g_hi - g_lo > resolution:
             mid = 0.5 * (g_lo + g_hi)
+            if not g_lo < mid < g_hi:  # a bracket one ulp wide has no mid
+                break
             e_mid = _scan_exponent(p, mid, s0, **periods)
             if e_mid > lyap_threshold:
                 g_hi, e_hi = mid, e_mid
@@ -431,21 +444,21 @@ def bifurcation_data(
     which the force law's *, + and - round elementwise as floats, bitwise."""
     checked = [replace(p, gamma=float(g)) for g in gamma_sweep]
     if len(checked) < _LOCKSTEP_MIN:
-        return [(q.gamma, poincare_map(q, s0, n_points, n_transient).points[:, 0].copy())
+        return [(q.gamma, poincare_map(q, s0, n_points, n_transient)[:, 0].copy())
                 for q in checked]
     sweep = SimpleNamespace(**{**vars(p), "gamma": np.array([q.gamma for q in checked])})
-    points = poincare_map(sweep, s0, n_points, n_transient).points
+    points = poincare_map(sweep, s0, n_points, n_transient)
     return [(q.gamma, points[:, 0, k].copy()) for k, q in enumerate(checked)]
 
 
-def cluster_count(points: np.ndarray, radius: float = 1e-3) -> int:
-    """Greedy count of distinct clusters at the given radius (diagnostic
+def cluster_count(points: np.ndarray) -> int:
+    """Greedy count of distinct clusters of radius _CLUSTER_RADIUS (diagnostic
     for period-k orbits versus scattered chaotic sections)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] == 1:
         pts = np.column_stack([pts[:, 0], np.zeros(len(pts))])
     centers: list[np.ndarray] = []
     for q in pts:
-        if not any(np.hypot(*(q - c)) <= radius for c in centers):
+        if not any(np.hypot(*(q - c)) <= _CLUSTER_RADIUS for c in centers):
             centers.append(q)
     return len(centers)

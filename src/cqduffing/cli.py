@@ -233,11 +233,11 @@ def cmd_melnikov(cfg: dict, out_path) -> dict:
 
 
 def cmd_poincare(cfg: dict, out_path) -> dict:
-    series = chaos.poincare_map(_params(cfg), _start(cfg), cfg["points"], cfg["transient"])
-    rows = [(n + 1, float(pt[0]), float(pt[1])) for n, pt in enumerate(series.points)]
+    section = chaos.poincare_map(_params(cfg), _start(cfg), cfg["points"], cfg["transient"])
+    rows = [(n + 1, float(pt[0]), float(pt[1])) for n, pt in enumerate(section)]
     out = out_path("poincare.csv")
     _write_csv(out, "poincare", cfg, ["n", "P", "Q"], rows)
-    return dict(output=out, points=len(rows), clusters=chaos.cluster_count(series.points))
+    return dict(output=out, points=len(rows), clusters=chaos.cluster_count(section))
 
 
 def _scan_rows(a, b, c, delta, resolution, coarse_step, windows) -> list[tuple]:

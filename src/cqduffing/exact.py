@@ -34,6 +34,8 @@ __all__ = [
     "eval_homoclinic",
 ]
 
+_RESIDUAL_TOL = 1e-10  # a polished branch root's largest coefficient residual
+
 
 @dataclass(frozen=True)
 class CnSolution:
@@ -217,8 +219,7 @@ def _gauss_newton(a, b, c, x0, theta0):
     return theta, best
 
 
-def solve_cn_coefficients(a: float, b: float, c: float, x0: float,
-                          residual_tol: float = 1e-10) -> CnSolution:
+def solve_cn_coefficients(a: float, b: float, c: float, x0: float) -> CnSolution:
     """Numerically solved shape constants for x(0) = x0, x'(0) = 0.
 
     Each closed-form branch is polished by Gauss-Newton; among the
@@ -233,7 +234,7 @@ def solve_cn_coefficients(a: float, b: float, c: float, x0: float,
     for br in closed_form_branches(a, b, c, x0):
         theta, resid = _gauss_newton(a, b, c, x0, (br.lam, br.mu, br.omega_cn, br.m))
         diagnostics.append(f"{br.family} {resid:.3g}")
-        if resid >= residual_tol:
+        if resid >= _RESIDUAL_TOL:
             continue
         lam, mu, w, m = map(float, theta)
         try:

@@ -99,19 +99,19 @@ def run_controlled(
     cfg: ControllerConfig,
     s0: State,
     t_end: float,
-    ctrl: StepControl | None = None,
     periodicity_tol: float = _DEFAULT_PERIODICITY_TOL,
 ) -> tuple[Trajectory, PeriodicityReport]:
-    """Integrate the controlled equation and test for a tau-periodic orbit.
+    """Integrate the controlled equation by RK4 at T/200 (T the forcing
+    period, or tau when unforced) and test for a tau-periodic orbit.
 
     The report is computed on the final 5 tau window: the residual
     compares x(t) with x(t + tau), and the controller norm is the largest
     velocity mismatch the feedback still sees there.
     """
     tau = cfg.tau
-    ctrl = ctrl or _default_ctrl(p, tau)
     history = _history_fn(cfg, s0)
-    traj = integrate_delayed(partial(controlled_rhs, p, cfg.mu), s0, history, tau, t_end, ctrl)
+    traj = integrate_delayed(partial(controlled_rhs, p, cfg.mu), s0, history, tau, t_end,
+                             _default_ctrl(p, tau))
     return traj, _periodicity_report(traj, traj.t[0], tau, history, periodicity_tol)
 
 

@@ -33,16 +33,16 @@ class TestPoincareMap:
         p = OscillatorParams(1, 1, 1, delta=0.3, gamma=0.0, omega=1.4, epsilon=1.0)
         x_e = math.sqrt((math.sqrt(5) - 1) / 2)
         series = poincare_map(p, State(0.0, x_e + 0.05, 0.0), 40, 60)
-        assert np.all(np.abs(series.points[:, 0] - x_e) < 1e-6)
-        assert np.all(np.abs(series.points[:, 1]) < 1e-6)
+        assert np.all(np.abs(series[:, 0] - x_e) < 1e-6)
+        assert np.all(np.abs(series[:, 1]) < 1e-6)
 
     def test_pre_onset_cycle(self):
         series = poincare_map(params(0.30), State(0, 0, 0), 500, 100)
-        assert cluster_count(series.points) <= 8
+        assert cluster_count(series) <= 8
 
     def test_chaotic_scatter(self):
         series = poincare_map(params(0.35), State(0, 0, 0), 500, 100)
-        assert cluster_count(series.points) > 100
+        assert cluster_count(series) > 100
 
     def test_restart_equivalence(self):
         # re-posing the i.v.p. at every period boundary equals strobing one
@@ -57,7 +57,7 @@ class TestPoincareMap:
             tr = integrate(lambda t, x, v: acceleration(p, t, x, v), state, state.t + T14, ctrl)
             state = tr.final_state()
             restarts.append((state.x, state.v))
-        assert np.allclose(series.points, restarts, atol=1e-8)
+        assert np.allclose(series, restarts, atol=1e-8)
 
     def test_strobes_are_kernel_dense_output_bitwise(self):
         # the section integrates core.acceleration and strobes the dense
@@ -67,7 +67,7 @@ class TestPoincareMap:
         tr = integrate(lambda t, x, v: acceleration(p, t, x, v), State(0, 0, 0), 9 * T14,
                        StepControl(dt=T14 / 200, method="rk4"))
         expected = [tr.eval(min((3 + j) * T14, tr.t[-1])) for j in range(1, 7)]
-        assert np.array_equal(series.points, expected)
+        assert np.array_equal(series, expected)
 
     def test_requires_forcing_frequency(self):
         p = OscillatorParams(1, 1, 0, delta=0.1, gamma=0.0, omega=0.0, epsilon=1.0)
@@ -75,7 +75,7 @@ class TestPoincareMap:
             poincare_map(p, State(0, 0, 0), 10, 0)
 
     def test_no_points_gives_empty_sections(self, monkeypatch):
-        assert poincare_map(params(0.3), State(0, 0, 0), 0, 1).points.shape == (0, 2)
+        assert poincare_map(params(0.3), State(0, 0, 0), 0, 1).shape == (0, 2)
         for lockstep_min in (24, 1):
             monkeypatch.setattr(chaos, "_LOCKSTEP_MIN", lockstep_min)
             data = bifurcation_data(params(0.3), [0.2, 0.3], n_points=0, n_transient=1)
@@ -375,6 +375,44 @@ class TestGammaScan:
         assert passes == [33]
         assert list(map(_hex, rows)) == list(map(_hex, lazy))
 
+    def test_lane_passes_fit_the_budget(self, monkeypatch):
+        # a budget of 5 lanes cuts the 33 lanes of three windows into 7 passes
+        windows = [(1.4, (0.25, 0.45)), (1.1, (0.10, 0.30)), (2.0, (0.55, 0.75))]
+        kw = dict(coarse_step=0.02, **SHORT_SCAN)
+        one_pass = chaos.gamma_scan_rows(1.0, 1.0, 0.0, 0.1, windows, 0.01, **kw)
+        passes = []
+
+        def counting(rows, *a, **k):
+            passes.append([len(gammas) for _, gammas in rows])
+            return lanes(rows, *a, **k)
+
+        lanes = chaos._lyapunov_lanes
+        monkeypatch.setattr(chaos, "_lyapunov_lanes", counting)
+        monkeypatch.setattr(chaos, "_SCAN_LANES_BUDGET", 5 * 48 * SHORT_SCAN["steps_per_period"])
+        rows = chaos.gamma_scan_rows(1.0, 1.0, 0.0, 0.1, windows, 0.01, **kw)
+        assert passes == [[5], [5], [1, 4], [5], [2, 3], [5], [3]]
+        assert list(map(_hex, rows)) == list(map(_hex, one_pass))
+
+    def test_bisection_stops_at_a_one_ulp_bracket(self, monkeypatch):
+        # a resolution below one ulp: the mid of two adjacent floats is one of
+        # them, and the bisection must stop there rather than repeat it
+        calls = []
+
+        def counting(p, gamma, *a, **kw):
+            if len(calls) == 200:
+                raise AssertionError("the bisection does not stop")
+            calls.append((gamma, exponent(p, gamma, *a, **kw)))
+            return calls[-1][1]
+
+        exponent = chaos._scan_exponent
+        monkeypatch.setattr(chaos, "_scan_exponent", counting)
+        row = gamma_scan(1, 1, 0, 0.1, 1.4, (0.05, 0.35), 1e-300, coarse_step=0.02, **SHORT_SCAN)
+        mids = [gamma for gamma, _ in calls[11:]]  # the onset pair is at coarse indices 9 and 10
+        assert len(mids) == len(set(mids)) == 49
+        g_lo = max(gamma for gamma, e in calls if gamma < row.gamma_c and e <= 0.01)
+        assert math.nextafter(g_lo, math.inf) == row.gamma_c
+        assert row.lyapunov == dict(calls)[row.gamma_c] > 0.01
+
 
 def _hex(row):
     return [float(v).hex() for v in (row.omega, row.gamma_c, row.lyapunov)]
@@ -439,7 +477,7 @@ class TestBifurcationData:
         assert f"t={alone.value.t}" in str(swept.value)
         for gamma in (0.1, 0.2):
             section = poincare_map(replace(p, gamma=gamma), State(0, 0, 0), 2, 2)
-            assert np.all(np.isfinite(section.points))
+            assert np.all(np.isfinite(section))
 
     @pytest.mark.parametrize("gamma", [0.0, 0.3])
     def test_requires_forcing_frequency(self, gamma):
@@ -496,16 +534,16 @@ class TestLockstepSweep:
         assert [g for g, _ in lockstep] == [g for g, _ in per_gamma] == gammas
         for gamma, (_, xs), (_, xs_alone) in zip(gammas, lockstep, per_gamma):
             pg = replace(p, gamma=gamma)
-            section = poincare_map(pg, s0, n_points, n_transient).points
+            section = poincare_map(pg, s0, n_points, n_transient)
             assert np.array_equal(xs, section[:, 0]) and np.array_equal(xs_alone, section[:, 0])
             assert np.array_equal(section, reference_strobes(pg, s0, n_points, n_transient))
-            assert np.array_equal(poincare_map(pg, s0, n_points, n_transient, ctrl).points,
+            assert np.array_equal(poincare_map(pg, s0, n_points, n_transient, ctrl),
                                   reference_strobes(pg, s0, n_points, n_transient, ctrl))
 
     def test_dp54_section_equals_reference(self):
         p = params(0.3)
         ctrl = StepControl(abs_tol=1e-8, rel_tol=1e-8)
-        assert np.array_equal(poincare_map(p, State(0, 0, 0), 4, 2, ctrl).points,
+        assert np.array_equal(poincare_map(p, State(0, 0, 0), 4, 2, ctrl),
                               reference_strobes(p, State(0, 0, 0), 4, 2, ctrl))
 
 

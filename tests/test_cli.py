@@ -205,8 +205,8 @@ class TestScanCommand:
         assert not out.exists()
 
     def test_jobs_do_not_change_output(self, tmp_path, capsys):
-        base = ("scan", "--omega", "1.4", "--gamma-min", "0.32", "--gamma-max", "0.38",
-                "--resolution", "0.03", "--coarse-step", "0.03")
+        base = ("scan", "--preset", "table1", "--rows", "2", "--resolution", "0.2",
+                "--coarse-step", "0.2")  # two rows: --jobs 2 runs two worker chunks
         out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
         assert run_cli(capsys, *base, "--jobs", "1", "--out", str(out1))[0] == 0
         assert run_cli(capsys, *base, "--jobs", "2", "--out", str(out2))[0] == 0
