@@ -11,21 +11,19 @@ exponent exceeds a threshold (default 0.01) at two consecutive grid
 amplitudes, and the onset is then refined by bisection from the first such
 pair, down to the resolution or to a bracket one ulp wide.  A scan whose
 rows' coarse grids hold _SCAN_LANES_MIN (24) or more positive amplitudes
-computes all their exponents in lane passes, bitwise equal to one
-lyapunov_max call each; a pass holds at most _SCAN_LANES_BUDGET (32 MB) of
-forcing table, about 3500 amplitudes at 200 steps per period.  A smaller
-scan computes a row's coarse exponents in order only up to its first
-chaotic pair.  Scans are
-deterministic functions of the grid, the start state, and the step policy,
-and each (omega, gamma) cell is independent, so callers may evaluate cells
-in parallel and merge by index without changing results.
+computes all their exponents as flat (params, gamma) lanes, bitwise equal
+to one lyapunov_max call each, in passes that are slices of that list of
+at most _SCAN_LANES_BUDGET (32 MB) of forcing table, about 3500 amplitudes
+at 200 steps per period.  A smaller scan computes a row's coarse exponents
+in order only up to its first chaotic pair.  Scans are deterministic
+functions of the grid, the start state, and the step policy, and each
+(omega, gamma) cell is independent, so callers may evaluate cells in
+parallel and merge by index without changing results.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import groupby
-from operator import itemgetter
 from types import MethodType, SimpleNamespace
 
 import numpy as np
@@ -129,7 +127,7 @@ def poincare_map(
 
 
 def _diverged(t_base: float) -> ValueError:
-    return ValueError(f"trajectory diverged near t={t_base}")
+    return ValueError(f"trajectory diverged near t={float(t_base)}")
 
 
 def _benettin_intervals(p, t_total, renorm_interval, t_transient, steps_per_period):
@@ -225,42 +223,42 @@ def lyapunov_max(
     return total / t_measured
 
 
-def _lyapunov_lanes(rows, s0: State, steps_per_period: int, transient_periods: int,
+def _lyapunov_lanes(lanes, s0: State, steps_per_period: int, transient_periods: int,
                     measure_periods: int) -> list:
-    """The exponents of gamma_scan's rows in one pass of numpy lanes.
+    """The exponents of gamma_scan's (p, gamma) lanes in one pass of numpy lanes.
 
-    rows holds (p, gammas) pairs; their lanes come out flat, in order.  The
-    lane of gamma in row p is bitwise _scan_exponent(p, gamma, s0, ...), or
-    the ValueError that call raises.  Each row keeps its own interval count,
-    interval start and transient test; its forcing comes from math.cos once
-    per sample and interval and is scaled per lane, and math.log is taken
-    per lane, since np.log rounds differently.  The step arrays hold the
-    reference lanes and then the companion lanes: a flat array of 2 L
-    costs numpy less per operation than a (2, L) one.
+    The lane (p, gamma) is bitwise _scan_exponent(p, gamma, s0, ...), or the
+    ValueError that call raises.  Lanes with equal p share a row, which keeps
+    its own interval count, interval start and transient test; its forcing
+    comes from math.cos once per sample and interval and is scaled per lane,
+    and math.log is taken per lane, since np.log rounds differently.  The
+    step arrays hold the reference lanes and then the companion lanes: a
+    flat array of 2 L costs numpy less per operation than a (2, L) one.
     """
-    spans = [_benettin_intervals(p, *_scan_times(p, transient_periods, measure_periods),
-                                 steps_per_period) for p, _ in rows]
-    n_steps = spans[0][2]  # renorm_interval = T: every row has max(2, steps_per_period)
-    row = np.repeat(np.arange(len(rows)), [len(gammas) for _, gammas in rows])
+    rows = {p: r for r, p in enumerate(dict.fromkeys(p for p, _ in lanes))}
+    interval, t_transient, steps, n_intervals = map(np.array, zip(*(
+        _benettin_intervals(p, *_scan_times(p, transient_periods, measure_periods),
+                            steps_per_period) for p in rows)))
+    n_steps = int(steps[0])  # renorm_interval = T: every row has max(2, steps_per_period)
+    dt = interval / n_steps
+    row = np.array([rows[p] for p, _ in lanes])
     n = len(row)
     lane = np.tile(row, 2)  # the row of each reference and each companion lane
-    dts = [interval / n_steps for interval, *_ in spans]
-    coeffs = np.array([(p.a, p.b, p.c, p.epsilon * p.delta, dt) for (p, _), dt in zip(rows, dts)])
-    step = _rk4_step(np.float_power, *np.ascontiguousarray(coeffs[lane].T))
-    g = np.tile([p.epsilon * gamma for p, gammas in rows for gamma in gammas], 2)
+    coeffs = np.array([(p.a, p.b, p.c, p.epsilon * p.delta) for p in rows])
+    step = _rk4_step(np.float_power, *np.ascontiguousarray(coeffs[lane].T), dt[lane])
+    g = np.tile([p.epsilon * gamma for p, gamma in lanes], 2)
     x = np.repeat([s0.x, s0.x + _D0], n)
     v = np.full(2 * n, s0.v)
-    n_intervals = np.array([k for *_, k in spans])
-    t_base = [s0.t] * len(rows)
-    t_measured = [0.0] * len(rows)
+    t_base = np.full(len(rows), float(s0.t))
+    t_measured = np.zeros(len(rows))
     total = np.zeros(n)
     out: list = [None] * n
     live = np.ones(n, dtype=bool)  # lanes not yet finished or diverged
     forcing = np.empty((3, n_steps, 2 * n))  # one interval's samples, refilled per interval
     with np.errstate(over="ignore", invalid="ignore"):  # the interval check reports overflow
         for k in range(n_intervals.max()):
-            cosines = np.array([_cos_samples(p.omega, t, dt, n_steps)
-                                for (p, _), t, dt in zip(rows, t_base, dts)])
+            cosines = np.array([_cos_samples(p.omega, t, h, n_steps)
+                                for p, t, h in zip(rows, t_base.tolist(), dt.tolist())])
             # mode="clip" fills out directly; the default "raise" buffers a copy of it
             np.take(cosines.transpose(1, 2, 0), lane, axis=2, out=forcing, mode="clip")
             forcing *= g
@@ -270,41 +268,23 @@ def _lyapunov_lanes(rows, s0: State, steps_per_period: int, transient_periods: i
             for j in np.flatnonzero(bad):
                 out[j] = _diverged(t_base[row[j]])
             live &= ~bad
-            measured = []
-            for r, (interval, t_transient, _, _) in enumerate(spans):
-                t_base[r] += interval
-                measured.append(t_base[r] - s0.t > t_transient)
-                if measured[r]:
-                    t_measured[r] += interval
+            t_base += interval
+            measured = t_base - s0.t > t_transient
+            t_measured[measured] += interval[measured]
             x1, v1, x2, v2 = x[:n], v[:n], x[n:], v[n:]
             dx, dv = x2 - x1, v2 - v1
             d = np.sqrt(dx * dx + dv * dv)
             d[d == 0.0] = 1e-300
-            logged = live & np.array(measured)[row]
+            logged = live & measured[row]
             total[logged] += [math.log(q) for q in (d[logged] / _D0).tolist()]
             scale = _D0 / d
             x2[:], v2[:] = x1 + dx * scale, v1 + dv * scale
             done = live & (n_intervals == k + 1)[row]
             for j in np.flatnonzero(done):
-                out[j] = float(total[j]) / t_measured[row[j]]
+                out[j] = float(total[j]) / float(t_measured[row[j]])
             live &= ~done
             if not live.any():
                 break
-    return out
-
-
-def _lane_passes(rows, s0: State, steps_per_period: int, transient_periods: int,
-                 measure_periods: int) -> list:
-    """_lyapunov_lanes of rows in passes of at most _SCAN_LANES_BUDGET bytes of
-    forcing table, the lanes in order and cut where a pass fills; lanes do
-    not interact, so each equals its one-pass value bitwise."""
-    per_pass = max(1, _SCAN_LANES_BUDGET // (48 * max(2, steps_per_period)))
-    lanes = [(r, gamma) for r, (_, gammas) in enumerate(rows) for gamma in gammas]
-    out: list = []
-    for k in range(0, len(lanes), per_pass):
-        chunk = [(rows[r][0], [gamma for _, gamma in row])
-                 for r, row in groupby(lanes[k:k + per_pass], key=itemgetter(0))]
-        out += _lyapunov_lanes(chunk, s0, steps_per_period, transient_periods, measure_periods)
     return out
 
 
@@ -363,36 +343,43 @@ def gamma_scan_rows(
     """gamma_scan for each (omega, gamma_range) window, in order.
 
     When the windows' coarse grids hold _SCAN_LANES_MIN or more positive
-    amplitudes, their exponents come from lane passes (_lane_passes),
-    bitwise the lyapunov_max calls they replace; the onset walk then reads
-    them in grid order, and a diverged lane raises only when read.
+    amplitudes, their exponents come from passes of flat (p, gamma) lanes
+    (_lyapunov_lanes), bitwise the lyapunov_max calls they replace; the
+    onset walk then reads them in grid order, and a diverged lane raises
+    only when read.
     Smaller scans compute a row's coarse exponents in order only up to its
     first chaotic pair.  Bisection calls lyapunov_max either way.
     """
     for _, gamma_range in windows:
         lo, hi = gamma_range
-        if not (0.0 <= lo < hi):
-            raise ValueError(f"gamma_range must be ordered and nonnegative, got {gamma_range}")
-    if resolution <= 0.0:
-        raise ValueError("resolution must be positive")
+        if not 0.0 <= lo < hi < math.inf:
+            raise ValueError(
+                f"gamma_range must be finite, ordered and nonnegative, got {gamma_range}")
     if coarse_step is None:
         coarse_step = max(resolution, 0.01)
+    for name, step in (("resolution", resolution), ("coarse_step", coarse_step)):
+        if not 0.0 < step < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {step}")
     periods = dict(steps_per_period=steps_per_period, transient_periods=transient_periods,
                    measure_periods=measure_periods)
     rows = [(OscillatorParams(a=a, b=b, c=c, delta=delta, omega=omega, epsilon=1.0),
              _coarse_grid(*gamma_range, coarse_step)) for omega, gamma_range in windows]
-    positive = [(p, [g for g in grid if g > 0.0]) for p, grid in rows]
-    coarse: list = [None] * len(rows)
-    if sum(len(gammas) for _, gammas in positive) >= _SCAN_LANES_MIN:
-        lanes = iter(_lane_passes(positive, s0, **periods))
-        coarse = [[next(lanes) if g > 0.0 else -math.inf for g in grid] for _, grid in rows]
+    lanes = [(p, g) for p, grid in rows for g in grid if g > 0.0]
+    known: dict = {}  # the lane passes' exponents by (p, gamma)
+    if len(lanes) >= _SCAN_LANES_MIN:
+        # passes of at most _SCAN_LANES_BUDGET bytes of forcing table, 48 per
+        # lane and step; lanes do not interact, so each equals its one-pass value
+        per_pass = max(1, _SCAN_LANES_BUDGET // (48 * max(2, steps_per_period)))
+        for k in range(0, len(lanes), per_pass):
+            known.update(zip(lanes[k:k + per_pass],
+                             _lyapunov_lanes(lanes[k:k + per_pass], s0, **periods)))
     out = []
-    for (p, grid), lane_exps, (_, (lo, _)) in zip(rows, coarse, windows):
+    for p, grid in rows:
         exps: list[float] = []
         onset_i = None
         for i, g in enumerate(grid):
-            e = lane_exps[i] if lane_exps else (
-                _scan_exponent(p, g, s0, **periods) if g > 0.0 else -math.inf)
+            e = -math.inf if g <= 0.0 else (
+                known[p, g] if known else _scan_exponent(p, g, s0, **periods))
             if isinstance(e, ValueError):
                 raise e
             exps.append(e)
@@ -404,7 +391,7 @@ def gamma_scan_rows(
             continue
         g_hi = grid[onset_i]
         e_hi = exps[onset_i]
-        g_lo = grid[onset_i - 1] if onset_i > 0 else max(lo, 0.0)
+        g_lo = grid[max(onset_i - 1, 0)]
         while g_hi - g_lo > resolution:
             mid = 0.5 * (g_lo + g_hi)
             if not g_lo < mid < g_hi:  # a bracket one ulp wide has no mid
@@ -454,9 +441,9 @@ def bifurcation_data(
 def cluster_count(points: np.ndarray) -> int:
     """Greedy count of distinct clusters of radius _CLUSTER_RADIUS (diagnostic
     for period-k orbits versus scattered chaotic sections)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] == 1:
-        pts = np.column_stack([pts[:, 0], np.zeros(len(pts))])
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim < 2 or pts.shape[1] == 1:  # displacements alone, as bifurcation_data gives
+        pts = np.column_stack([pts.ravel(), np.zeros(pts.size)])
     centers: list[np.ndarray] = []
     for q in pts:
         if not any(np.hypot(*(q - c)) <= _CLUSTER_RADIUS for c in centers):

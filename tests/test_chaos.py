@@ -229,59 +229,60 @@ def test_float_power_rounds_as_python_pow():
 
 class TestLyapunovLanes:
     @settings(max_examples=12, deadline=None, derandomize=True)
-    @given(rows=st.lists(st.tuples(
+    @given(lanes=st.lists(st.tuples(
                st.one_of(st.sampled_from([0.05, 0.1, 1.2, 1.4]), st.floats(0.5, 2.5)),
                st.one_of(st.sampled_from([0.0, 0.2, -1.0]), st.floats(0.0, 0.5)),
-               st.lists(st.one_of(st.just(0.0), st.floats(0.0, 0.6)), min_size=1, max_size=3)),
-               min_size=1, max_size=3),
+               st.one_of(st.just(0.0), st.floats(0.0, 0.6))), min_size=1, max_size=9),
            t0=st.one_of(st.just(0.0), st.floats(-10.0, 10.0)),
            x0=st.floats(-1.5, 1.5), v0=st.floats(-1.5, 1.5),
            steps=st.integers(20, 200), transient=st.integers(0, 2), measure=st.integers(2, 4))
-    @example(rows=[(0.05, 0.0, [0.0, 0.387]), (0.1, 0.2, [0.41, 0.45]), (1.2, -1.0, [0.3]),
-                   (1.4, 0.0, [0.35])],
+    @example(lanes=[(0.05, 0.0, 0.0), (0.05, 0.0, 0.387), (0.1, 0.2, 0.41), (0.1, 0.2, 0.45),
+                    (1.2, -1.0, 0.3), (1.4, 0.0, 0.35)],
              t0=0.0, x0=0.0, v0=0.0, steps=200, transient=1, measure=9)  # c = -1 overflows
-    @example(rows=[(0.1, 0.0, [0.402]), (1.4, 0.2, [0.0, 0.35]), (1.2, -1.0, [0.3])],
+    @example(lanes=[(0.1, 0.0, 0.402), (1.4, 0.2, 0.0), (1.4, 0.2, 0.35), (1.2, -1.0, 0.3)],
              t0=-3.5, x0=0.4, v0=-0.3, steps=200, transient=2, measure=3)
-    @example(rows=[(1.4, 0.0, [0.3, 0.32, 0.35]), (1.1, 0.2, [0.2, 0.25, 0.3])],
+    @example(lanes=[(1.4, 0.0, 0.3), (1.4, 0.0, 0.32), (1.4, 0.0, 0.35), (1.1, 0.2, 0.2),
+                    (1.1, 0.2, 0.25), (1.1, 0.2, 0.3)],
              t0=0.0, x0=0.0, v0=0.0, steps=20, transient=0, measure=100)  # 600 logs
-    def test_each_lane_equals_lyapunov_max_bitwise(self, rows, t0, x0, v0, steps, transient,
+    @example(lanes=[(1.4, 0.0, 0.35), (1.1, 0.2, 0.3), (1.4, 0.0, 0.3), (1.4, 0.0, 0.35)],
+             t0=0.0, x0=0.0, v0=0.0, steps=50, transient=1, measure=3)  # a row split, a lane twice
+    def test_each_lane_equals_lyapunov_max_bitwise(self, lanes, t0, x0, v0, steps, transient,
                                                    measure):
-        rows = [(OscillatorParams(1.0, 1.0, c, delta=0.1, omega=omega, epsilon=1.0), gammas)
-                for omega, c, gammas in rows]
+        lanes = [(OscillatorParams(1.0, 1.0, c, delta=0.1, omega=omega, epsilon=1.0), gamma)
+                 for omega, c, gamma in lanes]
         s0 = State(t0, x0, v0)
         periods = dict(steps_per_period=steps, transient_periods=transient,
                        measure_periods=measure)
-        lanes = chaos._lyapunov_lanes(rows, s0, **periods)
+        exps = chaos._lyapunov_lanes(lanes, s0, **periods)
         expected = []
-        for p, gammas in rows:
+        for p, gamma in lanes:
             T = 2 * math.pi / p.omega
-            for gamma in gammas:
-                try:
-                    expected.append(lyapunov_max(replace(p, gamma=gamma), s0,
-                                                 (transient + measure) * T, T,
-                                                 steps_per_period=steps,
-                                                 t_transient=transient * T).hex())
-                except ValueError as err:
-                    expected.append(str(err))
-        assert [str(e) if isinstance(e, ValueError) else e.hex() for e in lanes] == expected
+            try:
+                expected.append(lyapunov_max(replace(p, gamma=gamma), s0,
+                                             (transient + measure) * T, T,
+                                             steps_per_period=steps,
+                                             t_transient=transient * T).hex())
+            except ValueError as err:
+                expected.append(str(err))
+        assert [str(e) if isinstance(e, ValueError) else e.hex() for e in exps] == expected
 
     def test_each_lane_logs_as_math_log(self):
         # np.log rounds unlike math.log on about 0.5% of arguments in (0.5, 2),
         # and a one-ulp log is mostly lost in a long sum.  Periods under 0.5
         # stretch the separation by such factors, and 2000 exponents of two
         # logs each show a lane kernel that takes np.log.
-        rows = [(OscillatorParams(1.0, 1.0, c, delta=0.1, omega=omega, epsilon=1.0),
-                 np.linspace(0.01, 0.6, 250).tolist())
-                for omega, c in ((13.0, 0.0), (15.0, 0.2), (17.0, 0.0), (20.0, 0.2),
-                                 (22.0, 0.1), (25.0, 0.0), (28.0, 0.1), (30.0, 0.0))]
+        lanes = [(OscillatorParams(1.0, 1.0, c, delta=0.1, omega=omega, epsilon=1.0), gamma)
+                 for omega, c in ((13.0, 0.0), (15.0, 0.2), (17.0, 0.0), (20.0, 0.2),
+                                  (22.0, 0.1), (25.0, 0.0), (28.0, 0.1), (30.0, 0.0))
+                 for gamma in np.linspace(0.01, 0.6, 250).tolist()]
         s0 = State(0.0, 0.2, 0.0)
-        lanes = chaos._lyapunov_lanes(rows, s0, steps_per_period=20, transient_periods=0,
-                                      measure_periods=2)
+        exps = chaos._lyapunov_lanes(lanes, s0, steps_per_period=20, transient_periods=0,
+                                     measure_periods=2)
         expected = [lyapunov_max(replace(p, gamma=gamma), s0, 2 * (2 * math.pi / p.omega),
                                  2 * math.pi / p.omega, steps_per_period=20,
                                  t_transient=0.0).hex()
-                    for p, gammas in rows for gamma in gammas]
-        assert [e.hex() for e in lanes] == expected
+                    for p, gamma in lanes]
+        assert [e.hex() for e in exps] == expected
 
 
 class TestGammaScan:
@@ -365,14 +366,34 @@ class TestGammaScan:
                 for omega, window in windows]
         passes = []
 
-        def counting(rows, *a, **k):
-            passes.append(sum(len(gammas) for _, gammas in rows))
-            return lanes(rows, *a, **k)
+        def counting(lanes, *a, **k):
+            passes.append(len(lanes))
+            return kernel(lanes, *a, **k)
 
-        lanes = chaos._lyapunov_lanes
+        kernel = chaos._lyapunov_lanes
         monkeypatch.setattr(chaos, "_lyapunov_lanes", counting)
         rows = chaos.gamma_scan_rows(1.0, 1.0, 0.0, 0.1, windows, 0.01, **kw)
         assert passes == [33]
+        assert list(map(_hex, rows)) == list(map(_hex, lazy))
+
+    def test_windows_of_one_omega_share_one_row(self, monkeypatch):
+        # equal params make one row of the pass: one interval start and
+        # transient test for the lanes of both windows
+        windows = [(1.4, (0.25, 0.35)), (1.4, (0.30, 0.45))]
+        kw = dict(coarse_step=0.02, **SHORT_SCAN)
+        lazy = [gamma_scan(1.0, 1.0, 0.0, 0.1, omega, window, 0.01, **kw)
+                for omega, window in windows]
+        passes = []
+
+        def counting(lanes, *a, **k):
+            passes.append((len(lanes), len(dict.fromkeys(p for p, _ in lanes))))
+            return kernel(lanes, *a, **k)
+
+        kernel = chaos._lyapunov_lanes
+        monkeypatch.setattr(chaos, "_lyapunov_lanes", counting)
+        monkeypatch.setattr(chaos, "_SCAN_LANES_MIN", 1)
+        rows = chaos.gamma_scan_rows(1.0, 1.0, 0.0, 0.1, windows, 0.01, **kw)
+        assert passes == [(15, 1)]
         assert list(map(_hex, rows)) == list(map(_hex, lazy))
 
     def test_lane_passes_fit_the_budget(self, monkeypatch):
@@ -382,15 +403,15 @@ class TestGammaScan:
         one_pass = chaos.gamma_scan_rows(1.0, 1.0, 0.0, 0.1, windows, 0.01, **kw)
         passes = []
 
-        def counting(rows, *a, **k):
-            passes.append([len(gammas) for _, gammas in rows])
-            return lanes(rows, *a, **k)
+        def counting(lanes, *a, **k):
+            passes.append(len(lanes))
+            return kernel(lanes, *a, **k)
 
-        lanes = chaos._lyapunov_lanes
+        kernel = chaos._lyapunov_lanes
         monkeypatch.setattr(chaos, "_lyapunov_lanes", counting)
         monkeypatch.setattr(chaos, "_SCAN_LANES_BUDGET", 5 * 48 * SHORT_SCAN["steps_per_period"])
         rows = chaos.gamma_scan_rows(1.0, 1.0, 0.0, 0.1, windows, 0.01, **kw)
-        assert passes == [[5], [5], [1, 4], [5], [2, 3], [5], [3]]
+        assert passes == [5, 5, 5, 5, 5, 5, 3]
         assert list(map(_hex, rows)) == list(map(_hex, one_pass))
 
     def test_bisection_stops_at_a_one_ulp_bracket(self, monkeypatch):
@@ -479,6 +500,14 @@ class TestBifurcationData:
             section = poincare_map(replace(p, gamma=gamma), State(0, 0, 0), 2, 2)
             assert np.all(np.isfinite(section))
 
+    def test_displacements_alone_are_points_on_a_line(self):
+        # bifurcation_data's 1-D strobes: n scalar points, not one point in n dimensions
+        assert cluster_count(np.array([0.1, 0.2, 0.3])) == 3
+        assert cluster_count(np.array([0.1, 0.1 + 5e-4, 0.3])) == 2
+        assert cluster_count([]) == 0
+        xs = poincare_map(params(0.30), State(0, 0, 0), 60, 20)[:, 0]
+        assert cluster_count(xs) == cluster_count(xs.reshape(-1, 1))
+
     @pytest.mark.parametrize("gamma", [0.0, 0.3])
     def test_requires_forcing_frequency(self, gamma):
         p = OscillatorParams(1, 1, 0, delta=0.1, gamma=0.0, omega=0.0, epsilon=1.0)
@@ -554,6 +583,24 @@ class TestLockstepSweep:
                  "resolution must be positive", id="scan-resolution-zero"),
     pytest.param(lambda: gamma_scan(1, 1, 0, 0.1, 1.4, (0.1, 0.5), -0.01),
                  "resolution must be positive", id="scan-resolution-negative"),
+    pytest.param(lambda: gamma_scan(1, 1, 0, 0.1, 1.4, (0.1, 0.5), math.nan),
+                 "resolution must be positive and finite", id="scan-resolution-nan"),
+    pytest.param(lambda: gamma_scan(1, 1, 0, 0.1, 1.4, (0.1, 0.5), math.inf),
+                 "resolution must be positive and finite", id="scan-resolution-inf"),
+    pytest.param(lambda: gamma_scan(1, 1, 0, 0.1, 1.4, (0.1, 0.5), 0.01, coarse_step=0.0),
+                 "coarse_step must be positive and finite", id="scan-coarse-step-zero"),
+    pytest.param(lambda: gamma_scan(1, 1, 0, 0.1, 1.4, (0.1, 0.5), 0.01, coarse_step=-0.01),
+                 "coarse_step must be positive and finite", id="scan-coarse-step-negative"),
+    pytest.param(lambda: gamma_scan(1, 1, 0, 0.1, 1.4, (0.1, 0.5), 0.01, coarse_step=math.nan),
+                 "coarse_step must be positive and finite", id="scan-coarse-step-nan"),
+    pytest.param(lambda: gamma_scan(1, 1, 0, 0.1, 1.4, (0.1, 0.5), 0.01, coarse_step=math.inf),
+                 "coarse_step must be positive and finite", id="scan-coarse-step-inf"),
+    pytest.param(lambda: gamma_scan(1, 1, 0, 0.1, 1.4, (0.1, math.inf), 0.01),
+                 "gamma_range must be finite", id="scan-gamma-max-inf"),
+    pytest.param(lambda: gamma_scan(1, 1, 0, 0.1, 1.4, (0.1, math.nan), 0.01),
+                 "gamma_range must be finite", id="scan-gamma-max-nan"),
+    pytest.param(lambda: gamma_scan(1, 1, 0, 0.1, 1.4, (math.nan, 0.5), 0.01),
+                 "gamma_range must be finite", id="scan-gamma-min-nan"),
 ])
 def test_invalid_input_raises(build, match):
     with pytest.raises(ValueError, match=match):
