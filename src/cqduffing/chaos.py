@@ -4,8 +4,9 @@ the two knots around each strobe time and build no trajectory; a long
 bifurcation sweep strobes its amplitudes as one array.
 
 The Benettin exponent steps a reference trajectory and its companion
-through one RK4 step function, on forcing samples shared per step; the
-same step body runs on floats and on numpy lanes.  The chaos classifier is
+through one RK4 step function, on forcing samples shared per step.  The
+scan's numpy lanes take an in-place copy of that step, which makes the same
+operations in the same order with no temporaries.  The chaos classifier is
 fixed and reproducible: a forcing amplitude is called chaotic when that
 exponent exceeds a threshold (default 0.01) at two consecutive grid
 amplitudes, and the onset is then refined by bisection from the first such
@@ -56,6 +57,12 @@ _SCAN_LANES_MIN = 24
 # amplitude at 200 steps per period.  table1's 1827 amplitudes take 17.5 MB;
 # a larger scan runs in several passes.
 _SCAN_LANES_BUDGET = 32 << 20
+# The most coarse steps one scan window may take.  Its grid is a list of
+# floats and its lanes a list of (params, gamma) pairs, about 100 bytes per
+# amplitude, so 10 MB at the bound; at the full table's 45 ms per lane
+# amplitude (2-vCPU Xeon) such a window is over an hour of exponents.
+# table1's widest window takes 20 steps.
+_GRID_MAX = 10**5
 
 
 @dataclass(frozen=True)
@@ -150,27 +157,75 @@ def _cos_samples(w: float, t_base: float, dt: float, n_steps: int) -> list[list[
             [cos(w * (t + dt)) for t in ts]]
 
 
-def _rk4_step(pw, a_, b_, c_, d_, dt):
-    """One RK4 step of x'' = a x - b x^3 - c x^5 + f - d x' on the forcing
-    samples f0, fh, f1 at its start, middle and end, in that force law's
-    x ** 3, x ** 5 order.  The same body steps floats with pw = pow and
-    lane arrays (reference lanes, then companion lanes) with pw =
-    np.float_power, which runs libm pow per element and so rounds as the
-    floats do; np.power does not."""
+def _rk4_step(a_, b_, c_, d_, dt):
+    """One RK4 step of x'' = a x - b x^3 - c x^5 + f - d x' on floats, on the
+    forcing samples f0, fh, f1 at its start, middle and end, in that force
+    law's x ** 3, x ** 5 order.  _rk4_lanes takes the same operations, in
+    this order, on the scan's lanes."""
     h2, h6 = 0.5 * dt, dt / 6.0
 
     def step(x, v, f0, fh, f1):
-        a1 = a_ * x - b_ * pw(x, 3.0) - c_ * pw(x, 5.0) + f0 - d_ * v
+        a1 = a_ * x - b_ * x ** 3.0 - c_ * x ** 5.0 + f0 - d_ * v
         xb, vb = x + h2 * v, v + h2 * a1
-        a2 = a_ * xb - b_ * pw(xb, 3.0) - c_ * pw(xb, 5.0) + fh - d_ * vb
+        a2 = a_ * xb - b_ * xb ** 3.0 - c_ * xb ** 5.0 + fh - d_ * vb
         xc, vc = x + h2 * vb, v + h2 * a2
-        a3 = a_ * xc - b_ * pw(xc, 3.0) - c_ * pw(xc, 5.0) + fh - d_ * vc
+        a3 = a_ * xc - b_ * xc ** 3.0 - c_ * xc ** 5.0 + fh - d_ * vc
         xd, vd = x + dt * vc, v + dt * a3
-        a4 = a_ * xd - b_ * pw(xd, 3.0) - c_ * pw(xd, 5.0) + f1 - d_ * vd
+        a4 = a_ * xd - b_ * xd ** 3.0 - c_ * xd ** 5.0 + f1 - d_ * vd
         return (x + h6 * (v + 2.0 * (vb + vc) + vd),
                 v + h6 * (a1 + 2.0 * (a2 + a3) + a4))
 
     return step
+
+
+def _rk4_lanes(a_, b_, c_, d_, dt):
+    """_rk4_step in place on lane arrays: the (2, N) state (x, v) it returns
+    goes one step per step(f0, fh, f1) call, element by element bitwise the
+    float step.  Each element takes the float step's operations in its order
+    (2.0 * y as y + y, which is exact); x ** 3 and x ** 5 come from one
+    np.float_power call, which runs libm pow per element and so rounds as
+    Python's float ** does (np.power does not).  Stage k's (x, v, acc) is
+    row k of one (4, 3, N) buffer, so its (x, v) and its derivative (v, acc)
+    are overlapping (2, N) views, and one multiply and one add advance both;
+    (b, c) and (a, d) multiply as stacked pairs.  A step is 40 ufunc calls
+    and allocates nothing: each call writes into buffers made here once (26
+    floats per element with the coefficients and step sizes), passed as its
+    last positional argument, which costs less than out=.
+    """
+    n = len(dt)
+    buf, pows, work = np.empty((4, 3, n)), np.empty((2, n)), np.empty((2, n))
+    expo, bc, ad = np.array([[3.0], [5.0]]), np.stack([b_, c_]), np.stack([a_, d_])
+    bx3, cx5, ax, dv = *pows, *work
+    state = buf[0, :2]
+    # the step sizes as (2, N) rows: a broadcast (N,) operand costs numpy more
+    h2, h1, h6 = (np.tile(h, (2, 1)) for h in (0.5 * dt, dt, dt / 6.0))
+    # stage k: its x, its (x, v), its acc, its (v, acc), the next stage's
+    # (x, v) and the step to it from the start state (None after the last)
+    nexts, hs = (buf[1, :2], buf[2, :2], buf[3, :2], None), (h2, h2, h1, None)
+    stages = [(buf[k, 0], buf[k, :2], buf[k, 2], buf[k, 1:], nexts[k], hs[k]) for k in range(4)]
+    d1, d2, d3, d4 = buf[:, 1:]
+    power, mul, add, sub = np.float_power, np.multiply, np.add, np.subtract
+
+    def step(f0, fh, f1):
+        for (x, xv, acc, deriv, nxt, h), f in zip(stages, (f0, fh, fh, f1)):
+            power(x, expo, pows)  # (x ** 3, x ** 5)
+            mul(bc, pows, pows)
+            mul(ad, xv, work)  # (a x, d v)
+            sub(ax, bx3, acc)
+            sub(acc, cx5, acc)
+            add(acc, f, acc)
+            sub(acc, dv, acc)
+            if h is not None:
+                mul(deriv, h, work)
+                add(state, work, nxt)
+        add(d2, d3, work)  # the weights 1, 2, 2, 1 on the stages' (v, acc)
+        add(work, work, work)
+        add(d1, work, work)
+        add(work, d4, work)
+        mul(h6, work, work)
+        add(state, work, state)
+
+    return state, step
 
 
 def lyapunov_max(
@@ -193,7 +248,7 @@ def lyapunov_max(
     interval, t_transient, n_steps, n_intervals = _benettin_intervals(
         p, t_total, renorm_interval, t_transient, steps_per_period)
     dt = interval / n_steps
-    step = _rk4_step(pow, p.a, p.b, p.c, p.epsilon * p.delta, dt)
+    step = _rk4_step(p.a, p.b, p.c, p.epsilon * p.delta, dt)
     g_ = p.epsilon * p.gamma
     x1, v1 = s0.x, s0.v
     x2, v2 = s0.x + d0, s0.v
@@ -232,8 +287,9 @@ def _lyapunov_lanes(lanes, s0: State, steps_per_period: int, transient_periods: 
     its own interval count, interval start and transient test; its forcing
     comes from math.cos once per sample and interval and is scaled per lane,
     and math.log is taken per lane, since np.log rounds differently.  The
-    step arrays hold the reference lanes and then the companion lanes: a
-    flat array of 2 L costs numpy less per operation than a (2, L) one.
+    rows of _rk4_lanes's state hold the reference lanes and then the
+    companion lanes: a flat row of 2 L costs numpy less per operation than
+    a (2, L) block.
     """
     rows = {p: r for r, p in enumerate(dict.fromkeys(p for p, _ in lanes))}
     interval, t_transient, steps, n_intervals = map(np.array, zip(*(
@@ -245,10 +301,9 @@ def _lyapunov_lanes(lanes, s0: State, steps_per_period: int, transient_periods: 
     n = len(row)
     lane = np.tile(row, 2)  # the row of each reference and each companion lane
     coeffs = np.array([(p.a, p.b, p.c, p.epsilon * p.delta) for p in rows])
-    step = _rk4_step(np.float_power, *np.ascontiguousarray(coeffs[lane].T), dt[lane])
+    (x, v), step = _rk4_lanes(*coeffs[lane].T, dt[lane])
     g = np.tile([p.epsilon * gamma for p, gamma in lanes], 2)
-    x = np.repeat([s0.x, s0.x + _D0], n)
-    v = np.full(2 * n, s0.v)
+    x[:n], x[n:], v[:] = s0.x, s0.x + _D0, s0.v
     t_base = np.full(len(rows), float(s0.t))
     t_measured = np.zeros(len(rows))
     total = np.zeros(n)
@@ -263,7 +318,7 @@ def _lyapunov_lanes(lanes, s0: State, steps_per_period: int, transient_periods: 
             np.take(cosines.transpose(1, 2, 0), lane, axis=2, out=forcing, mode="clip")
             forcing *= g
             for f0, fh, f1 in zip(*forcing):
-                x, v = step(x, v, f0, fh, f1)
+                step(f0, fh, f1)
             bad = live & ~(np.isfinite(x) & np.isfinite(v)).reshape(2, n).all(axis=0)
             for j in np.flatnonzero(bad):
                 out[j] = _diverged(t_base[row[j]])
@@ -288,8 +343,18 @@ def _lyapunov_lanes(lanes, s0: State, steps_per_period: int, transient_periods: 
     return out
 
 
+def _grid_steps(lo: float, hi: float, coarse_step: float) -> int:
+    """The whole coarse steps in [lo, hi], or a ValueError naming coarse_step
+    when they are more than _GRID_MAX or not finite."""
+    steps = (hi - lo) / coarse_step
+    if not steps <= _GRID_MAX:
+        raise ValueError(f"coarse_step {coarse_step!r} cuts [{lo!r}, {hi!r}] into more than "
+                         f"{_GRID_MAX} steps")
+    return int(math.floor(steps))
+
+
 def _coarse_grid(lo: float, hi: float, coarse_step: float) -> list[float]:
-    grid = [lo + i * coarse_step for i in range(int(math.floor((hi - lo) / coarse_step)) + 1)]
+    grid = [lo + i * coarse_step for i in range(_grid_steps(lo, hi, coarse_step) + 1)]
     if grid[-1] < hi - 1e-12:
         grid.append(hi)
     return grid

@@ -551,9 +551,15 @@ def _resolve(parser: argparse.ArgumentParser, spec: _Command, args) -> dict:
         except ValueError as exc:  # the forcing rule: every value passed a finite flag
             parser.error(f"argument --omega: {exc}")
     # scan's windows only: a bifurcate sweep may run downwards or stand still
-    if spec.fn is cmd_scan and np.any(np.greater_equal(cfg["gamma_min"], cfg["gamma_max"])):
-        parser.error(f"argument --gamma-max: {cfg['gamma_max']!r} is not above "
-                     f"--gamma-min {cfg['gamma_min']!r}")
+    if spec.fn is cmd_scan:
+        if np.any(np.greater_equal(cfg["gamma_min"], cfg["gamma_max"])):
+            parser.error(f"argument --gamma-max: {cfg['gamma_max']!r} is not above "
+                         f"--gamma-min {cfg['gamma_min']!r}")
+        try:
+            for lo, hi in np.broadcast(cfg["gamma_min"], cfg["gamma_max"]):
+                chaos._grid_steps(float(lo), float(hi), cfg["coarse_step"])
+        except ValueError as exc:
+            parser.error(f"argument --coarse-step: {exc}")
     if "n_steps" in cfg and not math.isfinite(cfg["n_steps"] * cfg["dt"]):
         parser.error(f"argument --dt: the horizon n_steps * dt = {cfg['n_steps']} * "
                      f"{cfg['dt']!r} overflows")

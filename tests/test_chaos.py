@@ -228,28 +228,54 @@ def test_float_power_rounds_as_python_pow():
 
 
 class TestLyapunovLanes:
+    # A lane is (omega, c, gamma); the k-th distinct (omega, c) of a draw takes
+    # coeffs[k % len(coeffs)] as its (a, b, delta, epsilon), so the rows of one
+    # pass differ in every coefficient the kernel stacks or scales.
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(lanes=st.lists(st.tuples(
                st.one_of(st.sampled_from([0.05, 0.1, 1.2, 1.4]), st.floats(0.5, 2.5)),
-               st.one_of(st.sampled_from([0.0, 0.2, -1.0]), st.floats(0.0, 0.5)),
+               st.one_of(st.sampled_from([0.0, 0.2, -1.0, 1.0]), st.floats(0.0, 0.5)),
                st.one_of(st.just(0.0), st.floats(0.0, 0.6))), min_size=1, max_size=9),
+           coeffs=st.lists(st.tuples(
+               st.one_of(st.sampled_from([1.0, -1.0]), st.floats(-1.5, 1.5)),
+               st.one_of(st.sampled_from([1.0, -2.5, -1.0]), st.floats(-1.0, 2.0)),
+               st.one_of(st.sampled_from([0.1, 0.0]), st.floats(0.0, 0.5)),
+               st.one_of(st.sampled_from([1.0, 0.5]), st.floats(0.1, 2.0))),
+               min_size=1, max_size=3),
            t0=st.one_of(st.just(0.0), st.floats(-10.0, 10.0)),
            x0=st.floats(-1.5, 1.5), v0=st.floats(-1.5, 1.5),
            steps=st.integers(20, 200), transient=st.integers(0, 2), measure=st.integers(2, 4))
     @example(lanes=[(0.05, 0.0, 0.0), (0.05, 0.0, 0.387), (0.1, 0.2, 0.41), (0.1, 0.2, 0.45),
-                    (1.2, -1.0, 0.3), (1.4, 0.0, 0.35)],
+                    (1.2, -1.0, 0.3), (1.4, 0.0, 0.35)], coeffs=[(1.0, 1.0, 0.1, 1.0)],
              t0=0.0, x0=0.0, v0=0.0, steps=200, transient=1, measure=9)  # c = -1 overflows
     @example(lanes=[(0.1, 0.0, 0.402), (1.4, 0.2, 0.0), (1.4, 0.2, 0.35), (1.2, -1.0, 0.3)],
-             t0=-3.5, x0=0.4, v0=-0.3, steps=200, transient=2, measure=3)
+             coeffs=[(1.0, 1.0, 0.1, 1.0)], t0=-3.5, x0=0.4, v0=-0.3, steps=200, transient=2,
+             measure=3)
     @example(lanes=[(1.4, 0.0, 0.3), (1.4, 0.0, 0.32), (1.4, 0.0, 0.35), (1.1, 0.2, 0.2),
-                    (1.1, 0.2, 0.25), (1.1, 0.2, 0.3)],
+                    (1.1, 0.2, 0.25), (1.1, 0.2, 0.3)], coeffs=[(1.0, 1.0, 0.1, 1.0)],
              t0=0.0, x0=0.0, v0=0.0, steps=20, transient=0, measure=100)  # 600 logs
     @example(lanes=[(1.4, 0.0, 0.35), (1.1, 0.2, 0.3), (1.4, 0.0, 0.3), (1.4, 0.0, 0.35)],
+             coeffs=[(1.0, 1.0, 0.1, 1.0)],
              t0=0.0, x0=0.0, v0=0.0, steps=50, transient=1, measure=3)  # a row split, a lane twice
-    def test_each_lane_equals_lyapunov_max_bitwise(self, lanes, t0, x0, v0, steps, transient,
-                                                   measure):
-        lanes = [(OscillatorParams(1.0, 1.0, c, delta=0.1, omega=omega, epsilon=1.0), gamma)
-                 for omega, c, gamma in lanes]
+    @example(lanes=[(1.4, 1.0, 0.1), (1.4, 1.0, 0.4), (2.0, 1.0, 0.3)],
+             coeffs=[(-1.0, -2.5, 0.1, 1.0), (-1.0, -2.5, 0.25, 0.6)],
+             t0=0.0, x0=0.5, v0=0.0, steps=100, transient=1, measure=3)  # the kink (-1, -2.5, 1)
+    @example(lanes=[(1.4, 0.0, 0.0), (1.4, 0.0, 0.3), (1.2, 0.2, 0.3), (1.1, 0.0, 0.2)],
+             coeffs=[(1.0, -1.0, 0.1, 1.0), (1.0, 1.0, 0.1, 1.0), (1.0, -1.0, 0.0, 0.5)],
+             t0=0.0, x0=0.1, v0=0.0, steps=50, transient=1, measure=3)  # softening cubic diverges
+    @example(lanes=[(1.4, 0.0, 0.35), (1.4, 0.0, 0.3), (1.1, 0.2, 0.3), (0.9, 0.1, 0.2),
+                    (0.9, 0.1, 0.5)],
+             coeffs=[(1.0, 1.0, 0.1, 0.5), (0.5, 2.0, 0.3, 1.7), (-1.0, 0.5, 0.05, 1.3)],
+             t0=0.0, x0=0.2, v0=-0.1, steps=60, transient=1, measure=3)  # epsilon != 1
+    def test_each_lane_equals_lyapunov_max_bitwise(self, lanes, coeffs, t0, x0, v0, steps,
+                                                   transient, measure):
+        rows = list(dict.fromkeys((omega, c) for omega, c, _ in lanes))
+
+        def params_of(omega, c):
+            a, b, delta, epsilon = coeffs[rows.index((omega, c)) % len(coeffs)]
+            return OscillatorParams(a, b, c, delta=delta, omega=omega, epsilon=epsilon)
+
+        lanes = [(params_of(omega, c), gamma) for omega, c, gamma in lanes]
         s0 = State(t0, x0, v0)
         periods = dict(steps_per_period=steps, transient_periods=transient,
                        measure_periods=measure)
@@ -595,6 +621,13 @@ class TestLockstepSweep:
                  "coarse_step must be positive and finite", id="scan-coarse-step-nan"),
     pytest.param(lambda: gamma_scan(1, 1, 0, 0.1, 1.4, (0.1, 0.5), 0.01, coarse_step=math.inf),
                  "coarse_step must be positive and finite", id="scan-coarse-step-inf"),
+    pytest.param(lambda: gamma_scan(1, 1, 0, 0.1, 1.4, (0.1, 0.5), 0.01, coarse_step=1e-320),
+                 r"coarse_step 1e-320 cuts \[0\.1, 0\.5\] into more than 100000 steps",
+                 id="scan-coarse-step-subnormal"),
+    pytest.param(lambda: gamma_scan(1, 1, 0, 0.1, 1.4, (0.1, 0.5), 0.01, coarse_step=1e-9),
+                 "coarse_step 1e-09 cuts", id="scan-coarse-step-tiny"),
+    pytest.param(lambda: gamma_scan(1, 1, 0, 0.1, 1.4, (0.0, 1e300), 0.01),
+                 "coarse_step 0.01 cuts", id="scan-gamma-window-huge"),
     pytest.param(lambda: gamma_scan(1, 1, 0, 0.1, 1.4, (0.1, math.inf), 0.01),
                  "gamma_range must be finite", id="scan-gamma-max-inf"),
     pytest.param(lambda: gamma_scan(1, 1, 0, 0.1, 1.4, (0.1, math.nan), 0.01),

@@ -537,6 +537,9 @@ class TestFlagValidation:
         (["scan", "--omega", "1.4", "--gamma-min", "0.5", "--gamma-max", "0.5"], "--gamma-max"),
         (["exact", "--x0", "0"], "--x0"),
         (["exact", "--x0", "0.0"], "--x0"),
+        (["scan", "--omega", "1.4", "--coarse-step", "1e-320"], "--coarse-step"),
+        (["scan", "--omega", "1.4", "--coarse-step", "1e-9"], "--coarse-step"),
+        (["scan", "--preset", "table1", "--coarse-step", "1e-9"], "--coarse-step"),
     ])
     def test_bad_value_exits_2_naming_the_flag(self, argv, flag, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -213,12 +213,12 @@ def reference_euler_maruyama(p, cfg, s0):
     for j in range(cfg.ensemble):
         noise[:, j] = path_increments(cfg, j)
     noise *= cfg.sigma
-    ts = s0.t + dt * np.arange(n + 1)
     X = np.empty((n + 1, cfg.ensemble))
     V = np.empty((n + 1, cfg.ensemble))
     X[0] = s0.x
     V[0] = s0.v
     with np.errstate(over="ignore", invalid="ignore"):
+        ts = s0.t + dt * np.arange(n + 1)  # knot times overflow at dt = 1e308
         for i in range(n):
             x = X[i]
             v = V[i]
