@@ -1,7 +1,7 @@
 """Stroboscopic Poincare maps, largest-Lyapunov-exponent estimation, the
 chaos-onset forcing scan, and bifurcation-diagram data.  Sections keep only
 the two knots around each strobe time and build no trajectory; a long
-bifurcation sweep strobes its amplitudes as one array.
+bifurcation sweep steps its amplitudes as lanes of one array.
 
 The Benettin exponent steps a reference trajectory and its companion
 through one RK4 step function, on forcing samples shared per step.  The
@@ -30,7 +30,8 @@ from types import MethodType, SimpleNamespace
 import numpy as np
 
 from .core import OscillatorParams, State, _hermite5, acceleration
-from .odeint import StepControl, _drive
+from .odeint import (StepControl, _check_lanes, _check_start, _drive, _rk4_core_lanes,
+                     _rk4_schedule)
 
 __all__ = [
     "ChaosScanRow",
@@ -47,7 +48,9 @@ _TRANSIENT_PERIODS = 100
 _MEASURE_PERIODS = 400
 _D0 = 1e-8  # the companion's start offset
 _CLUSTER_RADIUS = 1e-3  # cluster_count's: strobes this close are one cluster
-_LOCKSTEP_MIN = 24  # an array step costs ~23 float steps (34 vs 1.5 us, 2-vCPU Xeon)
+# An in-place lane step costs ~14 float steps (25 vs 1.8 us, with the
+# sweep's finiteness check and strobe sink, 2-vCPU Xeon).
+_LOCKSTEP_MIN = 14
 # A scan's lane pass of 8-42 amplitudes costs as much as 9-15 lazy exponents
 # (2-vCPU Xeon); the lazy walk reads about half a window whose onset may lie
 # anywhere in it, so the lanes pay from about 24 amplitudes.
@@ -118,7 +121,8 @@ def poincare_map(
     Continuing a single trajectory is equivalent to the restart
     construction (re-posing the i.v.p. from each period's end state) by
     uniqueness of solutions; dense output supplies the exact strobe times.
-    An array p.gamma of k amplitudes (see bifurcation_data) gives (n_points, 2, k).
+    An array p.gamma of k amplitudes (see bifurcation_data) steps them as
+    lanes, by RK4, and gives (n_points, 2, k).
     """
     if p.omega <= 0.0:
         raise ValueError("poincare_map needs omega > 0")
@@ -126,11 +130,43 @@ def poincare_map(
     ctrl = ctrl or _strobe_ctrl(p.omega)
     t_end = s0.t + (n_transient + n_points) * T
     strobes = _Strobes((s0.t + (n_transient + np.arange(1, n_points + 1)) * T).tolist())
-    # acceleration bound to p as a method, not a functools.partial: CPython
-    # calls a bound Python function inline, about 13% faster per call.
-    with np.errstate(over="ignore", invalid="ignore"):  # the step check reports overflow
-        _drive(MethodType(acceleration, p), s0, t_end, ctrl, strobes.append, {})
+    with np.errstate(over="ignore", invalid="ignore"):  # the step checks report overflow
+        if np.ndim(p.gamma):
+            _sweep(p, s0, t_end, ctrl, strobes)
+        else:
+            # acceleration bound to p as a method, not a functools.partial: CPython
+            # calls a bound Python function inline, about 13% faster per call.
+            _drive(MethodType(acceleration, p), s0, t_end, ctrl, strobes.append, {})
     return strobes.finish().reshape((n_points, 2) + np.shape(p.gamma))
+
+
+def _sweep(p, s0: State, t_end: float, ctrl: StepControl, strobes: _Strobes) -> None:
+    """poincare_map's RK4 run for an array p.gamma, on lanes of odeint's
+    in-place core-law step: each amplitude bitwise its own float run.  The
+    step overwrites its knot, which strobes would keep by reference, so the
+    knots of a step are copied to strobes only when a strobe falls in it,
+    and for the last step, which strobes.finish reads."""
+    _check_start(s0, t_end)
+    t0, dt = s0.t, ctrl.dt
+    n_full, h_last = _rk4_schedule(t0, t_end, dt, ctrl.max_steps)
+    start = np.array(np.broadcast_arrays(s0.x, s0.v, acceleration(p, t0, s0.x, s0.v)))
+    strobes.append(t0, *start)
+
+    def advance(knot, step, t, t1, due):
+        if due:
+            strobes.append(t, *knot.copy())
+        step(t)
+        _check_lanes(t1, knot[:2])
+        if due:
+            strobes.append(t1, *knot.copy())
+
+    knot, step = _rk4_core_lanes(p, start, dt)
+    for i in range(1, n_full + 1):
+        t1 = t0 + i * dt
+        due = t1 >= strobes.next or i == n_full and not h_last
+        advance(knot, step, t0 + (i - 1) * dt, t1, due)
+    if h_last:
+        advance(*_rk4_core_lanes(p, knot, h_last), t0 + n_full * dt, t_end, True)
 
 
 def _diverged(t_base: float) -> ValueError:
@@ -492,8 +528,9 @@ def bifurcation_data(
     s0: State = State(0.0, 0.0, 0.0),
 ) -> list[tuple[float, np.ndarray]]:
     """Post-transient strobe displacements for each forcing amplitude.  A sweep
-    of _LOCKSTEP_MIN or more is one poincare_map on arrays of gamma and state,
-    which the force law's *, + and - round elementwise as floats, bitwise."""
+    of _LOCKSTEP_MIN or more is one poincare_map on an array of gamma, whose
+    amplitudes step as lanes of odeint's in-place RK4 step, each bitwise its
+    own section."""
     checked = [replace(p, gamma=float(g)) for g in gamma_sweep]
     if len(checked) < _LOCKSTEP_MIN:
         return [(q.gamma, poincare_map(q, s0, n_points, n_transient)[:, 0].copy())

@@ -9,6 +9,9 @@ delay equations whose right-hand side reads the velocity at t - tau.
 
 Every run goes through one private helper that hands its knots to a sink,
 such as a :class:`HistoryBuffer`, which also answers the delayed reads.
+It steps floats.  Numpy lanes of the driven equation, a bifurcation sweep's
+amplitudes or a delayed-feedback search's cells, take an in-place copy of
+its RK4 step for the core force law, bitwise the float step per lane.
 """
 from __future__ import annotations
 
@@ -121,14 +124,20 @@ class HistoryBuffer:
                           np.array(self.accs), metadata)
 
 
-def _check_finite(t: float, x, v) -> None:
-    if isinstance(x, np.ndarray):  # lockstep states: name the first non-finite one
-        ok = np.isfinite(x) & np.isfinite(v)
-        if not ok.all():
-            i = int(np.argmin(ok))
-            raise IntegrationError(f"non-finite state at index {i} (x={x[i]}, v={v[i]}) at t={t}", t)
-    elif not (math.isfinite(x) and math.isfinite(v)):
+def _check_finite(t: float, x: float, v: float) -> None:
+    if not (math.isfinite(x) and math.isfinite(v)):
         raise IntegrationError(f"non-finite state (x={x}, v={v}) at t={t}", t)
+
+
+def _check_lanes(t: float, xv: np.ndarray, cell=None) -> None:
+    """_check_finite on the (2, N) lane states xv: name the first lane whose
+    (x, v) is not finite by its index, or by the search cell that cell(i)
+    names."""
+    if not np.isfinite(xv).all():
+        i = int(np.argmin(np.isfinite(xv).all(axis=0)))
+        state = f"(x={xv[0, i]}, v={xv[1, i]}) at t={t}"
+        raise IntegrationError(f"non-finite state at index {i} {state}" if cell is None
+                               else f"non-finite state {state} in the cell {cell(i)}", t)
 
 
 def _rk4_schedule(t0: float, t_end: float, dt: float, max_steps: int) -> tuple[int, float]:
@@ -174,6 +183,80 @@ def _rk4_step(f: Rhs, t: float, x: float, v: float, dt: float,
     x_new = x + dt / 6.0 * (v + 2.0 * (v2 + v3) + v4)
     v_new = v + dt / 6.0 * (a1 + 2.0 * (a2 + a3) + a4)
     return x_new, v_new, f(t + dt, x_new, v_new)
+
+
+def _rk4_core_lanes(p, knot: np.ndarray, h: float, mu=None):
+    """_rk4_step of core.acceleration in place on numpy lanes, element by
+    element bitwise the float step: returns a copy of the (3, N) knot (x, v,
+    acc) and a step(t, vd=None) that takes it from t to t + h.  p's
+    coefficients are floats or (N,) lane arrays.  With the lane gains mu the
+    force is pyragas.controlled_rhs's, which adds mu (vd - v), and vd holds
+    the delayed velocities at t + h/2 and t + h as two rows.
+
+    Each force takes _restoring's and acceleration's operations in their
+    order, with (a, delta) (x, v) as one stacked product, and gamma
+    cos(omega t) once per distinct time.  Stage k's (x, v, acc) is row k of
+    one (4, 3, N) buffer, so one multiply and one add advance its (x, v)
+    from the start by h (v, acc), and the weights take 6 calls (2.0 * y as
+    the exact y + y).  A step writes into buffers made here once, passed as
+    each ufunc's last positional argument, and allocates nothing.
+    """
+    n = knot.shape[1]
+
+    def lanes(*cs):
+        return np.array([np.broadcast_to(c, n) for c in cs], dtype=float)
+
+    ad, (b, c), (eps, gamma) = lanes(p.a, p.delta), lanes(p.b, p.c), lanes(p.epsilon, p.gamma)
+    gains = None if mu is None else lanes(mu)[0]
+    buf, (x2, bx, cx, fb, g_half, g_end), ad_xv, work = (
+        np.empty((4, 3, n)), np.empty((6, n)), np.empty((2, n)), np.empty((2, n)))
+    buf[0] = knot
+    ax, dv = ad_xv
+    # the step sizes as (2, N) rows: a float operand costs numpy more
+    h2, h1, h6 = (np.full((2, n), s) for s in (0.5 * h, h, h / 6.0))
+    state, (d1, d2, d3, d4) = buf[0, :2], buf[:, 1:]
+    stages = [(buf[k, 0], buf[k, 1], buf[k, :2], buf[k, 2]) for k in range(4)]
+    # stage k + 1 starts at state + hk (v, acc) of stage k
+    advances = [(d1, h2, buf[1, :2]), (d2, h2, buf[2, :2]), (d3, h1, buf[3, :2])]
+    omega, half = p.omega, 0.5 * h
+    mul, add, sub = np.multiply, np.add, np.subtract
+
+    def force(x, v, xv, acc, g, vd):
+        mul(x, x, x2)  # _restoring: (a x - (b x) x2) - ((c x) x2) x2
+        mul(b, x, bx)
+        mul(bx, x2, bx)
+        mul(c, x, cx)
+        mul(cx, x2, cx)
+        mul(cx, x2, cx)
+        mul(ad, xv, ad_xv)  # (a x, delta v)
+        sub(ax, bx, acc)
+        sub(acc, cx, acc)
+        sub(g, dv, dv)  # + eps (gamma cos(omega t) - delta v)
+        mul(eps, dv, dv)
+        add(acc, dv, acc)
+        if vd is not None:  # + mu (vd - v)
+            sub(vd, v, fb)
+            mul(gains, fb, fb)
+            add(acc, fb, acc)
+
+    def step(t: float, vd=None) -> None:
+        mul(gamma, math.cos(omega * (t + half)), g_half)
+        mul(gamma, math.cos(omega * (t + h)), g_end)
+        vd_half, vd_end = (None, None) if vd is None else vd
+        for (d, hk, nxt), stage, g, vdk in zip(advances, stages[1:], (g_half, g_half, g_end),
+                                                (vd_half, vd_half, vd_end)):
+            mul(d, hk, work)
+            add(state, work, nxt)
+            force(*stage, g, vdk)
+        add(d2, d3, work)  # the weights 1, 2, 2, 1 on the stages' (v, acc)
+        add(work, work, work)
+        add(d1, work, work)
+        add(work, d4, work)
+        mul(h6, work, work)
+        add(state, work, state)
+        force(*stages[0], g_end, vd_end)
+
+    return buf[0], step
 
 
 def _initial_dt(f: Rhs, t0: float, x: float, v: float, t_end: float, ctrl: StepControl) -> float:
@@ -249,7 +332,7 @@ def _check_start(s0: State, t_end: float) -> None:
 def _drive(f: Rhs, s0: State, t_end: float, ctrl: StepControl, sink, meta: dict,
            dt_cap: float = math.inf) -> dict:
     """Check s0 and t_end, run the engine that ctrl names with steps no longer
-    than dt_cap into sink(t, x, v, acc) (rk4: also arrays), return meta."""
+    than dt_cap into sink(t, x, v, acc), return meta."""
     _check_start(s0, t_end)
     if ctrl.method == "rk4":
         meta["dt"] = min(ctrl.dt, dt_cap)

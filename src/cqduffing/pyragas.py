@@ -13,11 +13,12 @@ The grid search advances its cells in lockstep, bitwise equal to one
 `search_cell` per cell.  Cells that share the RK4 step dt = min(T/200,
 tau) share their knot times t0 + k dt and forcing samples, so each such
 group (split into blocks that fit a ring budget) runs as arrays of lanes,
-one per cell, through `odeint._rk4_step` and `controlled_rhs`; a block
-of fewer than _LOCKSTEP_MIN lanes runs `search_cell` per cell instead.  A
-lane keeps a ring of its last 6 tau of knots, for the periodicity report
-and the delayed reads, and each delayed time is read once, from the two
-knots of its interval.  The block's one loop steps its unfinished lanes
+one per cell, through odeint's in-place RK4 lane step for the core force
+law (`odeint._rk4_core_lanes`), which adds the feedback term as
+`controlled_rhs` does; a block of fewer than _LOCKSTEP_MIN lanes runs
+`search_cell` per cell instead.  A lane keeps a ring of its last 6 tau of
+knots, for the periodicity report and the delayed reads, and each delayed
+time is read once, from the two knots of its interval.  The block's one loop steps its unfinished lanes
 and, as each end time comes, finishes the lanes that share it.
 """
 from __future__ import annotations
@@ -25,13 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 
 from .core import (OscillatorParams, State, Trajectory, _hermite5_coeffs, _hermite5_velocity,
                    acceleration)
-from .odeint import (IntegrationError, StepControl, _check_start, _rk4_schedule, _rk4_step,
+from .odeint import (StepControl, _check_lanes, _check_start, _rk4_core_lanes, _rk4_schedule,
                      integrate_delayed)
 
 __all__ = [
@@ -52,8 +52,8 @@ _RING_BUDGET = 32 << 20
 _CHUNK = 32
 # Lanes a block needs to run in lockstep; a smaller block runs search_cell
 # per cell, since numpy's cost per operation outweighs a few lanes (a block
-# of 8 lanes took as long as its 8 scalar cells).
-_LOCKSTEP_MIN = 8
+# of 6 lanes took 0.87 of the time of its 6 scalar cells, one of 5 1.12).
+_LOCKSTEP_MIN = 6
 
 
 @dataclass(frozen=True)
@@ -221,14 +221,6 @@ def _ring_knots(dt: float, tau: float, n_end: int) -> int:
     return min(int(6.0 * tau / dt) + 8, n_end + 1)
 
 
-def _check_lanes(t: float, x, v, mu, tau) -> None:
-    ok = np.isfinite(x) & np.isfinite(v)
-    if not ok.all():
-        j = int(np.argmin(ok))
-        raise IntegrationError(f"non-finite state (x={x[j]}, v={v[j]}) at t={t} "
-                               f"in the cell mu={mu[j]}, tau={tau[j]}", t)
-
-
 def _run_lanes(job) -> list[tuple[int, tuple[float, float, float, bool]]]:
     """One lane block of the search in lockstep (per cell below
     _LOCKSTEP_MIN lanes): each cell of search_cell, bitwise, with its grid
@@ -244,7 +236,11 @@ def _run_lanes(job) -> list[tuple[int, tuple[float, float, float, bool]]]:
     evaluated together, before its steps.  A read finds its interval by
     arithmetic on the knot times, corrected by one compare to the interval
     that HistoryBuffer's bisect_right picks, and sets up the interval's
-    quintic from its two knots.
+    quintic from its two knots.  Each step is one call of
+    odeint._rk4_core_lanes's step, which adds mu (vd - v) with the chunk's
+    delayed velocities, two rows per step, and its knot goes into the ring
+    in one assignment.  A group's final short step is a step made for its
+    lanes, and the lanes left continue on a step made for them.
     """
     p, s0, dt, lanes = job
     if len(lanes) < _LOCKSTEP_MIN:
@@ -253,9 +249,6 @@ def _run_lanes(job) -> list[tuple[int, tuple[float, float, float, bool]]]:
     index, mus, taus, t_ends, n_fulls, h_lasts = zip(*lanes)
     n_lanes = len(lanes)
     mu, tau = np.array(mus), np.array(taus)
-    # The force coefficients as lane arrays: numpy multiplies two arrays
-    # about twice as fast as a float and an array, with the same rounding.
-    force = {k: np.full(n_lanes, getattr(p, k)) for k in ("a", "b", "c", "delta", "epsilon")}
     t0 = s0.t
     history = _history_fn(ControllerConfig(mu=mus[0], tau=taus[0]), s0)
     n_knots = _ring_knots(dt, taus[-1], n_fulls[-1])
@@ -263,9 +256,9 @@ def _run_lanes(job) -> list[tuple[int, tuple[float, float, float, bool]]]:
     lane = np.arange(n_lanes)
     n = 0  # the newest knot
 
-    def rhs(a: int, b: int, times):
-        """The controlled right-hand side of lanes [a, b) at the given times,
-        whose delayed velocities are read once each, from the knots up to n."""
+    def delayed(a: int, b: int, times) -> np.ndarray:
+        """The delayed velocities of lanes [a, b) at the given times, one row
+        per time, read once each, from the knots up to n."""
         times = np.asarray(times)
         td = times[:, None] - tau[a:b]
         t_n, hi = t0 + n * dt, td.max()
@@ -288,17 +281,18 @@ def _run_lanes(job) -> list[tuple[int, tuple[float, float, float, bool]]]:
             vd = np.where(td >= t_n, knots[1, n % n_knots, a:b], vd)
         if td.min() <= t0:
             vd = np.where(td > t0, vd, history(td))
-        delayed = dict(zip(times.tolist(), vd))
-        q = SimpleNamespace(**{**vars(p), **{k: c[a:b] for k, c in force.items()}})
-        mu_ab = mu[a:b]
-        return lambda t, x, v: controlled_rhs(q, mu_ab, t, x, v, delayed[t])
+        return vd
+
+    def cell(a: int):
+        """Names lane j of a step of lanes [a, ...) for _check_lanes."""
+        return lambda j: f"mu={mu[a + j]}, tau={tau[a + j]}"
 
     done = []
-    x, v = np.full(n_lanes, s0.x), np.full(n_lanes, s0.v)
     a = 0  # lanes [0, a) are finished
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        acc = rhs(0, n_lanes, [t0])(t0, x, v)
-        knots[:, 0] = x, v, acc
+        x, v = np.full(n_lanes, s0.x), np.full(n_lanes, s0.v)
+        knots[:, 0] = x, v, controlled_rhs(p, mu, t0, x, v, delayed(0, n_lanes, [t0])[0])
+        knot, step = _rk4_core_lanes(p, knots[:, 0], dt, mu)
         while a < n_lanes:
             if n_fulls[a] == n:  # lanes [a, c) end at t1: their final short step and reports
                 c = next((j for j in range(a, n_lanes) if t_ends[j] != t_ends[a]), n_lanes)
@@ -307,35 +301,31 @@ def _run_lanes(job) -> list[tuple[int, tuple[float, float, float, bool]]]:
                 ts, rows = t0 + ks * dt, ks % n_knots  # the ring window, oldest knot first
                 if h:
                     t_n = t0 + n * dt
-                    last = _rk4_step(rhs(a, c, [t_n + 0.5 * h, t_n + h]), t_n,
-                                     x[:c - a], v[:c - a], h, acc[:c - a])
-                    _check_lanes(t1, *last[:2], mu[a:c], tau[a:c])
+                    last, step_last = _rk4_core_lanes(p, knot[:, :c - a], h, mu[a:c])
+                    step_last(t_n, delayed(a, c, [t_n + 0.5 * h, t_n + h]))
+                    _check_lanes(t1, last[:2], cell(a))
                     ts = np.append(ts, t1)
                 for j in range(a, c):
                     win = knots[:, rows, j]
                     if h:
-                        win = np.column_stack([win, [z[j - a] for z in last]])
+                        win = np.column_stack([win, last[:, j - a]])
                     rep = _periodicity_report(Trajectory(ts, *win), t0, taus[j], history)
                     done.append((index[j], (mus[j], taus[j], rep.controller_norm, rep.is_periodic)))
-                x, v, acc = x[c - a:], v[c - a:], acc[c - a:]
+                knot, step = _rk4_core_lanes(p, knot[:, c - a:], dt, mu[c:])
                 a = c
                 continue
             m = min(max(1, int(taus[a] / dt) - 1), _CHUNK, n_fulls[a] - n)
             kt = t0 + np.arange(n, n + m + 1) * dt
             if not (kt[1:] > kt[:-1]).all():
                 raise ValueError("history knots must advance in time")
-            f = rhs(a, n_lanes, np.column_stack([kt[:-1] + 0.5 * dt, kt[:-1] + dt]).ravel())
-            for i in range(n + 1, n + m + 1):
-                x, v, acc = _rk4_step(f, t0 + (i - 1) * dt, x, v, dt, acc)
-                row = i % n_knots
-                knots[0, row, a:] = x
-                knots[1, row, a:] = v
-                knots[2, row, a:] = acc
-            if not (np.isfinite(x).all() and np.isfinite(v).all()):
+            vd = delayed(a, n_lanes, np.column_stack([kt[:-1] + 0.5 * dt, kt[:-1] + dt]).ravel())
+            for i, vd_i in zip(range(n + 1, n + m + 1), vd.reshape(m, 2, -1)):
+                step(t0 + (i - 1) * dt, vd_i)
+                knots[:, i % n_knots, a:] = knot
+            if not np.isfinite(knot[:2]).all():
                 # a state that is not finite stays so: find where it first was
                 for i in range(n + 1, n + m + 1):
-                    row = i % n_knots
-                    _check_lanes(t0 + i * dt, knots[0, row, a:], knots[1, row, a:], mu[a:], tau[a:])
+                    _check_lanes(t0 + i * dt, knots[:2, i % n_knots, a:], cell(a))
             n += m
     return done
 

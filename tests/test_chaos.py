@@ -568,19 +568,25 @@ class TestLockstepSweep:
     a tail or lands on."""
 
     @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(omega=st.floats(0.5, 2.5), c=st.sampled_from([0.0, 0.2]),
+    @given(omega=st.floats(0.5, 2.5), a=st.one_of(st.just(1.0), st.floats(-1.0, 1.5)),
+           b=st.one_of(st.just(1.0), st.floats(0.5, 1.5)), c=st.sampled_from([0.0, 0.2]),
+           delta=st.one_of(st.just(0.1), st.floats(0.0, 0.3)),
+           epsilon=st.one_of(st.just(1.0), st.floats(0.5, 1.5)),
            gammas=st.lists(st.floats(0.0, 0.5), min_size=1, max_size=7),
            t0=st.one_of(st.just(0.0), st.floats(-10.0, 10.0)),
            x0=st.floats(-1.0, 1.0), v0=st.floats(-1.0, 1.0),
            n_points=st.integers(1, 5), n_transient=st.integers(0, 2),
            steps=st.one_of(st.just(200.0), st.floats(20.0, 300.0)))
-    @example(omega=1.4, c=0.0, gammas=[0.3, 0.35], t0=0.0, x0=0.0, v0=0.0, n_points=5,
-             n_transient=2, steps=200.0)  # strobes on knots
-    @example(omega=1.4, c=0.2, gammas=[0.35], t0=0.0, x0=0.1, v0=0.0, n_points=3,
-             n_transient=1, steps=37.3)  # a short tail step ends the run
-    def test_sweep_equals_per_gamma_sections_and_reference(self, omega, c, gammas, t0, x0, v0,
-                                                           n_points, n_transient, steps):
-        p = OscillatorParams(1.0, 1.0, c, delta=0.1, gamma=0.0, omega=omega, epsilon=1.0)
+    @example(omega=1.4, a=1.0, b=1.0, c=0.0, delta=0.1, epsilon=1.0, gammas=[0.3, 0.35], t0=0.0,
+             x0=0.0, v0=0.0, n_points=5, n_transient=2, steps=200.0)  # strobes on knots
+    @example(omega=1.4, a=1.0, b=1.0, c=0.2, delta=0.1, epsilon=1.0, gammas=[0.35], t0=0.0,
+             x0=0.1, v0=0.0, n_points=3, n_transient=1, steps=37.3)  # a short tail step ends the run
+    @example(omega=1.2, a=-0.5, b=1.3, c=0.2, delta=0.0, epsilon=0.7, gammas=[0.5, 0.1, 0.25],
+             t0=-3.0, x0=0.6, v0=-0.4, n_points=4, n_transient=1, steps=55.5)  # no well, no damping
+    def test_sweep_equals_per_gamma_sections_and_reference(self, omega, a, b, c, delta, epsilon,
+                                                           gammas, t0, x0, v0, n_points,
+                                                           n_transient, steps):
+        p = OscillatorParams(a, b, c, delta=delta, gamma=0.0, omega=omega, epsilon=epsilon)
         s0 = State(t0, x0, v0)
         ctrl = StepControl(dt=2 * math.pi / omega / steps, method="rk4")
         with mock.patch.object(chaos, "_LOCKSTEP_MIN", 1):

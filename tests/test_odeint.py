@@ -1,11 +1,16 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cqduffing import IntegrationError, OscillatorParams, State, StepControl, integrate, integrate_delayed
 from cqduffing.core import acceleration, energy
-from cqduffing.odeint import HistoryBuffer, _check_finite, _drive
+from cqduffing.odeint import (HistoryBuffer, _check_finite, _check_lanes, _drive, _rk4_core_lanes,
+                              _rk4_step)
+from cqduffing.pyragas import controlled_rhs
 
 
 def harmonic(t, x, v):
@@ -81,11 +86,80 @@ class TestFiniteCheck:
             _check_finite(1.5, math.inf, 0.0)
         assert err.value.t == 1.5
 
-    def test_array_state_names_first_bad_index(self):
-        _check_finite(2.0, np.zeros(3), np.ones(3))
+    def test_lane_state_names_first_bad_index(self):
+        # the lanes' (2, N) states, x above v: by index, or by the search cell
+        _check_lanes(2.0, np.array([np.zeros(3), np.ones(3)]))
         with pytest.raises(IntegrationError, match=r"at index 2 \(x=nan, v=0.0\) at t=2.0") as err:
-            _check_finite(2.0, np.array([0.0, 1.0, np.nan, 3.0]), np.array([0.0, 0.0, 0.0, np.inf]))
+            _check_lanes(2.0, np.array([[0.0, 1.0, np.nan, 3.0], [0.0, 0.0, 0.0, np.inf]]))
         assert err.value.t == 2.0
+        with pytest.raises(IntegrationError, match=r"^non-finite state \(x=3.0, v=inf\) at t=2.5 "
+                                                   r"in the cell mu=1.5, tau=4.0$") as err:
+            _check_lanes(2.5, np.array([[0.0, 3.0], [0.0, np.inf]]),
+                         lambda j: f"mu={[1.0, 1.5][j]}, tau=4.0")
+        assert err.value.t == 2.5
+
+
+class TestCoreLanes:
+    """_rk4_core_lanes steps every lane bitwise as _rk4_step steps its floats
+    with core.acceleration, or with pyragas.controlled_rhs when the lanes
+    carry gains mu and delayed velocities: full steps of dt, then perhaps a
+    short final step, from starts that may overflow."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(coeffs=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-1.0, 1.0),
+                            st.floats(0.0, 0.5), st.floats(0.0, 2.0)),
+           omega=st.one_of(st.just(0.0), st.floats(0.1, 3.0)),
+           lanes=st.lists(st.tuples(st.floats(0.0, 0.6),
+                                    st.one_of(st.floats(-2.0, 2.0), st.sampled_from([1e60, -1e200])),
+                                    st.floats(-2.0, 2.0)), min_size=1, max_size=6),
+           feedback=st.booleans(), t=st.floats(-10.0, 10.0), dt=st.floats(1e-3, 0.2),
+           n_steps=st.integers(1, 4), short=st.one_of(st.just(0.0), st.floats(0.01, 0.99)),
+           data=st.data())
+    @example(coeffs=(1.0, 1.0, 0.2, 0.1, 1.0), omega=1.4,
+             lanes=[(0.3, 0.0, 0.0), (0.35, 1e60, 0.0), (0.4, 0.5, -0.5)], feedback=True, t=0.0,
+             dt=0.02244, n_steps=3, short=0.5, data=None)  # one lane overflows
+    @example(coeffs=(-1.0, -2.5, 1.0, 0.0, 0.5), omega=0.0, lanes=[(0.0, 0.7, 0.1)],
+             feedback=False, t=3.0, dt=0.1, n_steps=2, short=0.0, data=None)  # unforced kink
+    def test_each_lane_equals_the_float_step_bitwise(self, coeffs, omega, lanes, feedback, t, dt,
+                                                     n_steps, short, data):
+        a, b, c, delta, eps = coeffs
+        gammas, xs, vs = map(list, zip(*lanes))
+        n = len(lanes)
+        hs = [dt] * n_steps + ([short * dt] if short else [])
+        rng = np.random.default_rng(n_steps)  # the explicit examples' gains and delays
+        if not feedback:
+            mu, vds = None, [None] * len(hs)
+        elif data is None:
+            mu, vds = rng.uniform(0.0, 3.0, n), list(rng.uniform(-2.0, 2.0, (len(hs), 2, n)))
+        else:
+            floats = st.lists(st.floats(-2.0, 3.0), min_size=n, max_size=n)
+            mu = np.array(data.draw(floats))
+            vds = [np.array([data.draw(floats), data.draw(floats)]) for _ in hs]
+        floats_p = [SimpleNamespace(a=a, b=b, c=c, delta=delta, epsilon=eps, gamma=g, omega=omega)
+                    for g in gammas]
+        acc0 = [acceleration(q, t, x, v) for q, x, v in zip(floats_p, xs, vs)]
+        p = SimpleNamespace(a=a, b=b, c=c, delta=delta, epsilon=eps, gamma=np.array(gammas),
+                            omega=omega)
+        with np.errstate(over="ignore", invalid="ignore"):
+            knot, step = _rk4_core_lanes(p, np.array([xs, vs, acc0]), dt, mu)
+            for i in range(n_steps):
+                step(t + i * dt, vds[i])
+            if short:
+                knot, step = _rk4_core_lanes(p, knot, hs[-1], mu)
+                step(t + n_steps * dt, vds[-1])
+        for j, q in enumerate(floats_p):
+            x, v, acc = xs[j], vs[j], acc0[j]
+            for i, h in enumerate(hs):
+                t_i = t + i * dt
+                if feedback:  # the delayed velocity by time, as the search reads it
+                    vd = {t_i + 0.5 * h: float(vds[i][0, j]), t_i + h: float(vds[i][1, j])}
+                    m = float(mu[j])
+                    x, v, acc = _rk4_step(lambda s, x, v: controlled_rhs(q, m, s, x, v, vd[s]),
+                                          t_i, x, v, h, acc)
+                else:
+                    x, v, acc = _rk4_step(lambda s, x, v: acceleration(q, s, x, v),
+                                          t_i, x, v, h, acc)
+            assert [float(z).hex() for z in knot[:, j]] == [z.hex() for z in (x, v, acc)]
 
 
 class TestDelayed:
