@@ -313,9 +313,8 @@ def cmd_sde(cfg: dict, out_path) -> dict:
     s0 = _start(cfg)
     saved, truncated, st = sde.run_ensemble(_params(cfg), scfg, s0, cfg["save_paths"])
     out = out_path("sde_paths.csv")
-    rows = []
-    for j, tr in enumerate(saved):
-        rows.extend((j, float(t), float(x), float(v)) for t, x, v in zip(tr.t, tr.x, tr.v))
+    rows = ((j, *txv) for j, tr in enumerate(saved)
+            for txv in zip(tr.t.tolist(), tr.x.tolist(), tr.v.tolist()))
     _write_csv(out, "sde", cfg, ["path", "t", "x", "v"], rows)
     payload: dict = {"paths_csv": out, "truncated": truncated}
     if st is not None:

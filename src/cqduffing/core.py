@@ -196,7 +196,7 @@ class Equilibrium:
 def _restoring(p: OscillatorParams, x):
     """Conservative force a x - b x^3 - c x^5 for float or array x.  Keep the
     order of operations: Poincare sections, bifurcation data and the
-    Euler-Maruyama paths of `sde._em_pass` depend on its rounding."""
+    Euler-Maruyama paths of `sde._em_step` depend on its rounding."""
     x2 = x * x
     return p.a * x - p.b * x * x2 - p.c * x * x2 * x2
 

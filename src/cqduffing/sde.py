@@ -16,15 +16,18 @@ paths as serial.
 
 One pass steps the ensemble in blocks of `_BLOCK` paths and, within a
 block, in chunks of `_CHUNK` steps.  For each chunk it draws every path's
-next `_CHUNK` increments from the path's own stream, then advances
-time-major (step, path) buffers of x, v and scaled increments, so each
-step reads and writes contiguous rows.  The pass holds four such buffers,
-about 4 * 8 bytes * (`_CHUNK` + 1) * `_BLOCK` (4 MB), whatever the
-ensemble size and the horizon.  The loop does not track divergence: after
-each chunk, a path is cut before its first row where x or v is not
-finite.  The pass keeps each path's cut index and last finite state, and
-the full rows only of the paths asked for: `euler_maruyama` keeps every
-path, `run_ensemble` only those it returns.
+next `_CHUNK` increments from the path's own stream and scales them into a
+time-major (step, path) buffer, so each step reads one contiguous row.  A
+block's state is one (x, v) pair of rows, which each step updates in
+place.  The pass holds two buffers of draws and increments, about 2 * 8
+bytes * `_CHUNK` * `_BLOCK` (4 MB), whatever the ensemble size and the
+horizon.  The loop does not track divergence.  Under the Euler-Maruyama
+update with dt > 0 a non-finite x or v stays non-finite, so each chunk
+tests its paths once, at its end, and replays only those that failed in
+it, from the chunk's start state, to find the row before which each is
+cut.  The pass keeps each path's cut index and last finite state, and the
+full rows only of the paths asked for: `euler_maruyama` keeps every path,
+`run_ensemble` only those it returns.
 """
 from __future__ import annotations
 
@@ -41,7 +44,7 @@ __all__ = ["SdeConfig", "EnsembleStats", "euler_maruyama", "run_ensemble", "ense
 _RNG_NAME = "philox-4x64"
 # Paths per block and steps per chunk of the pass (see the module docstring).
 _BLOCK = 1024
-_CHUNK = 128
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -55,12 +58,12 @@ class SdeConfig:
     ensemble: int = 1
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
         if self.ensemble < 1:
             raise ValueError(f"ensemble must be >= 1, got {self.ensemble}")
 
@@ -80,68 +83,84 @@ def _cos(wt: float) -> float:
     return math.cos(wt) if math.isfinite(wt) else math.nan
 
 
+def _draw(rngs, draws: np.ndarray, noise: np.ndarray, dt: float, sigma: float) -> None:
+    """Fill noise, (m, w), with the next m increments sigma dW of each of
+    the w paths' streams, drawn row by row into draws, (w, m), by the
+    operations of sigma * path_increments: (0.0 + sqrt(dt) z) sigma."""
+    for rng, row in zip(rngs, draws):
+        rng.standard_normal(out=row)
+    np.multiply(draws.T, math.sqrt(dt), noise)
+    np.add(noise, 0.0, noise)  # Generator.normal's loc
+    np.multiply(noise, sigma, noise)
+
+
+def _em_step(p: OscillatorParams, q: float, dt: float, x: np.ndarray, v: np.ndarray,
+             drive: float, dw: np.ndarray) -> None:
+    """One Euler-Maruyama step of the rows x, v in place: x + v dt and
+    (v + f dt) + dw, with f = _restoring(p, x) - q v + drive."""
+    f = _restoring(p, x) - q * v + drive
+    x += v * dt
+    v += f * dt
+    v += dw
+
+
 def _em_pass(p: OscillatorParams, cfg: SdeConfig, s0: State, keep: int):
     """Step every path of the ensemble from s0; keep the rows of the first
     `keep` paths.
 
     Returns the knot times, each path's cut index (its first row where x
-    or v is not finite, n_steps + 1 if none), each path's last finite x
-    and v, and the (n_steps + 1, keep) x and v rows of the kept paths.
+    or v is not finite, n_steps + 1 if none), each path's last finite
+    (x, v) as a (2, ensemble) array, and the (n_steps + 1, 2, keep) (x, v)
+    rows of the kept paths.
     """
     if not s0.is_finite():
         raise ValueError(f"non-finite initial state {s0}")
     n, dt = cfg.n_steps, cfg.dt
     q = p.epsilon * p.gamma
-    scale = math.sqrt(dt)
     cut = np.full(cfg.ensemble, n + 1)
-    last_x = np.empty(cfg.ensemble)
-    last_v = np.empty(cfg.ensemble)
-    keep_x = np.empty((n + 1, keep))
-    keep_v = np.empty((n + 1, keep))
-    keep_x[0] = s0.x
-    keep_v[0] = s0.v
+    last = np.empty((2, cfg.ensemble))
+    kept = np.empty((n + 1, 2, keep))
+    kept[0, 0], kept[0, 1] = s0.x, s0.v
     width, depth = min(_BLOCK, cfg.ensemble), min(_CHUNK, n)
-    X = np.empty((depth + 1, width))
-    V = np.empty((depth + 1, width))
     noise = np.empty((depth, width))
     draws = np.empty((width, depth))  # path by path, as each stream is drawn
     with np.errstate(over="ignore", invalid="ignore"):
         ts = s0.t + dt * np.arange(n + 1)
         for b0 in range(0, cfg.ensemble, width):
             w = min(width, cfg.ensemble - b0)
+            k = max(0, min(w, keep - b0))
             rngs = [_rng_for_path(cfg.seed, j) for j in range(b0, b0 + w)]
-            cols = np.arange(w)
-            Xb, Vb, Nb = X[:, :w], V[:, :w], noise[:, :w]
-            Xb[0] = s0.x
-            Vb[0] = s0.v
+            xv = np.empty((2, w))
+            xv[0], xv[1] = s0.x, s0.v
+            x, v = xv
             for c0 in range(0, n, depth):
                 m = min(depth, n - c0)
-                for jj, rng in enumerate(rngs):
-                    draws[jj, :m] = rng.normal(0.0, scale, m)
-                np.multiply(draws[:w, :m].T, cfg.sigma, out=Nb[:m])
-                for i in range(m):
-                    x, v = Xb[i], Vb[i]
-                    Xb[i + 1] = x + v * dt
-                    f = _restoring(p, x) - q * v + q * _cos(p.omega * ts[c0 + i])
-                    Vb[i + 1] = v + f * dt + Nb[i]
-                bad = ~(np.isfinite(Xb[1:m + 1]) & np.isfinite(Vb[1:m + 1]))
-                first = bad.argmax(axis=0)
-                alive = cut[b0:b0 + w] > n
-                hit = alive & bad[first, cols]
-                cut[b0:b0 + w][hit] = c0 + 1 + first[hit]
-                row = np.where(hit, first, m)
-                last_x[b0:b0 + w][alive] = Xb[row, cols][alive]
-                last_v[b0:b0 + w][alive] = Vb[row, cols][alive]
-                if b0 < keep:
-                    k = min(w, keep - b0)
-                    keep_x[c0 + 1:c0 + m + 1, b0:b0 + k] = Xb[1:m + 1, :k]
-                    keep_v[c0 + 1:c0 + m + 1, b0:b0 + k] = Vb[1:m + 1, :k]
-                Xb[0] = Xb[m]
-                Vb[0] = Vb[m]
-    return ts, cut, last_x, last_v, keep_x, keep_v
+                dws = noise[:m, :w]
+                _draw(rngs, draws[:w, :m], dws, dt, cfg.sigma)
+                start = xv.copy()
+                drives = [q * _cos(p.omega * t) for t in ts[c0:c0 + m].tolist()]
+                for i, (drive, dw) in enumerate(zip(drives, dws), c0 + 1):
+                    _em_step(p, q, dt, x, v, drive, dw)
+                    if k:
+                        kept[i, :, b0:b0 + k] = xv[:, :k]
+                # a non-finite x or v stays so: replay the paths that are
+                # finite at the chunk's start and not at its end
+                failed = np.flatnonzero(~np.isfinite(xv).all(axis=0) & (cut[b0:b0 + w] > n))
+                if failed.size:
+                    rxv = start[:, failed]
+                    replay = np.empty((m + 1, 2, failed.size))
+                    replay[0] = rxv
+                    for drive, dw, row in zip(drives, dws[:, failed], replay[1:]):
+                        _em_step(p, q, dt, *rxv, drive, dw)
+                        row[...] = rxv
+                    first = (~np.isfinite(replay).all(axis=1)).argmax(axis=0)
+                    cut[b0 + failed] = c0 + first
+                    last[:, b0 + failed] = replay[first - 1, :, np.arange(failed.size)].T
+            np.copyto(last[:, b0:b0 + w], xv, where=cut[b0:b0 + w] > n)
+    return ts, cut, last, kept
 
 
-def _trajectories(cfg: SdeConfig, ts, cut, X, V) -> list[Trajectory]:
+def _trajectories(cfg: SdeConfig, ts, cut, kept) -> list[Trajectory]:
     """The kept paths, each before its cut index."""
     meta = {
         "integrator": "euler-maruyama",
@@ -150,9 +169,9 @@ def _trajectories(cfg: SdeConfig, ts, cut, X, V) -> list[Trajectory]:
         "sigma": cfg.sigma,
         "dt": cfg.dt,
     }
-    return [Trajectory(ts[:k], X[:k, j], V[:k, j], None,
+    return [Trajectory(ts[:k], kept[:k, 0, j], kept[:k, 1, j], None,
                        dict(meta, path_index=j, truncated=bool(k <= cfg.n_steps)))
-            for j, k in enumerate(cut[:X.shape[1]])]
+            for j, k in enumerate(cut[:kept.shape[2]])]
 
 
 def euler_maruyama(p: OscillatorParams, cfg: SdeConfig, s0: State) -> list[Trajectory]:
@@ -161,8 +180,8 @@ def euler_maruyama(p: OscillatorParams, cfg: SdeConfig, s0: State) -> list[Traje
     A path that leaves the finite range is truncated before its first
     non-finite state and flagged in metadata ("truncated": True).
     """
-    ts, cut, _, _, X, V = _em_pass(p, cfg, s0, cfg.ensemble)
-    return _trajectories(cfg, ts, cut, X, V)
+    ts, cut, _, kept = _em_pass(p, cfg, s0, cfg.ensemble)
+    return _trajectories(cfg, ts, cut, kept)
 
 
 @dataclass(frozen=True)
@@ -206,7 +225,7 @@ def run_ensemble(p: OscillatorParams, cfg: SdeConfig, s0: State,
 
     Raises the errors of `euler_maruyama` and then `ensemble_stats`.
     """
-    ts, cut, last_x, last_v, X, V = _em_pass(p, cfg, s0, min(save_paths, cfg.ensemble))
+    ts, cut, last, kept = _em_pass(p, cfg, s0, min(save_paths, cfg.ensemble))
     # Every path's Trajectory checks its knot times; the longest path's
     # times fail those checks whenever any path's do, with the same error.
     k = int(cut.max())
@@ -216,8 +235,8 @@ def run_ensemble(p: OscillatorParams, cfg: SdeConfig, s0: State,
         t = s0.t + cfg.n_steps * cfg.dt
         # a path's last finite knot is its knot nearest to the horizon
         _check_coverage(t, np.full(cfg.ensemble, ts[0]), ts[cut - 1])
-        stats = _moments(t, last_x, last_v)
-    return _trajectories(cfg, ts, cut, X, V), int((cut <= cfg.n_steps).sum()), stats
+        stats = _moments(t, *last)
+    return _trajectories(cfg, ts, cut, kept), int((cut <= cfg.n_steps).sum()), stats
 
 
 def ensemble_stats(paths: list[Trajectory], t: float) -> EnsembleStats:

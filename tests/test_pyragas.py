@@ -193,26 +193,34 @@ class TestLockstepSearch:
     @given(forced=st.booleans(), delays=st.sampled_from(["chaos", "period", "short"]),
            n_mu=st.integers(1, 3), n_tau=st.integers(1, 3), mu_lo=st.floats(0.0, 3.0),
            spread=st.floats(0.0, 0.05), before=st.floats(0.5, 8.0), x0=st.floats(-1.0, 1.0),
-           v0=st.floats(-1.0, 1.0),
+           v0=st.floats(-1.0, 1.0), a=st.one_of(st.just(1.0), st.floats(-1.0, 1.5)),
+           b=st.one_of(st.just(1.0), st.floats(0.5, 1.5)),
+           delta=st.one_of(st.just(0.1), st.floats(0.0, 0.3)),
+           epsilon=st.one_of(st.just(1.0), st.floats(0.5, 1.5)),
            budget=st.sampled_from([1, 120_000, 32 << 20]))
     @example(forced=True, delays="short", n_mu=2, n_tau=2, mu_lo=1.0, spread=0.05,
-             before=5.0, x0=0.2, v0=0.1, budget=32 << 20)
+             before=5.0, x0=0.2, v0=0.1, a=1.0, b=1.0, delta=0.1, epsilon=1.0,
+             budget=32 << 20)
     @example(forced=True, delays="chaos", n_mu=1, n_tau=2, mu_lo=1.0, spread=0.05,
-             before=0.01, x0=0.5, v0=0.0, budget=32 << 20)  # tau = 3.73093: no full step
+             before=0.01, x0=0.5, v0=0.0, a=1.0, b=1.0, delta=0.1, epsilon=1.0,
+             budget=32 << 20)  # tau = 3.73093: no full step
     @example(forced=True, delays="period", n_mu=2, n_tau=1, mu_lo=2.25311, spread=0.0,
-             before=8.0, x0=0.0, v0=-0.3, budget=1)
+             before=8.0, x0=0.0, v0=-0.3, a=1.0, b=1.0, delta=0.1, epsilon=1.0, budget=1)
     @example(forced=False, delays="chaos", n_mu=2, n_tau=3, mu_lo=0.5, spread=0.05,
-             before=8.0, x0=0.3, v0=0.2, budget=120_000)
+             before=8.0, x0=0.3, v0=0.2, a=1.0, b=1.0, delta=0.1, epsilon=1.0, budget=120_000)
     @example(forced=True, delays="chaos", n_mu=3, n_tau=3, mu_lo=0.5, spread=0.05,
-             before=T_FORCING / 2, x0=0.0, v0=0.0, budget=1)  # tau = 3.73093: no short step,
+             before=T_FORCING / 2, x0=0.0, v0=0.0, a=1.0, b=1.0, delta=0.1, epsilon=1.0,
+             budget=1)  # tau = 3.73093: no short step,
     # and the report windows reach back before s0.t
     @example(forced=True, delays="chaos", n_mu=2, n_tau=3, mu_lo=1.0, spread=1e-4,
-             before=5.0, x0=0.1, v0=0.0, budget=32 << 20)  # three end times after the same
+             before=5.0, x0=0.1, v0=0.0, a=1.0, b=1.0, delta=0.1, epsilon=1.0,
+             budget=32 << 20)  # three end times after the same
     # 222 full steps: three short final steps in one block
     def test_equals_search_cell_per_cell_bitwise(self, forced, delays, n_mu, n_tau, mu_lo,
-                                                  spread, before, x0, v0, budget):
-        p = OscillatorParams(1, 1, 0.2, delta=0.1, gamma=0.35 if forced else 0.0,
-                             omega=1.4 if forced else 0.0, epsilon=1.0)
+                                                  spread, before, x0, v0, a, b, delta, epsilon,
+                                                  budget):
+        p = OscillatorParams(a, b, 0.2, delta=delta, gamma=0.35 if forced else 0.0,
+                             omega=1.4 if forced else 0.0, epsilon=epsilon)
         if not forced:  # T = tau: every delay is a period and above T/200
             delays = "chaos"
         tau_lo = {"chaos": 3.73093, "period": T_FORCING, "short": 0.012}[delays]

@@ -286,8 +286,18 @@ class TestStreamingPass:
              t0=0.0, dt=0.05, seed=0, block=40, chunk=250)
     @example(ensemble=1, n_steps=300, save="1", c=-0.02, x0=2.0, sigma=2.0, gamma=0.2,
              t0=0.0, dt=0.05, seed=0, block=1, chunk=64)  # path 0 is cut at row 256
+    @example(ensemble=33, n_steps=300, save="0", c=-0.02, x0=2.0, sigma=2.0, gamma=0.2,
+             t0=0.0, dt=0.05, seed=0, block=11, chunk=64)  # path 32 is cut at row 257 = 4 * 64 + 1
+    @example(ensemble=14, n_steps=300, save="1", c=-0.02, x0=2.0, sigma=2.0, gamma=0.2,
+             t0=0.0, dt=0.05, seed=0, block=14, chunk=64)  # kept path 0 at row 256, path 13 at 249
+    @example(ensemble=8, n_steps=300, save="all", c=-0.02, x0=2.0, sigma=2.0, gamma=0.2,
+             t0=0.0, dt=0.05, seed=0, block=2, chunk=64)  # the block of paths 6, 7: rows 231, 222
+    @example(ensemble=1, n_steps=256, save="1", c=-0.02, x0=2.0, sigma=2.0, gamma=0.2,
+             t0=0.0, dt=0.05, seed=0, block=1, chunk=255)  # cut at row 256, the last chunk's one row
     @example(ensemble=5, n_steps=20, save="1", c=-0.02, x0=1e62, sigma=1.0, gamma=0.0, t0=0.0,
              dt=1e-14, seed=0, block=3, chunk=7)  # x**5 overflows: every path is cut at row 1
+    @example(ensemble=3, n_steps=2, save="0", c=0.2, x0=1e62, sigma=1.0, gamma=0.0, t0=1.5,
+             dt=4e-16, seed=0, block=2, chunk=7)  # cut at row 1, yet within 4 ulps of the horizon
     @example(ensemble=2, n_steps=3, save="0", c=0.2, x0=0.0, sigma=0.0, gamma=0.0, t0=0.0,
              dt=1e308, seed=0, block=1, chunk=7)  # the knot time 2e308 overflows to inf
     @example(ensemble=1, n_steps=20, save="0", c=0.2, x0=2.0, sigma=0.5, gamma=0.2, t0=1e20,
@@ -335,14 +345,26 @@ class TestStreamingPass:
 
     @pytest.mark.parametrize("sizes", [[1] * 9, [128, 128, 44], [5, 64, 231], [300]])
     def test_chunked_draws_equal_one_draw_bitwise(self, sizes):
-        cfg = SdeConfig(dt=0.01, n_steps=sum(sizes), seed=6, sigma=1.0, ensemble=3)
-        rng = sde._rng_for_path(cfg.seed, 2)
-        chunks = [rng.normal(0.0, math.sqrt(cfg.dt), m) for m in sizes]
-        assert np.concatenate(chunks).tobytes() == path_increments(cfg, 2).tobytes()
+        for dt, sigma in [(0.01, 1.0), (0.01, 0.0), (1e-300, 2.5)]:
+            cfg = SdeConfig(dt=dt, n_steps=sum(sizes), seed=6, sigma=sigma, ensemble=3)
+            rng = sde._rng_for_path(cfg.seed, 2)
+            chunks = [rng.normal(0.0, math.sqrt(cfg.dt), m) for m in sizes]
+            assert np.concatenate(chunks).tobytes() == path_increments(cfg, 2).tobytes()
+            # the pass's own form: every path's chunk through one draw buffer
+            rngs = [sde._rng_for_path(cfg.seed, j) for j in range(cfg.ensemble)]
+            draws = np.empty((cfg.ensemble, max(sizes)))
+            noise = np.empty((max(sizes), cfg.ensemble))
+            chunks = []
+            for m in sizes:
+                sde._draw(rngs, draws[:, :m], noise[:m], cfg.dt, cfg.sigma)
+                chunks.append(noise[:m].copy())
+            got = np.concatenate(chunks)
+            for j in range(cfg.ensemble):
+                assert got[:, j].tobytes() == (cfg.sigma * path_increments(cfg, j)).tobytes()
 
     def test_memory_does_not_grow_with_the_ensemble(self):
         # 2000 paths of 2000 steps: one full (n_steps + 1, ensemble) float64
-        # array is 32 MB, and the pass holds four buffers of block x chunk
+        # array is 32 MB, and the pass holds two buffers of block x chunk
         cfg = SdeConfig(dt=0.01, n_steps=2000, seed=0, sigma=0.1, ensemble=2000)
         p = OscillatorParams(a=1.0, b=1.0, c=0.2, gamma=0.2, omega=1.4, epsilon=1.0)
         tracemalloc.start()
@@ -357,7 +379,11 @@ class TestStreamingPass:
 @pytest.mark.parametrize("kw, match", [
     pytest.param(dict(ensemble=0), "ensemble must be >= 1", id="ensemble-zero"),
     pytest.param(dict(ensemble=-3), "ensemble must be >= 1", id="ensemble-negative"),
+    pytest.param(dict(dt=math.nan), "dt must be positive and finite", id="dt-nan"),
+    pytest.param(dict(dt=math.inf), "dt must be positive and finite", id="dt-inf"),
+    pytest.param(dict(sigma=math.nan), "sigma must be nonnegative and finite", id="sigma-nan"),
+    pytest.param(dict(sigma=math.inf), "sigma must be nonnegative and finite", id="sigma-inf"),
 ])
 def test_invalid_input_raises(kw, match):
     with pytest.raises(ValueError, match=match):
-        SdeConfig(dt=0.01, n_steps=10, seed=0, **kw)
+        SdeConfig(**{"dt": 0.01, "n_steps": 10, "seed": 0, **kw})
