@@ -13,7 +13,7 @@ from .core import (
     rhs,
     separatrix_velocity,
 )
-from .elliptic import complete_k, jacobi_cn, jacobi_dn, jacobi_sn
+from .elliptic import complete_k, jacobi_sn_cn_dn
 from .odeint import IntegrationError, StepControl, integrate, integrate_delayed
 
 __version__ = "0.1.0"
@@ -30,9 +30,7 @@ __all__ = [
     "equilibria",
     "separatrix_velocity",
     "hamiltonian_fields",
-    "jacobi_sn",
-    "jacobi_cn",
-    "jacobi_dn",
+    "jacobi_sn_cn_dn",
     "complete_k",
     "StepControl",
     "integrate",

@@ -78,10 +78,6 @@ class ChaosScanRow:
     lyapunov: float
 
 
-def _strobe_ctrl(omega: float) -> StepControl:
-    return StepControl(dt=(2.0 * math.pi / omega) / _STEPS_PER_PERIOD, method="rk4")
-
-
 class _Strobes:
     """Integrator sink that keeps, for each strobe time, only the two knots
     Trajectory.eval would interpolate between, and interpolates there."""
@@ -122,12 +118,12 @@ def poincare_map(
     construction (re-posing the i.v.p. from each period's end state) by
     uniqueness of solutions; dense output supplies the exact strobe times.
     An array p.gamma of k amplitudes (see bifurcation_data) steps them as
-    lanes, by RK4, and gives (n_points, 2, k).
+    lanes, by RK4 only, and gives (n_points, 2, k).
     """
     if p.omega <= 0.0:
         raise ValueError("poincare_map needs omega > 0")
     T = 2.0 * math.pi / p.omega
-    ctrl = ctrl or _strobe_ctrl(p.omega)
+    ctrl = ctrl or StepControl(dt=T / _STEPS_PER_PERIOD, method="rk4")
     t_end = s0.t + (n_transient + n_points) * T
     strobes = _Strobes((s0.t + (n_transient + np.arange(1, n_points + 1)) * T).tolist())
     with np.errstate(over="ignore", invalid="ignore"):  # the step checks report overflow
@@ -146,6 +142,8 @@ def _sweep(p, s0: State, t_end: float, ctrl: StepControl, strobes: _Strobes) -> 
     step overwrites its knot, which strobes would keep by reference, so the
     knots of a step are copied to strobes only when a strobe falls in it,
     and for the last step, which strobes.finish reads."""
+    if ctrl.method != "rk4":
+        raise ValueError(f"an array gamma steps by rk4, not {ctrl.method!r}")
     _check_start(s0, t_end)
     t0, dt = s0.t, ctrl.dt
     n_full, h_last = _rk4_schedule(t0, t_end, dt, ctrl.max_steps)

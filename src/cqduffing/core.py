@@ -110,10 +110,6 @@ class Trajectory:
         return self.t.size
 
     @property
-    def samples(self) -> list[State]:
-        return [State(float(ti), float(xi), float(vi)) for ti, xi, vi in zip(self.t, self.x, self.v)]
-
-    @property
     def t_span(self) -> tuple[float, float]:
         return float(self.t[0]), float(self.t[-1])
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["jacobi_sn_cn_dn", "jacobi_sn", "jacobi_cn", "jacobi_dn", "complete_k", "cn_period"]
+__all__ = ["jacobi_sn_cn_dn", "complete_k", "cn_period"]
 
 _MAX_ITER = 32
 _AGM_TOL = 1e-15
@@ -100,18 +100,6 @@ def jacobi_sn_cn_dn(u: float, m: float) -> tuple[float, float, float]:
         sn, cn, dn = _sn_cn_dn_basic(u * g, mu)
         return sn / (g * dn), cn / dn, 1.0 / dn
     return _sn_cn_dn_basic(u, m)
-
-
-def jacobi_sn(u: float, m: float) -> float:
-    return jacobi_sn_cn_dn(u, m)[0]
-
-
-def jacobi_cn(u: float, m: float) -> float:
-    return jacobi_sn_cn_dn(u, m)[1]
-
-
-def jacobi_dn(u: float, m: float) -> float:
-    return jacobi_sn_cn_dn(u, m)[2]
 
 
 def cn_period(m: float) -> float:

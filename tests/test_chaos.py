@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,9 @@ from cqduffing.core import acceleration
 TABLE_PARAMS = dict(a=1.0, b=1.0, c=0.0, delta=0.1)
 T14 = 2 * math.pi / 1.4
 SHORT_SCAN = dict(steps_per_period=50, transient_periods=5, measure_periods=10)
+# a bifurcation sweep's parameters: two amplitudes as lanes
+LANES = SimpleNamespace(a=1.0, b=1.0, c=0.0, delta=0.1, gamma=np.array([0.3, 0.35]), omega=1.4,
+                        epsilon=1.0)
 
 
 def params(gamma, omega=1.4):
@@ -267,6 +271,9 @@ class TestLyapunovLanes:
                     (0.9, 0.1, 0.5)],
              coeffs=[(1.0, 1.0, 0.1, 0.5), (0.5, 2.0, 0.3, 1.7), (-1.0, 0.5, 0.05, 1.3)],
              t0=0.0, x0=0.2, v0=-0.1, steps=60, transient=1, measure=3)  # epsilon != 1
+    @example(lanes=[(1.0, 0.0, 0.0), (1.0, 0.0, 0.1)], coeffs=[(-14400.0, 0.0, 240.0, 1.0)],
+             t0=0.0, x0=1.0, v0=0.0, steps=2000, transient=1,
+             measure=3)  # overdamped: the separation underflows to 0 each period
     def test_each_lane_equals_lyapunov_max_bitwise(self, lanes, coeffs, t0, x0, v0, steps,
                                                    transient, measure):
         rows = list(dict.fromkeys((omega, c) for omega, c, _ in lanes))
@@ -593,13 +600,17 @@ class TestLockstepSweep:
             lockstep = bifurcation_data(p, gammas, n_points, n_transient, s0)
         per_gamma = bifurcation_data(p, gammas, n_points, n_transient, s0)
         assert [g for g, _ in lockstep] == [g for g, _ in per_gamma] == gammas
-        for gamma, (_, xs), (_, xs_alone) in zip(gammas, lockstep, per_gamma):
+        # the lanes strobed with ctrl too: a fractional steps per period ends in a short step
+        sweep = SimpleNamespace(**{**vars(p), "gamma": np.array([float(g) for g in gammas])})
+        lanes = poincare_map(sweep, s0, n_points, n_transient, ctrl)
+        for k, (gamma, (_, xs), (_, xs_alone)) in enumerate(zip(gammas, lockstep, per_gamma)):
             pg = replace(p, gamma=gamma)
             section = poincare_map(pg, s0, n_points, n_transient)
             assert np.array_equal(xs, section[:, 0]) and np.array_equal(xs_alone, section[:, 0])
             assert np.array_equal(section, reference_strobes(pg, s0, n_points, n_transient))
-            assert np.array_equal(poincare_map(pg, s0, n_points, n_transient, ctrl),
-                                  reference_strobes(pg, s0, n_points, n_transient, ctrl))
+            strobed = poincare_map(pg, s0, n_points, n_transient, ctrl)
+            assert np.array_equal(strobed, reference_strobes(pg, s0, n_points, n_transient, ctrl))
+            assert np.array_equal(lanes[:, :, k], strobed)
 
     def test_dp54_section_equals_reference(self):
         p = params(0.3)
@@ -611,6 +622,10 @@ class TestLockstepSweep:
 @pytest.mark.parametrize("build, match", [
     pytest.param(lambda: lyapunov_max(params(0.3), State(0, 0, 0), 100 * T14, T14),
                  "t_total must exceed", id="lyapunov-horizon"),
+    pytest.param(lambda: poincare_map(LANES, State(0, 0, 0), 2, 1, StepControl(dt=0.05)),
+                 "an array gamma steps by rk4, not 'dp54'", id="lanes-dp54-dt"),
+    pytest.param(lambda: poincare_map(LANES, State(0, 0, 0), 2, 1, StepControl()),
+                 "an array gamma steps by rk4, not 'dp54'", id="lanes-dp54"),
     pytest.param(lambda: gamma_scan(1, 1, 0, 0.1, 1.4, (0.1, 0.5), 0.0),
                  "resolution must be positive", id="scan-resolution-zero"),
     pytest.param(lambda: gamma_scan(1, 1, 0, 0.1, 1.4, (0.1, 0.5), -0.01),

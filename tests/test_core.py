@@ -180,11 +180,6 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="non-finite"):
             Trajectory(np.array([0.0, 1.0]), np.array([0.0, math.inf]), np.zeros(2))
 
-    def test_samples_roundtrip(self):
-        tr = Trajectory(np.array([0.0, 1.0]), np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-        s = tr.samples
-        assert s[1] == State(1.0, 2.0, 4.0)
-
 
 class TestAccelerationKernel:
     @pytest.mark.parametrize("params", [

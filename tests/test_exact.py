@@ -5,7 +5,7 @@ import pytest
 
 from cqduffing import OscillatorParams, State, StepControl, integrate
 from cqduffing.core import acceleration, energy
-from cqduffing.elliptic import jacobi_cn
+from cqduffing.elliptic import jacobi_sn_cn_dn
 from cqduffing.exact import (
     CnSolution,
     HomoclinicOrbit,
@@ -227,7 +227,7 @@ class TestPublishedHardeningParameters:
     M_P = math.sqrt(3) - 1
 
     def eval_printed(self, t, m):
-        cn = jacobi_cn(math.sqrt(self.OMEGA_P) * t, m)
+        cn = jacobi_sn_cn_dn(math.sqrt(self.OMEGA_P) * t, m)[1]
         return math.sqrt(self.LAM_P) * cn / math.sqrt(1 + self.LAM_P * cn * cn)
 
     def test_printed_form_fails_initial_condition(self):
