@@ -13,7 +13,6 @@ so the damping contributions of the cubic and quintic terms are kept.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,9 +200,11 @@ def assemble_solution(k: KbmCoefficients, amp_phase_traj: np.ndarray, t: float) 
 
 
 def initial_conditions_map(k: KbmCoefficients, x0: float, v0: float,
-                           order: int = 2) -> tuple[float, float]:
-    """(amp, psi) at t = 0 such that the assembled solution meets
-    x(0) = x0, x'(0) = v0, found by a two-dimensional Newton iteration."""
+                           order: int = 2) -> tuple[float, float, bool]:
+    """(amp, psi, converged) at t = 0 such that the assembled solution
+    meets x(0) = x0, x'(0) = v0, found by a two-dimensional Newton
+    iteration; where the fit misses its tolerance, the linear seed with
+    converged False."""
     w0 = k.omega0
     u = x0 - k.eta
     amp = math.hypot(u, v0 / w0)
@@ -230,7 +231,7 @@ def initial_conditions_map(k: KbmCoefficients, x0: float, v0: float,
         x, v = value_and_slope(amp, psi)
         fx, fv = x - x0, v - v0
         if abs(fx) < 1e-13 and abs(fv) < 1e-13 * max(1.0, w0):
-            return amp, psi
+            return amp, psi, True
         h_a = 1e-7 * max(1.0, abs(amp))
         h_p = 1e-7
         xa, va = value_and_slope(amp + h_a, psi)
@@ -249,17 +250,18 @@ def initial_conditions_map(k: KbmCoefficients, x0: float, v0: float,
     else:
         x, v = value_and_slope(amp, psi)
         if abs(x - x0) < 1e-9 and abs(v - v0) < 1e-9 * max(1.0, w0):
-            return amp, psi
-    warnings.warn("initial-condition fit did not converge; using the linear seed")
-    return seed
+            return amp, psi, True
+    return *seed, False
 
 
+@dataclass(frozen=True)
 class KbmSolution:
-    """Assembled approximate solution over [0, t_end]."""
+    """Assembled approximate solution over [0, t_end]; fit_converged is
+    False where the initial fit fell back to its linear seed."""
 
-    def __init__(self, coeffs: KbmCoefficients, traj: np.ndarray):
-        self.coeffs = coeffs
-        self.traj = traj
+    coeffs: KbmCoefficients
+    traj: np.ndarray
+    fit_converged: bool
 
     def eval(self, t: float) -> float:
         return assemble_solution(self.coeffs, self.traj, t)
@@ -269,6 +271,6 @@ def kbm_solve(p: OscillatorParams, x0: float, v0: float, t_end: float,
               order: int = 2) -> KbmSolution:
     """Convenience driver: coefficients, initial fit, slow-flow integration."""
     coeffs = build_coefficients(p, x0)
-    ic = initial_conditions_map(coeffs, x0, v0, order)
-    traj = integrate_amplitude_phase(coeffs, ic, t_end, order=order)
-    return KbmSolution(coeffs, traj)
+    amp, psi, converged = initial_conditions_map(coeffs, x0, v0, order)
+    traj = integrate_amplitude_phase(coeffs, (amp, psi), t_end, order=order)
+    return KbmSolution(coeffs, traj, converged)

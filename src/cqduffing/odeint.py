@@ -70,13 +70,13 @@ class StepControl:
     def __post_init__(self) -> None:
         if self.method not in ("dp54", "rk4"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.method == "rk4" and (self.dt is None or self.dt <= 0):
+        if self.method == "rk4" and self.dt is None:
             raise ValueError("rk4 needs a positive fixed step dt")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.abs_tol <= 0 or self.rel_tol < 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_steps < 1:
+        if self.dt is not None and not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (0 < self.abs_tol < math.inf and 0 <= self.rel_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
+        if not self.max_steps >= 1:
             raise ValueError("max_steps must be >= 1")
 
 
@@ -374,8 +374,8 @@ def integrate_delayed(
     is read once per distinct time; read times only advance across new
     knots, so a repeated time always sees the same knots.
     """
-    if tau <= 0:
-        raise ValueError(f"delay tau must be positive, got {tau}")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"delay tau must be positive and finite, got {tau}")
     ctrl = ctrl or StepControl()
     buf = HistoryBuffer(history_v)
     t0 = s0.t

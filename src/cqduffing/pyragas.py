@@ -65,8 +65,8 @@ class ControllerConfig:
     history_policy: str = "zero"  # "zero" | "constant"
 
     def __post_init__(self) -> None:
-        if self.tau <= 0.0:
-            raise ValueError(f"delay tau must be positive, got {self.tau}")
+        if not (math.isfinite(self.mu) and 0.0 < self.tau < math.inf):
+            raise ValueError(f"mu must be finite and 0 < tau < inf, got mu={self.mu}, tau={self.tau}")
         if self.history_policy not in ("zero", "constant"):
             raise ValueError(f"unknown history policy {self.history_policy!r}")
 
@@ -152,8 +152,8 @@ def _settle_time(p: OscillatorParams, tau: float, t0: float) -> float:
 
 
 def search_cell(args) -> tuple[float, float, float, bool]:
-    """One grid cell of the (mu, tau) search; module-level so worker
-    processes can import it.  Returns (mu, tau, controller_norm, is_periodic)."""
+    """One (mu, tau) search cell: the path of blocks under _LOCKSTEP_MIN lanes,
+    which the lanes match bit for bit.  Returns (mu, tau, controller_norm, is_periodic)."""
     p, mu, tau, s0, periodicity_tol = args
     cfg = ControllerConfig(mu=mu, tau=tau)
     _, rep = run_controlled(p, cfg, s0, _settle_time(p, tau, s0.t), periodicity_tol=periodicity_tol)
@@ -174,6 +174,8 @@ def search_mu_tau(
     n_mu, n_tau = grid
     if n_mu < 1 or n_tau < 1:
         raise ValueError("grid must have at least one cell per axis")
+    if not (math.isfinite(mu_range[1] - mu_range[0]) and math.isfinite(tau_range[1] - tau_range[0])):
+        raise ValueError(f"mu and tau ranges need finite ends and widths, got {mu_range}, {tau_range}")
     mus = np.linspace(mu_range[0], mu_range[1], n_mu)
     taus = np.linspace(tau_range[0], tau_range[1], n_tau)
     cells = [(float(mu), float(tau)) for mu in mus for tau in taus]

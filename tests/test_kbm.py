@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -147,9 +148,9 @@ class TestAssembly:
     def test_no_secular_growth(self):
         p = OscillatorParams(-1, 2, 1, epsilon=0)
         k = build_coefficients(p, 0.25)
-        ic = initial_conditions_map(k, 0.25, 0.0)
+        amp, psi, _ = initial_conditions_map(k, 0.25, 0.0)
         horizon = 1e4 * 2 * math.pi / k.omega0
-        traj = integrate_amplitude_phase(k, ic, horizon, dt=2 * math.pi / (4 * k.omega0))
+        traj = integrate_amplitude_phase(k, (amp, psi), horizon, dt=2 * math.pi / (4 * k.omega0))
         xs = [assemble_solution(k, traj, t) for t in np.linspace(0, horizon, 500)]
         early = [assemble_solution(k, traj, t) for t in np.linspace(0, 10.0, 200)]
         assert max(abs(x) for x in xs) <= 1.2 * max(abs(x) for x in early)
@@ -158,20 +159,32 @@ class TestAssembly:
 class TestInitialConditions:
     def test_rest_at_shift_gives_zero_amplitude(self):
         k = build_coefficients(OscillatorParams(1, 1, 1), 0.9)
-        amp, _ = initial_conditions_map(k, k.eta, 0.0)
+        amp, _, _ = initial_conditions_map(k, k.eta, 0.0)
         assert abs(amp) < 1e-9
 
     def test_small_corrections_linear_seed(self):
         p = OscillatorParams(-1, 1e-6, 0.0, epsilon=0)
         k = build_coefficients(p, 0.3)
-        amp, psi = initial_conditions_map(k, 0.3, 0.0)
+        amp, psi, _ = initial_conditions_map(k, 0.3, 0.0)
         assert amp == pytest.approx(0.3, abs=1e-6)
         assert psi == pytest.approx(0.0, abs=1e-6)
 
     def test_reference_leading_amplitude(self):
         k = build_coefficients(SOFT, 0.25)
-        amp, _ = initial_conditions_map(k, 0.25, 0.0)
+        amp, _, _ = initial_conditions_map(k, 0.25, 0.0)
         assert amp == pytest.approx(REF_AMP0, abs=2e-3)
+
+    def test_fit_outcome_is_returned_not_warned(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # a start on the saddle at the origin: the fit falls back
+            p = OscillatorParams(1, 1, 1)
+            assert kbm_solve(p, 0.0, 0.0, 1.0).fit_converged is False
+            k = build_coefficients(p, 0.0)
+            assert k.eta < 0.0  # so the linear seed is (x0 - eta, 0)
+            assert initial_conditions_map(k, 0.0, 0.0) == (-k.eta, 0.0, False)
+            readme = OscillatorParams(-1, 2, 1, delta=0.025, gamma=0.01, omega=0.1)
+            assert kbm_solve(readme, 0.25, 0.0, 30.0).fit_converged is True
 
 
 class TestOrderProperty:

@@ -327,6 +327,27 @@ class TestKnotRecorder:
     pytest.param(lambda: StepControl(abs_tol=0.0), "tolerances must be positive", id="abs-tol"),
     pytest.param(lambda: StepControl(rel_tol=-1e-9), "tolerances must be positive", id="rel-tol"),
     pytest.param(lambda: StepControl(max_steps=0), "max_steps must be >= 1", id="max-steps"),
+    pytest.param(lambda: StepControl(abs_tol=math.nan), "tolerances must be positive",
+                 id="abs-tol-nan"),
+    pytest.param(lambda: StepControl(rel_tol=math.nan), "tolerances must be positive",
+                 id="rel-tol-nan"),
+    pytest.param(lambda: StepControl(abs_tol=math.inf), "tolerances must be positive",
+                 id="abs-tol-inf"),
+    pytest.param(lambda: StepControl(rel_tol=math.inf), "tolerances must be positive",
+                 id="rel-tol-inf"),
+    pytest.param(lambda: StepControl(dt=math.nan, method="rk4"), "dt must be positive",
+                 id="rk4-dt-nan"),
+    pytest.param(lambda: StepControl(dt=math.inf, method="rk4"), "dt must be positive",
+                 id="rk4-dt-inf"),
+    pytest.param(lambda: StepControl(method="rk4"), "rk4 needs a positive fixed step dt",
+                 id="rk4-no-dt"),
+    pytest.param(lambda: StepControl(dt=math.nan), "dt must be positive", id="dp54-dt-nan"),
+    pytest.param(lambda: StepControl(max_steps=math.nan), "max_steps must be >= 1",
+                 id="max-steps-nan"),
+    pytest.param(lambda: integrate_delayed(lambda t, x, v, vd: -x, State(0, 1, 0), lambda t: 0.0,
+                                           math.nan, 1.0), "delay tau must be positive", id="tau-nan"),
+    pytest.param(lambda: integrate_delayed(lambda t, x, v, vd: -x, State(0, 1, 0), lambda t: 0.0,
+                                           math.inf, 1.0), "delay tau must be positive", id="tau-inf"),
     pytest.param(lambda: integrate(lambda t, x, v: -x, State(0.0, math.nan, 0.0), 1.0),
                  "non-finite initial state", id="start-state"),
 ])

@@ -54,6 +54,9 @@ class TestControlledRhs:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="tau"):
             ControllerConfig(mu=1.0, tau=0.0)
+        for mu, tau in [(math.nan, 2.0), (1.0, math.nan), (1.0, math.inf)]:
+            with pytest.raises(ValueError, match="tau"):
+                ControllerConfig(mu=mu, tau=tau)
         with pytest.raises(ValueError, match="history"):
             ControllerConfig(mu=1.0, tau=1.0, history_policy="mirror")
 
@@ -338,6 +341,14 @@ def _line_trajectory():
                  "at least one cell per axis", id="search-no-mu"),
     pytest.param(lambda: search_mu_tau(CHAOTIC, (0.5, 3.0), (2.0, 6.0), (3, 0)),
                  "at least one cell per axis", id="search-no-tau"),
+    pytest.param(lambda: search_mu_tau(CHAOTIC, (1.0, 2.0), (math.nan, 3.0), (2, 2)),
+                 "ranges need finite ends and widths", id="search-nan-tau"),
+    pytest.param(lambda: search_mu_tau(CHAOTIC, (1.0, 2.0), (2.0, math.inf), (2, 2)),
+                 "ranges need finite ends and widths", id="search-inf-tau"),
+    pytest.param(lambda: search_mu_tau(CHAOTIC, (math.nan, 2.0), (2.0, 3.0), (2, 2)),
+                 "ranges need finite ends and widths", id="search-nan-mu"),
+    pytest.param(lambda: search_mu_tau(CHAOTIC, (-1.7e308, 1.7e308), (2.0, 3.0), (2, 2)),
+                 "ranges need finite ends and widths", id="search-overflowing-mu-width"),
     pytest.param(lambda: chebyshev_fit_orbit(_line_trajectory(), (0.0, 2.0), 0),
                  "degree must be >= 1", id="fit-degree"),
 ])
