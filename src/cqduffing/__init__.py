@@ -10,7 +10,6 @@ from .core import (
     energy_report,
     equilibria,
     hamiltonian_fields,
-    rhs,
     separatrix_velocity,
 )
 from .elliptic import complete_k, jacobi_sn_cn_dn
@@ -24,7 +23,6 @@ __all__ = [
     "Trajectory",
     "EnergyReport",
     "Equilibrium",
-    "rhs",
     "energy",
     "energy_report",
     "equilibria",

@@ -122,6 +122,8 @@ def poincare_map(
     """
     if p.omega <= 0.0:
         raise ValueError("poincare_map needs omega > 0")
+    if not (0 <= n_points < math.inf and 0 <= n_transient < math.inf):
+        raise ValueError(f"n_points={n_points} and n_transient={n_transient} must be finite >= 0")
     T = 2.0 * math.pi / p.omega
     ctrl = ctrl or StepControl(dt=T / _STEPS_PER_PERIOD, method="rk4")
     t_end = s0.t + (n_transient + n_points) * T
@@ -177,8 +179,14 @@ def _benettin_intervals(p, t_total, renorm_interval, t_transient, steps_per_peri
     T = 2.0 * math.pi / p.omega if p.omega > 0.0 else 2.0 * math.pi
     if t_transient is None:
         t_transient = _TRANSIENT_PERIODS * T
-    if t_total <= t_transient + renorm_interval:
-        raise ValueError("t_total must exceed the transient plus one interval")
+    if not (0.0 < renorm_interval < math.inf and 0.0 <= t_transient < math.inf):
+        raise ValueError(f"renorm_interval={renorm_interval} must be > 0 and t_transient="
+                         f"{t_transient} >= 0, both finite")
+    if not steps_per_period >= 1:
+        raise ValueError(f"steps_per_period must be >= 1, got {steps_per_period}")
+    if not t_transient + renorm_interval < t_total < math.inf:
+        raise ValueError(f"t_total must exceed the transient plus one interval and be finite, "
+                         f"got {t_total}")
     n_steps = max(2, int(round(steps_per_period * renorm_interval / T)))
     return renorm_interval, t_transient, n_steps, int(math.ceil(t_total / renorm_interval))
 
@@ -281,6 +289,8 @@ def lyapunov_max(
     """
     interval, t_transient, n_steps, n_intervals = _benettin_intervals(
         p, t_total, renorm_interval, t_transient, steps_per_period)
+    if not 0.0 < d0 < math.inf:
+        raise ValueError(f"d0 must be positive and finite, got {d0}")
     dt = interval / n_steps
     step = _rk4_step(p.a, p.b, p.c, p.epsilon * p.delta, dt)
     g_ = p.epsilon * p.gamma
@@ -459,6 +469,8 @@ def gamma_scan_rows(
     for name, step in (("resolution", resolution), ("coarse_step", coarse_step)):
         if not 0.0 < step < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {step}")
+    if not math.isfinite(lyap_threshold):
+        raise ValueError(f"lyap_threshold must be finite, got {lyap_threshold}")
     periods = dict(steps_per_period=steps_per_period, transient_periods=transient_periods,
                    measure_periods=measure_periods)
     rows = [(OscillatorParams(a=a, b=b, c=c, delta=delta, omega=omega, epsilon=1.0),

@@ -24,7 +24,6 @@ __all__ = [
     "Trajectory",
     "EnergyReport",
     "Equilibrium",
-    "rhs",
     "acceleration",
     "equilibria",
     "energy",
@@ -63,14 +62,15 @@ class OscillatorParams:
 
 @dataclass(frozen=True)
 class State:
-    """Phase-space sample (time, displacement, velocity)."""
+    """Phase-space sample (time, displacement, velocity); all three finite."""
 
     t: float
     x: float
     v: float
 
-    def is_finite(self) -> bool:
-        return math.isfinite(self.t) and math.isfinite(self.x) and math.isfinite(self.v)
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.t) and math.isfinite(self.x) and math.isfinite(self.v)):
+            raise ValueError(f"non-finite initial state {self}")
 
 
 class Trajectory:
@@ -201,13 +201,6 @@ def acceleration(p: OscillatorParams, t: float, x, v):
     """Right-hand side a x - b x^3 - c x^5 + eps (gamma cos(omega t) - delta v)
     for float t and float or array x, v."""
     return _restoring(p, x) + p.epsilon * (p.gamma * math.cos(p.omega * t) - p.delta * v)
-
-
-def rhs(p: OscillatorParams, s: State) -> float:
-    """Acceleration at a state; rejects non-finite input."""
-    if not s.is_finite():
-        raise ValueError(f"non-finite state {s}")
-    return acceleration(p, s.t, s.x, s.v)
 
 
 def _stiffness(p: OscillatorParams, x: float) -> float:

@@ -164,6 +164,8 @@ def integrate_amplitude_phase(
     step is a two-hundredth of the base period.  Raises IntegrationError
     when the run needs more than StepControl.max_steps steps.
     """
+    if not (t_end > 0.0 and (dt is None or 0.0 < dt < math.inf)):
+        raise ValueError(f"t_end={t_end} must be > 0 and dt={dt} positive and finite")
     if dt is None:
         dt = (2.0 * math.pi / k.omega0) / 200.0
     steps = t_end / dt - 1e-12

@@ -323,15 +323,13 @@ def _run_dp54(f: Rhs, t0: float, x: float, v: float, t_end: float, ctrl: StepCon
 
 
 def _check_start(s0: State, t_end: float) -> None:
-    if not s0.is_finite():
-        raise ValueError(f"non-finite initial state {s0}")
     if t_end <= s0.t:
         raise ValueError(f"t_end={t_end} must exceed the initial time {s0.t}")
 
 
 def _drive(f: Rhs, s0: State, t_end: float, ctrl: StepControl, sink, meta: dict,
            dt_cap: float = math.inf) -> dict:
-    """Check s0 and t_end, run the engine that ctrl names with steps no longer
+    """Check t_end, run the engine that ctrl names with steps no longer
     than dt_cap into sink(t, x, v, acc), return meta."""
     _check_start(s0, t_end)
     if ctrl.method == "rk4":

@@ -60,12 +60,11 @@ class SdeConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         if not 0.0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
-        if self.ensemble < 1:
-            raise ValueError(f"ensemble must be >= 1, got {self.ensemble}")
+        for name, n in (("n_steps", self.n_steps), ("ensemble", self.ensemble)):
+            if not (isinstance(n, (int, np.integer)) and n >= 1):
+                raise ValueError(f"{name} must be >= 1 and an integer, got {n!r}")
 
 
 def _rng_for_path(seed: int, path_index: int) -> np.random.Generator:
@@ -113,8 +112,6 @@ def _em_pass(p: OscillatorParams, cfg: SdeConfig, s0: State, keep: int):
     (x, v) as a (2, ensemble) array, and the (n_steps + 1, 2, keep) (x, v)
     rows of the kept paths.
     """
-    if not s0.is_finite():
-        raise ValueError(f"non-finite initial state {s0}")
     n, dt = cfg.n_steps, cfg.dt
     q = p.epsilon * p.gamma
     cut = np.full(cfg.ensemble, n + 1)

@@ -619,9 +619,68 @@ class TestLockstepSweep:
                               reference_strobes(p, State(0, 0, 0), 4, 2, ctrl))
 
 
+def benettin(**kw):
+    """A ten-period exponent with a one-period transient, its keywords replaced by kw."""
+    return lyapunov_max(params(0.3), State(0, 0, 0),
+                        **{"t_total": 10 * T14, "renorm_interval": T14, "t_transient": T14, **kw})
+
+
+SCHEDULE = r"renorm_interval=.* must be > 0 and t_transient=.* >= 0, both finite"
+HORIZON = "t_total must exceed the transient plus one interval and be finite"
+
+
 @pytest.mark.parametrize("build, match", [
     pytest.param(lambda: lyapunov_max(params(0.3), State(0, 0, 0), 100 * T14, T14),
                  "t_total must exceed", id="lyapunov-horizon"),
+    pytest.param(lambda: benettin(d0=0.0), "d0 must be positive and finite", id="lyapunov-d0-zero"),
+    pytest.param(lambda: benettin(d0=-1e-8), "d0 must be positive and finite",
+                 id="lyapunov-d0-negative"),
+    pytest.param(lambda: benettin(d0=math.nan), "d0 must be positive and finite",
+                 id="lyapunov-d0-nan"),
+    pytest.param(lambda: benettin(d0=math.inf), "d0 must be positive and finite",
+                 id="lyapunov-d0-inf"),
+    pytest.param(lambda: benettin(renorm_interval=math.nan), SCHEDULE, id="lyapunov-interval-nan"),
+    pytest.param(lambda: benettin(renorm_interval=0.0), SCHEDULE, id="lyapunov-interval-zero"),
+    pytest.param(lambda: benettin(renorm_interval=-T14), SCHEDULE,
+                 id="lyapunov-interval-negative"),
+    pytest.param(lambda: benettin(renorm_interval=math.inf), SCHEDULE, id="lyapunov-interval-inf"),
+    pytest.param(lambda: benettin(t_transient=math.nan), SCHEDULE, id="lyapunov-transient-nan"),
+    pytest.param(lambda: benettin(t_transient=-T14), SCHEDULE, id="lyapunov-transient-negative"),
+    pytest.param(lambda: benettin(t_transient=math.inf), SCHEDULE, id="lyapunov-transient-inf"),
+    pytest.param(lambda: benettin(t_total=math.nan), HORIZON, id="lyapunov-total-nan"),
+    pytest.param(lambda: benettin(t_total=math.inf), HORIZON, id="lyapunov-total-inf"),
+    pytest.param(lambda: benettin(steps_per_period=0), "steps_per_period must be >= 1",
+                 id="lyapunov-steps-zero"),
+    pytest.param(lambda: benettin(steps_per_period=-5), "steps_per_period must be >= 1",
+                 id="lyapunov-steps-negative"),
+    pytest.param(lambda: benettin(steps_per_period=math.nan), "steps_per_period must be >= 1",
+                 id="lyapunov-steps-nan"),
+    pytest.param(lambda: gamma_scan(1, 1, 0, 0.1, 1.4, (0.3, 0.4), 0.01, lyap_threshold=math.nan),
+                 "lyap_threshold must be finite", id="scan-threshold-nan"),
+    pytest.param(lambda: gamma_scan(1, 1, 0, 0.1, 1.4, (0.3, 0.4), 0.01, lyap_threshold=math.inf),
+                 "lyap_threshold must be finite", id="scan-threshold-inf"),
+    pytest.param(lambda: gamma_scan(1, 1, 0, 0.1, 1.4, (0.3, 0.4), 0.01, transient_periods=-5),
+                 SCHEDULE, id="scan-transient-negative"),
+    # 30 positive amplitudes: the lane pass checks its schedule too
+    pytest.param(lambda: gamma_scan(1, 1, 0, 0.1, 1.4, (0.0, 0.3), 0.01, steps_per_period=0),
+                 "steps_per_period must be >= 1", id="scan-lanes-steps-zero"),
+    pytest.param(lambda: gamma_scan(1, 1, 0, 0.1, 1.4, (0.0, 0.3), 0.01, transient_periods=-5),
+                 SCHEDULE, id="scan-lanes-transient-negative"),
+    pytest.param(lambda: poincare_map(params(0.3), State(0, 0, 0), 5, -3),
+                 "n_transient=-3 must be finite >= 0", id="section-transient-negative"),
+    pytest.param(lambda: poincare_map(params(0.3), State(0, 0, 0), 5, -1),
+                 "n_transient=-1 must be finite >= 0", id="section-transient-minus-one"),
+    pytest.param(lambda: poincare_map(params(0.3), State(0, 0, 0), -1, 2),
+                 "n_points=-1 and", id="section-points-negative"),
+    pytest.param(lambda: poincare_map(params(0.3), State(0, 0, 0), math.nan, 2),
+                 "n_points=nan and", id="section-points-nan"),
+    pytest.param(lambda: poincare_map(params(0.3), State(0, 0, 0), 5, math.inf),
+                 "n_transient=inf must be finite >= 0", id="section-transient-inf"),
+    pytest.param(lambda: poincare_map(LANES, State(0, 0, 0), -1, 2,
+                                      StepControl(dt=0.05, method="rk4")),
+                 "n_points=-1 and", id="lanes-points-negative"),
+    pytest.param(lambda: bifurcation_data(params(0.3), [0.3] * 20, 4, -1),
+                 "n_transient=-1 must be finite >= 0", id="sweep-transient-negative"),
     pytest.param(lambda: poincare_map(LANES, State(0, 0, 0), 2, 1, StepControl(dt=0.05)),
                  "an array gamma steps by rk4, not 'dp54'", id="lanes-dp54-dt"),
     pytest.param(lambda: poincare_map(LANES, State(0, 0, 0), 2, 1, StepControl()),

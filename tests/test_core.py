@@ -15,7 +15,6 @@ from cqduffing import (
     equilibria,
     hamiltonian_fields,
     integrate,
-    rhs,
     separatrix_velocity,
 )
 from cqduffing.core import acceleration
@@ -38,20 +37,19 @@ def bisect_root(f, lo, hi, tol=1e-14):
 class TestRhs:
     def test_origin_is_equilibrium(self):
         p = OscillatorParams(1, 1, 1, epsilon=0)
-        assert rhs(p, State(0, 0, 0)) == 0.0
+        assert acceleration(p, 0, 0, 0) == 0.0
 
     def test_unit_displacement(self):
         p = OscillatorParams(1, 1, 1, epsilon=0)
-        assert rhs(p, State(0, 1, 0)) == pytest.approx(-1.0, abs=0)
+        assert acceleration(p, 0, 1, 0) == pytest.approx(-1.0, abs=0)
 
     def test_forced_at_origin(self):
         p = OscillatorParams(1, 1, 0.2, delta=0.1, gamma=0.35, omega=1.4, epsilon=1)
-        assert rhs(p, State(0, 0, 0)) == pytest.approx(0.35, abs=1e-15)
+        assert acceleration(p, 0, 0, 0) == pytest.approx(0.35, abs=1e-15)
 
     def test_rejects_non_finite(self):
-        p = OscillatorParams(1, 1, 1)
         with pytest.raises(ValueError, match="non-finite"):
-            rhs(p, State(0, math.nan, 0))
+            State(0, math.nan, 0)
 
     def test_forcing_requires_omega(self):
         with pytest.raises(ValueError, match="omega"):
@@ -163,7 +161,7 @@ class TestHamiltonianFields:
         p = OscillatorParams(1.3, -0.4, 0.7, delta=0.5, gamma=0.2, omega=1.1, epsilon=1)
         p0 = OscillatorParams(1.3, -0.4, 0.7, epsilon=0)
         q, mom = 0.37, -0.81
-        assert hamiltonian_fields(p, q, mom)[1] == rhs(p0, State(0, q, mom))
+        assert hamiltonian_fields(p, q, mom)[1] == acceleration(p0, 0, q, mom)
 
     def test_force_does_not_depend_on_the_momentum(self):
         # delta * pm overflows to inf; the stripped damping must not turn it into NaN
@@ -249,7 +247,20 @@ class TestDenseOutput:
                  "equal-length 1-d arrays", id="trajectory-2d"),
     pytest.param(lambda: Trajectory(np.array([0.0, 1.0]), np.zeros(2), np.zeros(2)).eval(0.5),
                  "no acceleration knots", id="eval-without-accelerations"),
+    *[pytest.param(lambda f=field, b=bad: State(**{"t": 0.0, "x": 0.0, "v": 0.0, f: b}),
+                   "non-finite initial state", id=f"state-{field}-{name}")
+      for field in ("t", "x", "v")
+      for name, bad in (("nan", math.nan), ("inf", math.inf), ("neg-inf", -math.inf))],
 ])
 def test_invalid_input_raises(build, match):
     with pytest.raises(ValueError, match=match):
         build()
+
+
+@pytest.mark.parametrize("t, x, v", [
+    (-0.0, 5e-324, -5e-324), (1.7e308, -1.7e308, -0.0), (5e-324, -0.0, 1.7e308),
+])
+def test_state_keeps_finite_extremes(t, x, v):
+    s = State(t, x, v)
+    assert [math.copysign(1.0, f) for f in (s.t, s.x, s.v)] == [math.copysign(1.0, f) for f in (t, x, v)]
+    assert (s.t, s.x, s.v) == (t, x, v)

@@ -222,11 +222,24 @@ class TestStepBound:
 _SPAN = np.array([[0.0, 0.25, 0.0], [1.0, 0.24, 1.0]])
 
 
+def slow_flow(t_end, **kw):
+    return integrate_amplitude_phase(build_coefficients(SOFT, 0.25), (0.25, 0.0), t_end, **kw)
+
+
 @pytest.mark.parametrize("build, match", [
     pytest.param(lambda: assemble_solution(build_coefficients(SOFT, 0.25), _SPAN, -0.5),
                  "outside the amplitude/phase trajectory span", id="before-span"),
     pytest.param(lambda: assemble_solution(build_coefficients(SOFT, 0.25), _SPAN, 1.5),
                  "outside the amplitude/phase trajectory span", id="after-span"),
+    pytest.param(lambda: slow_flow(-1.0), r"t_end=-1\.0 must be > 0", id="horizon-negative"),
+    pytest.param(lambda: slow_flow(0.0), r"t_end=0\.0 must be > 0", id="horizon-zero"),
+    pytest.param(lambda: slow_flow(math.nan), "t_end=nan must be > 0", id="horizon-nan"),
+    pytest.param(lambda: kbm_solve(SOFT, 0.25, 0.0, -1.0), r"t_end=-1\.0 must be > 0",
+                 id="solve-horizon-negative"),
+    pytest.param(lambda: slow_flow(1.0, dt=0.0), r"dt=0\.0 positive and finite", id="dt-zero"),
+    pytest.param(lambda: slow_flow(1.0, dt=-0.1), r"dt=-0\.1 positive and finite", id="dt-negative"),
+    pytest.param(lambda: slow_flow(1.0, dt=math.nan), "dt=nan positive and finite", id="dt-nan"),
+    pytest.param(lambda: slow_flow(1.0, dt=math.inf), "dt=inf positive and finite", id="dt-inf"),
 ])
 def test_invalid_input_raises(build, match):
     with pytest.raises(ValueError, match=match):

@@ -134,8 +134,8 @@ class TestEulerMaruyama:
             assert tr.v.tobytes() == np.array(vs).tobytes()
         assert 0 < sum(n <= cfg.n_steps for n in lengths) < cfg.ensemble
 
-    @pytest.mark.parametrize("s0", [State(0.0, math.nan, 0.0), State(0.0, 0.0, math.inf),
-                                    State(math.nan, 0.0, 0.0)])
+    @pytest.mark.parametrize("s0", [(0.0, math.nan, 0.0), (0.0, 0.0, math.inf),
+                                    (math.nan, 0.0, 0.0)])
     def test_non_finite_start_rejected_before_noise(self, s0, monkeypatch):
         def no_draw(*args):
             raise AssertionError("noise drawn for a non-finite start")
@@ -143,7 +143,7 @@ class TestEulerMaruyama:
         monkeypatch.setattr(sde, "_rng_for_path", no_draw)
         cfg = SdeConfig(dt=0.01, n_steps=10, seed=1, sigma=0.1, ensemble=3)
         with pytest.raises(ValueError, match="non-finite initial state"):
-            euler_maruyama(OU, cfg, s0)
+            euler_maruyama(OU, cfg, State(*s0))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -379,6 +379,12 @@ class TestStreamingPass:
 @pytest.mark.parametrize("kw, match", [
     pytest.param(dict(ensemble=0), "ensemble must be >= 1", id="ensemble-zero"),
     pytest.param(dict(ensemble=-3), "ensemble must be >= 1", id="ensemble-negative"),
+    pytest.param(dict(ensemble=math.nan), "ensemble must be >= 1", id="ensemble-nan"),
+    pytest.param(dict(ensemble=2.0), "ensemble must be >= 1 and an integer", id="ensemble-float"),
+    pytest.param(dict(n_steps=0), "n_steps must be >= 1", id="n-steps-zero"),
+    pytest.param(dict(n_steps=math.nan), "n_steps must be >= 1", id="n-steps-nan"),
+    pytest.param(dict(n_steps=math.inf), "n_steps must be >= 1", id="n-steps-inf"),
+    pytest.param(dict(n_steps=2.5), "n_steps must be >= 1 and an integer", id="n-steps-fraction"),
     pytest.param(dict(dt=math.nan), "dt must be positive and finite", id="dt-nan"),
     pytest.param(dict(dt=math.inf), "dt must be positive and finite", id="dt-inf"),
     pytest.param(dict(sigma=math.nan), "sigma must be nonnegative and finite", id="sigma-nan"),
