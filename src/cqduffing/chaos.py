@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from types import MethodType, SimpleNamespace
 
 import numpy as np
 
-from .core import OscillatorParams, State, _hermite5, acceleration
-from .odeint import (StepControl, _check_lanes, _check_start, _drive, _rk4_core_lanes,
-                     _rk4_schedule)
+from . import odeint
+from .core import OscillatorParams, State, _hermite5, _is_count, acceleration
+from .odeint import StepControl, _check_lanes, _drive, _rk4_core_lanes, _rk4_schedule
 
 __all__ = [
     "ChaosScanRow",
@@ -82,8 +83,8 @@ class _Strobes:
     """Integrator sink that keeps, for each strobe time, only the two knots
     Trajectory.eval would interpolate between, and interpolates there."""
 
-    def __init__(self, times: list[float]):
-        self.times = iter(times + [math.inf])
+    def __init__(self, times):
+        self.times = chain(times, [math.inf])
         self.next = next(self.times)
         self.points: list = []
         self.knots = (None, None)
@@ -122,12 +123,13 @@ def poincare_map(
     """
     if p.omega <= 0.0:
         raise ValueError("poincare_map needs omega > 0")
-    if not (0 <= n_points < math.inf and 0 <= n_transient < math.inf):
-        raise ValueError(f"n_points={n_points} and n_transient={n_transient} must be finite >= 0")
+    if not (_is_count(n_points) and _is_count(n_transient)):
+        raise ValueError(f"n_points={n_points} and n_transient={n_transient} must be finite >= 0 "
+                         "integers")
     T = 2.0 * math.pi / p.omega
     ctrl = ctrl or StepControl(dt=T / _STEPS_PER_PERIOD, method="rk4")
     t_end = s0.t + (n_transient + n_points) * T
-    strobes = _Strobes((s0.t + (n_transient + np.arange(1, n_points + 1)) * T).tolist())
+    strobes = _Strobes(s0.t + (n_transient + k) * T for k in range(1, n_points + 1))
     with np.errstate(over="ignore", invalid="ignore"):  # the step checks report overflow
         if np.ndim(p.gamma):
             _sweep(p, s0, t_end, ctrl, strobes)
@@ -146,9 +148,8 @@ def _sweep(p, s0: State, t_end: float, ctrl: StepControl, strobes: _Strobes) -> 
     and for the last step, which strobes.finish reads."""
     if ctrl.method != "rk4":
         raise ValueError(f"an array gamma steps by rk4, not {ctrl.method!r}")
-    _check_start(s0, t_end)
     t0, dt = s0.t, ctrl.dt
-    n_full, h_last = _rk4_schedule(t0, t_end, dt, ctrl.max_steps)
+    n_full, h_last = _rk4_schedule(t0, t_end, dt)
     start = np.array(np.broadcast_arrays(s0.x, s0.v, acceleration(p, t0, s0.x, s0.v)))
     strobes.append(t0, *start)
 
@@ -173,21 +174,26 @@ def _diverged(t_base: float) -> ValueError:
     return ValueError(f"trajectory diverged near t={float(t_base)}")
 
 
-def _benettin_intervals(p, t_total, renorm_interval, t_transient, steps_per_period):
+def _benettin_intervals(p, t0, t_total, renorm_interval, t_transient, steps_per_period):
     """(renorm_interval, t_transient, steps per interval, interval count) of
-    lyapunov_max, with its default transient filled in."""
+    lyapunov_max from t0, with its default transient filled in; raises
+    IntegrationError at t0 when the run's steps are not below odeint._MAX_STEPS."""
     T = 2.0 * math.pi / p.omega if p.omega > 0.0 else 2.0 * math.pi
     if t_transient is None:
         t_transient = _TRANSIENT_PERIODS * T
     if not (0.0 < renorm_interval < math.inf and 0.0 <= t_transient < math.inf):
         raise ValueError(f"renorm_interval={renorm_interval} must be > 0 and t_transient="
                          f"{t_transient} >= 0, both finite")
-    if not steps_per_period >= 1:
-        raise ValueError(f"steps_per_period must be >= 1, got {steps_per_period}")
+    if not _is_count(steps_per_period, 1):
+        raise ValueError(f"steps_per_period must be >= 1 and an integer, got {steps_per_period}")
     if not t_transient + renorm_interval < t_total < math.inf:
         raise ValueError(f"t_total must exceed the transient plus one interval and be finite, "
                          f"got {t_total}")
-    n_steps = max(2, int(round(steps_per_period * renorm_interval / T)))
+    per_interval = steps_per_period * renorm_interval / T
+    if not max(2, per_interval) * (t_total / renorm_interval) < odeint._MAX_STEPS:
+        raise odeint.IntegrationError(
+            f"max_steps={odeint._MAX_STEPS} exceeded at t={float(t0)}", t0)
+    n_steps = max(2, int(round(per_interval)))
     return renorm_interval, t_transient, n_steps, int(math.ceil(t_total / renorm_interval))
 
 
@@ -288,7 +294,7 @@ def lyapunov_max(
     is the mean log stretch per unit time after the transient discard.
     """
     interval, t_transient, n_steps, n_intervals = _benettin_intervals(
-        p, t_total, renorm_interval, t_transient, steps_per_period)
+        p, s0.t, t_total, renorm_interval, t_transient, steps_per_period)
     if not 0.0 < d0 < math.inf:
         raise ValueError(f"d0 must be positive and finite, got {d0}")
     dt = interval / n_steps
@@ -337,7 +343,7 @@ def _lyapunov_lanes(lanes, s0: State, steps_per_period: int, transient_periods: 
     """
     rows = {p: r for r, p in enumerate(dict.fromkeys(p for p, _ in lanes))}
     interval, t_transient, steps, n_intervals = map(np.array, zip(*(
-        _benettin_intervals(p, *_scan_times(p, transient_periods, measure_periods),
+        _benettin_intervals(p, s0.t, *_scan_times(p, transient_periods, measure_periods),
                             steps_per_period) for p in rows)))
     n_steps = int(steps[0])  # renorm_interval = T: every row has max(2, steps_per_period)
     dt = interval / n_steps
@@ -459,11 +465,13 @@ def gamma_scan_rows(
     Smaller scans compute a row's coarse exponents in order only up to its
     first chaotic pair.  Bisection calls lyapunov_max either way.
     """
-    for _, gamma_range in windows:
+    for omega, gamma_range in windows:
         lo, hi = gamma_range
         if not 0.0 <= lo < hi < math.inf:
             raise ValueError(
                 f"gamma_range must be finite, ordered and nonnegative, got {gamma_range}")
+        if not 0.0 < omega < math.inf:
+            raise ValueError(f"omega must be positive and finite, got {omega}")
     if coarse_step is None:
         coarse_step = max(resolution, 0.01)
     for name, step in (("resolution", resolution), ("coarse_step", coarse_step)):
@@ -475,6 +483,9 @@ def gamma_scan_rows(
                    measure_periods=measure_periods)
     rows = [(OscillatorParams(a=a, b=b, c=c, delta=delta, omega=omega, epsilon=1.0),
              _coarse_grid(*gamma_range, coarse_step)) for omega, gamma_range in windows]
+    for p, _ in rows:  # every row's Benettin schedule, before any exponent
+        _benettin_intervals(p, s0.t, *_scan_times(p, transient_periods, measure_periods),
+                            steps_per_period)
     lanes = [(p, g) for p, grid in rows for g in grid if g > 0.0]
     known: dict = {}  # the lane passes' exponents by (p, gamma)
     if len(lanes) >= _SCAN_LANES_MIN:

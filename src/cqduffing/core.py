@@ -73,6 +73,11 @@ class State:
             raise ValueError(f"non-finite initial state {self}")
 
 
+def _is_count(n, least: int = 0) -> bool:
+    """Whether n is an int or a numpy integer of at least least."""
+    return isinstance(n, (int, np.integer)) and n >= least
+
+
 class Trajectory:
     """Time-ordered (t, x, v) knots from an integrator.
 

@@ -227,6 +227,8 @@ def solve_cn_coefficients(a: float, b: float, c: float, x0: float) -> CnSolution
     smallest |lam| + |mu|.  Raises ValueError, listing each branch's
     residual, when none does.
     """
+    if not all(map(math.isfinite, (a, b, c, x0))):
+        raise ValueError(f"a={a}, b={b}, c={c} and x0={x0} must be finite")
     if x0 == 0.0:
         raise ValueError("x0 must be nonzero (the ansatz normalizes by x0)")
     roots: list[CnSolution] = []
@@ -282,8 +284,10 @@ class HomoclinicOrbit:
     def __post_init__(self) -> None:
         if self.kind not in ("sech", "tanh"):
             raise ValueError(f"kind must be 'sech' or 'tanh', got {self.kind!r}")
-        if self.k <= 0.0:
-            raise ValueError(f"rate k must be positive, got {self.k}")
+        if not 0.0 < self.k < math.inf:
+            raise ValueError(f"rate k must be positive and finite, got {self.k}")
+        if not (math.isfinite(self.A) and math.isfinite(self.lam)):
+            raise ValueError(f"A={self.A} and lam={self.lam} must be finite")
 
     @property
     def x0(self) -> float:
@@ -299,6 +303,8 @@ def homoclinic_orbit(a: float, b: float, c: float, kind: str, sign: int = 1) -> 
     tanh kind: x0^2 = (-b + sign sqrt(b^2 + 4ac)) / (2c),
                k = (-b x0^2 - 2c x0^4)/2, lam = -2c x0^2 / (3(b + 2c x0^2)).
     """
+    if not all(map(math.isfinite, (a, b, c))):
+        raise ValueError(f"a={a}, b={b} and c={c} must be finite")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if kind == "sech":

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OscillatorParams, _stiffness, equilibria
-from .odeint import IntegrationError, StepControl
+from . import odeint
+from .core import OscillatorParams, _is_count, _stiffness, equilibria
 
 __all__ = [
     "KbmCoefficients",
@@ -162,16 +162,16 @@ def integrate_amplitude_phase(
 
     Returns knots of shape (n, 3) with columns (t, amp, psi); the default
     step is a two-hundredth of the base period.  Raises IntegrationError
-    when the run needs more than StepControl.max_steps steps.
+    when the run needs more than odeint._MAX_STEPS steps.
     """
     if not (t_end > 0.0 and (dt is None or 0.0 < dt < math.inf)):
         raise ValueError(f"t_end={t_end} must be > 0 and dt={dt} positive and finite")
     if dt is None:
         dt = (2.0 * math.pi / k.omega0) / 200.0
     steps = t_end / dt - 1e-12
-    if steps > StepControl.max_steps:  # before the knots are allocated
-        raise IntegrationError(f"max_steps={StepControl.max_steps} exceeded at "
-                               f"t={StepControl.max_steps * dt}", 0.0)
+    if steps > odeint._MAX_STEPS:  # before the knots are allocated
+        raise odeint.IntegrationError(f"max_steps={odeint._MAX_STEPS} exceeded at "
+                                      f"t={odeint._MAX_STEPS * dt}", 0.0)
     n = max(int(math.ceil(steps)), 1)
     out = np.empty((n + 1, 3))
     a, psi = ic
@@ -272,6 +272,10 @@ class KbmSolution:
 def kbm_solve(p: OscillatorParams, x0: float, v0: float, t_end: float,
               order: int = 2) -> KbmSolution:
     """Convenience driver: coefficients, initial fit, slow-flow integration."""
+    if not (math.isfinite(x0) and math.isfinite(v0)):
+        raise ValueError(f"x0={x0} and v0={v0} must be finite")
+    if not (_is_count(order, 1) and order <= 2):
+        raise ValueError(f"order must be 1 or 2, got {order!r}")
     coeffs = build_coefficients(p, x0)
     amp, psi, converged = initial_conditions_map(coeffs, x0, v0, order)
     traj = integrate_amplitude_phase(coeffs, (amp, psi), t_end, order=order)

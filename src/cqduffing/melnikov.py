@@ -138,6 +138,8 @@ def chebyshev_fit(kind: str, lam: float) -> ChebyshevFit:
     """The family's surrogate: its target factor interpolated at its nodes."""
     if kind not in _FAMILIES:
         raise ValueError(f"kind must be 'sech' or 'tanh', got {kind!r}")
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
     fam = _FAMILIES[kind]
     if 1.0 + lam * fam.nodes[-1] ** fam.power <= 0.0:
         raise ValueError(f"surrogate coefficients undefined: need 1 + lam x^{fam.power} > 0 "

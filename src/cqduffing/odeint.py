@@ -34,6 +34,9 @@ _FAC_MIN = 0.2
 _FAC_MAX = 5.0
 _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
+# The most steps one run may take: RK4's full steps, DP54's tries, the
+# amplitude-phase slow flow's steps and a Benettin exponent's steps.
+_MAX_STEPS = 5_000_000
 
 # Dormand-Prince 5(4) tableau
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
@@ -64,7 +67,6 @@ class StepControl:
     dt: float | None = None
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
-    max_steps: int = 5_000_000
     method: str = "dp54"  # "dp54" | "rk4"
 
     def __post_init__(self) -> None:
@@ -76,8 +78,6 @@ class StepControl:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (0 < self.abs_tol < math.inf and 0 <= self.rel_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
-        if not self.max_steps >= 1:
-            raise ValueError("max_steps must be >= 1")
 
 
 class HistoryBuffer:
@@ -124,6 +124,11 @@ class HistoryBuffer:
                           np.array(self.accs), metadata)
 
 
+def _check_start(t0: float, t_end: float) -> None:
+    if not t0 < t_end < math.inf:
+        raise ValueError(f"t_end={t_end} must be finite and exceed the initial time {t0}")
+
+
 def _check_finite(t: float, x: float, v: float) -> None:
     if not (math.isfinite(x) and math.isfinite(v)):
         raise IntegrationError(f"non-finite state (x={x}, v={v}) at t={t}", t)
@@ -140,21 +145,22 @@ def _check_lanes(t: float, xv: np.ndarray, cell=None) -> None:
                                else f"non-finite state {state} in the cell {cell(i)}", t)
 
 
-def _rk4_schedule(t0: float, t_end: float, dt: float, max_steps: int) -> tuple[int, float]:
+def _rk4_schedule(t0: float, t_end: float, dt: float) -> tuple[int, float]:
     """The full steps of a fixed-step run from t0 to t_end and the length of
     its final short step (0.0 when the full steps land on t_end); raises
-    IntegrationError when the full steps exceed max_steps."""
-    n_full = int(math.floor((t_end - t0) / dt + 1e-9))
-    if n_full > max_steps:
-        raise IntegrationError(f"max_steps={max_steps} exceeded at t={t0 + max_steps * dt}", t0)
+    IntegrationError when the full steps exceed _MAX_STEPS or overflow."""
+    _check_start(t0, t_end)
+    steps = (t_end - t0) / dt + 1e-9
+    if not steps < _MAX_STEPS + 1:  # floor(steps) > _MAX_STEPS, or inf
+        raise IntegrationError(f"max_steps={_MAX_STEPS} exceeded at t={t0 + _MAX_STEPS * dt}", t0)
+    n_full = int(math.floor(steps))
     t = t0 + n_full * dt
     return n_full, (t_end - t if t_end - t > 1e-12 * max(1.0, abs(t_end)) else 0.0)
 
 
-def _run_rk4(f: Rhs, t0: float, x: float, v: float, t_end: float, dt: float,
-             max_steps: int, sink) -> None:
+def _run_rk4(f: Rhs, t0: float, x: float, v: float, t_end: float, dt: float, sink) -> None:
     """Classical RK4 with a fixed step; a shorter final step lands on t_end."""
-    n_full, h_last = _rk4_schedule(t0, t_end, dt, max_steps)
+    n_full, h_last = _rk4_schedule(t0, t_end, dt)
     acc = f(t0, x, v)
     sink(t0, x, v, acc)
     for i in range(1, n_full + 1):
@@ -271,6 +277,7 @@ def _initial_dt(f: Rhs, t0: float, x: float, v: float, t_end: float, ctrl: StepC
 def _run_dp54(f: Rhs, t0: float, x: float, v: float, t_end: float, ctrl: StepControl,
               sink, dt_cap: float = math.inf) -> tuple[int, int]:
     """Adaptive Dormand-Prince 5(4) with PI step-size control (FSAL)."""
+    _check_start(t0, t_end)
     t = t0
     kx = [0.0] * 7
     kv = [0.0] * 7
@@ -282,8 +289,8 @@ def _run_dp54(f: Rhs, t0: float, x: float, v: float, t_end: float, ctrl: StepCon
     n_accept = n_reject = 0
     steps = 0
     while t < t_end - 1e-13 * max(1.0, abs(t_end)):
-        if steps >= ctrl.max_steps:
-            raise IntegrationError(f"max_steps={ctrl.max_steps} exceeded at t={t}", t)
+        if steps >= _MAX_STEPS:
+            raise IntegrationError(f"max_steps={_MAX_STEPS} exceeded at t={t}", t)
         steps += 1
         dt = min(dt, t_end - t, dt_cap)
         for i in range(1, 7):
@@ -322,19 +329,13 @@ def _run_dp54(f: Rhs, t0: float, x: float, v: float, t_end: float, ctrl: StepCon
     return n_accept, n_reject
 
 
-def _check_start(s0: State, t_end: float) -> None:
-    if t_end <= s0.t:
-        raise ValueError(f"t_end={t_end} must exceed the initial time {s0.t}")
-
-
 def _drive(f: Rhs, s0: State, t_end: float, ctrl: StepControl, sink, meta: dict,
            dt_cap: float = math.inf) -> dict:
-    """Check t_end, run the engine that ctrl names with steps no longer
-    than dt_cap into sink(t, x, v, acc), return meta."""
-    _check_start(s0, t_end)
+    """Run the engine that ctrl names with steps no longer than dt_cap into
+    sink(t, x, v, acc), return meta."""
     if ctrl.method == "rk4":
         meta["dt"] = min(ctrl.dt, dt_cap)
-        _run_rk4(f, s0.t, s0.x, s0.v, t_end, meta["dt"], ctrl.max_steps, sink)
+        _run_rk4(f, s0.t, s0.x, s0.v, t_end, meta["dt"], sink)
     else:
         n_acc, n_rej = _run_dp54(f, s0.t, s0.x, s0.v, t_end, ctrl, sink, dt_cap)
         meta.update(abs_tol=ctrl.abs_tol, rel_tol=ctrl.rel_tol,
@@ -346,7 +347,7 @@ def integrate(rhs: Rhs, s0: State, t_end: float, ctrl: StepControl | None = None
     """Integrate (x', v') = (v, rhs(t, x, v)) from s0 up to t_end.
 
     Returns a densely evaluable trajectory; raises IntegrationError naming
-    the failure time when the state blows up or max_steps is hit.
+    the failure time when the state blows up or _MAX_STEPS is hit.
     """
     ctrl = ctrl or StepControl()
     buf = HistoryBuffer()

@@ -30,9 +30,8 @@ from functools import partial
 import numpy as np
 
 from .core import (OscillatorParams, State, Trajectory, _hermite5_coeffs, _hermite5_velocity,
-                   acceleration)
-from .odeint import (StepControl, _check_lanes, _check_start, _rk4_core_lanes, _rk4_schedule,
-                     integrate_delayed)
+                   _is_count, acceleration)
+from .odeint import StepControl, _check_lanes, _rk4_core_lanes, _rk4_schedule, integrate_delayed
 
 __all__ = [
     "ControllerConfig",
@@ -172,8 +171,8 @@ def search_mu_tau(
     controller norm.  map_fn can be a parallel map; results are merged by
     grid index so the ranking never depends on evaluation order."""
     n_mu, n_tau = grid
-    if n_mu < 1 or n_tau < 1:
-        raise ValueError("grid must have at least one cell per axis")
+    if not (_is_count(n_mu, 1) and _is_count(n_tau, 1)):
+        raise ValueError(f"grid must have at least one cell per axis, as integers, got {grid}")
     if not (math.isfinite(mu_range[1] - mu_range[0]) and math.isfinite(tau_range[1] - tau_range[0])):
         raise ValueError(f"mu and tau ranges need finite ends and widths, got {mu_range}, {tau_range}")
     mus = np.linspace(mu_range[0], mu_range[1], n_mu)
@@ -197,11 +196,8 @@ def _lane_blocks(p: OscillatorParams, s0: State, cells: list[tuple[float, float]
     groups: dict[float, list] = {}
     for i, (mu, tau) in enumerate(cells):
         ControllerConfig(mu=mu, tau=tau)
-        ctrl = _default_ctrl(p, tau)
-        dt, t_end = min(ctrl.dt, tau), _settle_time(p, tau, s0.t)
-        _check_start(s0, t_end)
-        groups.setdefault(dt, []).append(
-            (i, mu, tau, t_end, *_rk4_schedule(s0.t, t_end, dt, ctrl.max_steps)))
+        dt, t_end = min(_default_ctrl(p, tau).dt, tau), _settle_time(p, tau, s0.t)
+        groups.setdefault(dt, []).append((i, mu, tau, t_end, *_rk4_schedule(s0.t, t_end, dt)))
     blocks = []
     for dt, lanes in groups.items():
         lanes.sort(key=lambda lane: (lane[2], lane[0]))
@@ -340,8 +336,8 @@ def chebyshev_fit_orbit(traj: Trajectory, window: tuple[float, float],
     w0, w1 = window
     if not (traj.t[0] - 1e-12 <= w0 < w1 <= traj.t[-1] + 1e-12):
         raise ValueError(f"window {window} not inside trajectory span {traj.t_span}")
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
+    if not _is_count(degree, 1):
+        raise ValueError(f"degree must be >= 1 and an integer, got {degree!r}")
     n_nodes = max(4 * (degree + 1), 64)
     j = np.arange(n_nodes)
     nodes = np.cos((2 * j + 1) * math.pi / (2 * n_nodes))  # Chebyshev points in (-1, 1)

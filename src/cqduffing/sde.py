@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OscillatorParams, State, Trajectory, _restoring
+from .core import OscillatorParams, State, Trajectory, _is_count, _restoring
 
 __all__ = ["SdeConfig", "EnsembleStats", "euler_maruyama", "run_ensemble", "ensemble_stats",
            "path_increments"]
@@ -62,9 +62,10 @@ class SdeConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not 0.0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
-        for name, n in (("n_steps", self.n_steps), ("ensemble", self.ensemble)):
-            if not (isinstance(n, (int, np.integer)) and n >= 1):
-                raise ValueError(f"{name} must be >= 1 and an integer, got {n!r}")
+        for name, n, least in (("n_steps", self.n_steps, 1), ("ensemble", self.ensemble, 1),
+                               ("seed", self.seed, 0)):
+            if not _is_count(n, least):
+                raise ValueError(f"{name} must be >= {least} and an integer, got {n!r}")
 
 
 def _rng_for_path(seed: int, path_index: int) -> np.random.Generator:
@@ -222,6 +223,8 @@ def run_ensemble(p: OscillatorParams, cfg: SdeConfig, s0: State,
 
     Raises the errors of `euler_maruyama` and then `ensemble_stats`.
     """
+    if not _is_count(save_paths):
+        raise ValueError(f"save_paths must be >= 0 and an integer, got {save_paths!r}")
     ts, cut, last, kept = _em_pass(p, cfg, s0, min(save_paths, cfg.ensemble))
     # Every path's Trajectory checks its knot times; the longest path's
     # times fail those checks whenever any path's do, with the same error.

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cqduffing import IntegrationError, OscillatorParams, State, StepControl, chaos, integrate
+from cqduffing import IntegrationError, OscillatorParams, State, StepControl, chaos, integrate, odeint
 from cqduffing.chaos import (
     ChaosScanRow,
     bifurcation_data,
@@ -85,8 +85,23 @@ class TestPoincareMap:
             data = bifurcation_data(params(0.3), [0.2, 0.3], n_points=0, n_transient=1)
             assert [(g, xs.shape) for g, xs in data] == [(0.2, (0,)), (0.3, (0,))]
 
-    def test_max_steps_names_time(self):
-        ctrl = StepControl(dt=T14 / 200, method="rk4", max_steps=500)
+    @pytest.mark.parametrize("run", [
+        pytest.param(lambda: poincare_map(params(0.3), State(0, 0, 0), 10**12, 0), id="points"),
+        pytest.param(lambda: poincare_map(params(0.3), State(0, 0, 0), 2, 10**306),
+                     id="transient"),
+        pytest.param(lambda: bifurcation_data(params(0.3), [0.3] * 20, 2, 10**306),
+                     id="sweep-lanes-transient"),
+    ])
+    def test_a_section_past_the_budget_raises_before_its_strobe_times(self, run):
+        # 10**12 strobe times would not fit in memory, and 10**306 periods of
+        # T/200 are more steps than a float holds: neither is built or counted
+        with pytest.raises(IntegrationError, match="max_steps=5000000 exceeded") as err:
+            run()
+        assert err.value.t == 0.0
+
+    def test_max_steps_names_time(self, monkeypatch):
+        monkeypatch.setattr(odeint, "_MAX_STEPS", 500)
+        ctrl = StepControl(dt=T14 / 200, method="rk4")
         with pytest.raises(IntegrationError, match="max_steps=500") as err:
             poincare_map(params(0.3), State(0, 0, 0), 2, 1, ctrl)
         assert err.value.t == 0.0
@@ -118,6 +133,24 @@ class TestLyapunov:
         le10 = lyapunov_max(params(0.35), State(0, 0, 0), 500 * T14, T14, d0=1e-10)
         assert le6 == pytest.approx(le10, rel=0.2)
 
+
+    @pytest.mark.parametrize("run", [
+        pytest.param(lambda: lyapunov_max(params(0.3), State(0, 0, 0), 1.5e308, 1e308,
+                                          t_transient=0.0), id="interval-steps-overflow"),
+        pytest.param(lambda: lyapunov_max(params(0.3), State(0, 0, 0), 3 * T14, T14,
+                                          t_transient=0.0, steps_per_period=10**300),
+                     id="steps-per-period"),
+        pytest.param(lambda: lyapunov_max(params(0.3), State(0, 0, 0), 3 * T14, 1e-300,
+                                          t_transient=0.0), id="intervals"),
+        pytest.param(lambda: lyapunov_max(params(0.3), State(0, 0, 0), 1e300, T14,
+                                          t_transient=0.0), id="horizon"),
+        pytest.param(lambda: gamma_scan(1, 1, 0, 0.1, 1.4, (0.3, 0.32), 0.01, steps_per_period=20,
+                                        transient_periods=1, measure_periods=1e300), id="scan"),
+    ])
+    def test_a_schedule_past_the_budget_raises_before_a_step(self, run):
+        with pytest.raises(IntegrationError, match=r"^max_steps=5000000 exceeded at t=0\.0$") as err:
+            run()
+        assert err.value.t == 0.0
 
     def test_overflow_reports_divergence_time(self):
         # x ** 3 overflows in the first period, before the interval's
@@ -655,6 +688,23 @@ HORIZON = "t_total must exceed the transient plus one interval and be finite"
                  id="lyapunov-steps-negative"),
     pytest.param(lambda: benettin(steps_per_period=math.nan), "steps_per_period must be >= 1",
                  id="lyapunov-steps-nan"),
+    pytest.param(lambda: benettin(steps_per_period=2.5),
+                 "steps_per_period must be >= 1 and an integer, got 2.5", id="lyapunov-steps-fraction"),
+    pytest.param(lambda: benettin(steps_per_period=math.inf),
+                 "steps_per_period must be >= 1 and an integer, got inf", id="lyapunov-steps-inf"),
+    pytest.param(lambda: gamma_scan(1, 1, 0, 0.1, 1.4, (0.0, 0.3), 0.01, steps_per_period=2.5),
+                 "steps_per_period must be >= 1 and an integer", id="scan-lanes-steps-fraction"),
+    pytest.param(lambda: gamma_scan(1, 1, 0, 0.1, 0.0, (0.3, 0.32), 0.01),
+                 "omega must be positive and finite, got 0.0", id="scan-omega-zero"),
+    pytest.param(lambda: gamma_scan(1, 1, 0, 0.1, math.nan, (0.3, 0.32), 0.01),
+                 "omega must be positive and finite, got nan", id="scan-omega-nan"),
+    pytest.param(lambda: poincare_map(params(0.3), State(0, 0, 0), 2.5, 3),
+                 "n_points=2.5 and n_transient=3 must be finite >= 0 integers",
+                 id="section-points-fraction"),
+    pytest.param(lambda: poincare_map(params(0.3), State(0, 0, 0), 2, 2.5),
+                 "n_transient=2.5 must be finite >= 0 integers", id="section-transient-fraction"),
+    pytest.param(lambda: bifurcation_data(params(0.3), [0.3], n_points=2.5, n_transient=2),
+                 "n_points=2.5 and", id="sweep-points-fraction"),
     pytest.param(lambda: gamma_scan(1, 1, 0, 0.1, 1.4, (0.3, 0.4), 0.01, lyap_threshold=math.nan),
                  "lyap_threshold must be finite", id="scan-threshold-nan"),
     pytest.param(lambda: gamma_scan(1, 1, 0, 0.1, 1.4, (0.3, 0.4), 0.01, lyap_threshold=math.inf),

@@ -368,6 +368,20 @@ class TestHomoclinicOrbit:
                  "sign must be", id="sign"),
     pytest.param(lambda: homoclinic_orbit(1.0, 1.0, 0.2, "cn"),
                  "kind must be 'sech' or 'tanh'", id="unknown-kind"),
+    pytest.param(lambda: HomoclinicOrbit(A=1.0, k=math.inf, lam=0.1, kind="sech"),
+                 "rate k must be positive and finite, got inf", id="orbit-rate-inf"),
+    pytest.param(lambda: HomoclinicOrbit(A=math.nan, k=1.0, lam=0.1, kind="sech"),
+                 "A=nan and lam=0.1 must be finite", id="orbit-amplitude-nan"),
+    pytest.param(lambda: HomoclinicOrbit(A=1.0, k=1.0, lam=math.inf, kind="tanh"),
+                 "A=1.0 and lam=inf must be finite", id="orbit-lam-inf"),
+    pytest.param(lambda: homoclinic_orbit(math.nan, 1.0, 0.2, "sech"),
+                 "a=nan, b=1.0 and c=0.2 must be finite", id="orbit-a-nan"),
+    pytest.param(lambda: homoclinic_orbit(1.0, 1.0, math.inf, "tanh"),
+                 "a=1.0, b=1.0 and c=inf must be finite", id="orbit-c-inf"),
+    pytest.param(lambda: solve_cn_coefficients(1.0, 1.0, 1.0, math.nan),
+                 "a=1.0, b=1.0, c=1.0 and x0=nan must be finite", id="cn-x0-nan"),
+    pytest.param(lambda: solve_cn_coefficients(1.0, math.inf, 1.0, 1.0),
+                 "b=inf, c=1.0 and x0=1.0 must be finite", id="cn-b-inf"),
 ])
 def test_invalid_input_raises(build, match):
     with pytest.raises(ValueError, match=match):

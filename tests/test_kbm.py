@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cqduffing import IntegrationError, OscillatorParams, State, StepControl, integrate
+from cqduffing import IntegrationError, OscillatorParams, State, StepControl, integrate, odeint
 from cqduffing.core import acceleration
 from cqduffing.kbm import (
     KbmCoefficients,
@@ -207,11 +207,11 @@ class TestOrderProperty:
 class TestStepBound:
     def test_horizon_past_max_steps_raises_before_the_knots_exist(self):
         k = build_coefficients(SOFT, 0.25)
-        with pytest.raises(IntegrationError, match=f"max_steps={StepControl.max_steps} exceeded"):
+        with pytest.raises(IntegrationError, match=f"max_steps={odeint._MAX_STEPS} exceeded"):
             integrate_amplitude_phase(k, (0.25, 0.0), 1e300)
 
     def test_bound_counts_the_steps(self, monkeypatch):
-        monkeypatch.setattr(StepControl, "max_steps", 10)
+        monkeypatch.setattr(odeint, "_MAX_STEPS", 10)
         k = build_coefficients(SOFT, 0.25)
         ic = (0.25, 0.0)
         assert integrate_amplitude_phase(k, ic, 1.0, dt=0.1).shape == (11, 3)
@@ -240,6 +240,16 @@ def slow_flow(t_end, **kw):
     pytest.param(lambda: slow_flow(1.0, dt=-0.1), r"dt=-0\.1 positive and finite", id="dt-negative"),
     pytest.param(lambda: slow_flow(1.0, dt=math.nan), "dt=nan positive and finite", id="dt-nan"),
     pytest.param(lambda: slow_flow(1.0, dt=math.inf), "dt=inf positive and finite", id="dt-inf"),
+    pytest.param(lambda: kbm_solve(SOFT, math.nan, 0.0, 1.0), "x0=nan and v0=0.0 must be finite",
+                 id="solve-x0-nan"),
+    pytest.param(lambda: kbm_solve(SOFT, 0.25, math.inf, 1.0), "x0=0.25 and v0=inf must be finite",
+                 id="solve-v0-inf"),
+    pytest.param(lambda: kbm_solve(SOFT, 0.25, 0.0, 1.0, order=0), "order must be 1 or 2, got 0",
+                 id="solve-order-zero"),
+    pytest.param(lambda: kbm_solve(SOFT, 0.25, 0.0, 1.0, order=3), "order must be 1 or 2, got 3",
+                 id="solve-order-three"),
+    pytest.param(lambda: kbm_solve(SOFT, 0.25, 0.0, 1.0, order=1.5),
+                 "order must be 1 or 2, got 1.5", id="solve-order-fraction"),
 ])
 def test_invalid_input_raises(build, match):
     with pytest.raises(ValueError, match=match):

@@ -188,6 +188,13 @@ class TestDampingIntegrals:
                 damping_integral(HomoclinicOrbit(A=1.0, k=1.0, lam=lam, kind=kind))
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_surrogate_of_a_non_finite_shape_raises(lam):
+    for kind in ("sech", "tanh"):
+        with pytest.raises(ValueError, match=f"lam must be finite, got {lam}"):
+            chebyshev_fit(kind, lam)
+
+
 class TestMelnikovAssembly:
     def params(self, gamma=0.35, delta=0.1, omega=1.4):
         return OscillatorParams(1, 1, 0.2, delta=delta, gamma=gamma, omega=omega, epsilon=1)

@@ -6,11 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cqduffing import IntegrationError, OscillatorParams, State, StepControl, integrate, integrate_delayed
+from cqduffing import (IntegrationError, OscillatorParams, State, StepControl, integrate,
+                       integrate_delayed, odeint)
+from cqduffing.chaos import bifurcation_data, gamma_scan, lyapunov_max, poincare_map
 from cqduffing.core import acceleration, energy
+from cqduffing.kbm import kbm_solve
 from cqduffing.odeint import (HistoryBuffer, _check_finite, _check_lanes, _drive, _rk4_core_lanes,
                               _rk4_step)
-from cqduffing.pyragas import controlled_rhs
+from cqduffing.pyragas import controlled_rhs, search_mu_tau
+
+T14 = 2 * math.pi / 1.4
+SWEEP_PARAMS = OscillatorParams(1, 1, 0, delta=0.1, gamma=0.3, omega=1.4)
 
 
 def harmonic(t, x, v):
@@ -44,19 +50,54 @@ class TestAdaptive:
         with pytest.raises(ValueError, match="outside"):
             tr.eval(2.0)
 
-    def test_max_steps_names_time(self):
+    def test_max_steps_names_time(self, monkeypatch):
+        monkeypatch.setattr(odeint, "_MAX_STEPS", 10)
         with pytest.raises(IntegrationError, match="max_steps"):
-            integrate(harmonic, State(0, 1, 0), 100.0, StepControl(max_steps=10))
+            integrate(harmonic, State(0, 1, 0), 100.0, StepControl())
 
     def test_blowup_names_time(self):
         with pytest.raises(IntegrationError) as err:
             integrate(lambda t, x, v: x**3, State(0, 2.0, 1.0), 10.0,
-                      StepControl(abs_tol=1e-6, rel_tol=1e-6, max_steps=100000))
+                      StepControl(abs_tol=1e-6, rel_tol=1e-6))
         assert math.isfinite(err.value.t) or err.value.t > 0
 
     def test_requires_forward_time(self):
         with pytest.raises(ValueError, match="exceed"):
             integrate(harmonic, State(1.0, 1, 0), 0.5, StepControl())
+
+
+class TestStepBudget:
+    def test_step_control_has_no_per_call_budget(self):
+        with pytest.raises(TypeError):
+            StepControl(max_steps=1)
+
+    def test_a_step_count_that_overflows_is_over_the_budget(self):
+        # 2e308 / dt is inf, which int() cannot take: the budget check comes first
+        with pytest.raises(IntegrationError, match="max_steps=5000000 exceeded") as err:
+            integrate(harmonic, State(-1e308, 1, 0), 1e308, StepControl(dt=1.0, method="rk4"))
+        assert err.value.t == -1e308
+
+    @pytest.mark.parametrize("run", [
+        pytest.param(lambda: integrate(harmonic, State(0, 1, 0), 100.0,
+                                       StepControl(dt=0.1, method="rk4")), id="rk4"),
+        pytest.param(lambda: integrate(harmonic, State(0, 1, 0), 100.0), id="dp54"),
+        pytest.param(lambda: integrate_delayed(lambda t, x, v, vd: -x + 0.1 * vd, State(0, 1, 0),
+                                               lambda t: 0.0, 0.5, 100.0), id="delayed"),
+        pytest.param(lambda: poincare_map(SWEEP_PARAMS, State(0, 0, 0), 2, 1), id="section"),
+        pytest.param(lambda: bifurcation_data(SWEEP_PARAMS, np.linspace(0.2, 0.35, 20), 2, 1),
+                     id="sweep-lanes"),
+        pytest.param(lambda: search_mu_tau(SWEEP_PARAMS, (1.0, 2.0), (2.0, 3.0), (2, 2)),
+                     id="search"),
+        pytest.param(lambda: kbm_solve(OscillatorParams(-1, 2, 1, delta=0.025, gamma=0.01,
+                                                        omega=0.1), 0.25, 0.0, 30.0), id="kbm"),
+        pytest.param(lambda: lyapunov_max(SWEEP_PARAMS, State(0, 0, 0), 3 * T14, T14,
+                                          t_transient=0.0), id="lyapunov"),
+        pytest.param(lambda: gamma_scan(1, 1, 0, 0.1, 1.4, (0.0, 0.3), 0.01), id="scan-lanes"),
+    ])
+    def test_one_constant_bounds_every_run(self, monkeypatch, run):
+        monkeypatch.setattr(odeint, "_MAX_STEPS", 10)
+        with pytest.raises(IntegrationError, match="max_steps=10 exceeded"):
+            run()
 
 
 class TestRk4:
@@ -326,7 +367,6 @@ class TestKnotRecorder:
     pytest.param(lambda: StepControl(dt=-0.1), "dt must be positive", id="dp54-dt"),
     pytest.param(lambda: StepControl(abs_tol=0.0), "tolerances must be positive", id="abs-tol"),
     pytest.param(lambda: StepControl(rel_tol=-1e-9), "tolerances must be positive", id="rel-tol"),
-    pytest.param(lambda: StepControl(max_steps=0), "max_steps must be >= 1", id="max-steps"),
     pytest.param(lambda: StepControl(abs_tol=math.nan), "tolerances must be positive",
                  id="abs-tol-nan"),
     pytest.param(lambda: StepControl(rel_tol=math.nan), "tolerances must be positive",
@@ -342,14 +382,25 @@ class TestKnotRecorder:
     pytest.param(lambda: StepControl(method="rk4"), "rk4 needs a positive fixed step dt",
                  id="rk4-no-dt"),
     pytest.param(lambda: StepControl(dt=math.nan), "dt must be positive", id="dp54-dt-nan"),
-    pytest.param(lambda: StepControl(max_steps=math.nan), "max_steps must be >= 1",
-                 id="max-steps-nan"),
     pytest.param(lambda: integrate_delayed(lambda t, x, v, vd: -x, State(0, 1, 0), lambda t: 0.0,
                                            math.nan, 1.0), "delay tau must be positive", id="tau-nan"),
     pytest.param(lambda: integrate_delayed(lambda t, x, v, vd: -x, State(0, 1, 0), lambda t: 0.0,
                                            math.inf, 1.0), "delay tau must be positive", id="tau-inf"),
     pytest.param(lambda: integrate(lambda t, x, v: -x, State(0.0, math.nan, 0.0), 1.0),
                  "non-finite initial state", id="start-state"),
+    pytest.param(lambda: integrate(harmonic, State(0, 1, 0), math.inf),
+                 "t_end=inf must be finite and exceed the initial time 0", id="dp54-horizon-inf"),
+    pytest.param(lambda: integrate(harmonic, State(0, 1, 0), math.nan),
+                 "t_end=nan must be finite and exceed the initial time 0", id="dp54-horizon-nan"),
+    pytest.param(lambda: integrate(harmonic, State(0, 1, 0), math.nan,
+                                   StepControl(dt=0.1, method="rk4")),
+                 "t_end=nan must be finite and exceed", id="rk4-horizon-nan"),
+    pytest.param(lambda: integrate(harmonic, State(0, 1, 0), math.inf,
+                                   StepControl(dt=0.1, method="rk4")),
+                 "t_end=inf must be finite and exceed", id="rk4-horizon-inf"),
+    pytest.param(lambda: integrate_delayed(lambda t, x, v, vd: -x, State(0, 1, 0), lambda t: 0.0,
+                                           0.5, math.nan),
+                 "t_end=nan must be finite and exceed", id="delayed-horizon-nan"),
 ])
 def test_invalid_input_raises(build, match):
     with pytest.raises(ValueError, match=match):

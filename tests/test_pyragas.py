@@ -350,6 +350,16 @@ def _line_trajectory():
                  "ranges need finite ends and widths", id="search-overflowing-mu-width"),
     pytest.param(lambda: chebyshev_fit_orbit(_line_trajectory(), (0.0, 2.0), 0),
                  "degree must be >= 1", id="fit-degree"),
+    pytest.param(lambda: chebyshev_fit_orbit(_line_trajectory(), (0.0, 2.0), 2.5),
+                 "degree must be >= 1 and an integer, got 2.5", id="fit-degree-fraction"),
+    pytest.param(lambda: search_mu_tau(CHAOTIC, (1.0, 2.0), (2.0, 3.0), (2.5, 2)),
+                 r"at least one cell per axis, as integers, got \(2\.5, 2\)",
+                 id="search-mu-fraction"),
+    pytest.param(lambda: search_mu_tau(CHAOTIC, (1.0, 2.0), (2.0, 3.0), (math.nan, 2)),
+                 "at least one cell per axis, as integers", id="search-mu-nan"),
+    pytest.param(lambda: run_controlled(CHAOTIC, ControllerConfig(1.0, 2.0), State(0, 0, 0),
+                                        math.nan),
+                 "t_end=nan must be finite and exceed the initial time 0", id="run-horizon-nan"),
 ])
 def test_invalid_input_raises(build, match):
     with pytest.raises(ValueError, match=match):

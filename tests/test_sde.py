@@ -389,7 +389,17 @@ class TestStreamingPass:
     pytest.param(dict(dt=math.inf), "dt must be positive and finite", id="dt-inf"),
     pytest.param(dict(sigma=math.nan), "sigma must be nonnegative and finite", id="sigma-nan"),
     pytest.param(dict(sigma=math.inf), "sigma must be nonnegative and finite", id="sigma-inf"),
+    pytest.param(dict(seed=math.nan), "seed must be >= 0 and an integer, got nan", id="seed-nan"),
+    pytest.param(dict(seed=-1), "seed must be >= 0 and an integer, got -1", id="seed-negative"),
+    pytest.param(dict(seed=2.5), "seed must be >= 0 and an integer, got 2.5", id="seed-fraction"),
 ])
 def test_invalid_input_raises(kw, match):
     with pytest.raises(ValueError, match=match):
         SdeConfig(**{"dt": 0.01, "n_steps": 10, "seed": 0, **kw})
+
+
+@pytest.mark.parametrize("save_paths", [-1, 2.5])
+def test_save_paths_must_be_a_count(save_paths):
+    cfg = SdeConfig(dt=0.01, n_steps=5, seed=0, ensemble=3)
+    with pytest.raises(ValueError, match=f"save_paths must be >= 0 and an integer, got {save_paths}"):
+        run_ensemble(OscillatorParams(1, 1, 0.2), cfg, State(0, 0, 0), save_paths)
