@@ -194,7 +194,7 @@ def cmd_kbm(cfg: dict, out_path) -> dict:
     if cfg["compare"]:
         ctrl = StepControl(abs_tol=1e-11, rel_tol=1e-11)
         ref = integrate(partial(acceleration, p), _start(cfg), cfg["t_end"], ctrl)
-        rows = [(t, sol.eval(t), xr) for t, xr in zip(ts.tolist(), ref.eval_x(ts).tolist())]
+        rows = [(t, sol.eval(t), xr) for t, xr in zip(ts.tolist(), ref.eval(ts)[0].tolist())]
         header = ["t", "x_approx", "x_reference"]
         max_err = max(abs(r[1] - r[2]) for r in rows)
     else:
@@ -212,7 +212,7 @@ def cmd_melnikov(cfg: dict, out_path) -> dict:
     p = _params(cfg)
     orbit = exact.homoclinic_orbit(cfg["a"], cfg["b"], cfg["c"], cfg["kind"], cfg["sign"])
     res = melnikov.melnikov(orbit, p)
-    critical_gamma = abs(p.delta) * res.threshold_ratio if math.isfinite(res.threshold_ratio) else None
+    critical_gamma = melnikov.chaos_threshold(orbit, p) if math.isfinite(res.threshold_ratio) else None
     payload = {
         "orbit": asdict(orbit),
         "wave_coeff": res.wave_coeff,

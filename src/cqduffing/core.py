@@ -114,16 +114,9 @@ class Trajectory:
     def __len__(self) -> int:
         return self.t.size
 
-    @property
-    def t_span(self) -> tuple[float, float]:
-        return float(self.t[0]), float(self.t[-1])
-
-    def final_state(self) -> State:
-        return State(float(self.t[-1]), float(self.x[-1]), float(self.v[-1]))
-
     def eval(self, t):
-        """Densely interpolated (x, v) at time t inside the span: arrays for an
-        array t, two floats for a float or numpy-scalar t."""
+        """The one dense read: interpolated (x, v) at time t inside the span, as
+        arrays for an array t and two floats for a float or numpy-scalar t."""
         if self.accel is None:
             raise ValueError("trajectory has no acceleration knots; dense output unavailable")
         kt, ts = self.t, np.asarray(t, dtype=float)
@@ -138,12 +131,6 @@ class Trajectory:
             x, v = _hermite5((ts - kt[i]) / h, h, self.x[i], self.v[i], self.accel[i],
                              self.x[i + 1], self.v[i + 1], self.accel[i + 1])
         return (x, v) if isinstance(t, np.ndarray) else (float(x), float(v))
-
-    def eval_x(self, t):
-        return self.eval(t)[0]
-
-    def eval_v(self, t):
-        return self.eval(t)[1]
 
 
 def _hermite5(s, h, x0, v0, a0, x1, v1, a1):

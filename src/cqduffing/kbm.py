@@ -50,6 +50,11 @@ class KbmCoefficients:
     epsilon_eff: float   # eps * delta, the slow damping scale
     phi_amplitude: float  # eps * gamma
     phi_omega: float
+    order: int = 2        # of the slow flow they drive: 1 or 2
+
+    def __post_init__(self) -> None:
+        if not (_is_count(self.order, 1) and self.order <= 2):
+            raise ValueError(f"order must be 1 or 2, got {self.order!r}")
 
     def phi(self, t: float) -> float:
         """Forcing term eps*gamma*cos(omega t) entering the corrections."""
@@ -58,7 +63,7 @@ class KbmCoefficients:
         return self.phi_amplitude * math.cos(self.phi_omega * t)
 
 
-def build_coefficients(p: OscillatorParams, x0: float) -> KbmCoefficients:
+def build_coefficients(p: OscillatorParams, x0: float, order: int = 2) -> KbmCoefficients:
     """Expansion coefficients for the orbit started at x0.
 
     With a > 0 the shift eta is the center equilibrium nearest x0; an
@@ -85,12 +90,12 @@ def build_coefficients(p: OscillatorParams, x0: float) -> KbmCoefficients:
         epsilon_eff=p.epsilon * p.delta,
         phi_amplitude=p.epsilon * p.gamma,
         phi_omega=p.omega,
+        order=order,
     )
 
 
-def amplitude_phase_odes(k: KbmCoefficients, a: float, t: float,
-                         order: int = 2) -> tuple[float, float]:
-    """(d amp/dt, d psi/dt) of the slow flow at amplitude a, to first or second order."""
+def amplitude_phase_odes(k: KbmCoefficients, a: float, t: float) -> tuple[float, float]:
+    """(d amp/dt, d psi/dt) of the slow flow at amplitude a, to k's order."""
     w0 = k.omega0
     eps = k.epsilon_eff
     a2 = a * a
@@ -98,7 +103,7 @@ def amplitude_phase_odes(k: KbmCoefficients, a: float, t: float,
     a4 = a2 * a2
     da = -0.5 * a * eps
     dpsi = w0 + (5.0 * a4 * k.E + 6.0 * a2 * k.C) / (16.0 * w0)
-    if order >= 2:
+    if k.order == 2:
         da += (5.0 * a4 * a * k.E * eps + 3.0 * a3 * k.C * eps) / (16.0 * w0 * w0)
         a6 = a4 * a2
         a8 = a4 * a4
@@ -156,7 +161,7 @@ def _assemble_point(k: KbmCoefficients, a: float, psi: float, t: float) -> float
 
 def integrate_amplitude_phase(
     k: KbmCoefficients, ic: tuple[float, float], t_end: float,
-    dt: float | None = None, order: int = 2,
+    dt: float | None = None,
 ) -> np.ndarray:
     """RK4 integration of the slow flow from t = 0 and ic = (amp, psi).
 
@@ -179,10 +184,10 @@ def integrate_amplitude_phase(
     for i in range(n):
         t = i * dt
         h = min(dt, t_end - t) if i < n - 1 else t_end - t
-        k1 = amplitude_phase_odes(k, a, t, order)
-        k2 = amplitude_phase_odes(k, a + 0.5 * h * k1[0], t + 0.5 * h, order)
-        k3 = amplitude_phase_odes(k, a + 0.5 * h * k2[0], t + 0.5 * h, order)
-        k4 = amplitude_phase_odes(k, a + h * k3[0], t + h, order)
+        k1 = amplitude_phase_odes(k, a, t)
+        k2 = amplitude_phase_odes(k, a + 0.5 * h * k1[0], t + 0.5 * h)
+        k3 = amplitude_phase_odes(k, a + 0.5 * h * k2[0], t + 0.5 * h)
+        k4 = amplitude_phase_odes(k, a + h * k3[0], t + h)
         a += h / 6.0 * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
         psi += h / 6.0 * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
         out[i + 1] = (t + h, a, psi)
@@ -201,8 +206,7 @@ def assemble_solution(k: KbmCoefficients, amp_phase_traj: np.ndarray, t: float) 
     return _assemble_point(k, a, psi, t)
 
 
-def initial_conditions_map(k: KbmCoefficients, x0: float, v0: float,
-                           order: int = 2) -> tuple[float, float, bool]:
+def initial_conditions_map(k: KbmCoefficients, x0: float, v0: float) -> tuple[float, float, bool]:
     """(amp, psi, converged) at t = 0 such that the assembled solution
     meets x(0) = x0, x'(0) = v0, found by a two-dimensional Newton
     iteration; where the fit misses its tolerance, the linear seed with
@@ -215,7 +219,7 @@ def initial_conditions_map(k: KbmCoefficients, x0: float, v0: float,
 
     def value_and_slope(a: float, ps: float) -> tuple[float, float]:
         x = _assemble_point(k, a, ps, 0.0)
-        da, dpsi = amplitude_phase_odes(k, a, 0.0, order)
+        da, dpsi = amplitude_phase_odes(k, a, 0.0)
         h = 1e-6
         dxa = (_assemble_point(k, a + h, ps, 0.0) - _assemble_point(k, a - h, ps, 0.0)) / (2 * h)
         dxp = (_assemble_point(k, a, ps + h, 0.0) - _assemble_point(k, a, ps - h, 0.0)) / (2 * h)
@@ -274,9 +278,7 @@ def kbm_solve(p: OscillatorParams, x0: float, v0: float, t_end: float,
     """Convenience driver: coefficients, initial fit, slow-flow integration."""
     if not (math.isfinite(x0) and math.isfinite(v0)):
         raise ValueError(f"x0={x0} and v0={v0} must be finite")
-    if not (_is_count(order, 1) and order <= 2):
-        raise ValueError(f"order must be 1 or 2, got {order!r}")
-    coeffs = build_coefficients(p, x0)
-    amp, psi, converged = initial_conditions_map(coeffs, x0, v0, order)
-    traj = integrate_amplitude_phase(coeffs, (amp, psi), t_end, order=order)
+    coeffs = build_coefficients(p, x0, order)
+    amp, psi, converged = initial_conditions_map(coeffs, x0, v0)
+    traj = integrate_amplitude_phase(coeffs, (amp, psi), t_end)
     return KbmSolution(coeffs, traj, converged)

@@ -109,7 +109,7 @@ class HistoryBuffer:
             if self._history_v is None:
                 raise ValueError(f"read at t={t} before the first knot and no history function")
             return float(self._history_v(t))
-        if t >= self.ts[-1]:
+        if not t < self.ts[-1]:  # NaN too: it fails every comparison
             if t <= self.ts[-1] + 1e-12:
                 return self.vs[-1]
             raise ValueError(f"delayed read at t={t} beyond recorded history t={self.ts[-1]}")

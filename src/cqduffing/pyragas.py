@@ -107,6 +107,8 @@ def run_controlled(
     compares x(t) with x(t + tau), and the controller norm is the largest
     velocity mismatch the feedback still sees there.
     """
+    if not 0.0 < periodicity_tol < math.inf:
+        raise ValueError(f"periodicity_tol={periodicity_tol} must be positive and finite")
     tau = cfg.tau
     history = _history_fn(cfg, s0)
     traj = integrate_delayed(partial(controlled_rhs, p, cfg.mu), s0, history, tau, t_end,
@@ -123,12 +125,12 @@ def _periodicity_report(traj: Trajectory, t0: float, tau: float, history,
     w_lo = max(t0, t1 - 5.0 * tau)
     ts = np.linspace(w_lo, t1, 400)
     td = ts - tau
-    vd = np.where(td > t0, traj.eval_v(np.maximum(td, t0)), history(td))
-    controller_norm = float(np.abs(vd - traj.eval_v(ts)).max())
+    vd = np.where(td > t0, traj.eval(np.maximum(td, t0))[1], history(td))
+    controller_norm = float(np.abs(vd - traj.eval(ts)[1]).max())
     residual = math.inf
     if t1 - tau > w_lo:
         ts = np.linspace(w_lo, t1 - tau, 400)
-        residual = float(np.abs(traj.eval_x(ts + tau) - traj.eval_x(ts)).max())
+        residual = float(np.abs(traj.eval(ts + tau)[0] - traj.eval(ts)[0]).max())
     return PeriodicityReport(
         is_periodic=bool(residual < periodicity_tol),
         period=tau,
@@ -334,17 +336,18 @@ def chebyshev_fit_orbit(traj: Trajectory, window: tuple[float, float],
     nodes; returns monomial coefficients (ascending powers of t, in the
     window's own time variable) and the measured sup residual."""
     w0, w1 = window
-    if not (traj.t[0] - 1e-12 <= w0 < w1 <= traj.t[-1] + 1e-12):
-        raise ValueError(f"window {window} not inside trajectory span {traj.t_span}")
+    t0, t1 = float(traj.t[0]), float(traj.t[-1])
+    if not (t0 - 1e-12 <= w0 < w1 <= t1 + 1e-12):
+        raise ValueError(f"window {window} not inside trajectory span {t0, t1}")
     if not _is_count(degree, 1):
         raise ValueError(f"degree must be >= 1 and an integer, got {degree!r}")
     n_nodes = max(4 * (degree + 1), 64)
     j = np.arange(n_nodes)
     nodes = np.cos((2 * j + 1) * math.pi / (2 * n_nodes))  # Chebyshev points in (-1, 1)
     ts = 0.5 * (w0 + w1) + 0.5 * (w1 - w0) * nodes
-    xs = traj.eval_x(ts)
+    xs = traj.eval(ts)[0]
     cheb = np.polynomial.chebyshev.Chebyshev.fit(ts, xs, degree, domain=[w0, w1])
     poly = cheb.convert(kind=np.polynomial.Polynomial)
     dense = np.linspace(w0, w1, 1024)
-    resid = float(np.abs(poly(dense) - traj.eval_x(dense)).max())
+    resid = float(np.abs(poly(dense) - traj.eval(dense)[0]).max())
     return np.asarray(poly.coef, dtype=float), resid

@@ -207,8 +207,8 @@ def _moments(t: float, xs: np.ndarray, vs: np.ndarray) -> EnsembleStats:
 
 def _check_coverage(t: float, first: np.ndarray, last: np.ndarray) -> None:
     """Raise for the first path whose knot span [first, last] misses t by
-    more than rounding: 4 ulps of the nearer end."""
-    short = (t > last + 4 * np.spacing(np.abs(last))) | (t < first - 4 * np.spacing(np.abs(first)))
+    more than rounding: 4 ulps of the nearer end.  A NaN t misses every span."""
+    short = ~((t <= last + 4 * np.spacing(np.abs(last))) & (t >= first - 4 * np.spacing(np.abs(first))))
     if short.any():
         j = int(short.argmax())
         raise ValueError(f"path {j} does not cover t={t} (span {float(first[j]), float(last[j])})")

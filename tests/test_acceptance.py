@@ -62,7 +62,7 @@ def test_criterion_01_exact_softening_reproduction():
     par_err = max(abs(g - w) for g, w in zip(got, want))
     p = OscillatorParams(-1, 2, 3, epsilon=0)
     ref = reference_run(p, 1.0, 0.0, 2 * sol.period)
-    traj_err = max(abs(eval_cn_solution(sol, t) - ref.eval_x(t))
+    traj_err = max(abs(eval_cn_solution(sol, t) - ref.eval(t)[0])
                    for t in np.linspace(0.0, 2 * sol.period, 400))
     wall = time.time() - t_start
     ok = par_err < 1e-8 and traj_err < 1e-6 and wall < 5.0
@@ -79,7 +79,7 @@ def test_criterion_02_hardening_audit():
                                              sol.omega_cn, sol.m)).max())
     p = OscillatorParams(1, 1, 1, epsilon=0)
     ref = reference_run(p, 1.0, 0.0, 2 * sol.period)
-    traj_err = max(abs(eval_cn_solution(sol, t) - ref.eval_x(t))
+    traj_err = max(abs(eval_cn_solution(sol, t) - ref.eval(t)[0])
                    for t in np.linspace(0.0, 2 * sol.period, 400))
     # the published parameter set for this problem starts from
     # sqrt(lam_p) cn / sqrt(1 + lam_p cn^2), lam_p = (3+sqrt3)/6, whose
@@ -238,7 +238,7 @@ def test_criterion_07_frequency_table_spot_checks():
 def _period_residual(traj, period, window):
     """sup |x(t + period) - x(t)| over the final `window` of the run."""
     t1 = traj.t[-1]
-    return max(abs(traj.eval_x(t + period) - traj.eval_x(t))
+    return max(abs(traj.eval(t + period)[0] - traj.eval(t)[0])
                for t in np.linspace(t1 - window, t1 - period, 400))
 
 
@@ -291,7 +291,7 @@ def test_criterion_09_amplitude_phase_accuracy():
                              gamma=0.01, omega=0.1, epsilon=scale)
         sol = kbm_solve(p, 0.25, 0.0, 30.0)
         ref = reference_run(p, 0.25, 0.0, 30.0)
-        return max(abs(sol.eval(float(t)) - ref.eval_x(float(t)))
+        return max(abs(sol.eval(float(t)) - ref.eval(float(t))[0])
                    for t in np.linspace(0, 30, 600))
 
     e_full = max_err(1.0)

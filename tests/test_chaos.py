@@ -59,7 +59,7 @@ class TestPoincareMap:
         restarts = []
         for _ in range(n):
             tr = integrate(lambda t, x, v: acceleration(p, t, x, v), state, state.t + T14, ctrl)
-            state = tr.final_state()
+            state = State(float(tr.t[-1]), float(tr.x[-1]), float(tr.v[-1]))
             restarts.append((state.x, state.v))
         assert np.allclose(series, restarts, atol=1e-8)
 

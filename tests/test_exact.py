@@ -88,7 +88,7 @@ class TestEvalCnSolution:
         sol = solve_cn_coefficients(EX2["a"], EX2["b"], EX2["c"], EX2["x0"])
         T = sol.period
         ref = reference_trajectory(EX2["a"], EX2["b"], EX2["c"], EX2["x0"], 2 * T)
-        errs = [abs(eval_cn_solution(sol, t) - ref.eval_x(t))
+        errs = [abs(eval_cn_solution(sol, t) - ref.eval(t)[0])
                 for t in np.linspace(0, 2 * T, 301)]
         assert max(errs) < 1e-6
 
@@ -96,7 +96,7 @@ class TestEvalCnSolution:
         sol = solve_cn_coefficients(EX1["a"], EX1["b"], EX1["c"], EX1["x0"])
         T = sol.period
         ref = reference_trajectory(1, 1, 1, 1, 2 * T)
-        errs = [abs(eval_cn_solution(sol, t) - ref.eval_x(t))
+        errs = [abs(eval_cn_solution(sol, t) - ref.eval(t)[0])
                 for t in np.linspace(0, 2 * T, 301)]
         assert max(errs) < 1e-6
 

@@ -77,9 +77,9 @@ class TestSlowFlow:
     def test_slow_flow_matches_published_exponentials(self):
         # first-order flow from the published starting point reproduces the
         # printed amplitude/phase laws within 1e-3 over [0, 50]
-        k = build_coefficients(SOFT, 0.25)
+        k = build_coefficients(SOFT, 0.25, order=1)
         psi0 = REF_PSI[0] + REF_PSI[1] + REF_PSI[2]
-        traj = integrate_amplitude_phase(k, (REF_AMP0, psi0), 50.0, order=1)
+        traj = integrate_amplitude_phase(k, (REF_AMP0, psi0), 50.0)
         for t, amp, psi in traj[:: len(traj) // 25]:
             amp_ref = REF_AMP0 * math.exp(-0.0125 * t)
             psi_ref = (t + REF_PSI[0] + REF_PSI[1] * math.exp(-0.05 * t)
@@ -103,7 +103,7 @@ class TestAssembly:
     def test_softening_tracks_reference(self):
         sol = kbm_solve(SOFT, 0.25, 0.0, 30.0)
         ref = reference_solution(SOFT, 0.25, 0.0, 30.0)
-        errs = [abs(sol.eval(float(t)) - ref.eval_x(float(t)))
+        errs = [abs(sol.eval(float(t)) - ref.eval(float(t))[0])
                 for t in np.linspace(0, 30, 600)]
         assert max(errs) < 0.02
 
@@ -111,7 +111,7 @@ class TestAssembly:
         p = OscillatorParams(1, 1, 1, delta=0.02, gamma=0.0, omega=0.0, epsilon=1.0)
         sol = kbm_solve(p, 0.9, 0.0, 30.0)
         ref = reference_solution(p, 0.9, 0.0, 30.0)
-        errs = [abs(sol.eval(float(t)) - ref.eval_x(float(t)))
+        errs = [abs(sol.eval(float(t)) - ref.eval(float(t))[0])
                 for t in np.linspace(0, 30, 600)]
         assert max(errs) < 0.01
 
@@ -197,7 +197,7 @@ class TestOrderProperty:
                                  gamma=0.01, omega=0.1, epsilon=scale)
             sol = kbm_solve(p, 0.25, 0.0, 30.0)
             ref = reference_solution(p, 0.25, 0.0, 30.0)
-            return max(abs(sol.eval(float(t)) - ref.eval_x(float(t)))
+            return max(abs(sol.eval(float(t)) - ref.eval(float(t))[0])
                        for t in np.linspace(0, 30, 400))
 
         e_full, e_half = err(1.0), err(0.5)
@@ -250,7 +250,21 @@ def slow_flow(t_end, **kw):
                  id="solve-order-three"),
     pytest.param(lambda: kbm_solve(SOFT, 0.25, 0.0, 1.0, order=1.5),
                  "order must be 1 or 2, got 1.5", id="solve-order-fraction"),
+    pytest.param(lambda: build_coefficients(SOFT, 0.25, order=0), "order must be 1 or 2, got 0",
+                 id="coefficients-order-zero"),
+    pytest.param(lambda: build_coefficients(SOFT, 0.25, order=7), "order must be 1 or 2, got 7",
+                 id="coefficients-order-seven"),
+    pytest.param(lambda: build_coefficients(SOFT, 0.25, order=5), "order must be 1 or 2, got 5",
+                 id="coefficients-order-five"),
+    pytest.param(lambda: build_coefficients(SOFT, 0.25, order=2.5),
+                 "order must be 1 or 2, got 2.5", id="coefficients-order-fraction"),
 ])
 def test_invalid_input_raises(build, match):
     with pytest.raises(ValueError, match=match):
         build()
+
+
+def test_the_slow_flow_takes_its_order_from_the_coefficients():
+    # the order is a field of KbmCoefficients; the slow flow has no keyword for it
+    with pytest.raises(TypeError, match="unexpected keyword argument 'order'"):
+        slow_flow(1.0, order=1)

@@ -224,7 +224,7 @@ class TestDelayed:
         tr = integrate_delayed(lambda t, x, v, vd: -vd, State(0, 0.0, 1.0),
                                lambda t: 1.0, 1.0, 2.0,
                                StepControl(abs_tol=1e-10, rel_tol=1e-10))
-        assert abs(tr.eval_v(1.0) - 0.0) < 1e-6
+        assert abs(tr.eval(1.0)[1] - 0.0) < 1e-6
         assert abs(tr.v[-1] + 0.5) < 1e-6
 
     def test_long_delay_consults_policy(self):
@@ -362,6 +362,13 @@ class TestKnotRecorder:
             buf.velocity(-0.1)
 
 
+def _two_knot_buffer():
+    buf = HistoryBuffer(lambda t: 0.0)
+    buf.append(0.0, 1.0, 0.0, -1.0)
+    buf.append(0.5, 0.9, -0.5, -0.9)
+    return buf
+
+
 @pytest.mark.parametrize("build, match", [
     pytest.param(lambda: StepControl(method="euler"), "unknown method", id="method"),
     pytest.param(lambda: StepControl(dt=-0.1), "dt must be positive", id="dp54-dt"),
@@ -401,6 +408,8 @@ class TestKnotRecorder:
     pytest.param(lambda: integrate_delayed(lambda t, x, v, vd: -x, State(0, 1, 0), lambda t: 0.0,
                                            0.5, math.nan),
                  "t_end=nan must be finite and exceed", id="delayed-horizon-nan"),
+    pytest.param(lambda: _two_knot_buffer().velocity(math.nan), "delayed read at t=nan",
+                 id="history-read-nan"),
 ])
 def test_invalid_input_raises(build, match):
     with pytest.raises(ValueError, match=match):

@@ -82,7 +82,7 @@ class TestRunControlled:
         # forcing-period residual on the same final window is tiny
         t1 = traj.t[-1]
         ts = np.linspace(t1 - 5 * cfg.tau, t1 - T_FORCING, 300)
-        res_T = max(abs(traj.eval_x(t + T_FORCING) - traj.eval_x(t)) for t in ts)
+        res_T = max(abs(traj.eval(t + T_FORCING)[0] - traj.eval(t)[0]) for t in ts)
         assert res_T < 1e-2
 
     def test_delay_at_forcing_period_vanishing_control(self):
@@ -111,13 +111,14 @@ class TestRunControlled:
         ctrl = StepControl(dt=T_FORCING / 200, method="rk4")
         f_plain = lambda t, x, v: acceleration(p, t, x, v)
         settle = integrate(f_plain, State(0, 0, 0), 400.0, ctrl)
-        s_on = settle.final_state()
+        s_on = State(float(settle.t[-1]), float(settle.x[-1]), float(settle.v[-1]))
         free = integrate(f_plain, s_on, s_on.t + 30.0, ctrl)
         mu = 1.5
         f_ctl = lambda t, x, v, vd: acceleration(p, t, x, v) + mu * (vd - v)
-        fed = integrate_delayed(f_ctl, s_on, settle.eval_v, T_FORCING, s_on.t + 30.0, ctrl)
+        fed = integrate_delayed(f_ctl, s_on, lambda t: settle.eval(t)[1], T_FORCING,
+                                s_on.t + 30.0, ctrl)
         for t in np.linspace(s_on.t + 1.0, s_on.t + 29.0, 57):
-            assert fed.eval_x(t) == pytest.approx(free.eval_x(t), abs=1e-6)
+            assert fed.eval(t)[0] == pytest.approx(free.eval(t)[0], abs=1e-6)
 
     def test_report_reads_the_history_at_the_start_time(self):
         # one report sample reads the delay at exactly t0 = 0, where
@@ -128,8 +129,8 @@ class TestRunControlled:
         ts = np.linspace(0.0, 2.5, 400)
         td = ts - cfg.tau
         assert traj.t[-1] == 2.5 and np.count_nonzero(td == 0.0) == 1
-        vd = [traj.eval_v(float(t)) if t > 0.0 else 0.0 for t in td]
-        assert rep.controller_norm == float(np.abs(np.array(vd) - traj.eval_v(ts)).max())
+        vd = [traj.eval(float(t))[1] if t > 0.0 else 0.0 for t in td]
+        assert rep.controller_norm == float(np.abs(np.array(vd) - traj.eval(ts)[1]).max())
         assert rep.controller_norm == pytest.approx(1.3541344055099256, rel=1e-12)
 
     def test_vanishing_control_power_on_periodic_orbit(self):
@@ -138,7 +139,7 @@ class TestRunControlled:
         assert rep.is_periodic
         t1 = traj.t[-1]
         ts = np.linspace(t1 - cfg.tau, t1, 500)
-        vals = [cfg.mu * (traj.eval_v(t - cfg.tau) - traj.eval_v(t)) for t in ts]
+        vals = [cfg.mu * (traj.eval(t - cfg.tau)[1] - traj.eval(t)[1]) for t in ts]
         integral = float(np.trapezoid(vals, ts))
         assert abs(integral) < 10 * rep.residual + 1e-12
 
@@ -335,6 +336,10 @@ def _line_trajectory():
     return Trajectory(t, t.copy(), np.ones(3), np.zeros(3))
 
 
+def _run_with_tolerance(tol):
+    return run_controlled(CHAOTIC, ControllerConfig(1.0, 2.0), State(0, 0, 0), 10.0, periodicity_tol=tol)
+
+
 @pytest.mark.parametrize("build, match", [
     pytest.param(lambda: search_mu_tau(CHAOTIC, (0.5, 3.0), (2.0, 6.0), (0, 3)),
                  "at least one cell per axis", id="search-no-mu"),
@@ -360,6 +365,16 @@ def _line_trajectory():
     pytest.param(lambda: run_controlled(CHAOTIC, ControllerConfig(1.0, 2.0), State(0, 0, 0),
                                         math.nan),
                  "t_end=nan must be finite and exceed the initial time 0", id="run-horizon-nan"),
+    pytest.param(lambda: _run_with_tolerance(math.nan),
+                 "periodicity_tol=nan must be positive and finite", id="run-tolerance-nan"),
+    pytest.param(lambda: _run_with_tolerance(0.0),
+                 r"periodicity_tol=0\.0 must be positive and finite", id="run-tolerance-zero"),
+    pytest.param(lambda: _run_with_tolerance(-1.0),
+                 r"periodicity_tol=-1\.0 must be positive and finite", id="run-tolerance-negative"),
+    pytest.param(lambda: _run_with_tolerance(math.inf),
+                 "periodicity_tol=inf must be positive and finite", id="run-tolerance-inf"),
+    pytest.param(lambda: search_cell((CHAOTIC, 1.0, 2.0, State(0, 0, 0), math.nan)),
+                 "periodicity_tol=nan must be positive and finite", id="cell-tolerance-nan"),
 ])
 def test_invalid_input_raises(build, match):
     with pytest.raises(ValueError, match=match):

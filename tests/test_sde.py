@@ -246,7 +246,7 @@ def reference_ensemble_stats(paths, t):
     for j, tr in enumerate(paths):
         if (t > tr.t[-1] + 4 * np.spacing(abs(tr.t[-1]))
                 or t < tr.t[0] - 4 * np.spacing(abs(tr.t[0]))):
-            raise ValueError(f"path {j} does not cover t={t} (span {tr.t_span})")
+            raise ValueError(f"path {j} does not cover t={t} (span {float(tr.t[0]), float(tr.t[-1])})")
         i = int(np.argmin(np.abs(tr.t - t)))
         xs[j] = tr.x[i]
         vs[j] = tr.v[i]
@@ -376,26 +376,33 @@ class TestStreamingPass:
         assert peak < 8 * (cfg.n_steps + 1) * cfg.ensemble / 4
 
 
-@pytest.mark.parametrize("kw, match", [
-    pytest.param(dict(ensemble=0), "ensemble must be >= 1", id="ensemble-zero"),
-    pytest.param(dict(ensemble=-3), "ensemble must be >= 1", id="ensemble-negative"),
-    pytest.param(dict(ensemble=math.nan), "ensemble must be >= 1", id="ensemble-nan"),
-    pytest.param(dict(ensemble=2.0), "ensemble must be >= 1 and an integer", id="ensemble-float"),
-    pytest.param(dict(n_steps=0), "n_steps must be >= 1", id="n-steps-zero"),
-    pytest.param(dict(n_steps=math.nan), "n_steps must be >= 1", id="n-steps-nan"),
-    pytest.param(dict(n_steps=math.inf), "n_steps must be >= 1", id="n-steps-inf"),
-    pytest.param(dict(n_steps=2.5), "n_steps must be >= 1 and an integer", id="n-steps-fraction"),
-    pytest.param(dict(dt=math.nan), "dt must be positive and finite", id="dt-nan"),
-    pytest.param(dict(dt=math.inf), "dt must be positive and finite", id="dt-inf"),
-    pytest.param(dict(sigma=math.nan), "sigma must be nonnegative and finite", id="sigma-nan"),
-    pytest.param(dict(sigma=math.inf), "sigma must be nonnegative and finite", id="sigma-inf"),
-    pytest.param(dict(seed=math.nan), "seed must be >= 0 and an integer, got nan", id="seed-nan"),
-    pytest.param(dict(seed=-1), "seed must be >= 0 and an integer, got -1", id="seed-negative"),
-    pytest.param(dict(seed=2.5), "seed must be >= 0 and an integer, got 2.5", id="seed-fraction"),
+def _config(**kw):
+    return SdeConfig(**{"dt": 0.01, "n_steps": 10, "seed": 0, **kw})
+
+
+@pytest.mark.parametrize("build, match", [
+    pytest.param(lambda: _config(ensemble=0), "ensemble must be >= 1", id="ensemble-zero"),
+    pytest.param(lambda: _config(ensemble=-3), "ensemble must be >= 1", id="ensemble-negative"),
+    pytest.param(lambda: _config(ensemble=math.nan), "ensemble must be >= 1", id="ensemble-nan"),
+    pytest.param(lambda: _config(ensemble=2.0), "ensemble must be >= 1 and an integer", id="ensemble-float"),
+    pytest.param(lambda: _config(n_steps=0), "n_steps must be >= 1", id="n-steps-zero"),
+    pytest.param(lambda: _config(n_steps=math.nan), "n_steps must be >= 1", id="n-steps-nan"),
+    pytest.param(lambda: _config(n_steps=math.inf), "n_steps must be >= 1", id="n-steps-inf"),
+    pytest.param(lambda: _config(n_steps=2.5), "n_steps must be >= 1 and an integer", id="n-steps-fraction"),
+    pytest.param(lambda: _config(dt=math.nan), "dt must be positive and finite", id="dt-nan"),
+    pytest.param(lambda: _config(dt=math.inf), "dt must be positive and finite", id="dt-inf"),
+    pytest.param(lambda: _config(sigma=math.nan), "sigma must be nonnegative and finite", id="sigma-nan"),
+    pytest.param(lambda: _config(sigma=math.inf), "sigma must be nonnegative and finite", id="sigma-inf"),
+    pytest.param(lambda: _config(seed=math.nan), "seed must be >= 0 and an integer, got nan", id="seed-nan"),
+    pytest.param(lambda: _config(seed=-1), "seed must be >= 0 and an integer, got -1", id="seed-negative"),
+    pytest.param(lambda: _config(seed=2.5), "seed must be >= 0 and an integer, got 2.5", id="seed-fraction"),
+    pytest.param(lambda: ensemble_stats(euler_maruyama(OscillatorParams(1, 1, 0.2), _config(ensemble=4),
+                                                       State(0, 0.1, 0)), math.nan),
+                 "path 0 does not cover t=nan", id="stats-time-nan"),
 ])
-def test_invalid_input_raises(kw, match):
+def test_invalid_input_raises(build, match):
     with pytest.raises(ValueError, match=match):
-        SdeConfig(**{"dt": 0.01, "n_steps": 10, "seed": 0, **kw})
+        build()
 
 
 @pytest.mark.parametrize("save_paths", [-1, 2.5])
