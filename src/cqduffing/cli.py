@@ -28,7 +28,8 @@ checks, and hands the command that resolved configuration. The rules:
     that names the second file);
   * CQDUFFING_OUTDIR sets the default output directory; a second file
     (``exact``'s CSV, ``control``'s and ``sde``'s JSON) goes next to --out,
-    with its extension replaced.
+    with its extension replaced;
+  * a command imports only the analysis module it runs, and the process pool only at --jobs > 1.
 """
 from __future__ import annotations
 
@@ -37,14 +38,12 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple
 from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import chaos, exact, kbm, melnikov, pyragas, sde
 from .core import OscillatorParams, State, acceleration, energy_report
 from .odeint import IntegrationError, StepControl, integrate
 
@@ -117,6 +116,7 @@ def _out_paths(parser: argparse.ArgumentParser, args, second_ext: str) -> Callab
 def _map_jobs(fn, items, jobs: int) -> list:
     """fn over items in order, across `jobs` worker processes when jobs > 1."""
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
@@ -161,6 +161,7 @@ def cmd_simulate(cfg: dict, out_path) -> dict:
 
 
 def cmd_exact(cfg: dict, out_path) -> dict:
+    from . import exact
     abcx = cfg["a"], cfg["b"], cfg["c"], cfg["x0"]
     sol = exact.solve_cn_coefficients(*abcx)
     resid = float(np.abs(exact.cn_ansatz_residuals(
@@ -188,6 +189,7 @@ def cmd_exact(cfg: dict, out_path) -> dict:
 
 
 def cmd_kbm(cfg: dict, out_path) -> dict:
+    from . import kbm
     p = _params(cfg)
     sol = kbm.kbm_solve(p, cfg["x0"], cfg["v0"], cfg["t_end"], order=cfg["order"])
     ts = np.linspace(0.0, cfg["t_end"], cfg["samples"])
@@ -209,10 +211,11 @@ def cmd_kbm(cfg: dict, out_path) -> dict:
 
 
 def cmd_melnikov(cfg: dict, out_path) -> dict:
+    from . import exact, melnikov
     p = _params(cfg)
     orbit = exact.homoclinic_orbit(cfg["a"], cfg["b"], cfg["c"], cfg["kind"], cfg["sign"])
     res = melnikov.melnikov(orbit, p)
-    critical_gamma = melnikov.chaos_threshold(orbit, p) if math.isfinite(res.threshold_ratio) else None
+    critical_gamma = melnikov.chaos_threshold(res, p.delta) if math.isfinite(res.threshold_ratio) else None
     payload = {
         "orbit": asdict(orbit),
         "wave_coeff": res.wave_coeff,
@@ -229,6 +232,7 @@ def cmd_melnikov(cfg: dict, out_path) -> dict:
 
 
 def cmd_poincare(cfg: dict, out_path) -> dict:
+    from . import chaos
     section = chaos.poincare_map(_params(cfg), _start(cfg), cfg["points"], cfg["transient"])
     rows = [(n + 1, float(pt[0]), float(pt[1])) for n, pt in enumerate(section)]
     out = out_path("poincare.csv")
@@ -237,6 +241,7 @@ def cmd_poincare(cfg: dict, out_path) -> dict:
 
 
 def _scan_rows(a, b, c, delta, resolution, coarse_step, windows) -> list[tuple]:
+    from . import chaos
     return [astuple(row) for row in chaos.gamma_scan_rows(
         a, b, c, delta, [(omega, (lo, hi)) for omega, lo, hi in windows], resolution,
         coarse_step=coarse_step)]
@@ -259,6 +264,7 @@ def cmd_scan(cfg: dict, out_path) -> dict:
 
 
 def cmd_bifurcate(cfg: dict, out_path) -> dict:
+    from . import chaos
     p = _params(cfg, gamma=cfg["gamma_min"])
     sweep = np.linspace(cfg["gamma_min"], cfg["gamma_max"], cfg["gamma_steps"])
     data = chaos.bifurcation_data(p, sweep, n_points=cfg["points"],
@@ -270,6 +276,7 @@ def cmd_bifurcate(cfg: dict, out_path) -> dict:
 
 
 def cmd_control(cfg: dict, out_path) -> dict:
+    from . import pyragas
     p = _params(cfg)
     if cfg["search"]:
         cells = pyragas.search_mu_tau(
@@ -304,6 +311,7 @@ def cmd_control(cfg: dict, out_path) -> dict:
 
 
 def cmd_sde(cfg: dict, out_path) -> dict:
+    from . import sde
     scfg = sde.SdeConfig(dt=cfg["dt"], n_steps=cfg["n_steps"], seed=cfg["seed"],
                          sigma=cfg["sigma"], ensemble=cfg["ensemble"])
     s0 = _start(cfg)
@@ -550,6 +558,7 @@ def _resolve(parser: argparse.ArgumentParser, spec: _Command, args) -> dict:
         if np.any(np.greater_equal(cfg["gamma_min"], cfg["gamma_max"])):
             parser.error(f"argument --gamma-max: {cfg['gamma_max']!r} is not above "
                          f"--gamma-min {cfg['gamma_min']!r}")
+        from . import chaos
         try:
             for lo, hi in np.broadcast(cfg["gamma_min"], cfg["gamma_max"]):
                 chaos._grid_steps(float(lo), float(hi), cfg["coarse_step"])

@@ -191,10 +191,10 @@ def melnikov(orbit: HomoclinicOrbit, p: OscillatorParams) -> MelnikovResult:
     return MelnikovResult(p.gamma * wave_base, p.delta * damp, ratio, orbit, w, fam.oscillation, fit)
 
 
-def chaos_threshold(orbit: HomoclinicOrbit, p: OscillatorParams) -> float:
-    """Critical forcing amplitude delta * I/|W|: below it M(t0) keeps one
-    sign (no transverse intersection), above it M has simple zeros."""
-    res = melnikov(orbit, p)
+def chaos_threshold(res: MelnikovResult, delta: float) -> float:
+    """Critical forcing amplitude delta * I/|W| of an assembled distance
+    function at damping delta: below it M(t0) keeps one sign (no
+    transverse intersection), above it M has simple zeros."""
     if not math.isfinite(res.threshold_ratio):
         raise ValueError("oscillatory coefficient vanishes; threshold criterion inconclusive")
-    return abs(p.delta) * res.threshold_ratio
+    return abs(delta) * res.threshold_ratio

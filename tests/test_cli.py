@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cqduffing
+from cqduffing import melnikov
 from cqduffing.cli import _COMMANDS, build_parser, main
 
 
@@ -465,6 +466,16 @@ class TestKbmBifurcateMelnikov:
         assert code == 0, err
         assert summary["threshold_ratio"] == math.inf and summary["critical_gamma"] is None
 
+    def test_melnikov_evaluates_the_distance_function_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        assembled = melnikov.melnikov
+        monkeypatch.setattr(melnikov, "melnikov", lambda *a: calls.append(a) or assembled(*a))
+        code, summary, _ = run_cli(capsys, "melnikov", "--c", "0.2", "--delta", "0.1",
+                                   "--gamma", "0.35", "--omega", "1.4",
+                                   "--out", str(tmp_path / "m.json"))
+        assert code == 0 and math.isfinite(summary["critical_gamma"])
+        assert len(calls) == 1
+
     def test_melnikov_json(self, tmp_path, capsys):
         out = tmp_path / "mel.json"
         code, summary, _ = run_cli(capsys, "melnikov", "--a", "1", "--b", "1",
@@ -477,16 +488,52 @@ class TestKbmBifurcateMelnikov:
 
 
 
-def test_startup_imports_no_scipy():
-    # every command pays for what `import cqduffing.cli` loads; scipy alone
-    # added about 0.65 s and 49 MB to each run
-    probe = ("import sys, cqduffing, cqduffing.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def _probe(code: str, cwd=None) -> str:
+    """The last stdout line of `code` run in a fresh interpreter on this package."""
     src = os.path.dirname(os.path.dirname(cqduffing.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_startup_imports_no_scipy():
+    # every command pays for what `import cqduffing.cli` loads; scipy alone
+    # added about 0.65 s and 49 MB to each run, and the analysis modules and
+    # the process pool load only in the commands that use them
+    late = ("cqduffing.chaos", "cqduffing.exact", "cqduffing.kbm", "cqduffing.melnikov",
+            "cqduffing.pyragas", "cqduffing.sde", "concurrent.futures", "multiprocessing")
+    probe = ("import sys, cqduffing, cqduffing.cli; "
+             f"print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+             f"or m.startswith({late!r})))")
+    assert _probe(probe) == "[]"
+
+
+# a command on tiny inputs, and the analysis modules it loads
+_COMMAND_LOADS = [
+    ("simulate --x0 1 --t-end 1 --samples 5", []),
+    ("exact --x0 1", ["exact"]),
+    ("kbm --t-end 1 --samples 5", ["kbm"]),
+    ("melnikov --c 0.2 --delta 0.1 --gamma 0.35 --omega 1.4", ["exact", "melnikov"]),
+    ("poincare --omega 1.4 --points 2 --transient 0", ["chaos"]),
+    ("scan --omega 1.4 --gamma-min 0.3 --gamma-max 0.4 --resolution 0.1 --coarse-step 0.1 "
+     "--jobs 1", ["chaos"]),
+    ("bifurcate --omega 1.4 --gamma-min 0.2 --gamma-max 0.3 --gamma-steps 1 --points 2 "
+     "--transient 0", ["chaos"]),
+    ("control --mu 1 --tau 1 --t-end 2 --samples 5", ["pyragas"]),
+    ("sde --dt 0.01 --n-steps 10 --save-paths 1", ["sde"]),
+]
+
+
+@pytest.mark.parametrize("argv, loads", _COMMAND_LOADS,
+                         ids=[argv.split()[0] for argv, _ in _COMMAND_LOADS])
+def test_a_command_loads_only_its_own_modules(argv, loads, tmp_path):
+    probe = ("import sys; from cqduffing import cli; before = set(sys.modules); "
+             f"code = cli.main({argv.split()!r}); "
+             "new = sorted(m.split('.')[1] for m in set(sys.modules) - before "
+             "if m.startswith('cqduffing.')); "
+             "print(code, new, 'concurrent.futures' in sys.modules)")
+    assert _probe(probe, cwd=tmp_path) == f"0 {loads} False"
 
 
 class TestFlagValidation:

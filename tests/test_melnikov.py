@@ -262,13 +262,14 @@ class TestChaosThreshold:
     def test_zero_damping_zero_threshold(self):
         orb = homoclinic_orbit(1, 1, 0.2, "sech", +1)
         p = OscillatorParams(1, 1, 0.2, delta=0.0, gamma=0.3, omega=1.4, epsilon=1)
-        assert chaos_threshold(orb, p) == 0.0
+        assert chaos_threshold(melnikov(orb, p), p.delta) == 0.0
 
     def test_linear_in_damping(self):
         orb = homoclinic_orbit(1, 1, 0.2, "sech", +1)
         p1 = OscillatorParams(1, 1, 0.2, delta=0.1, gamma=0.3, omega=1.4, epsilon=1)
         p2 = OscillatorParams(1, 1, 0.2, delta=0.2, gamma=0.3, omega=1.4, epsilon=1)
-        assert chaos_threshold(orb, p2) == pytest.approx(2 * chaos_threshold(orb, p1), rel=1e-12)
+        assert chaos_threshold(melnikov(orb, p2), p2.delta) == pytest.approx(
+            2 * chaos_threshold(melnikov(orb, p1), p1.delta), rel=1e-12)
 
     def test_order_of_magnitude_vs_observed_onset(self):
         # the empirically chaotic amplitude at these parameters is 0.35;
@@ -278,7 +279,7 @@ class TestChaosThreshold:
         le = lyapunov_max(p, State(0, 0, 0), 500 * T, T)
         assert le > 0.01
         orb = homoclinic_orbit(1, 1, 0.2, "sech", +1)
-        crit = chaos_threshold(orb, p)
+        crit = chaos_threshold(melnikov(orb, p), p.delta)
         assert 0.0 < crit < 0.35
         assert 0.35 / crit < 5.0
 
@@ -392,7 +393,8 @@ class TestOneAssemblyMatchesThePerFamilyPair:
                 p = OscillatorParams(1, 1, 0.2, delta=0.1, gamma=0.35 if w > 0 else 0.0, omega=w)
                 want = outcome(per_family, orbit, p)
                 assert outcome(melnikov, orbit, p) == want, (orbit, w)
-                assert outcome(chaos_threshold, orbit, p) == outcome(per_family_threshold, orbit, p)
+                assert (outcome(lambda o, q: chaos_threshold(melnikov(o, q), q.delta), orbit, p)
+                        == outcome(per_family_threshold, orbit, p))
                 seen[orbit.kind] += 1
                 seen["series"] += abs(orbit.lam) < 1e-3
                 seen["inf_ratio"] += want[2:3] == (math.inf.hex(),)
