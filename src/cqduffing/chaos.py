@@ -1,7 +1,8 @@
 """Stroboscopic Poincare maps, largest-Lyapunov-exponent estimation, the
 chaos-onset forcing scan, and bifurcation-diagram data.  Sections keep only
 the two knots around each strobe time and build no trajectory; a long
-bifurcation sweep steps its amplitudes as lanes of one array.
+bifurcation sweep steps its amplitudes as lanes of one array, in chunks
+from strobe to strobe with one finiteness test each.
 
 The Benettin exponent steps a reference trajectory and its companion
 through one RK4 step function, on forcing samples shared per step.  The
@@ -32,7 +33,8 @@ import numpy as np
 
 from . import odeint
 from .core import OscillatorParams, State, _hermite5, _is_count, acceleration
-from .odeint import StepControl, _check_lanes, _drive, _rk4_core_lanes, _rk4_schedule
+from .odeint import (StepControl, _check_lanes, _drive, _forcing_rows, _rk4_core_lanes,
+                     _rk4_schedule)
 
 __all__ = [
     "ChaosScanRow",
@@ -49,9 +51,13 @@ _TRANSIENT_PERIODS = 100
 _MEASURE_PERIODS = 400
 _D0 = 1e-8  # the companion's start offset
 _CLUSTER_RADIUS = 1e-3  # cluster_count's: strobes this close are one cluster
-# An in-place lane step costs ~14 float steps (25 vs 1.8 us, with the
-# sweep's finiteness check and strobe sink, 2-vCPU Xeon).
-_LOCKSTEP_MIN = 14
+# An in-place lane step costs ~11-12 float steps: the fig7 sweep took
+# 0.87-0.93 s as lanes and 0.075-0.080 s per amplitude as floats (medians
+# at 6 to 14 amplitudes; 20 vs 1.8 us per step, 2-vCPU Xeon).
+_LOCKSTEP_MIN = 12
+# Steps per chunk of a sweep at most: its two forcing tables hold 2 KB per
+# lane.  A strobe also ends a chunk.
+_SWEEP_CHUNK = 128
 # A scan's lane pass of 8-42 amplitudes costs as much as 9-15 lazy exponents
 # (2-vCPU Xeon); the lazy walk reads about half a window whose onset may lie
 # anywhere in it, so the lanes pay from about 24 amplitudes.
@@ -126,6 +132,8 @@ def poincare_map(
     if not (_is_count(n_points) and _is_count(n_transient)):
         raise ValueError(f"n_points={n_points} and n_transient={n_transient} must be finite >= 0 "
                          "integers")
+    if not n_points:  # the empty section, before any step
+        return np.empty((0, 2) + np.shape(p.gamma))
     T = 2.0 * math.pi / p.omega
     ctrl = ctrl or StepControl(dt=T / _STEPS_PER_PERIOD, method="rk4")
     t_end = s0.t + (n_transient + n_points) * T
@@ -142,32 +150,51 @@ def poincare_map(
 
 def _sweep(p, s0: State, t_end: float, ctrl: StepControl, strobes: _Strobes) -> None:
     """poincare_map's RK4 run for an array p.gamma, on lanes of odeint's
-    in-place core-law step: each amplitude bitwise its own float run.  The
-    step overwrites its knot, which strobes would keep by reference, so the
-    knots of a step are copied to strobes only when a strobe falls in it,
-    and for the last step, which strobes.finish reads."""
+    in-place core-law step: each amplitude bitwise its own float run.  Full
+    steps go in chunks, on the chunk's forcing rows, that end at the step a
+    strobe falls in or after _SWEEP_CHUNK steps.  The step overwrites its
+    knot, which strobes would keep by reference, so strobes gets copies of
+    the two knots of a step a strobe falls in, and of the last step, which
+    strobes.finish reads.  A chunk tests finiteness at its end (a state that
+    is not finite stays so); a failed test replays it from a copy of its
+    start, checking each step, to name the first failure."""
     if ctrl.method != "rk4":
         raise ValueError(f"an array gamma steps by rk4, not {ctrl.method!r}")
     t0, dt = s0.t, ctrl.dt
     n_full, h_last = _rk4_schedule(t0, t_end, dt)
     start = np.array(np.broadcast_arrays(s0.x, s0.v, acceleration(p, t0, s0.x, s0.v)))
     strobes.append(t0, *start)
-
-    def advance(knot, step, t, t1, due):
-        if due:
-            strobes.append(t, *knot.copy())
-        step(t)
-        _check_lanes(t1, knot[:2])
-        if due:
-            strobes.append(t1, *knot.copy())
-
+    n = start.shape[1]
     knot, step = _rk4_core_lanes(p, start, dt)
-    for i in range(1, n_full + 1):
-        t1 = t0 + i * dt
-        due = t1 >= strobes.next or i == n_full and not h_last
-        advance(knot, step, t0 + (i - 1) * dt, t1, due)
-    if h_last:
-        advance(*_rk4_core_lanes(p, knot, h_last), t0 + n_full * dt, t_end, True)
+    i = 0  # the full steps taken
+    while i < n_full:
+        j, cap = i + 1, min(n_full, i + _SWEEP_CHUNK)  # steps i + 1 to j
+        while j < cap and t0 + j * dt < strobes.next:
+            j += 1
+        due = t0 + j * dt >= strobes.next or j == n_full and not h_last
+        g_half, g_end = _forcing_rows(p, n, [t0 + k * dt for k in range(i, j)], dt)
+        begin = knot.copy()
+        for k in range(j - i - 1):
+            step(g_half[k], g_end[k])
+        if due:
+            strobes.append(t0 + (j - 1) * dt, *knot.copy())
+        step(g_half[-1], g_end[-1])
+        if not np.isfinite(knot[:2]).all():
+            knot[:] = begin
+            for k in range(j - i):
+                step(g_half[k], g_end[k])
+                _check_lanes(t0 + (i + k + 1) * dt, knot[:2])
+        if due:
+            strobes.append(t0 + j * dt, *knot.copy())
+        i = j
+    if h_last:  # the short step goes on a copy of the last knot, which stays as it is
+        t = t0 + n_full * dt
+        strobes.append(t, *knot)
+        knot, step = _rk4_core_lanes(p, knot, h_last)
+        (g_half,), (g_end,) = _forcing_rows(p, n, [t], h_last)
+        step(g_half, g_end)
+        _check_lanes(t_end, knot[:2])
+        strobes.append(t_end, *knot)
 
 
 def _diverged(t_base: float) -> ValueError:

@@ -11,7 +11,9 @@ Every run goes through one private helper that hands its knots to a sink,
 such as a :class:`HistoryBuffer`, which also answers the delayed reads.
 It steps floats.  Numpy lanes of the driven equation, a bifurcation sweep's
 amplitudes or a delayed-feedback search's cells, take an in-place copy of
-its RK4 step for the core force law, bitwise the float step per lane.
+its RK4 step for the core force law, bitwise the float step per lane: 60
+numpy calls per step (72 with the feedback), on forcing rows gamma
+cos(omega t) that one helper builds for a run of steps at a time.
 """
 from __future__ import annotations
 
@@ -191,49 +193,60 @@ def _rk4_step(f: Rhs, t: float, x: float, v: float, dt: float,
     return x_new, v_new, f(t + dt, x_new, v_new)
 
 
+def _forcing_rows(p, n: int, ts, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """gamma cos(omega t) at the middle and the end of RK4 steps of length h
+    from the times ts, on n lanes: the (len(ts), n) tables g_half and g_end.
+    p.gamma is a float or (n,) lanes; each element is core.acceleration's
+    product, since IEEE multiplication commutes."""
+    gamma, w, cos = np.broadcast_to(p.gamma, n), p.omega, math.cos
+    return (np.multiply.outer([cos(w * (t + 0.5 * h)) for t in ts], gamma),
+            np.multiply.outer([cos(w * (t + h)) for t in ts], gamma))
+
+
 def _rk4_core_lanes(p, knot: np.ndarray, h: float, mu=None):
     """_rk4_step of core.acceleration in place on numpy lanes, element by
     element bitwise the float step: returns a copy of the (3, N) knot (x, v,
-    acc) and a step(t, vd=None) that takes it from t to t + h.  p's
-    coefficients are floats or (N,) lane arrays.  With the lane gains mu the
-    force is pyragas.controlled_rhs's, which adds mu (vd - v), and vd holds
-    the delayed velocities at t + h/2 and t + h as two rows.
+    acc) and a step(g_half, g_end, vd=None) that takes it from t to t + h,
+    where g_half and g_end are the (N,) forcing rows of _forcing_rows at
+    t + h/2 and t + h.  p's coefficients are floats or (N,) lane arrays.
+    With the lane gains mu the force is pyragas.controlled_rhs's, which adds
+    mu (vd - v), and vd holds the delayed velocities at t + h/2 and t + h as
+    two rows.
 
     Each force takes _restoring's and acceleration's operations in their
-    order, with (a, delta) (x, v) as one stacked product, and gamma
-    cos(omega t) once per distinct time.  Stage k's (x, v, acc) is row k of
-    one (4, 3, N) buffer, so one multiply and one add advance its (x, v)
-    from the start by h (v, acc), and the weights take 6 calls (2.0 * y as
-    the exact y + y).  A step writes into buffers made here once, passed as
-    each ufunc's last positional argument, and allocates nothing.
+    order, with (a, delta) (x, v) as one stacked product.  Stage k's (x, v,
+    acc) is row k of one (4, 3, N) buffer, so one multiply and one add
+    advance its (x, v) from the start by h (v, acc), and the weights take 6
+    calls (2.0 * y as the exact y + y).  A step is four force calls on views
+    bound here, 60 ufunc calls (72 with the feedback), each writing into
+    buffers made here once, passed as its last positional argument; it
+    allocates nothing.
     """
     n = knot.shape[1]
 
     def lanes(*cs):
         return np.array([np.broadcast_to(c, n) for c in cs], dtype=float)
 
-    ad, (b, c), (eps, gamma) = lanes(p.a, p.delta), lanes(p.b, p.c), lanes(p.epsilon, p.gamma)
+    ad, (b, c), eps = lanes(p.a, p.delta), lanes(p.b, p.c), lanes(p.epsilon)[0]
     gains = None if mu is None else lanes(mu)[0]
-    buf, (x2, bx, cx, fb, g_half, g_end), ad_xv, work = (
-        np.empty((4, 3, n)), np.empty((6, n)), np.empty((2, n)), np.empty((2, n)))
+    buf, (xx, bx, cx, fb), ad_xv, work = (
+        np.empty((4, 3, n)), np.empty((4, n)), np.empty((2, n)), np.empty((2, n)))
     buf[0] = knot
     ax, dv = ad_xv
     # the step sizes as (2, N) rows: a float operand costs numpy more
     h2, h1, h6 = (np.full((2, n), s) for s in (0.5 * h, h, h / 6.0))
-    state, (d1, d2, d3, d4) = buf[0, :2], buf[:, 1:]
-    stages = [(buf[k, 0], buf[k, 1], buf[k, :2], buf[k, 2]) for k in range(4)]
-    # stage k + 1 starts at state + hk (v, acc) of stage k
-    advances = [(d1, h2, buf[1, :2]), (d2, h2, buf[2, :2]), (d3, h1, buf[3, :2])]
-    omega, half = p.omega, 0.5 * h
+    (x1, v1, a1), (x2, v2, a2), (x3, v3, a3), (x4, v4, a4) = buf
+    xv1, xv2, xv3, xv4 = buf[:, :2]
+    d1, d2, d3, d4 = buf[:, 1:]  # stage k's (v, acc)
     mul, add, sub = np.multiply, np.add, np.subtract
 
     def force(x, v, xv, acc, g, vd):
-        mul(x, x, x2)  # _restoring: (a x - (b x) x2) - ((c x) x2) x2
+        mul(x, x, xx)  # _restoring: (a x - (b x) xx) - ((c x) xx) xx, xx = x x
         mul(b, x, bx)
-        mul(bx, x2, bx)
+        mul(bx, xx, bx)
         mul(c, x, cx)
-        mul(cx, x2, cx)
-        mul(cx, x2, cx)
+        mul(cx, xx, cx)
+        mul(cx, xx, cx)
         mul(ad, xv, ad_xv)  # (a x, delta v)
         sub(ax, bx, acc)
         sub(acc, cx, acc)
@@ -245,22 +258,24 @@ def _rk4_core_lanes(p, knot: np.ndarray, h: float, mu=None):
             mul(gains, fb, fb)
             add(acc, fb, acc)
 
-    def step(t: float, vd=None) -> None:
-        mul(gamma, math.cos(omega * (t + half)), g_half)
-        mul(gamma, math.cos(omega * (t + h)), g_end)
+    def step(g_half, g_end, vd=None) -> None:
         vd_half, vd_end = (None, None) if vd is None else vd
-        for (d, hk, nxt), stage, g, vdk in zip(advances, stages[1:], (g_half, g_half, g_end),
-                                                (vd_half, vd_half, vd_end)):
-            mul(d, hk, work)
-            add(state, work, nxt)
-            force(*stage, g, vdk)
+        mul(d1, h2, work)  # stage k + 1 starts at the state + hk (v, acc) of stage k
+        add(xv1, work, xv2)
+        force(x2, v2, xv2, a2, g_half, vd_half)
+        mul(d2, h2, work)
+        add(xv1, work, xv3)
+        force(x3, v3, xv3, a3, g_half, vd_half)
+        mul(d3, h1, work)
+        add(xv1, work, xv4)
+        force(x4, v4, xv4, a4, g_end, vd_end)
         add(d2, d3, work)  # the weights 1, 2, 2, 1 on the stages' (v, acc)
         add(work, work, work)
         add(d1, work, work)
         add(work, d4, work)
         mul(h6, work, work)
-        add(state, work, state)
-        force(*stages[0], g_end, vd_end)
+        add(xv1, work, xv1)
+        force(x1, v1, xv1, a1, g_end, vd_end)
 
     return buf[0], step
 

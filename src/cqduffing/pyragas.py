@@ -31,7 +31,8 @@ import numpy as np
 
 from .core import (OscillatorParams, State, Trajectory, _hermite5_coeffs, _hermite5_velocity,
                    _is_count, acceleration)
-from .odeint import StepControl, _check_lanes, _rk4_core_lanes, _rk4_schedule, integrate_delayed
+from .odeint import (StepControl, _check_lanes, _forcing_rows, _rk4_core_lanes, _rk4_schedule,
+                     integrate_delayed)
 
 __all__ = [
     "ControllerConfig",
@@ -237,10 +238,12 @@ def _run_lanes(job) -> list[tuple[int, tuple[float, float, float, bool]]]:
     arithmetic on the knot times, corrected by one compare to the interval
     that HistoryBuffer's bisect_right picks, and sets up the interval's
     quintic from its two knots.  Each step is one call of
-    odeint._rk4_core_lanes's step, which adds mu (vd - v) with the chunk's
-    delayed velocities, two rows per step, and its knot goes into the ring
-    in one assignment.  A group's final short step is a step made for its
-    lanes, and the lanes left continue on a step made for them.
+    odeint._rk4_core_lanes's step on the chunk's forcing rows from
+    odeint._forcing_rows, which adds mu (vd - v) with the chunk's delayed
+    velocities, two rows per step, and its knot goes into the ring in one
+    assignment.  A group's final short step is a step made for its lanes,
+    on its own forcing rows, and the lanes left continue on a step made for
+    them.
     """
     p, s0, dt, lanes = job
     if len(lanes) < _LOCKSTEP_MIN:
@@ -302,7 +305,8 @@ def _run_lanes(job) -> list[tuple[int, tuple[float, float, float, bool]]]:
                 if h:
                     t_n = t0 + n * dt
                     last, step_last = _rk4_core_lanes(p, knot[:, :c - a], h, mu[a:c])
-                    step_last(t_n, delayed(a, c, [t_n + 0.5 * h, t_n + h]))
+                    (g_half,), (g_end,) = _forcing_rows(p, c - a, [t_n], h)
+                    step_last(g_half, g_end, delayed(a, c, [t_n + 0.5 * h, t_n + h]))
                     _check_lanes(t1, last[:2], cell(a))
                     ts = np.append(ts, t1)
                 for j in range(a, c):
@@ -319,8 +323,10 @@ def _run_lanes(job) -> list[tuple[int, tuple[float, float, float, bool]]]:
             if not (kt[1:] > kt[:-1]).all():
                 raise ValueError("history knots must advance in time")
             vd = delayed(a, n_lanes, np.column_stack([kt[:-1] + 0.5 * dt, kt[:-1] + dt]).ravel())
-            for i, vd_i in zip(range(n + 1, n + m + 1), vd.reshape(m, 2, -1)):
-                step(t0 + (i - 1) * dt, vd_i)
+            g_half, g_end = _forcing_rows(p, n_lanes - a, kt[:-1].tolist(), dt)
+            for i, gh, ge, vd_i in zip(range(n + 1, n + m + 1), g_half, g_end,
+                                       vd.reshape(m, 2, -1)):
+                step(gh, ge, vd_i)
                 knots[:, i % n_knots, a:] = knot
             if not np.isfinite(knot[:2]).all():
                 # a state that is not finite stays so: find where it first was

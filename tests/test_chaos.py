@@ -80,9 +80,12 @@ class TestPoincareMap:
 
     def test_no_points_gives_empty_sections(self, monkeypatch):
         assert poincare_map(params(0.3), State(0, 0, 0), 0, 1).shape == (0, 2)
+        assert poincare_map(params(0.3), State(0, 0, 0), 0, 0).shape == (0, 2)
         for lockstep_min in (24, 1):
             monkeypatch.setattr(chaos, "_LOCKSTEP_MIN", lockstep_min)
             data = bifurcation_data(params(0.3), [0.2, 0.3], n_points=0, n_transient=1)
+            assert [(g, xs.shape) for g, xs in data] == [(0.2, (0,)), (0.3, (0,))]
+            data = bifurcation_data(params(0.3), [0.2, 0.3], n_points=0, n_transient=0)
             assert [(g, xs.shape) for g, xs in data] == [(0.2, (0,)), (0.3, (0,))]
 
     @pytest.mark.parametrize("run", [
@@ -565,6 +568,17 @@ class TestBifurcationData:
         for gamma in (0.1, 0.2):
             section = poincare_map(replace(p, gamma=gamma), State(0, 0, 0), 2, 2)
             assert np.all(np.isfinite(section))
+
+    def test_sweep_names_the_first_lane_to_fail_not_the_lowest(self, monkeypatch):
+        # the three lanes go non-finite at steps 99, 55 and 72, all in one chunk:
+        # the error names the lane and time of step 55, as the float run of 5.0 does
+        p = OscillatorParams(-1, 0, -1, delta=0.1, gamma=0.0, omega=1.4, epsilon=1.0)
+        monkeypatch.setattr(chaos, "_LOCKSTEP_MIN", 1)
+        with pytest.raises(IntegrationError, match=r"at index 1 \(x=nan, v=nan\)") as swept:
+            bifurcation_data(p, [2.0, 5.0, 3.0], n_points=2, n_transient=2)
+        with pytest.raises(IntegrationError) as alone:
+            poincare_map(replace(p, gamma=5.0), State(0, 0, 0), 2, 2)
+        assert swept.value.t == alone.value.t == 1.2341971139102759
 
     def test_displacements_alone_are_points_on_a_line(self):
         # bifurcation_data's 1-D strobes: n scalar points, not one point in n dimensions

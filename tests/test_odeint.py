@@ -11,8 +11,8 @@ from cqduffing import (IntegrationError, OscillatorParams, State, StepControl, i
 from cqduffing.chaos import bifurcation_data, gamma_scan, lyapunov_max, poincare_map
 from cqduffing.core import acceleration, energy
 from cqduffing.kbm import kbm_solve
-from cqduffing.odeint import (HistoryBuffer, _check_finite, _check_lanes, _drive, _rk4_core_lanes,
-                              _rk4_step)
+from cqduffing.odeint import (HistoryBuffer, _check_finite, _check_lanes, _drive, _forcing_rows,
+                              _rk4_core_lanes, _rk4_step)
 from cqduffing.pyragas import controlled_rhs, search_mu_tau
 
 T14 = 2 * math.pi / 1.4
@@ -183,11 +183,13 @@ class TestCoreLanes:
                             omega=omega)
         with np.errstate(over="ignore", invalid="ignore"):
             knot, step = _rk4_core_lanes(p, np.array([xs, vs, acc0]), dt, mu)
+            g_half, g_end = _forcing_rows(p, n, [t + i * dt for i in range(n_steps)], dt)
             for i in range(n_steps):
-                step(t + i * dt, vds[i])
+                step(g_half[i], g_end[i], vds[i])
             if short:
                 knot, step = _rk4_core_lanes(p, knot, hs[-1], mu)
-                step(t + n_steps * dt, vds[-1])
+                (g_half,), (g_end,) = _forcing_rows(p, n, [t + n_steps * dt], hs[-1])
+                step(g_half, g_end, vds[-1])
         for j, q in enumerate(floats_p):
             x, v, acc = xs[j], vs[j], acc0[j]
             for i, h in enumerate(hs):
