@@ -9,8 +9,6 @@ from .core import (
     energy,
     energy_report,
     equilibria,
-    hamiltonian_fields,
-    separatrix_velocity,
 )
 from .elliptic import complete_k, jacobi_sn_cn_dn
 from .odeint import IntegrationError, StepControl, integrate, integrate_delayed
@@ -26,8 +24,6 @@ __all__ = [
     "energy",
     "energy_report",
     "equilibria",
-    "separatrix_velocity",
-    "hamiltonian_fields",
     "jacobi_sn_cn_dn",
     "complete_k",
     "StepControl",

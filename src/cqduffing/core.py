@@ -4,8 +4,9 @@ cubic-quintic oscillator
     x'' - a x + b x^3 + c x^5 = eps * (gamma cos(omega t) - delta x').
 
 The unperturbed (eps = 0) system is Hamiltonian with energy
-E = v^2/2 - a x^2/2 + b x^4/4 + c x^6/6; its equilibria and separatrix
-geometry live here.
+E = v^2/2 - a x^2/2 + b x^4/4 + c x^6/6; its equilibria live here, with
+`_quadratic_roots`, the one root solve of the quadratics in u = x^2 that
+give them and the separatrix turning points of `exact.homoclinic_orbit`.
 
 The conservative force `_restoring` and the force kernel :func:`acceleration`
 built on it work on floats and on numpy arrays; :meth:`Trajectory.eval`
@@ -28,8 +29,6 @@ __all__ = [
     "equilibria",
     "energy",
     "energy_report",
-    "separatrix_velocity",
-    "hamiltonian_fields",
 ]
 
 
@@ -211,22 +210,30 @@ def _classify(p: OscillatorParams, x: float) -> str:
     return "degenerate"
 
 
+def _quadratic_roots(qa: float, qb: float, qc: float) -> tuple[float, float, float]:
+    """The discriminant d = qb^2 - 4 qa qc of qa u^2 + qb u + qc = 0 and its
+    roots u_+ and u_-, u_sign = (-qb + sign sqrt(d))/(2 qa), taken as q/qa and
+    qc/q with q = -(qb + sign(qb) sqrt(d))/2, the forms that do not cancel
+    (Numerical Recipes, section 5.6).  sign(qb) follows a signed zero, so
+    that the q/qa root is the one picked by sign(qb) at qb = -0.0 as well.
+    Both roots are NaN for d < 0, and a root infinite at qa = 0 is inf."""
+    disc = qb * qb - 4.0 * qa * qc
+    if disc < 0.0:
+        return disc, math.nan, math.nan
+    sgn = math.copysign(1.0, qb)
+    q = -0.5 * (qb + sgn * math.sqrt(disc))
+    big = q / qa if qa != 0.0 else math.inf  # the root (-qb - sgn sqrt(d))/(2 qa)
+    small = qc / q if disc > 0.0 else big  # q != 0 once d > 0
+    return (disc, small, big) if sgn > 0.0 else (disc, big, small)
+
+
 def equilibria(p: OscillatorParams) -> list[Equilibrium]:
     """Real rest points of x'' = a x - b x^3 - c x^5, classified by the
-    sign structure of the linearization, sorted by displacement."""
+    sign structure of the linearization, sorted by displacement.  Off the
+    origin, x^2 is a positive finite root of c u^2 + b u - a = 0."""
     roots = [0.0]
-    if p.c != 0.0:
-        disc = p.b * p.b + 4.0 * p.a * p.c
-        if disc >= 0.0:
-            sq = math.sqrt(disc)
-            for num in (-p.b + sq, -p.b - sq):
-                x2 = num / (2.0 * p.c)
-                if x2 > 0.0:  # x2 == 0 is the origin, already listed
-                    r = math.sqrt(x2)
-                    roots.extend([r, -r])
-    elif p.b != 0.0:
-        x2 = p.a / p.b
-        if x2 > 0.0:
+    for x2 in _quadratic_roots(p.c, p.b, -p.a)[1:]:
+        if 0.0 < x2 < math.inf:  # x2 == 0 is the origin, already listed; inf is no root
             r = math.sqrt(x2)
             roots.extend([r, -r])
     roots = sorted(set(roots))
@@ -244,25 +251,3 @@ def energy_report(p: OscillatorParams, traj: Trajectory) -> EnergyReport:
     E = energy(p, traj.x, traj.v)
     series = np.column_stack([traj.t, E])
     return EnergyReport(K=float(E[0]), series=series)
-
-
-def separatrix_velocity(p: OscillatorParams, x0: float) -> tuple[float, float]:
-    """Velocities (+v, -v) placing (x0, v) on the zero-energy level set.
-
-    v = x0 * sqrt((6a - 3b x0^2 - 2c x0^4) / 6); a negative radicand means
-    the zero level set has no point above x0.
-    """
-    x2 = x0 * x0
-    radicand = (6.0 * p.a - 3.0 * p.b * x2 - 2.0 * p.c * x2 * x2) / 6.0
-    if radicand < 0.0:
-        raise ValueError(
-            f"x0={x0} is outside the separatrix reach: (6a - 3b x0^2 - 2c x0^4)/6 = {radicand} < 0"
-        )
-    v = x0 * math.sqrt(radicand)
-    return v, -v
-
-
-def hamiltonian_fields(p: OscillatorParams, q: float, pm: float) -> tuple[float, float]:
-    """Canonical field (dq/dt, dp/dt) = (p, a q - b q^3 - c q^5) of the
-    unperturbed flow (damping and forcing stripped)."""
-    return pm, _restoring(p, q)

@@ -10,7 +10,10 @@ system (the cn^0..cn^8 coefficients of the substituted ansatz).  Its roots
 come from two closed-form branch families, mu = 0 and mu != 0, and their
 degenerate limits; damped Gauss-Newton polishes each branch root, and the
 polished root is returned.  Separatrix orbits come in a pulse (sech) and a
-kink (tanh) family with explicit amplitude/rate/shape formulas.
+kink (tanh) family with explicit amplitude/rate/shape formulas; their
+turning points are roots of quadratics in u = x^2, solved by
+`core._quadratic_roots` in the forms that do not cancel, which hold at
+c = 0 too.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ from itertools import product
 
 import numpy as np
 
+from .core import _quadratic_roots
 from .elliptic import _reciprocal, cn_period, jacobi_sn_cn_dn
 
 __all__ = [
@@ -298,10 +302,14 @@ class HomoclinicOrbit:
 def homoclinic_orbit(a: float, b: float, c: float, kind: str, sign: int = 1) -> HomoclinicOrbit:
     """Separatrix orbit of one family; raises naming the violated guard.
 
-    sech kind: k = a, lam = (b x0^2 - 2a)/(4a - b x0^2),
-               x0^2 = (-3b + sign sqrt(48ac + 9b^2)) / (4c); needs a > 0.
-    tanh kind: x0^2 = (-b + sign sqrt(b^2 + 4ac)) / (2c),
+    x0^2 is the root (-B + sign sqrt(B^2 - 4AC))/(2A) of a quadratic
+    A u^2 + B u + C = 0 in u = x^2, taken in the forms that do not cancel:
+    sech kind: 2c u^2 + 3b u - 6a = 0, the zero-energy turning point,
+               k = a, lam = (b x0^2 - 2a)/(4a - b x0^2); needs a > 0.
+    tanh kind: c u^2 + b u - a = 0, the rest points' equation,
                k = (-b x0^2 - 2c x0^4)/2, lam = -2c x0^2 / (3(b + 2c x0^2)).
+    At c = 0 the + root of the pulse is 2a/b and the - root of the kink
+    a/b, the cubic orbits; the other root is infinite there and refused.
     """
     if not all(map(math.isfinite, (a, b, c))):
         raise ValueError(f"a={a}, b={b} and c={c} must be finite")
@@ -310,34 +318,24 @@ def homoclinic_orbit(a: float, b: float, c: float, kind: str, sign: int = 1) -> 
     if kind == "sech":
         if a <= 0.0:
             raise ValueError(f"sech orbit needs a > 0 (rate k = a), got a={a}")
-        if c == 0.0:
-            # biquadratic degenerates; cubic-only pulse orbit
-            if sign != 1 or b <= 0.0:
-                raise ValueError("sech orbit with c = 0 needs b > 0 and the + branch")
-            x2 = 2.0 * a / b
-        else:
-            disc = 48.0 * a * c + 9.0 * b * b
-            if disc <= 0.0:
-                raise ValueError(f"sech orbit guard violated: 48ac + 9b^2 = {disc} <= 0")
-            x2 = (-3.0 * b + sign * math.sqrt(disc)) / (4.0 * c)
-            if x2 <= 0.0:
-                raise ValueError(f"sech orbit guard violated: x0^2 = {x2} <= 0")
-        k, num, den, den_name = a, b * x2 - 2.0 * a, 4.0 * a - b * x2, "4a - b x0^2"
+        quadratic, disc_name = (2.0 * c, 3.0 * b, -6.0 * a), "48ac + 9b^2"
     elif kind == "tanh":
-        if c == 0.0:
-            raise ValueError("tanh orbit needs c != 0 (amplitude formula divides by c)")
-        disc = b * b + 4.0 * a * c
-        if disc <= 0.0:
-            raise ValueError(f"tanh orbit guard violated: b^2 + 4ac = {disc} <= 0")
-        x2 = (-b + sign * math.sqrt(disc)) / (2.0 * c)
-        if x2 <= 0.0:
-            raise ValueError(f"tanh orbit guard violated: x0^2 = {x2} <= 0")
+        quadratic, disc_name = (c, b, -a), "b^2 + 4ac"
+    else:
+        raise ValueError(f"kind must be 'sech' or 'tanh', got {kind!r}")
+    disc, x2_plus, x2_minus = _quadratic_roots(*quadratic)
+    if not disc > 0.0:
+        raise ValueError(f"{kind} orbit guard violated: {disc_name} = {disc} <= 0")
+    x2 = x2_plus if sign == 1 else x2_minus
+    if not 0.0 < x2 < math.inf:
+        raise ValueError(f"{kind} orbit guard violated: x0^2 = {x2} is not positive and finite")
+    if kind == "sech":
+        k, num, den, den_name = a, b * x2 - 2.0 * a, 4.0 * a - b * x2, "4a - b x0^2"
+    else:
         k = 0.5 * (-b * x2 - 2.0 * c * x2 * x2)
         if k <= 0.0:
             raise ValueError(f"tanh orbit guard violated: k = (-b x0^2 - 2c x0^4)/2 = {k} <= 0")
         num, den, den_name = -2.0 * c * x2, 3.0 * (b + 2.0 * c * x2), "b + 2c x0^2"
-    else:
-        raise ValueError(f"kind must be 'sech' or 'tanh', got {kind!r}")
     if den == 0.0:
         raise ValueError(f"{kind} orbit guard violated: {den_name} = 0")
     lam = num / den

@@ -13,9 +13,7 @@ from cqduffing import (
     energy,
     energy_report,
     equilibria,
-    hamiltonian_fields,
     integrate,
-    separatrix_velocity,
 )
 from cqduffing.core import acceleration
 
@@ -119,54 +117,6 @@ class TestEnergy:
                        40.0, StepControl(abs_tol=1e-10, rel_tol=1e-10))
         E = energy(p, tr.x, tr.v)
         assert np.all(np.diff(E) <= 1e-10)
-
-
-class TestSeparatrixVelocity:
-    def test_saddle_point(self):
-        assert separatrix_velocity(OscillatorParams(1, 1, 1), 0.0) == (0.0, -0.0)
-
-    def test_unit_point(self):
-        vp, vm = separatrix_velocity(OscillatorParams(1, 1, 1), 1.0)
-        assert vp == pytest.approx(math.sqrt(1 / 6), rel=1e-14)
-        assert vm == -vp
-        assert abs(energy(OscillatorParams(1, 1, 1), 1.0, vp)) < 1e-12
-
-    def test_out_of_reach(self):
-        with pytest.raises(ValueError, match="outside the separatrix"):
-            separatrix_velocity(OscillatorParams(1, 1, 1), 1.2)
-
-    @given(st.floats(0.1, 2.0), st.floats(-2, 2), st.floats(-2, 2), st.floats(-1.2, 1.2))
-    @settings(max_examples=200, deadline=None)
-    def test_zero_energy_property(self, a, b, c, x0):
-        p = OscillatorParams(a, b, c)
-        try:
-            vp, _ = separatrix_velocity(p, x0)
-        except ValueError:
-            return
-        assert abs(energy(p, x0, vp)) < 1e-12
-
-
-class TestHamiltonianFields:
-    def test_origin(self):
-        assert hamiltonian_fields(OscillatorParams(1, 1, 1), 0.0, 0.0) == (0.0, 0.0)
-
-    def test_unit(self):
-        assert hamiltonian_fields(OscillatorParams(1, 1, 1), 1.0, 0.0) == (0.0, pytest.approx(-1.0))
-
-    def test_flipped_signs(self):
-        dq, dp = hamiltonian_fields(OscillatorParams(1, -1, -1), 1.0, 2.0)
-        assert (dq, dp) == (2.0, pytest.approx(3.0))
-
-    def test_matches_stripped_rhs(self):
-        p = OscillatorParams(1.3, -0.4, 0.7, delta=0.5, gamma=0.2, omega=1.1, epsilon=1)
-        p0 = OscillatorParams(1.3, -0.4, 0.7, epsilon=0)
-        q, mom = 0.37, -0.81
-        assert hamiltonian_fields(p, q, mom)[1] == acceleration(p0, 0, q, mom)
-
-    def test_force_does_not_depend_on_the_momentum(self):
-        # delta * pm overflows to inf; the stripped damping must not turn it into NaN
-        p = OscillatorParams(1, 1, 0.2, delta=10.0)
-        assert hamiltonian_fields(p, 0.5, 1e308) == (1e308, pytest.approx(0.36875, rel=1e-15))
 
 
 class TestTrajectory:

@@ -1,9 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from cqduffing import OscillatorParams, State, StepControl, integrate
+from cqduffing import OscillatorParams, State, StepControl, equilibria, integrate
 from cqduffing.core import acceleration, energy
 from cqduffing.elliptic import jacobi_sn_cn_dn
 from cqduffing.exact import (
@@ -16,6 +17,7 @@ from cqduffing.exact import (
     homoclinic_orbit,
     solve_cn_coefficients,
 )
+from cqduffing.melnikov import melnikov
 from conftest import fd_first_derivative, ode_residual_fd
 
 SQ2 = math.sqrt(2.0)
@@ -262,7 +264,6 @@ class TestHomoclinicOrbit:
             assert abs(x) < 1e-10 and abs(v) < 1e-10
 
     def test_kink_endpoints_are_equilibria(self):
-        from cqduffing import equilibria
         a, b, c = -1.0, -3.0, 1.0
         orb = homoclinic_orbit(a, b, c, "tanh", -1)
         eqs = [e.x for e in equilibria(OscillatorParams(a, b, c)) if e.x > 0]
@@ -291,7 +292,8 @@ class TestHomoclinicOrbit:
         assert v == pytest.approx(v_fd, abs=1e-8)
 
     def test_analytic_velocity_matches_fd(self, rng):
-        for kind, args, sign in (("sech", (1, 1, 1), 1), ("tanh", (-1, -3, 1), -1)):
+        for kind, args, sign in (("sech", (1, 1, 1), 1), ("tanh", (-1, -3, 1), -1),
+                                 ("tanh", (-1, -3, 0.0), -1)):
             orb = homoclinic_orbit(*args, kind, sign)
             for t in rng.uniform(-3, 3, 12):
                 x, v = eval_homoclinic(orb, t)
@@ -323,12 +325,27 @@ class TestHomoclinicOrbit:
         assert orb.lam == 0.0
         assert orb.A == pytest.approx(math.sqrt(2.0), rel=1e-14)
 
+    def test_softening_cubic_kink(self):
+        # x'' = -x + x^3: the kink tanh(t/sqrt2) between the saddles at +-1
+        # (Guckenheimer & Holmes, section 4.5)
+        orb = homoclinic_orbit(-1, -1, 0, "tanh", -1)
+        assert (orb.A, orb.k, orb.lam) == (1.0, 0.5, 0.0)
+        for t in np.linspace(-10, 10, 201):
+            x, v = eval_homoclinic(orb, t)
+            u = t / SQ2
+            assert abs(x - math.tanh(u)) <= 1e-15
+            assert abs(v - 1.0 / (math.cosh(u) ** 2 * SQ2)) <= 1e-15
+        p = OscillatorParams(-1, -1, 0, delta=0.1, omega=1.4)
+        want = 2.0 / (3.0 * math.pi * 1.4) * math.sinh(math.pi * 1.4 / SQ2)
+        assert want == 1.695898164684314
+        assert abs(melnikov(orb, p).threshold_ratio - want) <= 4 * math.ulp(want)
+
     def test_guard_errors_name_the_inequality(self):
         with pytest.raises(ValueError, match="a > 0"):
             homoclinic_orbit(-1, 1, 1, "sech", +1)
         with pytest.raises(ValueError, match="b\\^2 \\+ 4ac"):
             homoclinic_orbit(-1, 1, 1, "tanh", +1)
-        with pytest.raises(ValueError, match="c != 0"):
+        with pytest.raises(ValueError, match="x0\\^2 = inf is not positive and finite"):
             homoclinic_orbit(-1, -3, 0.0, "tanh", +1)
         with pytest.raises(ValueError, match="k ="):
             homoclinic_orbit(-1, -3, 1, "tanh", +1)
@@ -357,6 +374,46 @@ class TestHomoclinicOrbit:
                     assert resid < 1e-5, (a, b, c, kind, sign)
                     found[kind] += 1
                     break
+
+
+def _roots_60_digits(qa, qb, qc):
+    """{sign: (-qb + sign s)/(2 qa)} at 60 digits for the real finite roots of
+    qa u^2 + qb u + qc = 0; at qa = 0 the root that stays finite, -qc/qb."""
+    with mpmath.workdps(60):
+        qa, qb, qc = map(mpmath.mpf, (qa, qb, qc))
+        if qa == 0:
+            return {} if qb == 0 else {1 if qb > 0 else -1: -qc / qb}
+        disc = qb * qb - 4 * qa * qc
+        if disc < 0:
+            return {}
+        return {sign: (-qb + sign * mpmath.sqrt(disc)) / (2 * qa) for sign in (1, -1)}
+
+
+@pytest.mark.parametrize("c", [0.0, 1e-6, -1e-6, 1e-10, -1e-10, 1e-12, -1e-12, 0.2, -0.2, 1.0, -1.0])
+@pytest.mark.parametrize("a, b", [(1, 1), (-1, -1), (-1, -2.5), (2, 0.5), (-1, -3),
+                                  (1, 0.0), (1, -0.0), (-1, 0.0), (-1, -0.0)])
+def test_roots_match_60_digit_roots(a, b, c):
+    def rel_err(x, u):
+        with mpmath.workdps(60):
+            return float(abs(x - mpmath.sqrt(u)) / mpmath.sqrt(u))
+
+    # rest points: x^2 is each positive root of c u^2 + b u - a = 0
+    want = sorted(u for u in _roots_60_digits(c, b, -a).values() if u > 0)
+    got = [e.x for e in equilibria(OscillatorParams(a, b, c)) if e.x > 0.0]
+    assert len(got) == len(want)
+    for x, u in zip(got, want):
+        assert rel_err(x, u) <= 4e-16, (x, u)
+    # each family's x0^2 is its sign's root of its quadratic in u = x^2
+    for kind, quadratic in (("sech", (2 * c, 3 * b, -6 * a)), ("tanh", (c, b, -a))):
+        roots = _roots_60_digits(*quadratic)
+        for sign in (1, -1):
+            try:
+                orb = homoclinic_orbit(a, b, c, kind, sign)
+            except ValueError as err:
+                if "x0^2 = " in str(err):
+                    assert not roots.get(sign, 0) > 0, (kind, sign, err)
+                continue
+            assert rel_err(orb.x0, roots[sign]) <= 4e-16, (kind, sign, orb)
 
 
 @pytest.mark.parametrize("build, match", [
