@@ -26,7 +26,6 @@ __all__ = [
     "build_coefficients",
     "amplitude_phase_odes",
     "integrate_amplitude_phase",
-    "assemble_solution",
     "initial_conditions_map",
     "kbm_solve",
 ]
@@ -194,18 +193,6 @@ def integrate_amplitude_phase(
     return out
 
 
-def assemble_solution(k: KbmCoefficients, amp_phase_traj: np.ndarray, t: float) -> float:
-    """x(t) = eta + amp cos(psi) + corrections, with (amp, psi) read from
-    the slow-flow knots by linear interpolation (they vary slowly)."""
-    ts = amp_phase_traj[:, 0]
-    slack = 1e-9 * max(1.0, abs(ts[-1]))
-    if not (ts[0] - slack <= t <= ts[-1] + slack):
-        raise ValueError(f"t={t} outside the amplitude/phase trajectory span")
-    a = float(np.interp(t, ts, amp_phase_traj[:, 1]))
-    psi = float(np.interp(t, ts, amp_phase_traj[:, 2]))
-    return _assemble_point(k, a, psi, t)
-
-
 def initial_conditions_map(k: KbmCoefficients, x0: float, v0: float) -> tuple[float, float, bool]:
     """(amp, psi, converged) at t = 0 such that the assembled solution
     meets x(0) = x0, x'(0) = v0, found by a two-dimensional Newton
@@ -270,7 +257,16 @@ class KbmSolution:
     fit_converged: bool
 
     def eval(self, t: float) -> float:
-        return assemble_solution(self.coeffs, self.traj, t)
+        """x(t) = eta + amp cos(psi) + corrections, with (amp, psi) read from
+        the slow-flow knots by linear interpolation (they vary slowly);
+        ValueError outside the knots' span."""
+        ts = self.traj[:, 0]
+        slack = 1e-9 * max(1.0, abs(ts[-1]))
+        if not (ts[0] - slack <= t <= ts[-1] + slack):
+            raise ValueError(f"t={t} outside the amplitude/phase trajectory span")
+        a = float(np.interp(t, ts, self.traj[:, 1]))
+        psi = float(np.interp(t, ts, self.traj[:, 2]))
+        return _assemble_point(self.coeffs, a, psi, t)
 
 
 def kbm_solve(p: OscillatorParams, x0: float, v0: float, t_end: float,

@@ -338,9 +338,9 @@ def _run_lanes(job) -> list[tuple[int, tuple[float, float, float, bool]]]:
 
 def chebyshev_fit_orbit(traj: Trajectory, window: tuple[float, float],
                         degree: int) -> tuple[np.ndarray, float]:
-    """Least-squares polynomial fit of x(t) on the window at Chebyshev
-    nodes; returns monomial coefficients (ascending powers of t, in the
-    window's own time variable) and the measured sup residual."""
+    """Least-squares polynomial fit of x(t) on the window [w0, w1] at
+    Chebyshev nodes; returns monomial coefficients (ascending powers of
+    t - w0) and the measured sup residual."""
     w0, w1 = window
     t0, t1 = float(traj.t[0]), float(traj.t[-1])
     if not (t0 - 1e-12 <= w0 < w1 <= t1 + 1e-12):
@@ -352,8 +352,8 @@ def chebyshev_fit_orbit(traj: Trajectory, window: tuple[float, float],
     nodes = np.cos((2 * j + 1) * math.pi / (2 * n_nodes))  # Chebyshev points in (-1, 1)
     ts = 0.5 * (w0 + w1) + 0.5 * (w1 - w0) * nodes
     xs = traj.eval(ts)[0]
-    cheb = np.polynomial.chebyshev.Chebyshev.fit(ts, xs, degree, domain=[w0, w1])
+    cheb = np.polynomial.chebyshev.Chebyshev.fit(ts - w0, xs, degree, domain=[0.0, w1 - w0])
     poly = cheb.convert(kind=np.polynomial.Polynomial)
     dense = np.linspace(w0, w1, 1024)
-    resid = float(np.abs(poly(dense) - traj.eval(dense)[0]).max())
+    resid = float(np.abs(poly(dense - w0) - traj.eval(dense)[0]).max())
     return np.asarray(poly.coef, dtype=float), resid

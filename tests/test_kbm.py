@@ -8,8 +8,8 @@ from cqduffing import IntegrationError, OscillatorParams, State, StepControl, in
 from cqduffing.core import acceleration
 from cqduffing.kbm import (
     KbmCoefficients,
+    KbmSolution,
     amplitude_phase_odes,
-    assemble_solution,
     build_coefficients,
     initial_conditions_map,
     integrate_amplitude_phase,
@@ -142,7 +142,7 @@ class TestAssembly:
         traj = np.array([[0.0, 0.24, -0.01], [1.0, 0.239, 0.99]])
         for t, amp, psi in [(0.0, 0.24, -0.01), (0.7, 0.2395, 0.69), (1.0, 0.239, 0.99)]:
             one_point = np.array([[t, amp, psi], [t + 1.0, amp, psi]])
-            got = assemble_solution(k, one_point, t)
+            got = KbmSolution(k, one_point, True).eval(t)
             assert got == pytest.approx(origin_form(amp, psi, t), abs=1e-14)
 
     def test_no_secular_growth(self):
@@ -151,8 +151,8 @@ class TestAssembly:
         amp, psi, _ = initial_conditions_map(k, 0.25, 0.0)
         horizon = 1e4 * 2 * math.pi / k.omega0
         traj = integrate_amplitude_phase(k, (amp, psi), horizon, dt=2 * math.pi / (4 * k.omega0))
-        xs = [assemble_solution(k, traj, t) for t in np.linspace(0, horizon, 500)]
-        early = [assemble_solution(k, traj, t) for t in np.linspace(0, 10.0, 200)]
+        xs = [KbmSolution(k, traj, True).eval(t) for t in np.linspace(0, horizon, 500)]
+        early = [KbmSolution(k, traj, True).eval(t) for t in np.linspace(0, 10.0, 200)]
         assert max(abs(x) for x in xs) <= 1.2 * max(abs(x) for x in early)
 
 
@@ -227,9 +227,9 @@ def slow_flow(t_end, **kw):
 
 
 @pytest.mark.parametrize("build, match", [
-    pytest.param(lambda: assemble_solution(build_coefficients(SOFT, 0.25), _SPAN, -0.5),
+    pytest.param(lambda: KbmSolution(build_coefficients(SOFT, 0.25), _SPAN, True).eval(-0.5),
                  "outside the amplitude/phase trajectory span", id="before-span"),
-    pytest.param(lambda: assemble_solution(build_coefficients(SOFT, 0.25), _SPAN, 1.5),
+    pytest.param(lambda: KbmSolution(build_coefficients(SOFT, 0.25), _SPAN, True).eval(1.5),
                  "outside the amplitude/phase trajectory span", id="after-span"),
     pytest.param(lambda: slow_flow(-1.0), r"t_end=-1\.0 must be > 0", id="horizon-negative"),
     pytest.param(lambda: slow_flow(0.0), r"t_end=0\.0 must be > 0", id="horizon-zero"),
