@@ -7,7 +7,10 @@ from strobe to strobe with one finiteness test each.
 The Benettin exponent steps a reference trajectory and its companion
 through one RK4 step function, on forcing samples shared per step.  The
 scan's numpy lanes take an in-place copy of that step, which makes the same
-operations in the same order with no temporaries.  The chaos classifier is
+operations in the same order with no temporaries.  Where c is 0 both take
+x ** 3 alone, one libm pow per stage, with every finite exponent bit for
+bit what x ** 5 times 0 gave; a run then diverges where x ** 3 overflows or
+the state is not finite at an interval's end.  The chaos classifier is
 fixed and reproducible: a forcing amplitude is called chaotic when that
 exponent exceeds a threshold (default 0.01) at two consecutive grid
 amplitudes, and the onset is then refined by bisection from the first such
@@ -235,8 +238,11 @@ def _cos_samples(w: float, t_base: float, dt: float, n_steps: int) -> list[list[
 def _rk4_step(a_, b_, c_, d_, dt):
     """One RK4 step of x'' = a x - b x^3 - c x^5 + f - d x' on floats, on the
     forcing samples f0, fh, f1 at its start, middle and end, in that force
-    law's x ** 3, x ** 5 order.  _rk4_lanes takes the same operations, in
-    this order, on the scan's lanes."""
+    law's x ** 3, x ** 5 order.  Where c is 0 (-0.0 too) the step is cubic,
+    with no x ** 5: c x ** 5 is +-0 there, which can move only the sign of a
+    zero, so every finite result keeps its bits, and the step overflows only
+    where x ** 3 does.  _rk4_lanes takes the same operations, in this order,
+    on the scan's lanes."""
     h2, h6 = 0.5 * dt, dt / 6.0
 
     def step(x, v, f0, fh, f1):
@@ -250,7 +256,18 @@ def _rk4_step(a_, b_, c_, d_, dt):
         return (x + h6 * (v + 2.0 * (vb + vc) + vd),
                 v + h6 * (a1 + 2.0 * (a2 + a3) + a4))
 
-    return step
+    def cubic(x, v, f0, fh, f1):
+        a1 = a_ * x - b_ * x ** 3.0 + f0 - d_ * v
+        xb, vb = x + h2 * v, v + h2 * a1
+        a2 = a_ * xb - b_ * xb ** 3.0 + fh - d_ * vb
+        xc, vc = x + h2 * vb, v + h2 * a2
+        a3 = a_ * xc - b_ * xc ** 3.0 + fh - d_ * vc
+        xd, vd = x + dt * vc, v + dt * a3
+        a4 = a_ * xd - b_ * xd ** 3.0 + f1 - d_ * vd
+        return (x + h6 * (v + 2.0 * (vb + vc) + vd),
+                v + h6 * (a1 + 2.0 * (a2 + a3) + a4))
+
+    return step if c_ else cubic
 
 
 def _rk4_lanes(a_, b_, c_, d_, dt):
@@ -259,18 +276,29 @@ def _rk4_lanes(a_, b_, c_, d_, dt):
     float step.  Each element takes the float step's operations in its order
     (2.0 * y as y + y, which is exact); x ** 3 and x ** 5 come from one
     np.float_power call, which runs libm pow per element and so rounds as
-    Python's float ** does (np.power does not).  Stage k's (x, v, acc) is
-    row k of one (4, 3, N) buffer, so its (x, v) and its derivative (v, acc)
-    are overlapping (2, N) views, and one multiply and one add advance both;
-    (b, c) and (a, d) multiply as stacked pairs.  A step is 40 ufunc calls
-    and allocates nothing: each call writes into buffers made here once (26
-    floats per element with the coefficients and step sizes), passed as its
-    last positional argument, which costs less than out=.
+    Python's float ** does (np.power does not).  Where c is 0 on every lane,
+    as on every lane of a scan with c = 0, the step takes x ** 3 alone and b
+    alone, as the cubic float step does: 4 N pow calls per step, not 8 N.
+    Where c is 0 on some lanes only, those take x ** 0 = 1 for x ** 5, so
+    that c x ** 5 is +-0 there even where x ** 5 would overflow.  Stage k's
+    (x, v, acc) is row k of one (4, 3, N) buffer, so its (x, v) and its
+    derivative (v, acc) are overlapping (2, N) views, and one multiply and
+    one add advance both; (b, c) and (a, d) multiply as stacked pairs.  A
+    step is 40 ufunc calls (36 where c is 0) and allocates nothing: each
+    call writes into buffers made here once (26 floats per element with the
+    coefficients and step sizes), passed as its last positional argument,
+    which costs less than out=.
     """
     n = len(dt)
-    buf, pows, work = np.empty((4, 3, n)), np.empty((2, n)), np.empty((2, n))
-    expo, bc, ad = np.array([[3.0], [5.0]]), np.stack([b_, c_]), np.stack([a_, d_])
-    bx3, cx5, ax, dv = *pows, *work
+    quintic = bool(np.any(c_))  # -0.0 counts as 0
+    if quintic:
+        expo, bc = np.stack([np.full(n, 3.0), np.where(c_ == 0.0, 0.0, 5.0)]), np.stack([b_, c_])
+    else:
+        expo, bc = 3.0, np.array(b_)
+    buf, pows, work = np.empty((4, 3, n)), np.empty(bc.shape), np.empty((2, n))
+    ad = np.stack([a_, d_])
+    bx3, cx5 = pows if quintic else (pows, None)
+    ax, dv = work
     state = buf[0, :2]
     # the step sizes as (2, N) rows: a broadcast (N,) operand costs numpy more
     h2, h1, h6 = (np.tile(h, (2, 1)) for h in (0.5 * dt, dt, dt / 6.0))
@@ -283,11 +311,12 @@ def _rk4_lanes(a_, b_, c_, d_, dt):
 
     def step(f0, fh, f1):
         for (x, xv, acc, deriv, nxt, h), f in zip(stages, (f0, fh, fh, f1)):
-            power(x, expo, pows)  # (x ** 3, x ** 5)
+            power(x, expo, pows)  # x ** 3, and x ** 5 below it where c is not 0
             mul(bc, pows, pows)
             mul(ad, xv, work)  # (a x, d v)
             sub(ax, bx3, acc)
-            sub(acc, cx5, acc)
+            if quintic:
+                sub(acc, cx5, acc)
             add(acc, f, acc)
             sub(acc, dv, acc)
             if h is not None:
@@ -318,7 +347,10 @@ def lyapunov_max(
     A companion trajectory starts offset d0 in displacement; both are
     advanced by one RK4 step function on shared forcing samples, the
     separation is renormalized to d0 after every interval, and the exponent
-    is the mean log stretch per unit time after the transient discard.
+    is the mean log stretch per unit time after the transient discard.  A
+    run that overflows a power (x ** 5, or x ** 3 where c is 0 and the step
+    takes no x ** 5) or ends an interval with a state that is not finite
+    raises ValueError naming that interval's start time.
     """
     interval, t_transient, n_steps, n_intervals = _benettin_intervals(
         p, s0.t, t_total, renorm_interval, t_transient, steps_per_period)

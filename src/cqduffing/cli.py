@@ -564,6 +564,11 @@ def _resolve(parser: argparse.ArgumentParser, spec: _Command, args) -> dict:
                 chaos._grid_steps(float(lo), float(hi), cfg["coarse_step"])
         except ValueError as exc:
             parser.error(f"argument --coarse-step: {exc}")
+    if "fit_degree" in cfg:
+        from . import pyragas
+        if cfg["fit_degree"] > pyragas._FIT_DEGREE_MAX:
+            parser.error(f"argument --fit-degree: must be at most {pyragas._FIT_DEGREE_MAX}, "
+                         f"got {cfg['fit_degree']!r}")
     if "n_steps" in cfg and not math.isfinite(cfg["n_steps"] * cfg["dt"]):
         parser.error(f"argument --dt: the horizon n_steps * dt = {cfg['n_steps']} * "
                      f"{cfg['dt']!r} overflows")

@@ -54,6 +54,9 @@ _CHUNK = 32
 # per cell, since numpy's cost per operation outweighs a few lanes (a block
 # of 6 lanes took 0.87 of the time of its 6 scalar cells, one of 5 1.12).
 _LOCKSTEP_MIN = 6
+# The highest orbit-fit degree: the fig10 window's fit holds to 1.5e-7 at
+# degree 30 and is lost at 40 (sup residual 24), even in powers of t - w0.
+_FIT_DEGREE_MAX = 30
 
 
 @dataclass(frozen=True)
@@ -347,6 +350,8 @@ def chebyshev_fit_orbit(traj: Trajectory, window: tuple[float, float],
         raise ValueError(f"window {window} not inside trajectory span {t0, t1}")
     if not _is_count(degree, 1):
         raise ValueError(f"degree must be >= 1 and an integer, got {degree!r}")
+    if degree > _FIT_DEGREE_MAX:  # before its nodes are allocated
+        raise ValueError(f"degree must be at most {_FIT_DEGREE_MAX}, got {degree!r}")
     n_nodes = max(4 * (degree + 1), 64)
     j = np.arange(n_nodes)
     nodes = np.cos((2 * j + 1) * math.pi / (2 * n_nodes))  # Chebyshev points in (-1, 1)

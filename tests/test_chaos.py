@@ -174,6 +174,12 @@ class TestLyapunov:
              steps=200, transient=10, measured=30.0)  # chaotic
     @example(gamma=0.3, omega=1.2, c=-1.0, t0=0.0, x0=0.0, v0=0.0, per_period=2, d0=1e-8,
              steps=200, transient=1, measured=4.0)  # overflows
+    @example(gamma=0.35, omega=1.4, c=-0.0, t0=0.0, x0=0.0, v0=0.0, per_period=1, d0=1e-8,
+             steps=200, transient=10, measured=30.0)  # chaotic, c = -0.0: no x ** 5 either
+    @example(gamma=0.0, omega=1.4, c=0.0, t0=0.0, x0=-0.0, v0=-0.0, per_period=2, d0=1e-8,
+             steps=100, transient=1, measured=5.0)  # signed-zero start, unforced
+    @example(gamma=0.0, omega=1.4, c=-0.0, t0=0.0, x0=-0.0, v0=-0.0, per_period=1, d0=1e-8,
+             steps=100, transient=1, measured=5.0)
     def test_equals_two_trajectory_loop_bitwise(self, gamma, omega, c, t0, x0, v0, per_period,
                                                 d0, steps, transient, measured):
         if omega == 0.0:
@@ -190,6 +196,24 @@ class TestLyapunov:
                 lyapunov_max(*args, **kw)
         else:
             assert lyapunov_max(*args, **kw).hex() == expected.hex()
+
+    @pytest.mark.parametrize("a, b, c, gamma, x0, v0", [
+        (1.0, 1.0, 0.0, 0.35, -0.0, -0.0),  # chaotic
+        (1.0, -1.0, 0.0, 0.0, -0.0, -0.0),  # b < 0 from a signed-zero start, unforced
+        (1.0, -1.0, -0.0, 0.0, -0.0, -0.0),
+        (-1.0, -1.0, 0.0, 0.0, -0.0, -0.0),
+        (-1.0, -1.0, -0.0, 0.0, -0.0, 0.0),
+        (-1.0, -1.0, -0.0, 0.1, -0.0, -0.0),
+    ])
+    def test_cubic_step_equals_two_trajectory_loop_bitwise(self, a, b, c, gamma, x0, v0):
+        # c = +-0 takes no x ** 5; the loop's c * x ** 5 is +-0, which can move
+        # only the sign of a zero, and no separation or log reads that sign
+        p = OscillatorParams(a, b, c, delta=0.1, gamma=gamma, omega=1.4, epsilon=1.0)
+        args = (p, State(0.0, x0, v0), 40 * T14, T14)
+        kw = dict(steps_per_period=200, t_transient=10 * T14)
+        expected = reference_lyapunov_max(*args, **kw)
+        assert math.isfinite(expected)
+        assert lyapunov_max(*args, **kw).hex() == expected.hex()
 
 
 def reference_lyapunov_max(p, s0, t_total, renorm_interval=None, *, d0=1e-8,
@@ -307,6 +331,16 @@ class TestLyapunovLanes:
                     (0.9, 0.1, 0.5)],
              coeffs=[(1.0, 1.0, 0.1, 0.5), (0.5, 2.0, 0.3, 1.7), (-1.0, 0.5, 0.05, 1.3)],
              t0=0.0, x0=0.2, v0=-0.1, steps=60, transient=1, measure=3)  # epsilon != 1
+    @example(lanes=[(1.4, 0.0, 0.3), (1.4, 0.0, 0.35), (1.1, -0.0, 0.0), (1.1, -0.0, 0.78),
+                    (2.0, 0.0, 0.5)],
+             coeffs=[(1.0, 1.0, 0.1, 1.0), (-1.0, -1.0, 0.1, 1.0), (0.5, -1.0, 0.05, 0.7)],
+             t0=0.0, x0=-0.0, v0=-0.0, steps=50, transient=1,
+             measure=3)  # c = 0 rows only: one pow per stage; the softening cubic diverges
+    @example(lanes=[(1.4, 0.0, 0.3), (1.4, 0.0, 0.35), (1.4, 0.2, 0.3), (1.1, -0.0, 0.78),
+                    (1.1, -1.0, 0.3)],
+             coeffs=[(1.0, 1.0, 0.1, 1.0), (1.0, 1.0, 0.1, 1.0), (-1.0, -1.0, 0.1, 1.0)],
+             t0=0.0, x0=0.0, v0=0.0, steps=50, transient=1,
+             measure=3)  # c = 0 and c != 0 rows mixed: both powers on every lane
     @example(lanes=[(1.0, 0.0, 0.0), (1.0, 0.0, 0.1)], coeffs=[(-14400.0, 0.0, 240.0, 1.0)],
              t0=0.0, x0=1.0, v0=0.0, steps=2000, transient=1,
              measure=3)  # overdamped: the separation underflows to 0 each period
@@ -427,6 +461,19 @@ class TestGammaScan:
         with pytest.raises(ValueError) as lanes:
             gamma_scan(*args, **kw)
         assert str(lanes.value) == str(lazy.value)
+
+    def test_a_diverging_cubic_lane_names_the_lazy_time(self, monkeypatch):
+        # the softening cubic escapes at gamma = 0.78 in its first forcing
+        # period, ending it at x = -1.3e86: past 1.6e61, where x ** 5 overflowed
+        # and named t=0.0 while the step took it at c = 0, but below where
+        # x ** 3 overflows, so both paths name the next interval, t = T
+        args = (-1.0, -1.0, 0.0, 0.1, 1.1, (0.78, 1.0), 0.01)
+        kw = dict(coarse_step=0.02, **SHORT_SCAN)
+        for lanes_min in (math.inf, 1):  # the lazy walk, then the lanes
+            monkeypatch.setattr(chaos, "_SCAN_LANES_MIN", lanes_min)
+            with pytest.raises(ValueError) as err:
+                gamma_scan(*args, **kw)
+            assert str(err.value) == f"trajectory diverged near t={2 * math.pi / 1.1}"
 
     def test_rows_share_one_lane_pass(self, monkeypatch):
         windows = [(1.4, (0.25, 0.45)), (1.1, (0.10, 0.30)), (2.0, (0.55, 0.75))]

@@ -587,6 +587,8 @@ class TestFlagValidation:
         (["scan", "--omega", "1.4", "--coarse-step", "1e-320"], "--coarse-step"),
         (["scan", "--omega", "1.4", "--coarse-step", "1e-9"], "--coarse-step"),
         (["scan", "--preset", "table1", "--coarse-step", "1e-9"], "--coarse-step"),
+        (["control", "--preset", "fig10", "--fit-degree", "31"], "--fit-degree"),
+        (["control", "--preset", "fig10", "--fit-degree", "100000"], "--fit-degree"),
     ])
     def test_bad_value_exits_2_naming_the_flag(self, argv, flag, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

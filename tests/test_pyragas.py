@@ -337,6 +337,10 @@ class TestChebyshevFitOrbit:
         _, resid = chebyshev_fit_orbit(traj, (w1 - TAU_REF, w1), 10)
         assert resid < 1e-4
 
+    def test_fit_takes_the_bound_degree(self):
+        coeffs, resid = chebyshev_fit_orbit(_line_trajectory(), (0.0, 2.0), 30)
+        assert len(coeffs) == 31 and resid < 1e-9
+
 
 def _line_trajectory():
     # x = t on [0, 2]: constant velocity, no acceleration
@@ -365,6 +369,11 @@ def _run_with_tolerance(tol):
                  "degree must be >= 1", id="fit-degree"),
     pytest.param(lambda: chebyshev_fit_orbit(_line_trajectory(), (0.0, 2.0), 2.5),
                  "degree must be >= 1 and an integer, got 2.5", id="fit-degree-fraction"),
+    pytest.param(lambda: chebyshev_fit_orbit(_line_trajectory(), (0.0, 2.0), 31),
+                 "degree must be at most 30, got 31", id="fit-degree-above-bound"),
+    # 4e12 nodes would raise MemoryError: the bound refuses before any array
+    pytest.param(lambda: chebyshev_fit_orbit(_line_trajectory(), (0.0, 2.0), 10**12),
+                 "degree must be at most 30, got 1000000000000$", id="fit-degree-huge"),
     pytest.param(lambda: search_mu_tau(CHAOTIC, (1.0, 2.0), (2.0, 3.0), (2.5, 2)),
                  r"at least one cell per axis, as integers, got \(2\.5, 2\)",
                  id="search-mu-fraction"),
