@@ -2,7 +2,10 @@
 chaos-onset forcing scan, and bifurcation-diagram data.  Sections keep only
 the two knots around each strobe time and build no trajectory; a long
 bifurcation sweep steps its amplitudes as lanes of one array, in chunks
-from strobe to strobe with one finiteness test each.
+from strobe to strobe with one finiteness test each.  Where c is 0 the
+force of a section and of a sweep's lanes takes no c term, so a diverging
+c = 0 run reads inf where 0 * inf made NaN, and every finite strobe keeps
+its bits.
 
 The Benettin exponent steps a reference trajectory and its companion
 through one RK4 step function, on forcing samples shared per step.  The
@@ -54,10 +57,11 @@ _TRANSIENT_PERIODS = 100
 _MEASURE_PERIODS = 400
 _D0 = 1e-8  # the companion's start offset
 _CLUSTER_RADIUS = 1e-3  # cluster_count's: strobes this close are one cluster
-# An in-place lane step costs ~11-12 float steps: the fig7 sweep took
-# 0.87-0.93 s as lanes and 0.075-0.080 s per amplitude as floats (medians
-# at 6 to 14 amplitudes; 20 vs 1.8 us per step, 2-vCPU Xeon).
-_LOCKSTEP_MIN = 12
+# At c = 0 an in-place lane pass costs ~9 float sections: the fig7 sweep
+# took 0.70-0.77 s as lanes and 0.078-0.092 s per amplitude as floats
+# (process-time medians at 6 to 14 amplitudes, 2-vCPU Xeon).  Where c is
+# not 0 the lanes take 4 calls per force more, and it was ~11-12.
+_LOCKSTEP_MIN = 10
 # Steps per chunk of a sweep at most: its two forcing tables hold 2 KB per
 # lane.  A strobe also ends a chunk.
 _SWEEP_CHUNK = 128

@@ -9,8 +9,9 @@ E = v^2/2 - a x^2/2 + b x^4/4 + c x^6/6; its equilibria live here, with
 give them and the separatrix turning points of `exact.homoclinic_orbit`.
 
 The conservative force `_restoring` and the force kernel :func:`acceleration`
-built on it work on floats and on numpy arrays; :meth:`Trajectory.eval`
-takes one time or an array of times.
+built on it work on floats and on numpy arrays; in the cubic case c = 0 the
+force takes no c term, so a diverging run reads inf where 0 * inf made NaN.
+:meth:`Trajectory.eval` takes one time or an array of times.
 """
 from __future__ import annotations
 
@@ -183,9 +184,13 @@ class Equilibrium:
 def _restoring(p: OscillatorParams, x):
     """Conservative force a x - b x^3 - c x^5 for float or array x.  Keep the
     order of operations: Poincare sections, bifurcation data and the
-    Euler-Maruyama paths of `sde._em_step` depend on its rounding."""
+    Euler-Maruyama paths of `sde._em_step` depend on its rounding.  Where c
+    is 0 (-0.0 too) it takes no c term: ((c x) x^2) x^2 is +-0 where x^2 is
+    finite, which moves only the sign of a zero, and NaN (0 * inf) where x^2
+    overflows, where the cubic force is +-inf."""
     x2 = x * x
-    return p.a * x - p.b * x * x2 - p.c * x * x2 * x2
+    f = p.a * x - p.b * x * x2
+    return f - p.c * x * x2 * x2 if p.c else f
 
 
 def acceleration(p: OscillatorParams, t: float, x, v):

@@ -627,6 +627,22 @@ class TestBifurcationData:
             poincare_map(replace(p, gamma=5.0), State(0, 0, 0), 2, 2)
         assert swept.value.t == alone.value.t == 1.2341971139102759
 
+    @pytest.mark.parametrize("c", [0.0, -0.0])
+    def test_diverging_cubic_sweep_names_the_float_runs_lane_and_time(self, c, monkeypatch):
+        # a softening cubic well (a < 0, b < 0, c = 0): the drive of 2.0 escapes
+        # first, with x x overflowing in the last stage of its last step.  Both
+        # read (x=5.5311048732085994e+243, v=inf); before the force took no c
+        # term at c = 0, both read (x=5.5311048732085994e+243, v=nan), 0 * inf
+        p = OscillatorParams(-1, -1, c, delta=0.1, gamma=0.0, omega=1.4, epsilon=1.0)
+        monkeypatch.setattr(chaos, "_LOCKSTEP_MIN", 1)
+        with pytest.raises(IntegrationError, match="at index 2 ") as swept:
+            bifurcation_data(p, [0.5, 1.0, 2.0], n_points=2, n_transient=2)
+        with pytest.raises(IntegrationError) as alone:
+            poincare_map(replace(p, gamma=2.0), State(0, 0, 0), 2, 2)
+        assert swept.value.t == alone.value.t == 3.074272811012869
+        assert str(swept.value) == str(alone.value).replace("state", "state at index 2")
+        assert "(x=5.5311048732085994e+243, v=inf)" in str(alone.value)
+
     def test_displacements_alone_are_points_on_a_line(self):
         # bifurcation_data's 1-D strobes: n scalar points, not one point in n dimensions
         assert cluster_count(np.array([0.1, 0.2, 0.3])) == 3

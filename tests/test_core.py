@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cqduffing import (
@@ -15,7 +15,7 @@ from cqduffing import (
     equilibria,
     integrate,
 )
-from cqduffing.core import acceleration
+from cqduffing.core import _restoring, acceleration
 
 
 def bisect_root(f, lo, hi, tol=1e-14):
@@ -127,6 +127,37 @@ class TestTrajectory:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             Trajectory(np.array([0.0, 1.0]), np.array([0.0, math.inf]), np.zeros(2))
+
+
+def quintic_restoring(p, x):
+    """core._restoring before it took no c term where c is 0, verbatim."""
+    x2 = x * x
+    return p.a * x - p.b * x * x2 - p.c * x * x2 * x2
+
+
+class TestRestoring:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(a=st.floats(-1e3, 1e3), b=st.floats(-1e3, 1e3), c=st.sampled_from([0.0, -0.0]),
+           xs=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8))
+    @example(a=-1.0, b=0.0, c=-0.0, xs=[-0.0, 0.0, 1e-200, -1e200])
+    def test_cubic_case_equals_the_quintic_body_bitwise(self, a, b, c, xs):
+        # ((c x) x^2) x^2 is +-0 where x^2 is finite: it can move only the sign of a zero
+        p = OscillatorParams(a, b, c)
+        with np.errstate(all="ignore"):
+            for x in [*xs, np.array(xs)]:
+                got, want = np.asarray(_restoring(p, x)), np.asarray(quintic_restoring(p, x))
+                finite = np.isfinite(want)
+                assert np.array_equal(got[finite], want[finite])
+                keep = finite & (want != 0.0)
+                assert [z.hex() for z in got[keep]] == [z.hex() for z in want[keep]]
+
+    def test_cubic_case_overflows_to_inf_not_nan(self):
+        # x x overflows: the c term was 0 * inf = NaN, and the cubic force is inf
+        p = OscillatorParams(1.0, 1.0, 0.0)
+        assert math.isnan(quintic_restoring(p, -1e200))
+        assert _restoring(p, -1e200) == math.inf
+        with np.errstate(over="ignore"):
+            assert np.array_equal(_restoring(p, np.array([-1e200, 2.0])), [math.inf, -6.0])
 
 
 class TestAccelerationKernel:

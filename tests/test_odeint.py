@@ -140,11 +140,27 @@ class TestFiniteCheck:
         assert err.value.t == 2.5
 
 
+# Starts in a softening cubic well whose x x overflows: at c = 0 the c term,
+# 0 * inf = NaN where x x is inf, made every such force NaN, and the step
+# takes no c term.  Lane 0 overflows x x in its last stage only, so its new
+# velocity is inf where it was NaN; lane 2 overflows from the start.
+OVERFLOW_LANES = [(0.3, 6.846063698953922e28, 1.410761288677002e64), (0.35, 0.5, -0.5),
+                  (0.4, -1e200, 0.0)]
+
+
+def overflow_row(c, eps, feedback):
+    """An explicit example of TestCoreLanes's bitwise test: one step of
+    OVERFLOW_LANES, at one c for every lane or a list of one c per lane."""
+    return example(coeffs=(-1.0, -1.0, c, 0.1, eps), omega=1.4, lanes=OVERFLOW_LANES,
+                   feedback=feedback, t=0.0, dt=0.02244, n_steps=1, short=0.0, data=None)
+
+
 class TestCoreLanes:
     """_rk4_core_lanes steps every lane bitwise as _rk4_step steps its floats
     with core.acceleration, or with pyragas.controlled_rhs when the lanes
     carry gains mu and delayed velocities: full steps of dt, then perhaps a
-    short final step, from starts that may overflow."""
+    short final step, from starts that may overflow, at one c for every lane
+    or one c per lane."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(coeffs=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-1.0, 1.0),
@@ -161,11 +177,21 @@ class TestCoreLanes:
              dt=0.02244, n_steps=3, short=0.5, data=None)  # one lane overflows
     @example(coeffs=(-1.0, -2.5, 1.0, 0.0, 0.5), omega=0.0, lanes=[(0.0, 0.7, 0.1)],
              feedback=False, t=3.0, dt=0.1, n_steps=2, short=0.0, data=None)  # unforced kink
+    @overflow_row(0.0, 1.0, False)  # the cubic case: no c term, and at eps = 1 no eps product
+    @overflow_row(0.0, 1.0, True)
+    @overflow_row(0.0, 0.5, False)
+    @overflow_row(0.0, 0.5, True)
+    @overflow_row(-0.0, 1.0, False)
+    @overflow_row(-0.0, 1.0, True)
+    @overflow_row(-0.0, 0.5, False)
+    @overflow_row(-0.0, 0.5, True)
+    @overflow_row([0.0, 0.2, -0.0], 0.5, True)  # a pass that mixes zero and nonzero c
     def test_each_lane_equals_the_float_step_bitwise(self, coeffs, omega, lanes, feedback, t, dt,
                                                      n_steps, short, data):
         a, b, c, delta, eps = coeffs
         gammas, xs, vs = map(list, zip(*lanes))
         n = len(lanes)
+        cs = np.broadcast_to(c, n)
         hs = [dt] * n_steps + ([short * dt] if short else [])
         rng = np.random.default_rng(n_steps)  # the explicit examples' gains and delays
         if not feedback:
@@ -176,8 +202,8 @@ class TestCoreLanes:
             floats = st.lists(st.floats(-2.0, 3.0), min_size=n, max_size=n)
             mu = np.array(data.draw(floats))
             vds = [np.array([data.draw(floats), data.draw(floats)]) for _ in hs]
-        floats_p = [SimpleNamespace(a=a, b=b, c=c, delta=delta, epsilon=eps, gamma=g, omega=omega)
-                    for g in gammas]
+        floats_p = [SimpleNamespace(a=a, b=b, c=float(c_j), delta=delta, epsilon=eps, gamma=g,
+                                    omega=omega) for g, c_j in zip(gammas, cs)]
         acc0 = [acceleration(q, t, x, v) for q, x, v in zip(floats_p, xs, vs)]
         p = SimpleNamespace(a=a, b=b, c=c, delta=delta, epsilon=eps, gamma=np.array(gammas),
                             omega=omega)
