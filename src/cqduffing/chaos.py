@@ -3,30 +3,27 @@ chaos-onset forcing scan, and bifurcation-diagram data.  Sections keep only
 the two knots around each strobe time and build no trajectory; a long
 bifurcation sweep steps its amplitudes as lanes of one array, in chunks
 from strobe to strobe with one finiteness test each.  Where c is 0 the
-force of a section and of a sweep's lanes takes no c term, so a diverging
-c = 0 run reads inf where 0 * inf made NaN, and every finite strobe keeps
-its bits.
+force of a section and of a sweep's lanes takes no c term.
 
 The Benettin exponent steps a reference trajectory and its companion
 through one RK4 step function, on forcing samples shared per step.  The
 scan's numpy lanes take an in-place copy of that step, which makes the same
 operations in the same order with no temporaries.  Where c is 0 both take
-x ** 3 alone, one libm pow per stage, with every finite exponent bit for
-bit what x ** 5 times 0 gave; a run then diverges where x ** 3 overflows or
-the state is not finite at an interval's end.  The chaos classifier is
-fixed and reproducible: a forcing amplitude is called chaotic when that
-exponent exceeds a threshold (default 0.01) at two consecutive grid
-amplitudes, and the onset is then refined by bisection from the first such
-pair, down to the resolution or to a bracket one ulp wide.  A scan whose
-rows' coarse grids hold _SCAN_LANES_MIN (24) or more positive amplitudes
-computes all their exponents as flat (params, gamma) lanes, bitwise equal
-to one lyapunov_max call each, in passes that are slices of that list of
-at most _SCAN_LANES_BUDGET (32 MB) of forcing table, about 3500 amplitudes
-at 200 steps per period.  A smaller scan computes a row's coarse exponents
-in order only up to its first chaotic pair.  Scans are deterministic
-functions of the grid, the start state, and the step policy, and each
-(omega, gamma) cell is independent, so callers may evaluate cells in
-parallel and merge by index without changing results.
+x ** 3 alone, one libm pow per stage; a run diverges where a power
+overflows or the state is not finite at an interval's end.  The chaos
+classifier is fixed and reproducible: a forcing amplitude is called
+chaotic when that exponent exceeds a threshold (default 0.01) at two
+consecutive grid amplitudes, and the onset is then refined by bisection
+from the first such pair, down to the resolution or to a bracket one ulp
+wide.  A scan whose rows' coarse grids hold _SCAN_LANES_MIN (24) or more
+positive amplitudes computes all their exponents as flat (params, gamma)
+lanes, bitwise equal to one lyapunov_max call each, in passes that are
+slices of that list of at most _SCAN_LANES_BUDGET (32 MB) of forcing table,
+about 3500 amplitudes at 200 steps per period.  A smaller scan computes a
+row's coarse exponents in order only up to its first chaotic pair.  Scans
+are deterministic functions of the grid, the start state, and the step
+policy, and each (omega, gamma) cell is independent, so callers may
+evaluate cells in parallel and merge by index without changing results.
 """
 from __future__ import annotations
 
@@ -132,7 +129,8 @@ def poincare_map(
     construction (re-posing the i.v.p. from each period's end state) by
     uniqueness of solutions; dense output supplies the exact strobe times.
     An array p.gamma of k amplitudes (see bifurcation_data) steps them as
-    lanes, by RK4 only, and gives (n_points, 2, k).
+    lanes, by RK4 only, and gives (n_points, 2, k).  A strobe that is not
+    finite raises ValueError naming its time, and for lanes its index.
     """
     if p.omega <= 0.0:
         raise ValueError("poincare_map needs omega > 0")
@@ -145,14 +143,20 @@ def poincare_map(
     ctrl = ctrl or StepControl(dt=T / _STEPS_PER_PERIOD, method="rk4")
     t_end = s0.t + (n_transient + n_points) * T
     strobes = _Strobes(s0.t + (n_transient + k) * T for k in range(1, n_points + 1))
-    with np.errstate(over="ignore", invalid="ignore"):  # the step checks report overflow
+    with np.errstate(over="ignore", invalid="ignore"):  # the step and strobe checks report it
         if np.ndim(p.gamma):
             _sweep(p, s0, t_end, ctrl, strobes)
         else:
             # acceleration bound to p as a method, not a functools.partial: CPython
             # calls a bound Python function inline, about 13% faster per call.
             _drive(MethodType(acceleration, p), s0, t_end, ctrl, strobes.append, {})
-    return strobes.finish().reshape((n_points, 2) + np.shape(p.gamma))
+        points = strobes.finish().reshape((n_points, 2) + np.shape(p.gamma))
+    bad = ~np.isfinite(points).all(axis=1)  # finite knots whose interpolant overflows
+    if bad.any():
+        k, *lane = np.argwhere(bad)[0].tolist()
+        where = f" at index {lane[0]}" if lane else ""
+        raise ValueError(f"non-finite strobe{where} at t={s0.t + (n_transient + k + 1) * T}")
+    return points
 
 
 def _sweep(p, s0: State, t_end: float, ctrl: StepControl, strobes: _Strobes) -> None:
@@ -275,32 +279,23 @@ def _rk4_step(a_, b_, c_, d_, dt):
 
 
 def _rk4_lanes(a_, b_, c_, d_, dt):
-    """_rk4_step in place on lane arrays: the (2, N) state (x, v) it returns
-    goes one step per step(f0, fh, f1) call, element by element bitwise the
-    float step.  Each element takes the float step's operations in its order
-    (2.0 * y as y + y, which is exact); x ** 3 and x ** 5 come from one
-    np.float_power call, which runs libm pow per element and so rounds as
-    Python's float ** does (np.power does not).  Where c is 0 on every lane,
-    as on every lane of a scan with c = 0, the step takes x ** 3 alone and b
-    alone, as the cubic float step does: 4 N pow calls per step, not 8 N.
-    Where c is 0 on some lanes only, those take x ** 0 = 1 for x ** 5, so
-    that c x ** 5 is +-0 there even where x ** 5 would overflow.  Stage k's
-    (x, v, acc) is row k of one (4, 3, N) buffer, so its (x, v) and its
-    derivative (v, acc) are overlapping (2, N) views, and one multiply and
-    one add advance both; (b, c) and (a, d) multiply as stacked pairs.  A
-    step is 40 ufunc calls (36 where c is 0) and allocates nothing: each
-    call writes into buffers made here once (26 floats per element with the
-    coefficients and step sizes), passed as its last positional argument,
-    which costs less than out=.
+    """_rk4_step in place on lanes, for the float coefficients a_, b_, c_, d_
+    and the (N,) steps dt: the (2, N) state (x, v) it returns goes one step
+    per step(f0, fh, f1) call, element by element bitwise the float step, in
+    its order of operations (2.0 * y as the exact y + y).  x ** 3 and x ** 5
+    come from one np.float_power call, which runs libm pow per element and
+    so rounds as Python's float ** does (np.power does not); where c is 0
+    (-0.0 too), x ** 3 alone.  Stage k's (x, v, acc) is row k of one
+    (4, 3, N) buffer, so its (x, v) and its derivative (v, acc) are
+    overlapping (2, N) views, and one multiply and one add advance both;
+    (a, d) and (b, c) multiply as stacked pairs.  A step is 40 ufunc calls
+    (36 where c is 0) into buffers made here once, passed as the last
+    positional argument, which costs less than out=; it allocates nothing.
     """
-    n = len(dt)
-    quintic = bool(np.any(c_))  # -0.0 counts as 0
-    if quintic:
-        expo, bc = np.stack([np.full(n, 3.0), np.where(c_ == 0.0, 0.0, 5.0)]), np.stack([b_, c_])
-    else:
-        expo, bc = 3.0, np.array(b_)
+    n, quintic = len(dt), c_ != 0.0  # -0.0 counts as 0
+    ad, bc = np.full((2, 2, n), [[[a_], [d_]], [[b_], [c_]]], dtype=float)
+    expo, bc = (np.full((2, n), [[3.0], [5.0]]), bc) if quintic else (3.0, bc[0])
     buf, pows, work = np.empty((4, 3, n)), np.empty(bc.shape), np.empty((2, n))
-    ad = np.stack([a_, d_])
     bx3, cx5 = pows if quintic else (pows, None)
     ax, dv = work
     state = buf[0, :2]
@@ -396,13 +391,13 @@ def _lyapunov_lanes(lanes, s0: State, steps_per_period: int, transient_periods: 
     """The exponents of gamma_scan's (p, gamma) lanes in one pass of numpy lanes.
 
     The lane (p, gamma) is bitwise _scan_exponent(p, gamma, s0, ...), or the
-    ValueError that call raises.  Lanes with equal p share a row, which keeps
-    its own interval count, interval start and transient test; its forcing
-    comes from math.cos once per sample and interval and is scaled per lane,
-    and math.log is taken per lane, since np.log rounds differently.  The
-    rows of _rk4_lanes's state hold the reference lanes and then the
-    companion lanes: a flat row of 2 L costs numpy less per operation than
-    a (2, L) block.
+    ValueError that call raises.  Every p has one force law (a, b, c, epsilon
+    delta), and lanes with equal p share a row, which keeps its own interval
+    count, interval start and transient test; its forcing comes from
+    math.cos once per sample and interval and is scaled per lane, and
+    math.log is taken per lane, since np.log rounds differently.  The rows
+    of _rk4_lanes's state hold the reference lanes and then the companion
+    lanes: a flat row of 2 L costs numpy less than a (2, L) block.
     """
     rows = {p: r for r, p in enumerate(dict.fromkeys(p for p, _ in lanes))}
     interval, t_transient, steps, n_intervals = map(np.array, zip(*(
@@ -413,8 +408,8 @@ def _lyapunov_lanes(lanes, s0: State, steps_per_period: int, transient_periods: 
     row = np.array([rows[p] for p, _ in lanes])
     n = len(row)
     lane = np.tile(row, 2)  # the row of each reference and each companion lane
-    coeffs = np.array([(p.a, p.b, p.c, p.epsilon * p.delta) for p in rows])
-    (x, v), step = _rk4_lanes(*coeffs[lane].T, dt[lane])
+    (coeffs,) = {(p.a, p.b, p.c, p.epsilon * p.delta) for p in rows}  # one force law
+    (x, v), step = _rk4_lanes(*coeffs, dt[lane])
     g = np.tile([p.epsilon * gamma for p, gamma in lanes], 2)
     x[:n], x[n:], v[:] = s0.x, s0.x + _D0, s0.v
     t_base = np.full(len(rows), float(s0.t))

@@ -10,8 +10,8 @@ give them and the separatrix turning points of `exact.homoclinic_orbit`.
 
 The conservative force `_restoring` and the force kernel :func:`acceleration`
 built on it work on floats and on numpy arrays; in the cubic case c = 0 the
-force takes no c term, so a diverging run reads inf where 0 * inf made NaN.
-:meth:`Trajectory.eval` takes one time or an array of times.
+force takes no c term.  :meth:`Trajectory.eval` takes one time or an array
+of times.
 """
 from __future__ import annotations
 
@@ -116,7 +116,8 @@ class Trajectory:
 
     def eval(self, t):
         """The one dense read: interpolated (x, v) at time t inside the span, as
-        arrays for an array t and two floats for a float or numpy-scalar t."""
+        arrays for an array t and two floats for a float or numpy-scalar t; a
+        value that is not finite raises ValueError naming its time."""
         if self.accel is None:
             raise ValueError("trajectory has no acceleration knots; dense output unavailable")
         kt, ts = self.t, np.asarray(t, dtype=float)
@@ -128,8 +129,12 @@ class Trajectory:
         else:
             i = np.clip(np.searchsorted(kt, ts, side="right") - 1, 0, kt.size - 2)
             h = kt[i + 1] - kt[i]
-            x, v = _hermite5((ts - kt[i]) / h, h, self.x[i], self.v[i], self.accel[i],
-                             self.x[i + 1], self.v[i + 1], self.accel[i + 1])
+            with np.errstate(over="ignore", invalid="ignore"):  # tested below
+                x, v = _hermite5((ts - kt[i]) / h, h, self.x[i], self.v[i], self.accel[i],
+                                 self.x[i + 1], self.v[i + 1], self.accel[i + 1])
+            bad = ~(np.isfinite(x) & np.isfinite(v))
+            if bad.any():
+                raise ValueError(f"non-finite interpolated state at t={ts[bad][0]}")
         return (x, v) if isinstance(t, np.ndarray) else (float(x), float(v))
 
 

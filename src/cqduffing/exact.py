@@ -113,9 +113,17 @@ def cn_ansatz_residuals(a: float, b: float, c: float, x0: float,
     return np.array([r0, r2, r4, r6, r8])
 
 
+def _power(x0: float, n: int) -> float:
+    """x0 ** n, or a ValueError naming x0 and n where it overflows."""
+    try:
+        return x0 ** n
+    except OverflowError:
+        raise ValueError(f"x0={x0} is too large: x0 ** {n} overflows") from None
+
+
 def _mu0_branches(a: float, b: float, c: float, x0: float) -> list[tuple[float, float, float, float]]:
     """Biquadratic closed forms with mu = 0: two sign rows of (w, m, lam), one at a double root."""
-    x2, x4 = x0 * x0, x0 ** 4
+    x2, x4 = x0 * x0, _power(x0, 4)
     disc = x4 * (16 * a * c + 3 * b * b - 4 * b * c * x2 - 4 * c * c * x4)
     # a discriminant within rounding of zero (8 ulps of its terms) is a double root
     if disc < -2.0 ** -49 * x4 * (16 * abs(a * c) + 3 * b * b + 4 * abs(b * c) * x2 + 4 * c * c * x4):
@@ -141,7 +149,7 @@ def _mu0_branches(a: float, b: float, c: float, x0: float) -> list[tuple[float, 
 
 def _general_branches(a: float, b: float, c: float, x0: float) -> list[tuple[float, float, float, float]]:
     """Four-sign closed forms with mu != 0; (w, m) follow from (lam, mu)."""
-    x2, x4 = x0 * x0, x0 ** 4
+    x2, x4 = x0 * x0, _power(x0, 4)
     dsc = (6 * a - 3 * b * x2 - 2 * c * x4) * (a - b * x2 - c * x4)
     if dsc <= 0.0:
         return []
@@ -159,7 +167,7 @@ def _general_branches(a: float, b: float, c: float, x0: float) -> list[tuple[flo
         lam = (2 * (3 * b + 2 * c * x2) * (-12 * a + 9 * b * x2 + 6 * c * x4 + s_l * sq)
                / (3 * x2 * -den))
         mu = ((96 * a * a + x4 * (51 * b * b - 112 * a * c) - 144 * a * b * x2
-               + 76 * b * c * x0 ** 6 + 28 * c * c * x0 ** 8
+               + 76 * b * c * _power(x0, 6) + 28 * c * c * _power(x0, 8)
                + s_m * 2.0 * sq * (4 * a - 3 * b * x2 - 2 * c * x4)) / (x4 * den))
         wden = 6 * lam * (lam + 1) + 10 * mu + 2
         mden = 2 * a * (lam * (3 * lam + 4) - 5 * mu + 1) - b * (3 * lam + 2) * x2 * (lam + mu + 1)
@@ -200,11 +208,14 @@ def _gauss_newton(a, b, c, x0, theta0):
     best = float(np.abs(r).max())
     for _ in range(200):
         J = np.empty((5, 4))
-        for j in range(4):
-            h = 1e-7 * max(1.0, abs(theta[j]))
-            tp = theta.copy()
-            tp[j] += h
-            J[:, j] = (res(tp) - r) / h
+        with np.errstate(over="ignore", invalid="ignore"):  # tested below
+            for j in range(4):
+                h = 1e-7 * max(1.0, abs(theta[j]))
+                tp = theta.copy()
+                tp[j] += h
+                J[:, j] = (res(tp) - r) / h
+        if not (np.isfinite(J).all() and np.isfinite(r).all()):  # lstsq would not converge
+            break
         step, *_ = np.linalg.lstsq(J, -r, rcond=None)
         if not np.all(np.isfinite(step)):
             break
@@ -240,7 +251,7 @@ def solve_cn_coefficients(a: float, b: float, c: float, x0: float) -> CnSolution
     for br in closed_form_branches(a, b, c, x0):
         theta, resid = _gauss_newton(a, b, c, x0, (br.lam, br.mu, br.omega_cn, br.m))
         diagnostics.append(f"{br.family} {resid:.3g}")
-        if resid >= _RESIDUAL_TOL:
+        if not resid < _RESIDUAL_TOL:  # NaN too
             continue
         lam, mu, w, m = map(float, theta)
         try:

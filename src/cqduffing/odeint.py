@@ -9,9 +9,9 @@ delay equations whose right-hand side reads the velocity at t - tau.
 
 Every run goes through one private helper that hands its knots to a sink,
 such as a :class:`HistoryBuffer`, which also answers the delayed reads.
-It steps floats.  Numpy lanes of the driven equation, a bifurcation sweep's
-amplitudes or a delayed-feedback search's cells, take an in-place copy of
-its RK4 step for the core force law, bitwise the float step per lane: 60
+It steps floats.  Numpy lanes of the driven equation under one force law,
+a bifurcation sweep's amplitudes or a delayed-feedback search's cells, take
+an in-place copy of its RK4 step, bitwise the float step per lane: 60
 numpy calls per step (72 with the feedback), 40 in the cubic case c = 0 at
 epsilon = 1, on forcing rows gamma cos(omega t) that one helper builds for
 a run of steps at a time.
@@ -207,38 +207,27 @@ def _forcing_rows(p, n: int, ts, h: float) -> tuple[np.ndarray, np.ndarray]:
 def _rk4_core_lanes(p, knot: np.ndarray, h: float, mu=None):
     """_rk4_step of core.acceleration in place on numpy lanes, element by
     element bitwise the float step: returns a copy of the (3, N) knot (x, v,
-    acc) and a step(g_half, g_end, vd=None) that takes it from t to t + h,
-    where g_half and g_end are the (N,) forcing rows of _forcing_rows at
-    t + h/2 and t + h.  p's coefficients are floats or (N,) lane arrays.
-    With the lane gains mu the force is pyragas.controlled_rhs's, which adds
-    mu (vd - v), and vd holds the delayed velocities at t + h/2 and t + h as
-    two rows.
+    acc) and a step(g_half, g_end, vd=None) that takes it from t to t + h on
+    the (N,) forcing rows g_half, g_end of _forcing_rows at t + h/2, t + h.
+    p's a, b, c, delta and epsilon are floats, one force law for every lane.
+    With the (N,) lane gains mu the force is pyragas.controlled_rhs's, which
+    adds mu (vd - v), vd holding the delayed velocities at t + h/2 and t + h
+    as two rows.
 
     Each force takes _restoring's and acceleration's operations in their
-    order, with (a, delta) (x, v) as one stacked product.  Two rules are read
-    from the coefficient rows here.  Where c is 0 on every lane (-0.0 too),
-    the force takes no c term, nor does _restoring: ((c x) xx) xx is +-0
-    where xx is finite and NaN where it overflows, where the cubic force is
-    +-inf.  A pass that mixes zero and nonzero c sets the c term to +0 on
-    its c = 0 lanes, and subtracting +0 is exact.  Where epsilon is 1 on
-    every lane, the force takes no product by epsilon: 1.0 y == y.
+    order, with (a, delta) (x, v) as one stacked product, no c term where c
+    is 0 (-0.0 too) and no product by epsilon where it is 1 (1.0 y == y).
     Stage k's (x, v, acc) is row k of one (4, 3, N) buffer, so one multiply
     and one add advance its (x, v) from the start by h (v, acc), and the
-    weights take 6 calls (2.0 * y as the exact y + y).  A step is four force
-    calls on views bound here, 60 ufunc calls, 44 under the c rule, 56 under
-    the epsilon rule and 40 under both (12 more with the feedback), each
-    writing into buffers made here once, passed as its last positional
+    weights take 6 calls (2.0 * y as the exact y + y).  A step makes 60 ufunc
+    calls, 16 fewer where c is 0, 4 fewer where epsilon is 1 and 12 more with
+    the feedback, into buffers made here once, passed as the last positional
     argument; it allocates nothing.
     """
     n = knot.shape[1]
-
-    def lanes(*cs):
-        return np.array([np.broadcast_to(c, n) for c in cs], dtype=float)
-
-    ad, (b, c), eps = lanes(p.a, p.delta), lanes(p.b, p.c), lanes(p.epsilon)[0]
-    quintic, unit = c.any(), (eps == 1.0).all()  # -0.0 counts as 0
-    c_zero = c == 0.0 if quintic and not c.all() else None  # a mixed pass's c = 0 lanes
-    gains = None if mu is None else lanes(mu)[0]
+    ad = np.full((2, n), [[p.a], [p.delta]], dtype=float)
+    b, c, eps = np.full((3, n), [[p.b], [p.c], [p.epsilon]], dtype=float)
+    quintic, unit = p.c != 0.0, p.epsilon == 1.0  # -0.0 counts as 0
     buf, (xx, bx, cx, fb), ad_xv, work = (
         np.empty((4, 3, n)), np.empty((4, n)), np.empty((2, n)), np.empty((2, n)))
     buf[0] = knot
@@ -260,8 +249,6 @@ def _rk4_core_lanes(p, knot: np.ndarray, h: float, mu=None):
             mul(c, x, cx)
             mul(cx, xx, cx)
             mul(cx, xx, cx)
-            if c_zero is not None:  # they subtract +0, exactly as no c term
-                np.copyto(cx, 0.0, where=c_zero)
             sub(acc, cx, acc)
         sub(g, dv, dv)  # + eps (gamma cos(omega t) - delta v)
         if not unit:
@@ -269,7 +256,7 @@ def _rk4_core_lanes(p, knot: np.ndarray, h: float, mu=None):
         add(acc, dv, acc)
         if vd is not None:  # + mu (vd - v)
             sub(vd, v, fb)
-            mul(gains, fb, fb)
+            mul(mu, fb, fb)
             add(acc, fb, acc)
 
     def step(g_half, g_end, vd=None) -> None:

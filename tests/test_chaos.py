@@ -44,6 +44,19 @@ class TestPoincareMap:
         series = poincare_map(params(0.30), State(0, 0, 0), 500, 100)
         assert cluster_count(series) <= 8
 
+    @pytest.mark.parametrize("lanes", [False, True])
+    def test_overflowing_interpolant_raises_naming_the_time(self, lanes, monkeypatch):
+        # every knot rests at 0, but the step T / 200 is about 3e198: the
+        # interpolant's h * h overflows, and 0 * inf would read NaN
+        p = OscillatorParams(1, 1, 0, omega=1e-200)
+        where = " at index 0" if lanes else ""
+        with pytest.raises(ValueError, match=rf"^non-finite strobe{where} at t=6\.283185307179586e\+200$"):
+            if lanes:
+                monkeypatch.setattr(chaos, "_LOCKSTEP_MIN", 1)
+                bifurcation_data(p, [0.0, 0.0, 0.0], n_points=2, n_transient=0)
+            else:
+                poincare_map(p, State(0, 0, 0), 2, 0)
+
     def test_chaotic_scatter(self):
         series = poincare_map(params(0.35), State(0, 0, 0), 500, 100)
         assert cluster_count(series) > 100
@@ -292,67 +305,57 @@ def test_float_power_rounds_as_python_pow():
 
 
 class TestLyapunovLanes:
-    # A lane is (omega, c, gamma); the k-th distinct (omega, c) of a draw takes
-    # coeffs[k % len(coeffs)] as its (a, b, delta, epsilon), so the rows of one
-    # pass differ in every coefficient the kernel stacks or scales.
+    # A lane is (omega, gamma), and lanes of one omega share a row; every lane
+    # of a pass shares coeffs = (a, b, c, delta, epsilon), the one force law
+    # that the kernel stacks or scales.
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(lanes=st.lists(st.tuples(
                st.one_of(st.sampled_from([0.05, 0.1, 1.2, 1.4]), st.floats(0.5, 2.5)),
-               st.one_of(st.sampled_from([0.0, 0.2, -1.0, 1.0]), st.floats(0.0, 0.5)),
                st.one_of(st.just(0.0), st.floats(0.0, 0.6))), min_size=1, max_size=9),
-           coeffs=st.lists(st.tuples(
+           coeffs=st.tuples(
                st.one_of(st.sampled_from([1.0, -1.0]), st.floats(-1.5, 1.5)),
                st.one_of(st.sampled_from([1.0, -2.5, -1.0]), st.floats(-1.0, 2.0)),
+               st.one_of(st.sampled_from([0.0, 0.2, -1.0, 1.0]), st.floats(0.0, 0.5)),
                st.one_of(st.sampled_from([0.1, 0.0]), st.floats(0.0, 0.5)),
                st.one_of(st.sampled_from([1.0, 0.5]), st.floats(0.1, 2.0))),
-               min_size=1, max_size=3),
            t0=st.one_of(st.just(0.0), st.floats(-10.0, 10.0)),
            x0=st.floats(-1.5, 1.5), v0=st.floats(-1.5, 1.5),
            steps=st.integers(20, 200), transient=st.integers(0, 2), measure=st.integers(2, 4))
-    @example(lanes=[(0.05, 0.0, 0.0), (0.05, 0.0, 0.387), (0.1, 0.2, 0.41), (0.1, 0.2, 0.45),
-                    (1.2, -1.0, 0.3), (1.4, 0.0, 0.35)], coeffs=[(1.0, 1.0, 0.1, 1.0)],
-             t0=0.0, x0=0.0, v0=0.0, steps=200, transient=1, measure=9)  # c = -1 overflows
-    @example(lanes=[(0.1, 0.0, 0.402), (1.4, 0.2, 0.0), (1.4, 0.2, 0.35), (1.2, -1.0, 0.3)],
-             coeffs=[(1.0, 1.0, 0.1, 1.0)], t0=-3.5, x0=0.4, v0=-0.3, steps=200, transient=2,
+    @example(lanes=[(0.05, 0.387), (0.1, 0.41), (1.2, 0.0), (1.2, 0.3), (1.4, 0.35)],
+             coeffs=(1.0, 1.0, -1.0, 0.1, 1.0), t0=0.0, x0=0.0, v0=0.0, steps=200, transient=1,
+             measure=9)  # c = -1 overflows, but the lane at rest finishes
+    @example(lanes=[(0.05, 0.0), (0.05, 0.387), (1.4, 0.35)], coeffs=(1.0, 1.0, 0.0, 0.1, 1.0),
+             t0=0.0, x0=0.0, v0=0.0, steps=200, transient=1, measure=9)
+    @example(lanes=[(0.1, 0.402), (1.4, 0.0), (1.4, 0.35), (1.2, 0.3)],
+             coeffs=(1.0, 1.0, 0.2, 0.1, 1.0), t0=-3.5, x0=0.4, v0=-0.3, steps=200, transient=2,
              measure=3)
-    @example(lanes=[(1.4, 0.0, 0.3), (1.4, 0.0, 0.32), (1.4, 0.0, 0.35), (1.1, 0.2, 0.2),
-                    (1.1, 0.2, 0.25), (1.1, 0.2, 0.3)], coeffs=[(1.0, 1.0, 0.1, 1.0)],
-             t0=0.0, x0=0.0, v0=0.0, steps=20, transient=0, measure=100)  # 600 logs
-    @example(lanes=[(1.4, 0.0, 0.35), (1.1, 0.2, 0.3), (1.4, 0.0, 0.3), (1.4, 0.0, 0.35)],
-             coeffs=[(1.0, 1.0, 0.1, 1.0)],
-             t0=0.0, x0=0.0, v0=0.0, steps=50, transient=1, measure=3)  # a row split, a lane twice
-    @example(lanes=[(1.4, 1.0, 0.1), (1.4, 1.0, 0.4), (2.0, 1.0, 0.3)],
-             coeffs=[(-1.0, -2.5, 0.1, 1.0), (-1.0, -2.5, 0.25, 0.6)],
+    @example(lanes=[(1.4, 0.3), (1.4, 0.32), (1.4, 0.35), (1.1, 0.2), (1.1, 0.25), (1.1, 0.3)],
+             coeffs=(1.0, 1.0, 0.2, 0.1, 1.0), t0=0.0, x0=0.0, v0=0.0, steps=20, transient=0,
+             measure=100)  # 600 logs
+    @example(lanes=[(1.4, 0.35), (1.1, 0.3), (1.4, 0.3), (1.4, 0.35)],
+             coeffs=(1.0, 1.0, 0.0, 0.1, 1.0), t0=0.0, x0=0.0, v0=0.0, steps=50, transient=1,
+             measure=3)  # a row split, a lane twice
+    @example(lanes=[(1.4, 0.1), (1.4, 0.4), (2.0, 0.3)], coeffs=(-1.0, -2.5, 1.0, 0.1, 1.0),
              t0=0.0, x0=0.5, v0=0.0, steps=100, transient=1, measure=3)  # the kink (-1, -2.5, 1)
-    @example(lanes=[(1.4, 0.0, 0.0), (1.4, 0.0, 0.3), (1.2, 0.2, 0.3), (1.1, 0.0, 0.2)],
-             coeffs=[(1.0, -1.0, 0.1, 1.0), (1.0, 1.0, 0.1, 1.0), (1.0, -1.0, 0.0, 0.5)],
+    @example(lanes=[(1.4, 0.0), (1.4, 0.3), (1.1, 0.2)], coeffs=(1.0, -1.0, 0.0, 0.1, 1.0),
              t0=0.0, x0=0.1, v0=0.0, steps=50, transient=1, measure=3)  # softening cubic diverges
-    @example(lanes=[(1.4, 0.0, 0.35), (1.4, 0.0, 0.3), (1.1, 0.2, 0.3), (0.9, 0.1, 0.2),
-                    (0.9, 0.1, 0.5)],
-             coeffs=[(1.0, 1.0, 0.1, 0.5), (0.5, 2.0, 0.3, 1.7), (-1.0, 0.5, 0.05, 1.3)],
-             t0=0.0, x0=0.2, v0=-0.1, steps=60, transient=1, measure=3)  # epsilon != 1
-    @example(lanes=[(1.4, 0.0, 0.3), (1.4, 0.0, 0.35), (1.1, -0.0, 0.0), (1.1, -0.0, 0.78),
-                    (2.0, 0.0, 0.5)],
-             coeffs=[(1.0, 1.0, 0.1, 1.0), (-1.0, -1.0, 0.1, 1.0), (0.5, -1.0, 0.05, 0.7)],
-             t0=0.0, x0=-0.0, v0=-0.0, steps=50, transient=1,
-             measure=3)  # c = 0 rows only: one pow per stage; the softening cubic diverges
-    @example(lanes=[(1.4, 0.0, 0.3), (1.4, 0.0, 0.35), (1.4, 0.2, 0.3), (1.1, -0.0, 0.78),
-                    (1.1, -1.0, 0.3)],
-             coeffs=[(1.0, 1.0, 0.1, 1.0), (1.0, 1.0, 0.1, 1.0), (-1.0, -1.0, 0.1, 1.0)],
-             t0=0.0, x0=0.0, v0=0.0, steps=50, transient=1,
-             measure=3)  # c = 0 and c != 0 rows mixed: both powers on every lane
-    @example(lanes=[(1.0, 0.0, 0.0), (1.0, 0.0, 0.1)], coeffs=[(-14400.0, 0.0, 240.0, 1.0)],
+    @example(lanes=[(1.4, 0.35), (1.4, 0.3), (1.1, 0.3), (0.9, 0.2), (0.9, 0.5)],
+             coeffs=(1.0, 1.0, 0.2, 0.1, 0.5), t0=0.0, x0=0.2, v0=-0.1, steps=60, transient=1,
+             measure=3)  # epsilon != 1
+    @example(lanes=[(1.4, 0.3), (1.4, 0.35), (1.1, 0.0), (2.0, 0.5)],
+             coeffs=(1.0, 1.0, -0.0, 0.1, 1.0), t0=0.0, x0=-0.0, v0=-0.0, steps=50, transient=1,
+             measure=3)  # c = 0: one pow per stage, from a signed-zero start
+    @example(lanes=[(1.1, 0.0), (1.1, 0.78)], coeffs=(-1.0, -1.0, 0.0, 0.1, 1.0), t0=0.0,
+             x0=-0.0, v0=-0.0, steps=50, transient=1,
+             measure=3)  # c = 0 from a signed-zero start: the softening cubic diverges
+    @example(lanes=[(1.0, 0.0), (1.0, 0.1)], coeffs=(-14400.0, 0.0, 0.0, 240.0, 1.0),
              t0=0.0, x0=1.0, v0=0.0, steps=2000, transient=1,
              measure=3)  # overdamped: the separation underflows to 0 each period
     def test_each_lane_equals_lyapunov_max_bitwise(self, lanes, coeffs, t0, x0, v0, steps,
                                                    transient, measure):
-        rows = list(dict.fromkeys((omega, c) for omega, c, _ in lanes))
-
-        def params_of(omega, c):
-            a, b, delta, epsilon = coeffs[rows.index((omega, c)) % len(coeffs)]
-            return OscillatorParams(a, b, c, delta=delta, omega=omega, epsilon=epsilon)
-
-        lanes = [(params_of(omega, c), gamma) for omega, c, gamma in lanes]
+        a, b, c, delta, epsilon = coeffs
+        lanes = [(OscillatorParams(a, b, c, delta=delta, omega=omega, epsilon=epsilon), gamma)
+                 for omega, gamma in lanes]
         s0 = State(t0, x0, v0)
         periods = dict(steps_per_period=steps, transient_periods=transient,
                        measure_periods=measure)
@@ -373,19 +376,25 @@ class TestLyapunovLanes:
         # np.log rounds unlike math.log on about 0.5% of arguments in (0.5, 2),
         # and a one-ulp log is mostly lost in a long sum.  Periods under 0.5
         # stretch the separation by such factors, and 2000 exponents of two
-        # logs each show a lane kernel that takes np.log.
-        lanes = [(OscillatorParams(1.0, 1.0, c, delta=0.1, omega=omega, epsilon=1.0), gamma)
-                 for omega, c in ((13.0, 0.0), (15.0, 0.2), (17.0, 0.0), (20.0, 0.2),
-                                  (22.0, 0.1), (25.0, 0.0), (28.0, 0.1), (30.0, 0.0))
-                 for gamma in np.linspace(0.01, 0.6, 250).tolist()]
+        # logs each, in one pass per c, show a lane kernel that takes np.log.
         s0 = State(0.0, 0.2, 0.0)
-        exps = chaos._lyapunov_lanes(lanes, s0, steps_per_period=20, transient_periods=0,
-                                     measure_periods=2)
-        expected = [lyapunov_max(replace(p, gamma=gamma), s0, 2 * (2 * math.pi / p.omega),
-                                 2 * math.pi / p.omega, steps_per_period=20,
-                                 t_transient=0.0).hex()
-                    for p, gamma in lanes]
-        assert [e.hex() for e in exps] == expected
+        for c, omegas in ((0.0, (13.0, 17.0, 25.0, 30.0)), (0.2, (15.0, 20.0)),
+                          (0.1, (22.0, 28.0))):
+            lanes = [(OscillatorParams(1.0, 1.0, c, delta=0.1, omega=omega, epsilon=1.0), gamma)
+                     for omega in omegas for gamma in np.linspace(0.01, 0.6, 250).tolist()]
+            exps = chaos._lyapunov_lanes(lanes, s0, steps_per_period=20, transient_periods=0,
+                                         measure_periods=2)
+            expected = [lyapunov_max(replace(p, gamma=gamma), s0, 2 * (2 * math.pi / p.omega),
+                                     2 * math.pi / p.omega, steps_per_period=20,
+                                     t_transient=0.0).hex()
+                        for p, gamma in lanes]
+            assert [e.hex() for e in exps] == expected, c
+
+    def test_a_pass_has_one_force_law(self):
+        lanes = [(OscillatorParams(1.0, 1.0, c, delta=0.1, omega=1.4), 0.3) for c in (0.0, 0.2)]
+        with pytest.raises(ValueError, match="too many values to unpack"):
+            chaos._lyapunov_lanes(lanes, State(0.0, 0.0, 0.0), steps_per_period=20,
+                                  transient_periods=0, measure_periods=2)
 
 
 class TestGammaScan:

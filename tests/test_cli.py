@@ -101,6 +101,31 @@ class TestExactCommand:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    # finite knots whose interpolant overflows: h * h is inf, 0 * inf NaN
+    (["poincare", "--a", "1", "--b", "1", "--c", "0", "--omega", "1e-200", "--points", "2",
+      "--transient", "0", "--out", "p.csv"], "non-finite strobe at t=6.283185307179586e+200"),
+    (["bifurcate", "--a", "1", "--b", "1", "--c", "0", "--omega", "1e-200", "--gamma-min", "0",
+      "--gamma-max", "0", "--gamma-steps", "12", "--points", "2", "--transient", "0",
+      "--out", "b.csv"], "non-finite strobe at index 0 at t=6.283185307179586e+200"),
+    (["simulate", "--method", "rk4", "--dt", "1e300", "--t-end", "1e300", "--samples", "5",
+      "--out", "s.csv"], "non-finite interpolated state at t=0.0"),
+    # powers of a large x0
+    (["exact", "--x0", "1e100", "--out", "e.json"], "x0=1e+100 is too large: x0 ** 4 overflows"),
+    (["exact", "--a", "1", "--b", "1", "--c", "0", "--x0", "1e40", "--out", "e.json"],
+     "x0=1e+40 is too large: x0 ** 8 overflows"),
+    (["exact", "--x0", "1e77", "--out", "e.json"],
+     "no elliptic-ansatz root found for (a=1.0, b=1.0, c=1.0, x0=1e+77)"),
+], ids=["poincare", "bifurcate", "simulate", "exact-1e100", "exact-1e40-cubic", "exact-1e77"])
+def test_overflow_exits_1_naming_where_and_writes_nothing(argv, message, tmp_path, capsys,
+                                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(err)["error"].startswith(message)  # one JSON line, no warning
+    assert not list(tmp_path.iterdir())
+
+
 class TestSimulateCommand:
     def test_equilibrium_stays_put(self, tmp_path, capsys):
         out = tmp_path / "sim.csv"

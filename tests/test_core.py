@@ -128,6 +128,14 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="non-finite"):
             Trajectory(np.array([0.0, 1.0]), np.array([0.0, math.inf]), np.zeros(2))
 
+    def test_overflowing_interpolant_raises_naming_the_time(self):
+        # finite knots 1e300 apart: h * h overflows, and 0 * inf would read NaN
+        traj = Trajectory(np.array([0.0, 1e300]), np.zeros(2), np.zeros(2), np.zeros(2))
+        with pytest.raises(ValueError, match=r"^non-finite interpolated state at t=0\.0$"):
+            traj.eval(0.0)
+        with pytest.raises(ValueError, match=r"^non-finite interpolated state at t=5e\+299$"):
+            traj.eval(np.array([5e299, 1e300]))
+
 
 def quintic_restoring(p, x):
     """core._restoring before it took no c term where c is 0, verbatim."""

@@ -439,6 +439,13 @@ def test_roots_match_60_digit_roots(a, b, c):
                  "a=1.0, b=1.0, c=1.0 and x0=nan must be finite", id="cn-x0-nan"),
     pytest.param(lambda: solve_cn_coefficients(1.0, math.inf, 1.0, 1.0),
                  "b=inf, c=1.0 and x0=1.0 must be finite", id="cn-b-inf"),
+    pytest.param(lambda: solve_cn_coefficients(1.0, 1.0, 0.0, 1e40),
+                 r"x0=1e\+40 is too large: x0 \*\* 8 overflows", id="cn-x0-1e40-cubic"),
+    pytest.param(lambda: solve_cn_coefficients(1.0, 1.0, 1.0, 1e77),
+                 r"no elliptic-ansatz root found .*x0=1e\+77\); branch residuals after "
+                 r"Gauss-Newton: general ", id="cn-x0-1e77"),
+    pytest.param(lambda: solve_cn_coefficients(1.0, 1.0, 1.0, 1e100),
+                 r"x0=1e\+100 is too large: x0 \*\* 4 overflows", id="cn-x0-1e100"),
 ])
 def test_invalid_input_raises(build, match):
     with pytest.raises(ValueError, match=match):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cqduffing import (IntegrationError, OscillatorParams, State, StepControl, integrate,
+from cqduffing import (IntegrationError, OscillatorParams, State, StepControl, chaos, integrate,
                        integrate_delayed, odeint)
 from cqduffing.chaos import bifurcation_data, gamma_scan, lyapunov_max, poincare_map
 from cqduffing.core import acceleration, energy
@@ -150,7 +151,7 @@ OVERFLOW_LANES = [(0.3, 6.846063698953922e28, 1.410761288677002e64), (0.35, 0.5,
 
 def overflow_row(c, eps, feedback):
     """An explicit example of TestCoreLanes's bitwise test: one step of
-    OVERFLOW_LANES, at one c for every lane or a list of one c per lane."""
+    OVERFLOW_LANES."""
     return example(coeffs=(-1.0, -1.0, c, 0.1, eps), omega=1.4, lanes=OVERFLOW_LANES,
                    feedback=feedback, t=0.0, dt=0.02244, n_steps=1, short=0.0, data=None)
 
@@ -159,8 +160,7 @@ class TestCoreLanes:
     """_rk4_core_lanes steps every lane bitwise as _rk4_step steps its floats
     with core.acceleration, or with pyragas.controlled_rhs when the lanes
     carry gains mu and delayed velocities: full steps of dt, then perhaps a
-    short final step, from starts that may overflow, at one c for every lane
-    or one c per lane."""
+    short final step, from starts that may overflow."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(coeffs=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-1.0, 1.0),
@@ -185,13 +185,11 @@ class TestCoreLanes:
     @overflow_row(-0.0, 1.0, True)
     @overflow_row(-0.0, 0.5, False)
     @overflow_row(-0.0, 0.5, True)
-    @overflow_row([0.0, 0.2, -0.0], 0.5, True)  # a pass that mixes zero and nonzero c
     def test_each_lane_equals_the_float_step_bitwise(self, coeffs, omega, lanes, feedback, t, dt,
                                                      n_steps, short, data):
         a, b, c, delta, eps = coeffs
         gammas, xs, vs = map(list, zip(*lanes))
         n = len(lanes)
-        cs = np.broadcast_to(c, n)
         hs = [dt] * n_steps + ([short * dt] if short else [])
         rng = np.random.default_rng(n_steps)  # the explicit examples' gains and delays
         if not feedback:
@@ -202,8 +200,8 @@ class TestCoreLanes:
             floats = st.lists(st.floats(-2.0, 3.0), min_size=n, max_size=n)
             mu = np.array(data.draw(floats))
             vds = [np.array([data.draw(floats), data.draw(floats)]) for _ in hs]
-        floats_p = [SimpleNamespace(a=a, b=b, c=float(c_j), delta=delta, epsilon=eps, gamma=g,
-                                    omega=omega) for g, c_j in zip(gammas, cs)]
+        floats_p = [SimpleNamespace(a=a, b=b, c=c, delta=delta, epsilon=eps, gamma=g, omega=omega)
+                    for g in gammas]
         acc0 = [acceleration(q, t, x, v) for q, x, v in zip(floats_p, xs, vs)]
         p = SimpleNamespace(a=a, b=b, c=c, delta=delta, epsilon=eps, gamma=np.array(gammas),
                             omega=omega)
@@ -229,6 +227,74 @@ class TestCoreLanes:
                     x, v, acc = _rk4_step(lambda s, x, v: acceleration(q, s, x, v),
                                           t_i, x, v, h, acc)
             assert [float(z).hex() for z in knot[:, j]] == [z.hex() for z in (x, v, acc)]
+
+
+def counting_numpy(monkeypatch) -> Counter:
+    """Swap every function and ufunc of the numpy namespace for a wrapper
+    that counts its calls by name, and return the counts."""
+    calls: Counter = Counter()
+
+    class Counting:
+        def __init__(self, name, fn):
+            self.name, self.fn = name, fn
+
+        def __call__(self, *args, **kwargs):
+            calls[self.name] += 1
+            return self.fn(*args, **kwargs)
+
+        def __getattr__(self, attr):  # np.multiply.outer and the like
+            return getattr(self.fn, attr)
+
+    for name, obj in list(vars(np).items()):
+        if callable(obj) and not isinstance(obj, type) and not name.startswith("_"):
+            monkeypatch.setattr(np, name, Counting(name, obj))
+    return calls
+
+
+def core_lanes_step(c, eps, feedback):
+    """One step of _rk4_core_lanes on three lanes at (c, eps), with or without
+    the feedback."""
+    p = SimpleNamespace(a=1.0, b=1.0, c=c, delta=0.1, epsilon=eps, omega=1.4)
+    g, vd = np.full(3, 0.3), (np.zeros((2, 3)) if feedback else None)
+    _, step = _rk4_core_lanes(p, np.full((3, 3), 0.5), 0.01, np.ones(3) if feedback else None)
+    return lambda: step(g, g, vd)
+
+
+def benettin_lanes_step(c, monkeypatch):
+    """One step of the chaos._rk4_lanes kernel that a two-lane scan pass at c
+    builds."""
+    built, kernel = [], chaos._rk4_lanes
+    monkeypatch.setattr(chaos, "_rk4_lanes", lambda *args: built.append(kernel(*args)) or built[0])
+    p = OscillatorParams(1.0, 1.0, c, delta=0.1, omega=1.4)
+    chaos._lyapunov_lanes([(p, 0.3), (p, 0.35)], State(0.0, 0.1, 0.0), steps_per_period=2,
+                          transient_periods=0, measure_periods=2)
+    (_, step), = built
+    f = np.full(4, 0.3)
+    return lambda: step(f, f, f)
+
+
+# (kernel, c, eps, feedback, ufunc calls per step): the core-law step makes
+# 60 calls, 16 fewer where c is 0 (no c term), 4 fewer where epsilon is 1
+# (no product by epsilon) and 12 more with the feedback; the Benettin step
+# 40, 36 where c is 0 (x ** 3 alone, against b alone).
+LANE_STEP_CALLS = [("core", c, eps, feedback, 60 - 16 * (c == 0.0) - 4 * (eps == 1.0) + 12 * feedback)
+                   for c in (0.0, -0.0, 0.2) for eps in (1.0, 0.5) for feedback in (False, True)]
+LANE_STEP_CALLS += [("benettin", c, 1.0, False, 36 if c == 0.0 else 40) for c in (0.0, -0.0, 0.2)]
+
+
+@pytest.mark.parametrize("kernel, c, eps, feedback, expected", LANE_STEP_CALLS)
+def test_lane_step_call_counts(monkeypatch, kernel, c, eps, feedback, expected):
+    """One lane step makes the ufunc calls its docstring states, and no other
+    call into the numpy namespace, such as np.copyto."""
+    calls = counting_numpy(monkeypatch)  # before the kernel binds its ufuncs
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = (core_lanes_step(c, eps, feedback) if kernel == "core"
+                else benettin_lanes_step(c, monkeypatch))
+        calls.clear()
+        step()
+    assert set(calls) <= {"multiply", "add", "subtract", "float_power"}, calls
+    assert sum(calls.values()) == expected, calls
+    assert ("float_power" in calls) == (kernel == "benettin")
 
 
 class TestDelayed:
