@@ -1,13 +1,11 @@
 """Analysis toolkit for the driven cubic-quintic Duffing oscillator."""
 
 from .core import (
-    EnergyReport,
     Equilibrium,
     OscillatorParams,
     State,
     Trajectory,
     energy,
-    energy_report,
     equilibria,
 )
 from .elliptic import complete_k, jacobi_sn_cn_dn
@@ -19,10 +17,8 @@ __all__ = [
     "OscillatorParams",
     "State",
     "Trajectory",
-    "EnergyReport",
     "Equilibrium",
     "energy",
-    "energy_report",
     "equilibria",
     "jacobi_sn_cn_dn",
     "complete_k",

@@ -623,6 +623,8 @@ def cluster_count(points: np.ndarray) -> int:
     """Greedy count of distinct clusters of radius _CLUSTER_RADIUS (diagnostic
     for period-k orbits versus scattered chaotic sections)."""
     pts = np.asarray(points, dtype=float)
+    if pts.ndim > 2 or pts.ndim == 2 and pts.shape[1] not in (1, 2):
+        raise ValueError(f"points must be 1-D or of shape (n, 1) or (n, 2), got shape {pts.shape}")
     if pts.ndim < 2 or pts.shape[1] == 1:  # displacements alone, as bifurcation_data gives
         pts = np.column_stack([pts.ravel(), np.zeros(pts.size)])
     centers: list[np.ndarray] = []

@@ -24,12 +24,10 @@ __all__ = [
     "OscillatorParams",
     "State",
     "Trajectory",
-    "EnergyReport",
     "Equilibrium",
     "acceleration",
     "equilibria",
     "energy",
-    "energy_report",
 ]
 
 
@@ -167,18 +165,6 @@ def _hermite5_velocity(s, h, v0, a0, c3, c4, c5):
 
 
 @dataclass(frozen=True)
-class EnergyReport:
-    """Energy constant K of a run plus the sampled energy series."""
-
-    K: float
-    series: np.ndarray  # shape (n, 2): columns (t, E)
-
-    @property
-    def max_drift(self) -> float:
-        return float(np.abs(self.series[:, 1] - self.K).max())
-
-
-@dataclass(frozen=True)
 class Equilibrium:
     """Rest point of the unperturbed flow with its linearization type."""
 
@@ -254,10 +240,3 @@ def energy(p: OscillatorParams, x, v):
     """E = v^2/2 - a x^2/2 + b x^4/4 + c x^6/6 (scalar or array)."""
     x2 = x * x
     return v * v / 2.0 - p.a * x2 / 2.0 + p.b * x2 * x2 / 4.0 + p.c * x2 * x2 * x2 / 6.0
-
-
-def energy_report(p: OscillatorParams, traj: Trajectory) -> EnergyReport:
-    """Energy series along a trajectory; K is the initial energy."""
-    E = energy(p, traj.x, traj.v)
-    series = np.column_stack([traj.t, E])
-    return EnergyReport(K=float(E[0]), series=series)

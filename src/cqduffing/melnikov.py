@@ -56,9 +56,7 @@ class ChebyshevFit:
     once 1 + lam <= 0, where the target is singular inside the range.
     """
 
-    kind: str
     coefficients: tuple[float, float]
-    lam: float
     max_error: float
 
 
@@ -73,7 +71,6 @@ class MelnikovResult:
     wave_coeff: float
     damp_coeff: float
     threshold_ratio: float
-    orbit: HomoclinicOrbit
     omega: float
     oscillation: str  # "sin" | "cos"
     fit: ChebyshevFit
@@ -155,7 +152,7 @@ def chebyshev_fit(kind: str, lam: float) -> ChebyshevFit:
     else:
         xs = np.linspace(fam.start, 1.0, _FIT_SAMPLES)
         err = float(np.abs(target(xs) - (xs[:, None] ** powers) @ coeffs).max())
-    return ChebyshevFit(kind, (float(coeffs[-2]), float(coeffs[-1])), lam, err)
+    return ChebyshevFit((float(coeffs[-2]), float(coeffs[-1])), err)
 
 
 def damping_integral(orbit: HomoclinicOrbit) -> float:
@@ -188,7 +185,7 @@ def melnikov(orbit: HomoclinicOrbit, p: OscillatorParams) -> MelnikovResult:
     wave_base = orbit.A * rk * fam.bracket(r, s, k, w) * envelope
     damp = damping_integral(orbit)
     ratio = math.inf if wave_base == 0.0 else abs(damp / wave_base)
-    return MelnikovResult(p.gamma * wave_base, p.delta * damp, ratio, orbit, w, fam.oscillation, fit)
+    return MelnikovResult(p.gamma * wave_base, p.delta * damp, ratio, w, fam.oscillation, fit)
 
 
 def chaos_threshold(res: MelnikovResult, delta: float) -> float:

@@ -119,8 +119,11 @@ class HistoryBuffer:
         i = bisect_right(self.ts, t) - 1
         h = self.ts[i + 1] - self.ts[i]
         v0, a0 = self.vs[i], self.accs[i]
-        return _hermite5_velocity((t - self.ts[i]) / h, h, v0, a0, *_hermite5_coeffs(
+        vd = _hermite5_velocity((t - self.ts[i]) / h, h, v0, a0, *_hermite5_coeffs(
             h, self.xs[i], v0, a0, self.xs[i + 1], self.vs[i + 1], self.accs[i + 1]))
+        if not math.isfinite(vd):  # h * h overflows for knots about 1e154 apart
+            raise ValueError(f"non-finite delayed read at t={t}")
+        return vd
 
     def trajectory(self, metadata: dict) -> Trajectory:
         return Trajectory(np.array(self.ts), np.array(self.xs), np.array(self.vs),

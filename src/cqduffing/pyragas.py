@@ -287,6 +287,9 @@ def _run_lanes(job) -> list[tuple[int, tuple[float, float, float, bool]]]:
             vd = np.where(td >= t_n, knots[1, n % n_knots, a:b], vd)
         if td.min() <= t0:
             vd = np.where(td > t0, vd, history(td))
+        if not np.isfinite(vd).all():  # as HistoryBuffer.velocity: the earliest read, then lane
+            i, j = np.argwhere(~np.isfinite(vd))[0]
+            raise ValueError(f"non-finite delayed read at t={td[i, j]} in the cell {cell(a)(j)}")
         return vd
 
     def cell(a: int):

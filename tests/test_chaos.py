@@ -850,6 +850,11 @@ HORIZON = "t_total must exceed the transient plus one interval and be finite"
                  "gamma_range must be finite", id="scan-gamma-max-nan"),
     pytest.param(lambda: gamma_scan(1, 1, 0, 0.1, 1.4, (math.nan, 0.5), 0.01),
                  "gamma_range must be finite", id="scan-gamma-min-nan"),
+    pytest.param(lambda: cluster_count(np.zeros((3, 3))),
+                 r"points must be 1-D or of shape \(n, 1\) or \(n, 2\), got shape \(3, 3\)",
+                 id="cluster-points-3-columns"),
+    pytest.param(lambda: cluster_count(np.zeros((2, 2, 2))),
+                 r"points must be .*, got shape \(2, 2, 2\)", id="cluster-points-3-d"),
 ])
 def test_invalid_input_raises(build, match):
     with pytest.raises(ValueError, match=match):

@@ -8,15 +8,18 @@ import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cqduffing
-from cqduffing import melnikov
+from cqduffing import OscillatorParams, State, StepControl, energy, integrate, melnikov
 from cqduffing.cli import _COMMANDS, build_parser, main
+from cqduffing.core import acceleration
 
 
 def run_cli(capsys, *argv):
@@ -110,13 +113,20 @@ class TestExactCommand:
       "--out", "b.csv"], "non-finite strobe at index 0 at t=6.283185307179586e+200"),
     (["simulate", "--method", "rk4", "--dt", "1e300", "--t-end", "1e300", "--samples", "5",
       "--out", "s.csv"], "non-finite interpolated state at t=0.0"),
+    # a delayed read between knots 1e300 apart, in one run and in the search's lanes
+    (["control", "--a", "1", "--b", "1", "--c", "0", "--delta", "0.1", "--mu", "1", "--tau",
+      "1e300", "--t-end", "3e300"], "non-finite delayed read at t=2.4999999999999778e+297"),
+    (["control", "--search", "--a", "1", "--b", "1", "--c", "0", "--delta", "0.1", "--grid", "6",
+      "--tau-min", "1e300", "--tau-max", "2e300", "--out", "c.csv"],
+     "non-finite delayed read at t=2.4999999999999778e+297 in the cell mu=0.5, tau=1e+300"),
     # powers of a large x0
     (["exact", "--x0", "1e100", "--out", "e.json"], "x0=1e+100 is too large: x0 ** 4 overflows"),
     (["exact", "--a", "1", "--b", "1", "--c", "0", "--x0", "1e40", "--out", "e.json"],
      "x0=1e+40 is too large: x0 ** 8 overflows"),
     (["exact", "--x0", "1e77", "--out", "e.json"],
      "no elliptic-ansatz root found for (a=1.0, b=1.0, c=1.0, x0=1e+77)"),
-], ids=["poincare", "bifurcate", "simulate", "exact-1e100", "exact-1e40-cubic", "exact-1e77"])
+], ids=["poincare", "bifurcate", "simulate", "control", "control-search", "exact-1e100",
+        "exact-1e40-cubic", "exact-1e77"])
 def test_overflow_exits_1_naming_where_and_writes_nothing(argv, message, tmp_path, capsys,
                                                           monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -144,6 +154,22 @@ class TestSimulateCommand:
         assert run_cli(capsys, *args, "--out", str(out1))[0] == 0
         assert run_cli(capsys, *args, "--out", str(out2))[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("flags, ctrl", [
+        ([], StepControl(abs_tol=1e-10, rel_tol=1e-10)),
+        (["--method", "rk4", "--dt", "0.01"], StepControl(dt=0.01, method="rk4")),
+    ], ids=["dp54", "rk4"])
+    def test_energy_summary_is_the_energy_of_the_knots(self, flags, ctrl, tmp_path, capsys):
+        p = OscillatorParams(1, 0.5, 0.25, delta=0.1, gamma=0.35, omega=1.4)
+        code, summary, _ = run_cli(capsys, "simulate", "--a", "1", "--b", "0.5", "--c", "0.25",
+                                   "--delta", "0.1", "--gamma", "0.35", "--omega", "1.4",
+                                   "--x0", "0.3", "--t-end", "5", *flags,
+                                   "--out", str(tmp_path / "s.csv"))
+        assert code == 0
+        traj = integrate(partial(acceleration, p), State(0.0, 0.3, 0.0), 5.0, ctrl)
+        E = energy(p, traj.x, traj.v)
+        assert summary["energy_constant"] == float(E[0])
+        assert summary["energy_drift"] == float(np.abs(E - E[0]).max()) > 0.0
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "simulate", "--a", "1", "--b", "0", "--c", "-1",

@@ -307,7 +307,6 @@ def melnikov_sech(orbit: HomoclinicOrbit, p: OscillatorParams) -> MelnikovResult
         wave_coeff=p.gamma * wave_base,
         damp_coeff=p.delta * i2,
         threshold_ratio=ratio,
-        orbit=orbit,
         omega=w,
         oscillation="sin",
         fit=fit,
@@ -335,7 +334,6 @@ def melnikov_tanh(orbit: HomoclinicOrbit, p: OscillatorParams) -> MelnikovResult
         wave_coeff=p.gamma * wave_base,
         damp_coeff=p.delta * j2,
         threshold_ratio=ratio,
-        orbit=orbit,
         omega=w,
         oscillation="cos",
         fit=fit,

@@ -321,6 +321,14 @@ class TestDelayed:
         assert abs(tr.eval(1.0)[1] - 0.0) < 1e-6
         assert abs(tr.v[-1] + 0.5) < 1e-6
 
+    def test_overflowing_delayed_read_raises_naming_the_time(self):
+        # a rest at 0 in steps of 1e300: the second step reads v(5e299)
+        # between knots 1e300 apart, where h * h overflows and 0 * inf would
+        # read NaN and fail as a non-finite state
+        with pytest.raises(ValueError, match=r"^non-finite delayed read at t=5e\+299$"):
+            integrate_delayed(lambda t, x, v, vd: -x + 0.0 * vd, State(0, 0, 0), lambda t: 0.0,
+                              1e300, 3e300, StepControl(dt=1e300, method="rk4"))
+
     def test_long_delay_consults_policy(self):
         calls = []
 
@@ -403,6 +411,13 @@ class TestHistoryBuffer:
         buf.append(0.0, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError, match="advance"):
             buf.append(0.0, 1.0, 1.0, 0.0)
+
+    def test_overflowing_interpolant_raises_naming_the_time(self):
+        buf = HistoryBuffer()
+        buf.append(0.0, 0.0, 0.0, 0.0)
+        buf.append(1e300, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match=r"^non-finite delayed read at t=5e\+299$"):
+            buf.velocity(5e299)
 
     def test_far_future_read_rejected(self):
         buf = HistoryBuffer(lambda t: 0.0)

@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -277,6 +278,18 @@ class TestLockstepSearch:
                 pytest.raises(ValueError) as got:
             search_mu_tau(CHAOTIC, (1.0, 2.0), (2.0, 3.0), grid, s0)
         assert str(got.value) == str(want.value)
+
+    def test_overflowing_delayed_read_names_the_time_and_cell(self):
+        # a rest at 0, unforced, so dt = tau / 200 near 5e297: the first read
+        # past the start interpolates knots whose h * h overflows; six
+        # blocks of six lanes run (search_cell is patched out)
+        p = OscillatorParams(1, 1, 0, delta=0.1)
+        with mock.patch.object(pyragas, "search_cell", None), pytest.raises(ValueError) as got:
+            search_mu_tau(p, (0.0, 1.0), (1e300, 2e300), (6, 6))
+        mu, tau = re.search(r" in the cell mu=(\S+), tau=(\S+)$", str(got.value)).groups()
+        with pytest.raises(ValueError, match=r"^non-finite delayed read at t=\S+$") as want:
+            search_cell((p, float(mu), float(tau), State(0, 0, 0), 1e-2))
+        assert str(got.value) == f"{want.value} in the cell mu={mu}, tau={tau}"
 
     def test_diverging_cell_raises(self):
         # a softening quintic well: the start x0 = 2 escapes and overflows
